@@ -5,8 +5,8 @@ fit-spectrum.  All take --config <json> and --out <dir>.  Config parsing
 rejects unknown fields with their path (a typo'd exponent name must not
 silently invalidate an experiment).  Output files are byte-reproducible:
 floats are written with repr (shortest round-trip decimal), LF endings,
-UTF-8; identical config and seed give identical bytes regardless of the
-requested thread count (all kernels use fixed-order reductions).
+UTF-8; identical config and seed give identical bytes (the kernel uses
+fixed-order reductions).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .core import ClassicState, ModelParams, TreeState, pow2
 from .dynamics import SolverOptions, balance_residual, energy_report, integrate
 from .errors import CascadeError, ConfigError, DegenerateWindow, SymmetryError
-from .kernels import make_kernel
+from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
 from .selfsimilar import lift_selfsimilar, solve_selfsimilar_classic
 from .stateio import dump_state, load_state
@@ -60,6 +60,13 @@ def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number, got {v!r}")
     return float(v)
+
+
+def _nonnegative(v, path: str) -> float:
+    x = _number(v, path)
+    if not x >= 0:
+        raise ConfigError(f"{path} must be >= 0 (positive-solution mode), got {x!r}")
+    return x
 
 
 def _integer(v, path: str) -> int:
@@ -98,7 +105,7 @@ class InitialSpec:
         _check_unknown(d, ("kind",) + _INITIAL_KINDS[kind], path)
         out = {"kind": kind}
         if kind == "root_only":
-            out["value"] = _number(_require(d, "value", path), f"{path}.value")
+            out["value"] = _nonnegative(_require(d, "value", path), f"{path}.value")
         elif kind == "selfsimilar":
             out["t0"] = _number(_require(d, "t0", path), f"{path}.t0")
         elif kind == "file":
@@ -108,7 +115,7 @@ class InitialSpec:
             out["path"] = p
         elif kind == "random_positive":
             out["seed"] = _integer(_require(d, "seed", path), f"{path}.seed")
-            out["scale"] = _number(_require(d, "scale", path), f"{path}.scale")
+            out["scale"] = _nonnegative(_require(d, "scale", path), f"{path}.scale")
         return cls(**out)
 
     def to_dict(self) -> dict:
@@ -147,6 +154,44 @@ def _solver_from_dict(d: dict, path: str = "solver") -> SolverOptions:
 _PARAM_FIELDS = ("alpha", "gamma", "nu", "f", "branching", "depth")
 
 
+def _params_from_dict(pd, model: str = "tree") -> ModelParams:
+    """Parse the params block shared by simulate and fit-spectrum."""
+    if not isinstance(pd, dict):
+        raise ConfigError("params must be an object")
+    _check_unknown(pd, _PARAM_FIELDS, "params")
+    branching = _integer(pd.get("branching", 1 if model == "classic" else 2),
+                         "params.branching")
+    if model == "classic" and branching != 1:
+        raise ConfigError("params.branching must be 1 for the classic model")
+    try:
+        return ModelParams(
+            alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
+            gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
+            nu=_number(pd.get("nu", 0.0), "params.nu"),
+            f=_number(pd.get("f", 0.0), "params.f"),
+            branching=branching,
+            depth=_integer(_require(pd, "depth", "params"), "params.depth"),
+        )
+    except (ValueError, CascadeError) as e:
+        raise ConfigError(f"params: {e}") from e
+
+
+def _window(w, path: str) -> tuple[int, int] | None:
+    if w is None:
+        return None
+    if not isinstance(w, (list, tuple)) or len(w) != 2:
+        raise ConfigError(f"{path} must be [lo, hi]")
+    return _integer(w[0], f"{path}[0]"), _integer(w[1], f"{path}[1]")
+
+
+def _load_state(path, params: ModelParams, field_path: str):
+    """load_state with unreadable or mismatched files reported as bad input."""
+    try:
+        return load_state(path, params)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"{field_path}: {e}") from e
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed simulate configuration."""
@@ -174,25 +219,7 @@ class RunConfig:
             raise ConfigError(f"mode must be 'full' or 'symmetric', got {mode!r}")
         if mode == "symmetric" and model != "tree":
             raise ConfigError("mode.symmetric only applies to the tree model")
-        pd = _require(d, "params", "")
-        if not isinstance(pd, dict):
-            raise ConfigError("params must be an object")
-        _check_unknown(pd, _PARAM_FIELDS, "params")
-        branching = _integer(pd.get("branching", 1 if model == "classic" else 2),
-                             "params.branching")
-        if model == "classic" and branching != 1:
-            raise ConfigError("params.branching must be 1 for the classic model")
-        try:
-            params = ModelParams(
-                alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
-                gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
-                nu=_number(pd.get("nu", 0.0), "params.nu"),
-                f=_number(pd.get("f", 0.0), "params.f"),
-                branching=branching,
-                depth=_integer(_require(pd, "depth", "params"), "params.depth"),
-            )
-        except (ValueError, CascadeError) as e:
-            raise ConfigError(f"params: {e}") from e
+        params = _params_from_dict(_require(d, "params", ""), model)
         initial = InitialSpec.from_dict(_require(d, "initial", ""))
         if mode == "symmetric" and not initial.generation_symmetric \
                 and initial.kind != "file":
@@ -206,12 +233,7 @@ class RunConfig:
         if out_iv <= 0:
             raise ConfigError("output_interval must be > 0")
         solver = _solver_from_dict(d.get("solver", {}))
-        window = None
-        if "fit_window" in d and d["fit_window"] is not None:
-            w = d["fit_window"]
-            if (not isinstance(w, (list, tuple)) or len(w) != 2):
-                raise ConfigError("fit_window must be [lo, hi]")
-            window = (_integer(w[0], "fit_window[0]"), _integer(w[1], "fit_window[1]"))
+        window = _window(d.get("fit_window"), "fit_window")
         return cls(model=model, mode=mode, params=params, initial=initial,
                    t_end=t_end, output_interval=out_iv, solver=solver,
                    fit_window=window)
@@ -244,7 +266,7 @@ def build_initial(config: RunConfig):
     """Materialize the initial state for a full-mode run."""
     params = config.params
     spec = config.initial
-    n = params.n_nodes if params.branching > 1 else params.depth + 1
+    n = params.n_nodes
     if spec.kind == "zero":
         values = np.zeros(n)
     elif spec.kind == "root_only":
@@ -269,8 +291,7 @@ def build_initial(config: RunConfig):
             for g in range(params.depth + 1):
                 values[offs[g]:offs[g + 1]] = lifted.a[g] / (0.0 - spec.t0)
     elif spec.kind == "file":
-        state = load_state(spec.path, params)
-        values = state.values
+        values = _load_state(spec.path, params, "initial.path").values
     elif spec.kind == "random_positive":
         # counter-based generator: full-mode and oracle reruns match exactly
         rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -303,7 +324,7 @@ def _symmetric_classic_initial(config: RunConfig, classic_params: ModelParams,
                                             classic_params.alpha, depth)
         return ClassicState(profile.classic_state(0.0).values, classic_params)
     if kind == "file":
-        tree_state = load_state(config.initial.path, config.params)
+        tree_state = _load_state(config.initial.path, config.params, "initial.path")
         return project_state(tree_state)  # SymmetryError if asymmetric
     raise ConfigError(f"initial.kind {kind!r} unsupported in symmetric mode")
 
@@ -324,7 +345,7 @@ def fit_spectrum(state_or_report, params: ModelParams | None = None,
     """
     if isinstance(state_or_report, (TreeState, ClassicState)):
         params = params or state_or_report.params
-        per_gen = make_kernel(params).generation_energies(state_or_report.values)
+        per_gen = generation_energies(params, state_or_report.values)
     else:
         if params is None:
             raise ValueError("params required when passing an EnergyReport")
@@ -355,7 +376,7 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def run_simulate(config: RunConfig, out_dir, dump_times=(), threads: int | None = None):
+def run_simulate(config: RunConfig, out_dir, dump_times=()):
     """Integrate per config and emit trajectory.csv + summary.json.
 
     Returns the trajectory (full mode) or the classic-side trajectory
@@ -413,7 +434,6 @@ def run_simulate(config: RunConfig, out_dir, dump_times=(), threads: int | None 
         fitted = None
     summary = {
         "config": config.to_dict(),
-        "threads": threads,
         "summary": {
             "final_energy": scale * energy_report(final, report_params).total,
             "fitted_decay_exponent": fitted,
@@ -434,6 +454,8 @@ def run_stationary(cfg: dict, out_dir):
     plus regime.json."""
     _check_unknown(cfg, _STATIONARY_FIELDS, "")
     f = _number(_require(cfg, "f", ""), "f")
+    if not f > 0:
+        raise ConfigError(f"f must be > 0 (f = 0 gives the zero state), got {f!r}")
     nu = _number(_require(cfg, "nu", ""), "nu")
     beta = _number(_require(cfg, "beta", ""), "beta")
     gamma = _number(cfg.get("gamma", 1.0), "gamma")
@@ -471,7 +493,7 @@ def run_stationary(cfg: dict, out_dir):
     return regime
 
 
-_SELFSIMILAR_FIELDS = ("t0", "beta", "n_max", "tol", "alpha_tilde", "n0")
+_SELFSIMILAR_FIELDS = ("t0", "beta", "n_max", "alpha_tilde", "n0")
 
 
 def run_selfsimilar(cfg: dict, out_dir):
@@ -479,12 +501,15 @@ def run_selfsimilar(cfg: dict, out_dir):
     t0 = _number(_require(cfg, "t0", ""), "t0")
     beta = _number(_require(cfg, "beta", ""), "beta")
     n_max = _integer(cfg.get("n_max", 25), "n_max")
-    tol = _number(cfg.get("tol", 1e-12), "tol")
+    if n_max < 2:
+        raise ConfigError(f"n_max must be >= 2, got {n_max}")
     n0 = _integer(cfg.get("n0", 0), "n0")
+    if n0 < 0:
+        raise ConfigError(f"n0 must be >= 0, got {n0}")
     alpha_tilde = cfg.get("alpha_tilde")
     os.makedirs(out_dir, exist_ok=True)
 
-    profile = solve_selfsimilar_classic(t0, beta, n_max, tol, n0=n0)
+    profile = solve_selfsimilar_classic(t0, beta, n_max, n0=n0)
     if alpha_tilde is not None:
         profile = lift_selfsimilar(profile, _number(alpha_tilde, "alpha_tilde"))
         header = "n,b_n,a_n"
@@ -531,14 +556,14 @@ def run_lift(cfg: dict, out_dir):
             raise ConfigError(f"classic_values must hold {depth + 1} shells")
         y = ClassicState(vals, classic_params)
     elif "classic_file" in cfg:
-        y = load_state(cfg["classic_file"], classic_params)
+        y = _load_state(cfg["classic_file"], classic_params, "classic_file")
     else:
         raise ConfigError("one of classic_values/classic_file is required")
 
     spec = LiftSpec(alpha_tilde=alpha_tilde, beta=beta)
     x = lift_state(y, spec)
     lines = ["generation,classic_value,tree_value,generation_energy"]
-    per_gen = make_kernel(x.params).generation_energies(x.values)
+    per_gen = generation_energies(x.params, x.values)
     for g in range(depth + 1):
         lines.append(f"{g},{_fmt(y.values[g])},{_fmt(x.generation_slice(g)[0])},"
                      f"{_fmt(per_gen[g])}")
@@ -576,21 +601,9 @@ _FIT_FIELDS = ("params", "state_file", "window")
 
 def run_fit_spectrum(cfg: dict, out_dir):
     _check_unknown(cfg, _FIT_FIELDS, "")
-    pd = _require(cfg, "params", "")
-    _check_unknown(pd, _PARAM_FIELDS, "params")
-    params = ModelParams(
-        alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
-        gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
-        nu=_number(pd.get("nu", 0.0), "params.nu"),
-        f=_number(pd.get("f", 0.0), "params.f"),
-        branching=_integer(pd.get("branching", 2), "params.branching"),
-        depth=_integer(_require(pd, "depth", "params"), "params.depth"),
-    )
-    state = load_state(_require(cfg, "state_file", ""), params)
-    window = None
-    if cfg.get("window") is not None:
-        w = cfg["window"]
-        window = (_integer(w[0], "window[0]"), _integer(w[1], "window[1]"))
+    params = _params_from_dict(_require(cfg, "params", ""))
+    window = _window(cfg.get("window"), "window")
+    state = _load_state(_require(cfg, "state_file", ""), params, "state_file")
     os.makedirs(out_dir, exist_ok=True)
     fit = fit_spectrum(state, params, window)
     out = {"eta_hat": fit.eta_hat, "residual": fit.residual}
@@ -608,19 +621,6 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DYADIC_CASCADE_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"DYADIC_CASCADE_THREADS must be an integer, "
-                              f"got {env!r}") from e
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dyadic-cascade",
@@ -631,8 +631,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; results are identical for any value")
         if name == "simulate":
             p.add_argument("--dump-state", type=float, action="append",
                            default=[], metavar="T",
@@ -641,10 +639,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        threads = _threads(args)
         if args.command == "simulate":
             run_simulate(RunConfig.from_dict(cfg), args.out,
-                         dump_times=args.dump_state, threads=threads)
+                         dump_times=args.dump_state)
         elif args.command == "stationary":
             run_stationary(cfg, args.out)
         elif args.command == "selfsimilar":

@@ -25,7 +25,7 @@ from .errors import (
     RangeError,
     StepSizeUnderflow,
 )
-from .kernels import make_kernel
+from .kernels import boundary_fluxes, generation_energies, make_kernel, total_energy
 
 # Dormand-Prince 5(4) tableau (autonomous form; no c column needed).
 _A = (
@@ -124,25 +124,20 @@ def _wrap_state(values: np.ndarray, params: ModelParams) -> State:
     return TreeState(values, params)
 
 
-def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
-    """Time derivative of a tree state under Galerkin truncation.
+def rhs_tree(state: State, params: ModelParams | None = None) -> np.ndarray:
+    """Time derivative of a tree or classic state under Galerkin truncation.
 
     The root's parent value is the forcing f; children beyond the stored
-    depth are zero.
+    depth are zero.  A classic state is the tree with branching 1: shell -1
+    aliases f and shell depth+1 is zero.
     """
     params = params or state.params
     if not state.is_finite:
-        raise NonFiniteState("rhs_tree: state contains non-finite entries")
+        raise NonFiniteState("rhs: state contains non-finite entries")
     return make_kernel(params).rhs(state.values)
 
 
-def rhs_classic(state: ClassicState, params: ModelParams | None = None) -> np.ndarray:
-    """Time derivative of a classic (chain) state; shell -1 aliases f,
-    shell depth+1 is zero."""
-    params = params or state.params
-    if not state.is_finite:
-        raise NonFiniteState("rhs_classic: state contains non-finite entries")
-    return make_kernel(params).rhs(state.values)
+rhs_classic = rhs_tree
 
 
 def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
@@ -173,7 +168,7 @@ def integrate(
     """
     params = params or initial.params
     y = np.array(initial.values, dtype=np.float64)
-    if y.shape[0] != (params.n_nodes if params.branching > 1 else params.depth + 1):
+    if y.shape[0] != params.n_nodes:
         raise ValueError("initial state length does not match params")
     if not np.isfinite(y).all():
         raise NonFiniteState("integrate: initial state contains non-finite entries")
@@ -192,10 +187,7 @@ def integrate(
     else:
         targets = sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end})
         if not targets or targets[-1] < t_end:
-            targets = list(targets) + [t_end]
-        for t in targets:
-            if t <= 0.0 or t > t_end:
-                raise ValueError(f"output time {t} outside (0, t_end]")
+            targets.append(t_end)
 
     n = y.size
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
@@ -311,7 +303,7 @@ def integrate(
             K[0] = K[6]
             W[0] = W[6]
         step_t.append(t)
-        step_E.append(kernel.total_energy(y))
+        step_E.append(total_energy(y))
 
         record = targets is None or (clamped and t == target)
         if record and t > rec_t[-1]:
@@ -355,14 +347,13 @@ def energy_report(state: State, params: ModelParams | None = None,
     All sums are fixed-order pairwise reductions.
     """
     params = params or state.params
-    kernel = make_kernel(params)
-    per_gen = kernel.generation_energies(state.values)
+    per_gen = generation_energies(params, state.values)
     cumulative = np.cumsum(per_gen)
     return EnergyReport(
         per_generation=per_gen,
         cumulative=cumulative,
         total=float(cumulative[-1]),
-        boundary_flux=kernel.boundary_fluxes(state.values),
+        boundary_flux=boundary_fluxes(params, state.values),
         balance_residual=balance_residual,
     )
 
@@ -386,9 +377,8 @@ def balance_residual(traj: Trajectory, s: float, t: float,
     m = params.depth if generation is None else generation
     if not 0 <= m <= params.depth:
         raise RangeError(f"observation generation {m} outside 0..{params.depth}")
-    kernel = make_kernel(params)
-    e_t = float(np.add.reduce(kernel.generation_energies(traj.states[j].values)[: m + 1]))
-    e_s = float(np.add.reduce(kernel.generation_energies(traj.states[i].values)[: m + 1]))
+    e_t = float(np.add.reduce(generation_energies(params, traj.states[j].values)[: m + 1]))
+    e_s = float(np.add.reduce(generation_energies(params, traj.states[i].values)[: m + 1]))
     forcing = 2.0 * params.f ** 2 * (traj.work_x0[j] - traj.work_x0[i])
     viscous = 2.0 * params.nu * float(
         np.add.reduce(traj.work_visc[j, : m + 1] - traj.work_visc[i, : m + 1]))
@@ -403,10 +393,9 @@ def flux_budget_check(traj: Trajectory, n: int) -> tuple[float, float]:
         raise ForcedRun("flux budget inequality requires f = 0")
     if n < -1 or n > params.depth:
         raise RangeError(f"boundary index {n} outside -1..{params.depth}")
-    kernel = make_kernel(params)
     if n == -1:
         return 0.0, 0.0
-    e_n0 = float(np.add.reduce(kernel.generation_energies(traj.states[0].values)[: n + 1]))
+    e_n0 = float(np.add.reduce(generation_energies(params, traj.states[0].values)[: n + 1]))
     if n == params.depth:
         return 0.0, e_n0  # no stored generation beyond the truncation
     return float(traj.work_flux[-1, n]), e_n0

@@ -1,11 +1,36 @@
-"""Right-hand-side kernels and energy reductions.
+"""Right-hand-side kernel and energy reductions on the heap array.
 
-Both models share one arithmetic discipline so that the tree kernel with
-branching 1 reproduces the classic kernel bit for bit: every coefficient goes
-through core.pow2, and every node combines its terms as (viscous + gain) -
-loss in exactly that association order.  All sums use numpy's pairwise
-add.reduce, which is a fixed-order deterministic reduction independent of
-thread count.
+One kernel serves every branching N >= 1.  In the implicit-heap layout the
+children of the internal nodes 0..n_int-1 are exactly y[1:], in parent
+order, N per parent.  The gain each node receives from its parent, the
+viscous term and the loss each internal node sends to its children are
+therefore one whole-array operation each, with per-node coefficients built
+once per kernel.  The classic (chain) model is this same array with N = 1:
+node n is shell n, its only child is shell n+1, and c_n = 2^{alpha n} with
+alpha = beta because alpha_tilde = log2(1)/2 = 0.
+
+Pinned association orders (changing one changes the bytes of every output
+file):
+
+- every coefficient goes through core.pow2;
+- a node's derivative is ((visc + gain) - loss), with visc = (-nu d_g) * X
+  (0.0 when nu = 0), gain = c_g * X_p^2 and loss = (c_{g+1} * X) * (sum of
+  children);
+- the child sum is y[1:] for N = 1, y[1::2] + y[2::2] for N = 2 and
+  reshape(-1, N).sum(1) otherwise.  At N = 2 the strided add equals the
+  reshape sum bit for bit (apart from the sign of a zero sum) and is about
+  20x faster, because reducing rows of two pays numpy's per-row reduction
+  overhead on every pair.  At N >= 3 the reshape sum fixes the order in
+  which siblings are added;
+- per-generation sums (energies, viscous work, boundary fluxes) are numpy's
+  pairwise np.add.reduce over each generation slice, then scaled by the
+  generation's coefficient, so a boundary flux is (2 c_{n+1}) * sum(X^2 *
+  child sum).  np.add.reduceat would be one call but sums sequentially,
+  which changes the last bits at N >= 2.  With N = 1 each slice is one
+  node and the values are used as they are.
+
+All of this is fixed-order and deterministic, so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -15,24 +40,103 @@ import numpy as np
 from .core import ModelParams, pow2
 
 
-class TreeKernel:
-    """Generation-blocked evaluation on the implicit-heap tree array."""
+def _powers(exponent: float, count: int) -> np.ndarray:
+    """2^{exponent * g} for g = 0..count-1."""
+    return np.array([pow2(exponent * g) for g in range(count)])
+
+
+def _flux_coefficients(params: ModelParams) -> np.ndarray:
+    """2 c_{n+1} for the boundaries n = 0..depth-1."""
+    return 2.0 * _powers(params.alpha, params.depth + 1)[1:]
+
+
+def _child_sums(y: np.ndarray, branching: int) -> np.ndarray:
+    """Sum over the children of each internal node, in heap order.  For
+    N = 1 this is a view of y."""
+    if branching == 1:
+        return y[1:]
+    if branching == 2:
+        return y[1::2] + y[2::2]
+    return y[1:].reshape(-1, branching).sum(axis=1)
+
+
+def _add_to_children(values: np.ndarray, dst: np.ndarray, branching: int) -> None:
+    """Add each internal node's value to all of its children; dst is the
+    derivative without the root, a contiguous view.  Rows of N <= 2 are
+    strided slices, because broadcasting into short rows pays a per-row
+    overhead."""
+    if branching <= 2:
+        for j in range(branching):
+            dst[j::branching] += values
+    else:
+        rows = dst.reshape(-1, branching)
+        rows += values[:, None]
+
+
+def _generation_sums(params: ModelParams, values: np.ndarray, n_gen: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise sum of values over each of the generations 0..n_gen-1."""
+    if out is None:
+        out = np.empty(n_gen)
+    if params.branching == 1:
+        out[:] = values
+        return out
+    offs = params.offsets
+    for g in range(n_gen):
+        out[g] = np.add.reduce(values[offs[g]:offs[g + 1]])
+    return out
+
+
+def _fluxes(params: ModelParams, sq_internal: np.ndarray, csum: np.ndarray,
+            coefficients: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    flux = _generation_sums(params, sq_internal * csum, params.depth, out)
+    flux *= coefficients
+    return flux
+
+
+def generation_energies(params: ModelParams, y: np.ndarray) -> np.ndarray:
+    """Energy of each generation 0..depth."""
+    return _generation_sums(params, np.square(y), params.depth + 1)
+
+
+def boundary_fluxes(params: ModelParams, y: np.ndarray) -> np.ndarray:
+    """2 c_{n+1} * sum over generation-n nodes of X^2 (sum of children),
+    the flux through the n -> n+1 boundary, for n = 0..depth-1."""
+    n_int = params.offsets[-2]
+    return _fluxes(params, np.square(y[:n_int]), _child_sums(y, params.branching),
+                   _flux_coefficients(params))
+
+
+def total_energy(y: np.ndarray) -> float:
+    """Energy of the whole state."""
+    return float(np.add.reduce(np.square(y)))
+
+
+class Kernel:
+    """Whole-array evaluation of the model equation on the heap array."""
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.offsets = params.offsets
-        self.depth = params.depth
-        self.branching = params.branching
-        d = params.depth
-        # c up to depth+1: the loss coefficient of generation g is c[g+1]
-        self.c = np.array([pow2(params.alpha * g) for g in range(d + 2)])
-        self.d = np.array([pow2(params.gamma * g) for g in range(d + 1)])
-        self.neg_nu_d = -params.nu * self.d
-        self._gain0 = float(self.c[0] * np.square(np.float64(params.f)))
+        offs = params.offsets
+        depth = params.depth
+        self.n_internal = offs[-2]
+        widths = np.diff(offs)
+        c = _powers(params.alpha, depth + 2)
+        self.d = _powers(params.gamma, depth + 1)
+        self.flux_coefficients = _flux_coefficients(params)
+        # c_{g+1} of each internal node: its loss coefficient and the gain
+        # coefficient of its children
+        self.c_next = np.repeat(c[1:-1], widths[:-1])
+        self.neg_nu_d = (np.repeat(-params.nu * self.d, widths)
+                         if params.nu != 0.0 else None)
+        self.gain0 = c[0] * np.square(np.float64(params.f))
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        deriv = np.empty_like(y) if out is None else out
         with np.errstate(over="ignore", invalid="ignore"):
-            deriv, _ = self._eval(y, out=out, work_out=None)
+            gain = np.square(y[:self.n_internal])
+            gain *= self.c_next
+            self._deriv(y, gain, _child_sums(y, self.params.branching), deriv)
         return deriv
 
     def rhs_work(self, y, out=None, work_out=None):
@@ -40,151 +144,37 @@ class TreeKernel:
         [x0, visc rate per generation, flux rate per boundary].  Overflow is
         deliberately silent: the integrator detects non-finite results and
         rejects the step."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if work_out is None:
-                work_out = np.empty(1 + (self.depth + 1) + self.depth)
-            return self._eval(y, out=out, work_out=work_out)
-
-    def _eval(self, y, out=None, work_out=None):
-        """Single pass over the generations, writing into the output slices.
-
-        The element-wise association is pinned to ((visc + gain) - loss) with
-        loss = ((c_next * x) * child_sum), matching ClassicKernel bit for bit
-        (only commutative reorderings are used below).
-        """
         p = self.params
-        offs = self.offsets
-        N = self.branching
-        nu = p.nu
-        depth = self.depth
-        deriv = out if out is not None else np.empty_like(y)
-        with_work = work_out is not None
-        if with_work:
+        depth, n_int = p.depth, self.n_internal
+        deriv = np.empty_like(y) if out is None else out
+        if work_out is None:
+            work_out = np.empty(2 * depth + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the squares live in deriv until _deriv overwrites it
+            sq = np.square(y, out=deriv)
+            csum = _child_sums(y, p.branching)
             work_out[0] = y[0]
-            visc_rate = work_out[1:depth + 2]
-            flux_rate = work_out[depth + 2:]
-        scratch = np.empty(offs[-1] - offs[-2])  # widest generation
-        sq_prev = None
-        for g in range(depth + 1):
-            lo, hi = offs[g], offs[g + 1]
-            block = y[lo:hi]
-            width = hi - lo
-            sq_block = np.square(block)
-            dst = deriv[lo:hi]
-            # gain term c_g * parent^2, broadcast over each child block
-            if g == 0:
-                dst[0] = self._gain0
-            else:
-                np.multiply(self.c[g], sq_prev, out=sq_prev)
-                dst.reshape(-1, N)[:] = sq_prev[:, None]
-            if nu != 0.0:
-                buf = scratch[:width]
-                np.multiply(self.neg_nu_d[g], block, out=buf)
-                dst += buf
-            if g < depth:
-                child_sum = y[offs[g + 1]:offs[g + 2]].reshape(-1, N).sum(axis=1)
-                if with_work:
-                    visc_rate[g] = self.d[g] * np.add.reduce(sq_block)
-                    flux_rate[g] = 2.0 * self.c[g + 1] * np.add.reduce(sq_block * child_sum)
-                buf = scratch[:width]
-                np.multiply(self.c[g + 1], block, out=buf)
-                buf *= child_sum
-                dst -= buf
-            elif with_work:
-                visc_rate[g] = self.d[g] * np.add.reduce(sq_block)
-            sq_prev = sq_block
-        if not with_work:
-            return deriv, None
+            visc = _generation_sums(p, sq, depth + 1, work_out[1:depth + 2])
+            visc *= self.d
+            _fluxes(p, sq[:n_int], csum, self.flux_coefficients, work_out[depth + 2:])
+            gain = np.multiply(self.c_next, sq[:n_int])
+            self._deriv(y, gain, csum, deriv)
         return deriv, work_out
 
-    def generation_energies(self, y: np.ndarray) -> np.ndarray:
-        offs = self.offsets
-        return np.array([
-            np.add.reduce(np.square(y[offs[g]:offs[g + 1]]))
-            for g in range(self.depth + 1)
-        ])
-
-    def boundary_fluxes(self, y: np.ndarray) -> np.ndarray:
-        """2 * sum over generation-(n+1) nodes of c_{n+1} X_parent^2 X_child,
-        for n = 0..depth-1."""
-        offs = self.offsets
-        N = self.branching
-        flux = np.empty(self.depth)
-        for n in range(self.depth):
-            sq = np.square(y[offs[n]:offs[n + 1]])
-            child_sum = y[offs[n + 1]:offs[n + 2]].reshape(-1, N).sum(axis=1)
-            flux[n] = 2.0 * self.c[n + 1] * np.add.reduce(sq * child_sum)
-        return flux
-
-    @staticmethod
-    def total_energy(y: np.ndarray) -> float:
-        return float(np.add.reduce(np.square(y)))
-
-
-class ClassicKernel:
-    """Vectorized chain-model evaluation, one value per shell."""
-
-    def __init__(self, params: ModelParams):
-        if params.branching != 1:
-            raise ValueError("ClassicKernel requires branching = 1")
-        self.params = params
-        self.depth = params.depth
-        d = params.depth
-        n = np.arange(d + 1)
-        self.k = np.array([pow2(params.beta * i) for i in range(d + 1)])
-        self.k_next = np.array([pow2(params.beta * (i + 1)) for i in range(d + 1)])
-        self.l = np.array([pow2(params.gamma * i) for i in range(d + 1)])
-        self.neg_nu_l = -params.nu * self.l
-        del n
-
-    def rhs(self, y, out=None):
-        with np.errstate(over="ignore", invalid="ignore"):
-            deriv, _ = self._eval(y, out=out, work_out=None)
-        return deriv
-
-    def rhs_work(self, y, out=None, work_out=None):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if work_out is None:
-                work_out = np.empty(1 + (self.depth + 1) + self.depth)
-            return self._eval(y, out=out, work_out=work_out)
-
-    def _eval(self, y, out=None, work_out=None):
-        p = self.params
-        m = self.depth + 1
-        ym1 = np.empty(m)
-        ym1[0] = p.f
-        ym1[1:] = y[:-1]
-        ynext = np.empty(m)
-        ynext[:-1] = y[1:]
-        ynext[-1] = 0.0
-        gain = self.k * np.square(ym1)
-        loss = (self.k_next * y) * ynext
-        if p.nu != 0.0:
-            result = (self.neg_nu_l * y + gain) - loss
+    def _deriv(self, y, gain, csum, deriv):
+        """deriv = (visc + gain) - loss per node, where gain[p] = c_{g+1} X_p^2
+        is what each child of internal node p receives.  gain is reused as
+        scratch."""
+        if self.neg_nu_d is None:
+            deriv.fill(0.0)
         else:
-            result = gain - loss
-        if out is not None:
-            out[:] = result
-            result = out
-        if work_out is None:
-            return result, None
-        sq = np.square(y)
-        work_out[0] = y[0]
-        np.multiply(self.l, sq, out=work_out[1:m + 1])
-        np.multiply(2.0 * self.k_next[:-1] * sq[:-1], y[1:], out=work_out[m + 1:])
-        return result, work_out
-
-    def generation_energies(self, y):
-        return np.square(y)
-
-    def boundary_fluxes(self, y):
-        sq = np.square(y)
-        return (2.0 * self.k_next[:-1] * sq[:-1]) * y[1:]
-
-    @staticmethod
-    def total_energy(y):
-        return float(np.add.reduce(np.square(y)))
+            np.multiply(self.neg_nu_d, y, out=deriv)
+        deriv[0] += self.gain0
+        _add_to_children(gain, deriv[1:], self.params.branching)
+        loss = np.multiply(self.c_next, y[:self.n_internal], out=gain)
+        loss *= csum
+        deriv[:self.n_internal] -= loss
 
 
-def make_kernel(params: ModelParams):
-    return ClassicKernel(params) if params.branching == 1 else TreeKernel(params)
+def make_kernel(params: ModelParams) -> Kernel:
+    return Kernel(params)

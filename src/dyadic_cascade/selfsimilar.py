@@ -106,9 +106,8 @@ def _classify_dips(w0, q_eps, n_levels, ratio):
     return "survive", None
 
 
-def solve_selfsimilar_classic(t0: float, beta: float, n_max: int,
-                              tol: float = 1e-12, *, n0: int = 0,
-                              max_iter: int = 600) -> SelfSimilarProfile:
+def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
+                              n0: int = 0, max_iter: int = 600) -> SelfSimilarProfile:
     """Find the positive decaying coefficient sequence by bisection on b_0.
 
     The algebraic system for b does not involve t0; the pole time only enters

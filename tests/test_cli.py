@@ -203,21 +203,14 @@ class TestSimulateCommand:
         state = load_state(dumped, p)
         assert state.values[0] > 0
 
-    def test_csv_deterministic_across_thread_counts(self, tmp_path):
+    def test_outputs_deterministic_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
             initial={"kind": "random_positive", "seed": 5, "scale": 0.3}))
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["simulate", "--config", cfg, "--out", str(out1),
-                     "--threads", "1"]) == 0
-        assert main(["simulate", "--config", cfg, "--out", str(out2),
-                     "--threads", "8"]) == 0
-        assert (out1 / "trajectory.csv").read_bytes() == \
-            (out2 / "trajectory.csv").read_bytes()
-
-    def test_threads_env_fallback_invalid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DYADIC_CASCADE_THREADS", "lots")
-        cfg = write_config(tmp_path, base_config())
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestSymmetricMode:
@@ -323,3 +316,42 @@ class TestOtherCommands:
         assert main(["fit-spectrum", "--config", cfg, "--out", str(out)]) == 0
         result = json.loads((out / "fit_spectrum.json").read_text())
         assert abs(result["eta_hat"] - 11 / 6) <= 1e-10
+
+
+class TestBadInput:
+    """Bad input exits 1 with a message, never a traceback.  Relative file
+    names resolve in a directory holding s.bin, a valid binary depth-3
+    state."""
+
+    @pytest.mark.parametrize("command,cfg", [
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 0.0, "depth": 3}, "state_file": "s.bin"},
+                     id="fit_spectrum_alpha_not_positive"),
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 1.0, "depth": 3}, "state_file": "s.bin",
+                      "window": 5},
+                     id="fit_spectrum_window_not_pair"),
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 1.0, "depth": 3}, "state_file": "none.bin"},
+                     id="fit_spectrum_missing_state_file"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.5, "beta": 1.0, "depth": 3,
+                      "classic_file": "none.bin"},
+                     id="lift_missing_classic_file"),
+        pytest.param("selfsimilar", {"t0": -1.0, "beta": 2.0, "n_max": 1},
+                     id="selfsimilar_n_max_below_two"),
+        pytest.param("selfsimilar", {"t0": -1.0, "beta": 2.0, "n_max": 8, "tol": 1e-9},
+                     id="selfsimilar_tol_is_unknown"),
+        pytest.param("simulate",
+                     base_config(initial={"kind": "root_only", "value": -0.5}),
+                     id="simulate_negative_root_value"),
+        pytest.param("stationary", {"f": 0.0, "nu": 1.0, "beta": 2.0},
+                     id="stationary_f_not_positive"),
+    ])
+    def test_exits_1(self, tmp_path, monkeypatch, capsys, command, cfg):
+        monkeypatch.chdir(tmp_path)
+        p = ModelParams(alpha=1.0, branching=2, depth=3)
+        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), tmp_path / "s.bin")
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
