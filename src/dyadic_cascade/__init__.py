@@ -4,7 +4,6 @@ solvers with regime classification, self-similar solutions, and the
 classic -> tree lifting map."""
 
 from .core import (
-    ClassicState,
     ModelParams,
     NodeId,
     TreeState,
@@ -24,7 +23,6 @@ from .dynamics import (
     energy_report,
     flux_budget_check,
     integrate,
-    rhs_classic,
     rhs_tree,
 )
 from .lift import (
@@ -60,11 +58,11 @@ from .stateio import dump_state, load_state
 from . import errors
 
 __all__ = [
-    "ClassicState", "ModelParams", "NodeId", "TreeState",
+    "ModelParams", "NodeId", "TreeState",
     "children", "generation", "generation_offsets", "node_count", "parent", "pow2",
     "EnergyReport", "SolverOptions", "Trajectory",
     "balance_residual", "dissipation_time_bound", "energy_report",
-    "flux_budget_check", "integrate", "rhs_classic", "rhs_tree",
+    "flux_budget_check", "integrate", "rhs_tree",
     "LiftSpec", "lift_params", "lift_state", "project_params",
     "project_state", "verify_lift_equivariance",
     "GraftedTreeState", "SelfSimilarProfile", "graft_selfsimilar",

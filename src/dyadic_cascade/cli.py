@@ -18,11 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ClassicState, ModelParams, TreeState, pow2
+from .core import ModelParams, TreeState, pow2
 from .dynamics import SolverOptions, balance_residual, energy_report, integrate
 from .errors import CascadeError, ConfigError, DegenerateWindow, SymmetryError
 from .kernels import generation_energies
@@ -65,7 +65,14 @@ def _number(v, path: str) -> float:
 def _nonnegative(v, path: str) -> float:
     x = _number(v, path)
     if not x >= 0:
-        raise ConfigError(f"{path} must be >= 0 (positive-solution mode), got {x!r}")
+        raise ConfigError(f"{path} must be >= 0, got {x!r}")
+    return x
+
+
+def _positive(v, path: str) -> float:
+    x = _number(v, path)
+    if not x > 0:
+        raise ConfigError(f"{path} must be > 0, got {x!r}")
     return x
 
 
@@ -108,6 +115,8 @@ class InitialSpec:
             out["value"] = _nonnegative(_require(d, "value", path), f"{path}.value")
         elif kind == "selfsimilar":
             out["t0"] = _number(_require(d, "t0", path), f"{path}.t0")
+            if not out["t0"] < 0:
+                raise ConfigError(f"{path}.t0 must be < 0 (the pole precedes t = 0)")
         elif kind == "file":
             p = _require(d, "path", path)
             if not isinstance(p, str):
@@ -163,17 +172,23 @@ def _params_from_dict(pd, model: str = "tree") -> ModelParams:
                          "params.branching")
     if model == "classic" and branching != 1:
         raise ConfigError("params.branching must be 1 for the classic model")
+    return _model_params(
+        "params",
+        alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
+        gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
+        nu=_number(pd.get("nu", 0.0), "params.nu"),
+        f=_number(pd.get("f", 0.0), "params.f"),
+        branching=branching,
+        depth=_integer(_require(pd, "depth", "params"), "params.depth"),
+    )
+
+
+def _model_params(path: str, **kwargs) -> ModelParams:
+    """ModelParams with its domain errors reported as bad input."""
     try:
-        return ModelParams(
-            alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
-            gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
-            nu=_number(pd.get("nu", 0.0), "params.nu"),
-            f=_number(pd.get("f", 0.0), "params.f"),
-            branching=branching,
-            depth=_integer(_require(pd, "depth", "params"), "params.depth"),
-        )
+        return ModelParams(**kwargs)
     except (ValueError, CascadeError) as e:
-        raise ConfigError(f"params: {e}") from e
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _window(w, path: str) -> tuple[int, int] | None:
@@ -190,6 +205,13 @@ def _load_state(path, params: ModelParams, field_path: str):
         return load_state(path, params)
     except (OSError, ValueError) as e:
         raise ConfigError(f"{field_path}: {e}") from e
+
+
+def _lift_spec(alpha_tilde, beta: float) -> LiftSpec:
+    try:
+        return LiftSpec(alpha_tilde=_number(alpha_tilde, "alpha_tilde"), beta=beta)
+    except ValueError as e:
+        raise ConfigError(f"alpha_tilde: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -221,6 +243,9 @@ class RunConfig:
             raise ConfigError("mode.symmetric only applies to the tree model")
         params = _params_from_dict(_require(d, "params", ""), model)
         initial = InitialSpec.from_dict(_require(d, "initial", ""))
+        if initial.kind == "stationary_inviscid" and not params.f > 0:
+            raise ConfigError("initial.kind 'stationary_inviscid' requires "
+                              "params.f > 0 (f = 0 gives the zero state)")
         if mode == "symmetric" and not initial.generation_symmetric \
                 and initial.kind != "file":
             raise ConfigError(
@@ -262,7 +287,7 @@ class RunConfig:
         return d
 
 
-def build_initial(config: RunConfig):
+def build_initial(config: RunConfig) -> TreeState:
     """Materialize the initial state for a full-mode run."""
     params = config.params
     spec = config.initial
@@ -273,6 +298,7 @@ def build_initial(config: RunConfig):
         values = np.zeros(n)
         values[0] = spec.value
     elif spec.kind == "stationary_inviscid":
+        # the chain formula rounds differently from the tree one at N = 1
         if params.branching == 1:
             values = inviscid_classic_profile(params.f, params.alpha,
                                               params.depth, params.gamma).values
@@ -282,51 +308,37 @@ def build_initial(config: RunConfig):
                                            params.gamma).values
     elif spec.kind == "selfsimilar":
         profile = solve_selfsimilar_classic(spec.t0, params.beta, params.depth)
-        if params.branching == 1:
-            values = profile.classic_state(0.0).values
-        else:
-            lifted = lift_selfsimilar(profile, params.alpha_tilde)
-            offs = params.offsets
-            values = np.empty(params.n_nodes)
-            for g in range(params.depth + 1):
-                values[offs[g]:offs[g + 1]] = lifted.a[g] / (0.0 - spec.t0)
+        lifted = lift_selfsimilar(profile, params.alpha_tilde)
+        offs = params.offsets
+        values = np.empty(params.n_nodes)
+        for g in range(params.depth + 1):
+            values[offs[g]:offs[g + 1]] = lifted.a[g] / (0.0 - spec.t0)
     elif spec.kind == "file":
         values = _load_state(spec.path, params, "initial.path").values
+        if not ((values >= 0.0).all() and np.isfinite(values).all()):
+            raise ConfigError(f"initial.path: {spec.path} holds negative or "
+                              "non-finite entries (positive-solution mode)")
     elif spec.kind == "random_positive":
         # counter-based generator: full-mode and oracle reruns match exactly
         rng = np.random.Generator(np.random.Philox(spec.seed))
         values = rng.uniform(0.0, spec.scale, n)
     else:  # pragma: no cover
         raise ConfigError(f"unhandled initial kind {spec.kind}")
-    if params.branching == 1:
-        return ClassicState(values, params)
     return TreeState(values, params)
 
 
 def _symmetric_classic_initial(config: RunConfig, classic_params: ModelParams,
-                               spec: LiftSpec) -> ClassicState:
+                               spec: LiftSpec) -> TreeState:
     """Classic-side initial state of a symmetric-mode run, built without
     materializing the tree (except for file input, which must be checked
     for generation symmetry anyway)."""
-    kind = config.initial.kind
-    depth = classic_params.depth
-    if kind == "zero":
-        return ClassicState.zeros(classic_params)
-    if kind == "root_only":
-        values = np.zeros(depth + 1)
+    if config.initial.kind == "root_only":
+        values = np.zeros(classic_params.depth + 1)
         values[0] = config.initial.value / scale_factor(spec, 0)
-        return ClassicState(values, classic_params)
-    if kind == "stationary_inviscid":
-        return inviscid_classic_profile(classic_params.f, classic_params.alpha,
-                                        depth, classic_params.gamma)
-    if kind == "selfsimilar":
-        profile = solve_selfsimilar_classic(config.initial.t0,
-                                            classic_params.alpha, depth)
-        return ClassicState(profile.classic_state(0.0).values, classic_params)
-    if kind == "file":
-        tree_state = _load_state(config.initial.path, config.params, "initial.path")
-        return project_state(tree_state)  # SymmetryError if asymmetric
-    raise ConfigError(f"initial.kind {kind!r} unsupported in symmetric mode")
+        return TreeState(values, classic_params)
+    if config.initial.kind == "file":
+        return project_state(build_initial(config))  # SymmetryError if asymmetric
+    return build_initial(replace(config, params=classic_params))
 
 
 @dataclass(frozen=True)
@@ -343,7 +355,7 @@ def fit_spectrum(state_or_report, params: ModelParams | None = None,
     (inclusive) and returns the negated slope with the max absolute fit
     residual.  RMS must be strictly positive across the window.
     """
-    if isinstance(state_or_report, (TreeState, ClassicState)):
+    if isinstance(state_or_report, TreeState):
         params = params or state_or_report.params
         per_gen = generation_energies(params, state_or_report.values)
     else:
@@ -456,11 +468,14 @@ def run_stationary(cfg: dict, out_dir):
     f = _number(_require(cfg, "f", ""), "f")
     if not f > 0:
         raise ConfigError(f"f must be > 0 (f = 0 gives the zero state), got {f!r}")
-    nu = _number(_require(cfg, "nu", ""), "nu")
-    beta = _number(_require(cfg, "beta", ""), "beta")
-    gamma = _number(cfg.get("gamma", 1.0), "gamma")
+    nu = _nonnegative(_require(cfg, "nu", ""), "nu")
+    beta = _positive(_require(cfg, "beta", ""), "beta")
+    gamma = _positive(cfg.get("gamma", 1.0), "gamma")
     n_max = _integer(cfg.get("n_max", 60), "n_max")
-    tol = _number(cfg.get("bisection_tol", 1e-12), "bisection_tol")
+    n_min = 2 if nu > 0 else 0  # the viscous shooting needs two levels
+    if n_max < n_min:
+        raise ConfigError(f"n_max must be >= {n_min}, got {n_max}")
+    tol = _positive(cfg.get("bisection_tol", 1e-12), "bisection_tol")
     os.makedirs(out_dir, exist_ok=True)
 
     if nu == 0.0:
@@ -499,7 +514,9 @@ _SELFSIMILAR_FIELDS = ("t0", "beta", "n_max", "alpha_tilde", "n0")
 def run_selfsimilar(cfg: dict, out_dir):
     _check_unknown(cfg, _SELFSIMILAR_FIELDS, "")
     t0 = _number(_require(cfg, "t0", ""), "t0")
-    beta = _number(_require(cfg, "beta", ""), "beta")
+    if not t0 < 0:
+        raise ConfigError(f"t0 must be < 0, got {t0!r}")
+    beta = _positive(_require(cfg, "beta", ""), "beta")
     n_max = _integer(cfg.get("n_max", 25), "n_max")
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
@@ -507,11 +524,13 @@ def run_selfsimilar(cfg: dict, out_dir):
     if n0 < 0:
         raise ConfigError(f"n0 must be >= 0, got {n0}")
     alpha_tilde = cfg.get("alpha_tilde")
+    if alpha_tilde is not None:
+        alpha_tilde = _lift_spec(alpha_tilde, beta).alpha_tilde
     os.makedirs(out_dir, exist_ok=True)
 
     profile = solve_selfsimilar_classic(t0, beta, n_max, n0=n0)
     if alpha_tilde is not None:
-        profile = lift_selfsimilar(profile, _number(alpha_tilde, "alpha_tilde"))
+        profile = lift_selfsimilar(profile, alpha_tilde)
         header = "n,b_n,a_n"
         rows = [f"{n},{_fmt(profile.b[n])},{_fmt(profile.a[n])}"
                 for n in range(n_max + 1)]
@@ -540,27 +559,25 @@ def run_lift(cfg: dict, out_dir):
     """Lift a classic state onto the tree; emits per-generation lift.csv and
     lift.json with the energy identities."""
     _check_unknown(cfg, _LIFT_FIELDS, "")
-    alpha_tilde = _number(_require(cfg, "alpha_tilde", ""), "alpha_tilde")
-    beta = _number(_require(cfg, "beta", ""), "beta")
+    beta = _positive(_require(cfg, "beta", ""), "beta")
+    spec = _lift_spec(_require(cfg, "alpha_tilde", ""), beta)
     depth = _integer(_require(cfg, "depth", ""), "depth")
-    gamma = _number(cfg.get("gamma", 1.0), "gamma")
-    nu = _number(cfg.get("nu", 0.0), "nu")
-    f = _number(cfg.get("f", 0.0), "f")
-    os.makedirs(out_dir, exist_ok=True)
-
-    classic_params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f,
-                                 branching=1, depth=depth)
+    classic_params = _model_params(
+        "classic params", alpha=beta, gamma=_number(cfg.get("gamma", 1.0), "gamma"),
+        nu=_number(cfg.get("nu", 0.0), "nu"), f=_number(cfg.get("f", 0.0), "f"),
+        branching=1, depth=depth)
     if "classic_values" in cfg:
-        vals = np.asarray(cfg["classic_values"], dtype=np.float64)
-        if vals.shape != (depth + 1,):
+        vals = cfg["classic_values"]
+        if not isinstance(vals, list) or len(vals) != depth + 1:
             raise ConfigError(f"classic_values must hold {depth + 1} shells")
-        y = ClassicState(vals, classic_params)
+        y = TreeState([_number(v, f"classic_values[{i}]") for i, v in enumerate(vals)],
+                      classic_params)
     elif "classic_file" in cfg:
         y = _load_state(cfg["classic_file"], classic_params, "classic_file")
     else:
         raise ConfigError("one of classic_values/classic_file is required")
+    os.makedirs(out_dir, exist_ok=True)
 
-    spec = LiftSpec(alpha_tilde=alpha_tilde, beta=beta)
     x = lift_state(y, spec)
     lines = ["generation,classic_value,tree_value,generation_energy"]
     per_gen = generation_energies(x.params, x.values)
@@ -573,7 +590,7 @@ def run_lift(cfg: dict, out_dir):
         "f_tree": x.params.f,
         "classic_norm_sq": float(np.add.reduce(np.square(y.values))),
         "tree_norm_sq": float(np.add.reduce(per_gen)),
-        "norm_ratio_expected": pow2(-4 * alpha_tilde),
+        "norm_ratio_expected": pow2(-4 * spec.alpha_tilde),
     }
     _write_json(os.path.join(out_dir, "lift.json"), summary)
     return summary
@@ -584,10 +601,12 @@ _DISSIPATION_FIELDS = ("epsilon", "eta", "alpha", "alpha_tilde")
 
 def run_dissipation_bound(cfg: dict, out_dir):
     _check_unknown(cfg, _DISSIPATION_FIELDS, "")
-    eps = _number(_require(cfg, "epsilon", ""), "epsilon")
-    eta = _number(_require(cfg, "eta", ""), "eta")
+    eps = _positive(_require(cfg, "epsilon", ""), "epsilon")
+    eta = _positive(_require(cfg, "eta", ""), "eta")
     alpha = _number(_require(cfg, "alpha", ""), "alpha")
     alpha_tilde = _number(_require(cfg, "alpha_tilde", ""), "alpha_tilde")
+    if not alpha > alpha_tilde:
+        raise ConfigError(f"alpha must be > alpha_tilde, got {alpha!r} <= {alpha_tilde!r}")
     os.makedirs(out_dir, exist_ok=True)
     t_bound = dissipation_time_bound(eps, eta, alpha, alpha_tilde)
     out = {"epsilon": eps, "eta": eta, "alpha": alpha,
@@ -603,6 +622,9 @@ def run_fit_spectrum(cfg: dict, out_dir):
     _check_unknown(cfg, _FIT_FIELDS, "")
     params = _params_from_dict(_require(cfg, "params", ""))
     window = _window(cfg.get("window"), "window")
+    if window is not None and not 0 <= window[0] < window[1] <= params.depth:
+        raise ConfigError(f"window {list(window)} needs at least two "
+                          f"generations inside 0..{params.depth}")
     state = _load_state(_require(cfg, "state_file", ""), params, "state_file")
     os.makedirs(out_dir, exist_ok=True)
     fit = fit_spectrum(state, params, window)

@@ -1,11 +1,10 @@
-"""Tree topology, model parameters and state containers.
+"""Tree topology, model parameters and the state container.
 
 The complete N-ary tree is stored as a flat array in implicit heap layout:
 the children of node i are the contiguous block N*i + 1 .. N*i + N, so a
 generation occupies one contiguous slice and no per-node structure is ever
-allocated.  Coefficients are evaluated on the fly from the generation number;
-for large trees the state vector dominates memory and everything else is
-index arithmetic.
+allocated.  The classic (chain) model is the tree with N = 1: one node per
+shell, node n holding shell n, so one state type serves both models.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ def pow2(x: float) -> float:
     """2**x through a single code path.
 
     Every coefficient in the models is a power of two (c = 2^{alpha*n},
-    d = 2^{gamma*n}, k = 2^{beta*n}, ...).  Routing them all through one
-    scalar evaluation keeps tree and classic kernels bit-identical and makes
-    integer exponents exact.
+    d = 2^{gamma*n}, the lift factors, ...).  Routing them all through one
+    scalar evaluation keeps every evaluation of a coefficient bit-identical
+    and makes integer exponents exact.
     """
     return 2.0 ** float(x)
 
@@ -178,29 +177,12 @@ class ModelParams:
         """Viscous coefficient 2^{gamma*gen}."""
         return pow2(self.gamma * gen)
 
-    def k(self, shell: int) -> float:
-        """Classic flow coefficient 2^{beta*shell}."""
-        return pow2(self.beta * shell)
-
-    def l(self, shell: int) -> float:
-        """Classic viscous coefficient 2^{gamma*shell}."""
-        return pow2(self.gamma * shell)
-
-
-def _freeze(values: np.ndarray, expected_len: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.shape[0] != expected_len:
-        raise DepthMismatch(
-            f"{what} expects {expected_len} values, got shape {arr.shape}"
-        )
-    arr.setflags(write=False)
-    return arr
-
 
 @dataclass(frozen=True)
 class TreeState:
     """Intensities on the complete tree, one float per node, heap-indexed.
 
+    With branching 1 this is a chain state: values[n] is shell n.
     Immutable after construction; safe to share across threads.
     """
 
@@ -208,9 +190,12 @@ class TreeState:
     params: ModelParams
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _freeze(self.values, self.params.n_nodes, "TreeState")
-        )
+        values = np.array(self.values, dtype=np.float64, copy=True)
+        n = self.params.n_nodes
+        if values.ndim != 1 or values.shape[0] != n:
+            raise DepthMismatch(f"TreeState expects {n} values, got shape {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "TreeState":
@@ -223,29 +208,3 @@ class TreeState:
     @property
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
-
-
-@dataclass(frozen=True)
-class ClassicState:
-    """Shell intensities of the chain model, one float per shell 0..depth."""
-
-    values: np.ndarray
-    params: ModelParams
-
-    def __post_init__(self):
-        if self.params.branching != 1:
-            raise ValueError("ClassicState requires params with branching = 1")
-        object.__setattr__(
-            self, "values", _freeze(self.values, self.params.depth + 1, "ClassicState")
-        )
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "ClassicState":
-        return cls(np.zeros(params.depth + 1), params)
-
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
-
-State = TreeState | ClassicState

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClassicState, ModelParams, State, TreeState, pow2
+from .core import ModelParams, TreeState, pow2
 from .errors import (
     DomainError,
     ForcedRun,
@@ -40,6 +40,7 @@ _A_ROWS = tuple(np.array(row) for row in _A)
 _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
 _E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 _ORDER = 5
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class EnergyReport:
 class Trajectory:
     """Recorded snapshots plus running work quadratures.
 
-    times[i] / states[i] / the i-th rows of the work arrays belong together.
-    work_x0 is the integral of the root intensity; work_visc[:, g] the
+    times[i] / states[i] / the i-th rows of the work arrays belong together;
+    each states[i] is a read-only TreeState holding its own copy.  work_x0 is the integral of the root intensity; work_visc[:, g] the
     integral of d_g * (generation-g energy); work_flux[:, n] the integral of
     the n -> n+1 boundary flux (factor 2 included).  step_times/step_energies
     record the total energy after every accepted step regardless of the
@@ -104,7 +105,7 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
 
-    def state_at(self, t: float) -> State:
+    def state_at(self, t: float) -> TreeState:
         return self.states[self._index_of(t)]
 
     def _index_of(self, t: float) -> int:
@@ -118,18 +119,12 @@ class Trajectory:
         raise RangeError(f"time {t} not among recorded snapshot times")
 
 
-def _wrap_state(values: np.ndarray, params: ModelParams) -> State:
-    if params.branching == 1:
-        return ClassicState(values, params)
-    return TreeState(values, params)
-
-
-def rhs_tree(state: State, params: ModelParams | None = None) -> np.ndarray:
-    """Time derivative of a tree or classic state under Galerkin truncation.
+def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
+    """Time derivative of a state under Galerkin truncation.
 
     The root's parent value is the forcing f; children beyond the stored
-    depth are zero.  A classic state is the tree with branching 1: shell -1
-    aliases f and shell depth+1 is zero.
+    depth are zero.  For the chain (branching 1) shell -1 aliases f and
+    shell depth+1 is zero.
     """
     params = params or state.params
     if not state.is_finite:
@@ -137,7 +132,18 @@ def rhs_tree(state: State, params: ModelParams | None = None) -> np.ndarray:
     return make_kernel(params).rhs(state.values)
 
 
-rhs_classic = rhs_tree
+def _step_factor(err_norm: float) -> float:
+    """Step-size multiplier for an error norm: below 1 after a rejection
+    (err_norm > 1), at most 5 after an acceptance."""
+    if err_norm == 0.0:
+        return 5.0
+    return min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / _ORDER)))
+
+
+def _rounding_gap(t: float) -> float:
+    """Times closer than this to t are t up to rounding: a step ending that
+    close to an output time lands on it, and a shorter step underflows."""
+    return 16.0 * _EPS * max(abs(t), 1.0)
 
 
 def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
@@ -153,7 +159,7 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
 
 
 def integrate(
-    initial: State,
+    initial: TreeState,
     params: ModelParams | None = None,
     t_end: float = 1.0,
     opts: SolverOptions = SolverOptions(),
@@ -162,7 +168,8 @@ def integrate(
     """Integrate from t = 0 to t_end with the embedded 5(4) pair.
 
     output_times selects the snapshot times (t = 0 and t_end are always
-    recorded; the solver lands on each output time exactly).  With
+    recorded; the solver lands on each output time exactly, stretching the
+    last step onto it when that step ends within rounding of it).  With
     output_times=None every accepted step is recorded, which is only
     advisable for small systems.
     """
@@ -185,23 +192,25 @@ def integrate(
     if output_times is None:
         targets = None
     else:
-        targets = sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end})
-        if not targets or targets[-1] < t_end:
-            targets.append(t_end)
+        targets = []
+        for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
+                        | {t_end}):
+            if targets and t - targets[-1] <= _rounding_gap(t):
+                targets.pop()  # one snapshot serves both (0.3 and 3 * 0.1)
+            targets.append(t)
 
     n = y.size
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
     q = np.zeros(nw)       # running quadratures, same layout
 
     rec_t = [0.0]
-    rec_states = [y.copy()]
+    rec_states = [TreeState(y, params)]
     rec_q = [q.copy()]
     step_t = []
     step_E = []
 
     reject_halve = opts.positivity_mode == "reject-and-halve"
     rtol, atol = opts.rel_tol, opts.abs_tol
-    eps = np.finfo(np.float64).eps
 
     K = np.zeros((7, n))
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
@@ -223,14 +232,15 @@ def integrate(
     just_rejected = False
 
     while t < t_end:
-        target = targets[ti] if targets is not None and ti < len(targets) else t_end
-        clamped = h >= target - t
-        if clamped:
+        target = t_end if targets is None else targets[ti]
+        # a step ending within rounding of the target is stretched onto it,
+        # so the target is neither skipped nor followed by a vanishing step
+        lands = t + h >= target - _rounding_gap(target)
+        if lands:
             h = target - t
-        if h <= 16.0 * eps * max(abs(t), 1.0):
+        if h <= _rounding_gap(t):
             raise StepSizeUnderflow(f"step {h:.3e} underflowed at t = {t!r}")
 
-        ok = True
         for s in range(6):
             np.matmul(_A_ROWS[s], K[: s + 1], out=yy)
             yy *= h
@@ -239,62 +249,49 @@ def integrate(
                 kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
             else:
                 kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1])
-            if not np.isfinite(K[s + 1]).all():
-                ok = False
+            finite = bool(np.isfinite(K[s + 1]).all())
+            if not finite:
                 break
-
-        if ok:
+        if finite:
             np.matmul(_B, K, out=y5)
             y5 *= h
             y5 += y
             np.matmul(_E, K, out=err)
             err *= h
-            ok = bool(np.isfinite(y5).all())
-
-        if ok:
+            finite = bool(np.isfinite(y5).all())
+        if finite:
             sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             err_norm = math.sqrt(float(np.mean(np.square(err / sc))))
-            ok = math.isfinite(err_norm)
-        if ok and err_norm > 1.0:
-            n_rej += 1
-            consecutive_rej += 1
-            just_rejected = True
-            if consecutive_rej > opts.max_rejections:
-                raise MaxRejections(f"{consecutive_rej} consecutive rejections at t = {t}")
-            h *= min(1.0, max(0.2, 0.9 * err_norm ** (-1.0 / _ORDER)))
-            continue
-        if not ok:
-            n_rej += 1
-            consecutive_rej += 1
-            just_rejected = True
-            if consecutive_rej > opts.max_rejections:
-                raise MaxRejections(f"{consecutive_rej} consecutive rejections at t = {t}")
-            h *= 0.5
-            continue
+            finite = math.isfinite(err_norm)
 
-        negative = y5.min() < 0.0
-        if negative and reject_halve:
+        negative = finite and y5.min() < 0.0
+        if not finite:
+            cause, shrink = "non-finite", 0.5
+        elif err_norm > 1.0:
+            cause, shrink = "error norm", _step_factor(err_norm)
+        elif negative and reject_halve and y5.min() < -atol:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
-            # abs_tol is integration noise and is flattened, anything larger
-            # is a genuine overshoot and the step is retried
-            if y5.min() >= -atol:
-                np.maximum(y5, 0.0, out=y5)
-            else:
-                n_rej += 1
-                consecutive_rej += 1
-                just_rejected = True
-                if consecutive_rej > opts.max_rejections:
-                    raise MaxRejections(
-                        f"{consecutive_rej} consecutive rejections (positivity) at t = {t}")
-                h *= 0.5
-                continue
+            # abs_tol is integration noise and is flattened below, anything
+            # larger is a genuine overshoot and the step is retried
+            cause, shrink = "positivity", 0.5
+        else:
+            cause = None
+        if cause is not None:
+            n_rej += 1
+            consecutive_rej += 1
+            just_rejected = True
+            if consecutive_rej > opts.max_rejections:
+                raise MaxRejections(
+                    f"{consecutive_rej} consecutive rejections ({cause}) at t = {t}")
+            h *= shrink
+            continue
 
         # accept
         consecutive_rej = 0
         n_acc += 1
         q += h * (_B @ W)
-        t = target if clamped else t + h
+        t = target if lands else t + h
         if negative:  # a component was flattened; FSAL derivative is stale
             y = np.maximum(y5, 0.0)
             kernel.rhs_work(y, out=K[0], work_out=W[0])
@@ -305,31 +302,25 @@ def integrate(
         step_t.append(t)
         step_E.append(total_energy(y))
 
-        record = targets is None or (clamped and t == target)
-        if record and t > rec_t[-1]:
+        if targets is None or t == target:
             rec_t.append(t)
-            rec_states.append(y.copy())
+            rec_states.append(TreeState(y, params))
             rec_q.append(q.copy())
-        if targets is not None and ti < len(targets) and t == targets[ti]:
+        if t == target:
             ti += 1
 
-        grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / _ORDER)))
+        grow = _step_factor(err_norm)
         if just_rejected:
             grow = min(grow, 1.0)  # no growth right after a rejection
             just_rejected = False
         h = min(opts.max_step, h * grow)
-
-    if rec_t[-1] < t_end:
-        rec_t.append(t)
-        rec_states.append(y.copy())
-        rec_q.append(q.copy())
 
     rec_q_arr = np.array(rec_q)
 
     return Trajectory(
         params=params,
         times=np.array(rec_t),
-        states=[_wrap_state(v, params) for v in rec_states],
+        states=rec_states,
         work_x0=rec_q_arr[:, 0],
         work_visc=rec_q_arr[:, 1:1 + nq_v],
         work_flux=rec_q_arr[:, 1 + nq_v:],
@@ -340,7 +331,7 @@ def integrate(
     )
 
 
-def energy_report(state: State, params: ModelParams | None = None,
+def energy_report(state: TreeState, params: ModelParams | None = None,
                   balance_residual: float | None = None) -> EnergyReport:
     """Per-generation energies, cumulative energies and boundary fluxes.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassicState, ModelParams, TreeState, pow2
+from .core import ModelParams, TreeState, pow2
 from .errors import DepthMismatch, ParameterMismatch, SymmetryError
 from .kernels import make_kernel
 
@@ -95,8 +95,9 @@ def project_params(tree: ModelParams) -> ModelParams:
     )
 
 
-def lift_state(y: ClassicState, spec: LiftSpec, depth: int | None = None) -> TreeState:
-    """Materialize the lifted tree state down to ``depth`` generations."""
+def lift_state(y: TreeState, spec: LiftSpec, depth: int | None = None) -> TreeState:
+    """Materialize the lifted tree state of a chain state (branching 1) down
+    to ``depth`` generations."""
     depth = y.params.depth if depth is None else depth
     if y.params.depth < depth:
         raise DepthMismatch(
@@ -109,7 +110,7 @@ def lift_state(y: ClassicState, spec: LiftSpec, depth: int | None = None) -> Tre
     return TreeState(values, tree_params)
 
 
-def project_state(x: TreeState) -> ClassicState:
+def project_state(x: TreeState) -> TreeState:
     """Inverse of lift_state on generation-symmetric states.
 
     Divides by the same per-generation factor the lift multiplies by (rather
@@ -128,10 +129,10 @@ def project_state(x: TreeState) -> ClassicState:
         if scale != 0.0 and (hi - lo) > SYMMETRY_RTOL * scale:
             raise SymmetryError(g)
         y[g] = block[0] / scale_factor(spec, g) if scale != 0.0 else 0.0
-    return ClassicState(y, project_params(params))
+    return TreeState(y, project_params(params))
 
 
-def verify_lift_equivariance(y: ClassicState, spec: LiftSpec,
+def verify_lift_equivariance(y: TreeState, spec: LiftSpec,
                              params: ModelParams | None = None,
                              h: float = 0.0) -> float:
     """Max-norm defect between the two routes classic -> tree derivative.
@@ -150,7 +151,7 @@ def verify_lift_equivariance(y: ClassicState, spec: LiftSpec,
         raise ParameterMismatch(
             f"classic exponent {params.alpha} != spec beta {spec.beta}")
     if y.params is not params:
-        y = ClassicState(y.values, params)
+        y = TreeState(y.values, params)
 
     lifted = lift_state(y, spec)
     tree_deriv = make_kernel(lifted.params).rhs(lifted.values)
@@ -163,7 +164,7 @@ def verify_lift_equivariance(y: ClassicState, spec: LiftSpec,
 
     if h > 0.0:
         route_one = lifted.values + h * tree_deriv
-        shifted = ClassicState(y.values + h * classic_deriv, params)
+        shifted = TreeState(y.values + h * classic_deriv, params)
         route_two = lift_state(shifted, spec).values
         return float(np.max(np.abs(route_one - route_two)))
     return float(np.max(np.abs(tree_deriv - lifted_deriv)))

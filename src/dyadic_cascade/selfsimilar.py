@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 
-from .core import ModelParams, ClassicState, NodeId, TreeState, generation, pow2
+from .core import ModelParams, NodeId, TreeState, generation, pow2
 from .errors import (
     DepthMismatch,
     DomainError,
@@ -77,7 +77,7 @@ class SelfSimilarProfile:
         return ModelParams(alpha=self.beta, gamma=gamma, nu=0.0, f=0.0,
                            branching=1, depth=depth)
 
-    def classic_state(self, t: float = 0.0, depth: int | None = None) -> ClassicState:
+    def classic_state(self, t: float = 0.0, depth: int | None = None) -> TreeState:
         """Y_n(t) = b_n / (t - t0), materialized to the requested depth."""
         depth = self.n_max if depth is None else depth
         if depth > self.n_max:
@@ -85,8 +85,8 @@ class SelfSimilarProfile:
                                 f"need {depth + 1}")
         if t <= self.t0:
             raise DomainError(f"t = {t} not above the pole t0 = {self.t0}")
-        return ClassicState(self.b[: depth + 1] / (t - self.t0),
-                            self.classic_params(depth))
+        return TreeState(self.b[: depth + 1] / (t - self.t0),
+                         self.classic_params(depth))
 
 
 def _classify_dips(w0, q_eps, n_levels, ratio):

@@ -11,14 +11,14 @@ import struct
 
 import numpy as np
 
-from .core import ClassicState, ModelParams, State, TreeState, node_count
+from .core import ModelParams, TreeState, node_count
 
 MAGIC = b"DYAD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-def dump_state(state: State, path) -> None:
+def dump_state(state: TreeState, path) -> None:
     params = state.params
     header = _HEADER.pack(MAGIC, VERSION, params.branching, params.depth)
     values = np.ascontiguousarray(state.values, dtype="<f8")
@@ -27,7 +27,7 @@ def dump_state(state: State, path) -> None:
         fh.write(values.tobytes())
 
 
-def load_state(path, params: ModelParams) -> State:
+def load_state(path, params: ModelParams) -> TreeState:
     """Read a snapshot; the caller supplies the model parameters, which must
     agree with the header's branching and depth."""
     with open(path, "rb") as fh:
@@ -47,7 +47,4 @@ def load_state(path, params: ModelParams) -> State:
         data = np.frombuffer(fh.read(8 * n), dtype="<f8")
         if data.shape[0] != n:
             raise ValueError(f"{path}: expected {n} values, got {data.shape[0]}")
-    values = data.astype(np.float64)
-    if branching == 1:
-        return ClassicState(values, params)
-    return TreeState(values, params)
+    return TreeState(data, params)  # the copy converts to native order

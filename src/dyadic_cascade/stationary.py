@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 
-from .core import ClassicState, ModelParams, TreeState, pow2
+from .core import ModelParams, TreeState, pow2
 from .errors import BracketFailure, DomainError, NoConvergence
 from .lift import LiftSpec, lift_state
 
@@ -82,7 +82,7 @@ def classify_regime(beta: float, gamma: float, g: float | None) -> RegimeInfo:
 
 
 def inviscid_classic_profile(f: float, beta: float, n_max: int,
-                             gamma: float = 1.0) -> ClassicState:
+                             gamma: float = 1.0) -> TreeState:
     """Explicit inviscid stationary chain profile Y_n = f * 2^{-beta (n+1)/3}."""
     if not f > 0:
         raise DomainError("inviscid profile requires f > 0 (f = 0 gives the zero state)")
@@ -91,7 +91,7 @@ def inviscid_classic_profile(f: float, beta: float, n_max: int,
     values = np.array([f * pow2(-beta * (n + 1) / 3.0) for n in range(n_max + 1)])
     params = ModelParams(alpha=beta, gamma=gamma, nu=0.0, f=f,
                          branching=1, depth=n_max)
-    return ClassicState(values, params)
+    return TreeState(values, params)
 
 
 def inviscid_tree_profile(f: float, alpha: float, alpha_tilde: float,
@@ -166,8 +166,8 @@ class StationaryProfile:
     regime_info: RegimeInfo
 
     @property
-    def state(self) -> ClassicState:
-        return ClassicState(self.y, self.params)
+    def state(self) -> TreeState:
+        return TreeState(self.y, self.params)
 
 
 def _classify_parity(g, a, mu, n_levels):
@@ -388,7 +388,7 @@ def stationary_tree_profile(f: float, nu: float, alpha: float,
                                        n_max=horizon, bisection_tol=bisection_tol)
     classic_params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f_classic,
                                  branching=1, depth=depth)
-    classic = ClassicState(profile.y[: depth + 1], classic_params)
+    classic = TreeState(profile.y[: depth + 1], classic_params)
     lifted = lift_state(classic, LiftSpec(alpha_tilde=alpha_tilde, beta=beta))
     # pin the requested forcing exactly (the round trip through the scale
     # factor 2^{+-alpha_tilde} can be one ulp off for irrational scales)

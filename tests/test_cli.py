@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     ModelParams,
     TreeState,
     dump_state,
@@ -321,7 +320,7 @@ class TestOtherCommands:
 class TestBadInput:
     """Bad input exits 1 with a message, never a traceback.  Relative file
     names resolve in a directory holding s.bin, a valid binary depth-3
-    state."""
+    state, and neg.bin, the same state with one negative entry."""
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param("fit-spectrum",
@@ -347,11 +346,59 @@ class TestBadInput:
                      id="simulate_negative_root_value"),
         pytest.param("stationary", {"f": 0.0, "nu": 1.0, "beta": 2.0},
                      id="stationary_f_not_positive"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.5, "beta": 0.0, "depth": 3,
+                      "classic_values": [1.0, 0.5, 0.25, 0.125]},
+                     id="lift_beta_not_positive"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.3, "beta": 1.0, "depth": 3,
+                      "classic_values": [1.0, 0.5, 0.25, 0.125]},
+                     id="lift_alpha_tilde_not_whole_branching"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.5, "beta": 1.0, "depth": 1,
+                      "classic_values": ["a", 1.0]},
+                     id="lift_classic_value_not_number"),
+        pytest.param("dissipation-bound",
+                     {"epsilon": 0.0, "eta": 1.0, "alpha": 1.0, "alpha_tilde": 0.5},
+                     id="dissipation_bound_epsilon_not_positive"),
+        pytest.param("dissipation-bound",
+                     {"epsilon": 0.1, "eta": 1.0, "alpha": 0.4, "alpha_tilde": 0.5},
+                     id="dissipation_bound_alpha_not_above_alpha_tilde"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
+                                 initial={"kind": "file", "path": "neg.bin"}),
+                     id="simulate_negative_file_entry"),
+        pytest.param("simulate",
+                     base_config(initial={"kind": "selfsimilar", "t0": 1.0}),
+                     id="simulate_selfsimilar_t0_not_negative"),
+        pytest.param("simulate",
+                     base_config(initial={"kind": "stationary_inviscid"}),
+                     id="simulate_stationary_inviscid_unforced"),
+        pytest.param("stationary", {"f": 1.0, "nu": -1.0, "beta": 2.0},
+                     id="stationary_nu_negative"),
+        pytest.param("stationary", {"f": 1.0, "nu": 1.0, "beta": 0.0},
+                     id="stationary_beta_not_positive"),
+        pytest.param("stationary",
+                     {"f": 1.0, "nu": 1.0, "beta": 1.0, "bisection_tol": 0.0},
+                     id="stationary_bisection_tol_not_positive"),
+        pytest.param("stationary", {"f": 1.0, "nu": 1.0, "beta": 1.0, "n_max": 1},
+                     id="stationary_viscous_n_max_below_two"),
+        pytest.param("selfsimilar", {"t0": 1.0, "beta": 2.0},
+                     id="selfsimilar_t0_not_negative"),
+        pytest.param("selfsimilar", {"t0": -1.0, "beta": 2.0, "alpha_tilde": -0.5},
+                     id="selfsimilar_alpha_tilde_negative"),
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 1.0, "depth": 3}, "state_file": "s.bin",
+                      "window": [0, 9]},
+                     id="fit_spectrum_window_outside_depth"),
     ])
     def test_exits_1(self, tmp_path, monkeypatch, capsys, command, cfg):
         monkeypatch.chdir(tmp_path)
         p = ModelParams(alpha=1.0, branching=2, depth=3)
-        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), tmp_path / "s.bin")
+        values = np.full(p.n_nodes, 0.5)
+        dump_state(TreeState(values, p), tmp_path / "s.bin")
+        values[2] = -0.5
+        dump_state(TreeState(values, p), tmp_path / "neg.bin")
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err

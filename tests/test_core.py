@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadic_cascade import (
-    ClassicState,
+    LiftSpec,
     ModelParams,
     TreeState,
     children,
     generation,
     generation_offsets,
+    lift_state,
     node_count,
     parent,
 )
-from dyadic_cascade.errors import CapacityExceeded, DepthMismatch, RootHasNoParent
+from dyadic_cascade.errors import (
+    CapacityExceeded, DepthMismatch, ParameterMismatch, RootHasNoParent)
 
 
 def brute_force_offsets(branching, depth):
@@ -148,10 +150,11 @@ class TestStates:
         with pytest.raises(DepthMismatch):
             TreeState(np.zeros(6), p)
 
-    def test_classic_state_requires_branching_one(self):
+    def test_lift_state_requires_branching_one(self):
+        # one state type serves both models; lifting guards the chain input
         p = ModelParams(alpha=1.0, branching=2, depth=2)
-        with pytest.raises(ValueError):
-            ClassicState(np.zeros(3), p)
+        with pytest.raises(ParameterMismatch):
+            lift_state(TreeState.zeros(p), LiftSpec(alpha_tilde=0.5, beta=0.5))
 
     def test_generation_slice(self):
         p = ModelParams(alpha=1.0, branching=2, depth=2)

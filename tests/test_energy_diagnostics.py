@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     LiftSpec,
     ModelParams,
     SolverOptions,
@@ -45,7 +44,7 @@ class TestEnergyReport:
         rng = np.random.default_rng(0)
         y = rng.uniform(0.2, 1.0, 6)
         spec = LiftSpec(alpha_tilde=1.0, beta=1.0)
-        lifted = lift_state(ClassicState(y, p_cl), spec)
+        lifted = lift_state(TreeState(y, p_cl), spec)
         rep = energy_report(lifted)
         offs = lifted.params.offsets
         for n in range(6):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     ModelParams,
     SolverOptions,
     TreeState,
@@ -29,6 +28,40 @@ class TestBasics:
         traj = integrate(TreeState.zeros(p), p, t_end=1.0,
                          output_times=[0.25, 0.5, 1.0])
         assert list(traj.times) == [0.0, 0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("h", [0.02777777777777777, 0.014705882352941166])
+    def test_fixed_step_lands_on_every_output_time(self, h):
+        # 0.0277...: a step that rounds onto 0.5 without being cut to it used
+        # to skip the 0.5 snapshot; 0.0147...: a step ending 1.8e-15 short of
+        # t_end used to leave a vanishing last step (StepSizeUnderflow)
+        p = ModelParams(alpha=1.0, branching=2, depth=3)
+        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+                         opts=SolverOptions(initial_step=h, max_step=h),
+                         output_times=[0.5, 1.0])
+        assert list(traj.times) == [0.0, 0.5, 1.0]
+        assert traj.step_times[-1] == 1.0
+
+    def test_output_times_within_rounding_share_a_snapshot(self):
+        # 3 * 0.1 = 0.30000000000000004 is one ulp above 0.3; landing on both
+        # used to need a vanishing step (StepSizeUnderflow)
+        p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.5)
+        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+                         output_times=[0.3, 3 * 0.1, 1.0 - 1e-16])
+        assert list(traj.times) == [0.0, 3 * 0.1, 1.0]
+        assert traj.state_at(0.3) is traj.states[1]
+
+    def test_snapshots_are_separate_read_only_states(self):
+        for branching in (1, 2):
+            p = ModelParams(alpha=1.0, f=0.5, branching=branching, depth=4)
+            traj = integrate(TreeState.zeros(p), p, t_end=0.3,
+                             output_times=[0.1, 0.2])
+            assert len(traj.states) == 4
+            for i, s in enumerate(traj.states):
+                assert type(s) is TreeState
+                assert s.params is p
+                assert not s.values.flags.writeable
+                for other in traj.states[:i]:
+                    assert not np.shares_memory(s.values, other.values)
 
     def test_t_end_always_recorded(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)

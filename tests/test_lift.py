@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     LiftSpec,
     ModelParams,
     SolverOptions,
@@ -12,7 +11,6 @@ from dyadic_cascade import (
     lift_state,
     pow2,
     project_state,
-    rhs_classic,
     rhs_tree,
     verify_lift_equivariance,
 )
@@ -38,7 +36,7 @@ class TestLiftSpec:
 
 class TestLiftState:
     def test_degenerate_tree_is_identity(self):
-        y = ClassicState(np.arange(1.0, 7.0), classic_params())
+        y = TreeState(np.arange(1.0, 7.0), classic_params())
         x = lift_state(y, LiftSpec(alpha_tilde=0.0, beta=1.0))
         assert (x.values == y.values).all()
 
@@ -46,13 +44,13 @@ class TestLiftState:
         # Y_0 = 1 at alpha_tilde = 1: root value 2^{-2} = 0.25
         vals = np.zeros(6)
         vals[0] = 1.0
-        y = ClassicState(vals, classic_params())
+        y = TreeState(vals, classic_params())
         x = lift_state(y, LiftSpec(alpha_tilde=1.0, beta=1.0))
         assert x.values[0] == 0.25
 
     def test_generation_scaling(self):
         y_vals = np.array([pow2(-n) for n in range(6)])
-        y = ClassicState(y_vals, classic_params())
+        y = TreeState(y_vals, classic_params())
         x = lift_state(y, LiftSpec(alpha_tilde=0.5, beta=1.0))
         for n in range(6):
             expected = pow2(-n) * pow2(-(n + 2) / 2.0)
@@ -67,19 +65,19 @@ class TestLiftState:
         assert tree.alpha == 2.0 and tree.branching == 4
 
     def test_depth_guard(self):
-        y = ClassicState(np.ones(4), classic_params(depth=3))
+        y = TreeState(np.ones(4), classic_params(depth=3))
         with pytest.raises(DepthMismatch):
             lift_state(y, LiftSpec(alpha_tilde=1.0, beta=1.0), depth=5)
 
     def test_positivity_preserved(self):
         rng = np.random.default_rng(0)
-        y = ClassicState(rng.uniform(0, 1, 6), classic_params())
+        y = TreeState(rng.uniform(0, 1, 6), classic_params())
         x = lift_state(y, LiftSpec(alpha_tilde=1.5, beta=1.0))
         assert (x.values >= 0).all()
 
     def test_l2_identity(self):
         rng = np.random.default_rng(1)
-        y = ClassicState(rng.uniform(0.1, 1, 6), classic_params())
+        y = TreeState(rng.uniform(0.1, 1, 6), classic_params())
         for at in (0.0, 0.5, 1.0, 1.5):
             x = lift_state(y, LiftSpec(alpha_tilde=at, beta=1.0))
             norm_sq = float(np.sum(x.values ** 2))
@@ -93,14 +91,14 @@ class TestProjectState:
     def test_round_trip_bit_exact_for_integer_scale_exponents(self, branching):
         # 2^{-(n+2) alpha_tilde} is an exact power of two here
         rng = np.random.default_rng(2)
-        y = ClassicState(rng.uniform(0.1, 1, 7), classic_params(depth=6))
+        y = TreeState(rng.uniform(0.1, 1, 7), classic_params(depth=6))
         spec = LiftSpec.for_branching(branching, beta=1.0)
         back = project_state(lift_state(y, spec))
         assert (back.values == y.values).all()
 
     def test_round_trip_within_ulp_for_half_integer_exponents(self):
         rng = np.random.default_rng(3)
-        y = ClassicState(rng.uniform(0.1, 1, 7), classic_params(depth=6))
+        y = TreeState(rng.uniform(0.1, 1, 7), classic_params(depth=6))
         spec = LiftSpec.for_branching(2, beta=1.0)
         back = project_state(lift_state(y, spec))
         ulp = np.spacing(y.values)
@@ -124,7 +122,7 @@ class TestEquivariance:
     def test_unforced_inviscid_random(self):
         p = classic_params(depth=8, nu=0.0, f=0.0)
         rng = np.random.default_rng(4)
-        y = ClassicState(rng.uniform(0.05, 1.0, 9), p)
+        y = TreeState(rng.uniform(0.05, 1.0, 9), p)
         for at in (0.5, 1.0, 1.5):
             spec = LiftSpec(alpha_tilde=at, beta=1.0)
             defect = verify_lift_equivariance(y, spec, p)
@@ -133,13 +131,13 @@ class TestEquivariance:
 
     def test_zero_state_forced_is_exact(self):
         p = classic_params(depth=4, f=0.9)
-        y = ClassicState(np.zeros(5), p)
+        y = TreeState(np.zeros(5), p)
         assert verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=1.0), p) == 0.0
 
     def test_full_parameters_random(self):
         p = classic_params(depth=7, nu=0.3, f=0.6, gamma=1.4)
         rng = np.random.default_rng(5)
-        y = ClassicState(rng.uniform(0.05, 1.0, 8), p)
+        y = TreeState(rng.uniform(0.05, 1.0, 8), p)
         spec = LiftSpec(alpha_tilde=0.5, beta=1.0)
         defect = verify_lift_equivariance(y, spec, p)
         scale = np.abs(rhs_tree(lift_state(y, spec))).max()
@@ -148,7 +146,7 @@ class TestEquivariance:
     def test_euler_step_variant(self):
         p = classic_params(depth=5, nu=0.1, f=0.2)
         rng = np.random.default_rng(6)
-        y = ClassicState(rng.uniform(0.05, 1.0, 6), p)
+        y = TreeState(rng.uniform(0.05, 1.0, 6), p)
         spec = LiftSpec(alpha_tilde=1.0, beta=1.0)
         h = 1e-3
         defect = verify_lift_equivariance(y, spec, p, h=h)
@@ -157,7 +155,7 @@ class TestEquivariance:
 
     def test_parameter_mismatch(self):
         p = classic_params(depth=4)
-        y = ClassicState(np.ones(5), p)
+        y = TreeState(np.ones(5), p)
         with pytest.raises(ParameterMismatch):
             verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=2.0), p)
 
@@ -167,7 +165,7 @@ class TestFlowCommutation:
         rel_tol = 1e-10
         p = classic_params(depth=6, nu=0.05, f=0.2, gamma=1.0)
         rng = np.random.default_rng(7)
-        y0 = ClassicState(rng.uniform(0.05, 1.0, 7), p)
+        y0 = TreeState(rng.uniform(0.05, 1.0, 7), p)
         spec = LiftSpec(alpha_tilde=1.0, beta=1.0)
         opts = SolverOptions(rel_tol=rel_tol, abs_tol=1e-16)
         traj_cl = integrate(y0, p, 0.5, opts, output_times=[0.5])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     ModelParams,
     TreeState,
     children,
@@ -12,7 +11,6 @@ from dyadic_cascade import (
     inviscid_tree_profile,
     parent,
     pow2,
-    rhs_classic,
     rhs_tree,
 )
 from dyadic_cascade.errors import NonFiniteState
@@ -59,13 +57,13 @@ class TestTreeRhs:
 class TestClassicRhs:
     def test_zero_unforced(self):
         p = ModelParams(alpha=1.0, branching=1, depth=4)
-        assert (rhs_classic(ClassicState.zeros(p)) == 0.0).all()
+        assert (rhs_tree(TreeState.zeros(p)) == 0.0).all()
 
     def test_inviscid_profile_stationary(self):
         prof = inviscid_classic_profile(1.0, 2.0, 10)
-        d = rhs_classic(prof)
-        # cancellation is exact up to rounding of the local terms k_n Y_{n-1}^2
-        terms = np.array([prof.params.k(n) * (prof.values[n - 1] if n else 1.0) ** 2
+        d = rhs_tree(prof)
+        # cancellation is exact up to rounding of the local terms c_n Y_{n-1}^2
+        terms = np.array([prof.params.c(n) * (prof.values[n - 1] if n else 1.0) ** 2
                           for n in range(11)])
         assert (np.abs(d[:10]) <= 1e-14 * terms[:10]).all()
         assert d[10] > 0
@@ -76,7 +74,7 @@ class TestClassicRhs:
         p = ModelParams(alpha=1.0, branching=1, depth=3, nu=0.0, f=0.0)
         y = np.zeros(4)
         y[0] = 1.0
-        d = rhs_classic(ClassicState(y, p))
+        d = rhs_tree(TreeState(y, p))
         assert d[0] == 0.0
         assert d[1] == 2.0
         assert (d[2:] == 0.0).all()
@@ -84,7 +82,7 @@ class TestClassicRhs:
     def test_viscous_term(self):
         p = ModelParams(alpha=1.0, gamma=2.0, nu=0.5, branching=1, depth=2)
         y = np.array([0.0, 1.0, 0.0])
-        d = rhs_classic(ClassicState(y, p))
+        d = rhs_tree(TreeState(y, p))
         # shell 1: -nu l_1 Y_1 = -0.5 * 4; shell 2 gains k_2 Y_1^2 = 4
         assert d[1] == -2.0
         assert d[2] == 4.0
@@ -131,20 +129,20 @@ class TestBitEquivalence:
         for _ in range(5):
             y = rng.uniform(0.0, 2.0, 13)
             deriv, visc_rate, energy, flux = node_reference(p, y)
-            assert (rhs_classic(ClassicState(y, p)) == deriv).all()
+            assert (rhs_tree(TreeState(y, p)) == deriv).all()
             d, work = make_kernel(p).rhs_work(y)
             assert (d == deriv).all()
             assert work[0] == y[0]
             assert (work[1:14] == visc_rate).all()
             assert (work[14:] == flux).all()
-            rep = energy_report(ClassicState(y, p))
+            rep = energy_report(TreeState(y, p))
             assert (rep.per_generation == energy).all()
             assert (rep.boundary_flux == flux).all()
 
     def test_profile_values(self):
         p = ModelParams(alpha=2.5, gamma=1.0, nu=0.1, f=1.0, branching=1, depth=20)
         y = np.array([pow2(-0.83 * n) for n in range(21)])
-        assert (rhs_classic(ClassicState(y, p)) == node_reference(p, y)[0]).all()
+        assert (rhs_tree(TreeState(y, p)) == node_reference(p, y)[0]).all()
 
 
 class TestNodeReference:
@@ -168,7 +166,7 @@ class TestNodeReference:
             assert work[0] == y[0]
             assert_close(work[1:depth + 2], visc_rate)
             assert_close(work[depth + 2:], flux)
-            state = ClassicState(y, p) if branching == 1 else TreeState(y, p)
+            state = TreeState(y, p)
             rep = energy_report(state)
             assert_close(rep.per_generation, energy)
             assert_close(rep.boundary_flux, flux)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from dyadic_cascade import (
-    ClassicState,
     ModelParams,
     TreeState,
     asymptotic_flux,
@@ -12,7 +11,6 @@ from dyadic_cascade import (
     inviscid_classic_profile,
     inviscid_tree_profile,
     pow2,
-    rhs_classic,
     rhs_tree,
     solve_viscous_stationary,
     stationary_tree_profile,
@@ -169,7 +167,7 @@ class TestRegularRegime:
             assert (np.diff(log_terms[40:]) < 0).all()
 
     def test_recovered_profile_is_stationary(self, profile):
-        d = rhs_classic(profile.state)
+        d = rhs_tree(profile.state)
         scale = float(np.abs(profile.y).max())
         assert np.abs(d[:60]).max() <= 1e-9 * scale
 
