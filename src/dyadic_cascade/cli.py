@@ -24,7 +24,13 @@ import numpy as np
 
 from .core import ModelParams, TreeState, pow2
 from .dynamics import SolverOptions, balance_residual, energy_report, integrate
-from .errors import CascadeError, ConfigError, DegenerateWindow, SymmetryError
+from .errors import (
+    CascadeError,
+    ConfigError,
+    DegenerateWindow,
+    StateFileError,
+    SymmetryError,
+)
 from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
 from .selfsimilar import lift_selfsimilar, solve_selfsimilar_classic
@@ -200,10 +206,10 @@ def _window(w, path: str) -> tuple[int, int] | None:
 
 
 def _load_state(path, params: ModelParams, field_path: str):
-    """load_state with unreadable or mismatched files reported as bad input."""
+    """load_state with unreadable or malformed files reported as bad input."""
     try:
         return load_state(path, params)
-    except (OSError, ValueError) as e:
+    except (OSError, StateFileError) as e:
         raise ConfigError(f"{field_path}: {e}") from e
 
 
@@ -246,6 +252,9 @@ class RunConfig:
         if initial.kind == "stationary_inviscid" and not params.f > 0:
             raise ConfigError("initial.kind 'stationary_inviscid' requires "
                               "params.f > 0 (f = 0 gives the zero state)")
+        if initial.kind == "selfsimilar" and params.depth < 2:
+            raise ConfigError("initial.kind 'selfsimilar' requires params.depth "
+                              f">= 2 (the profile's n_max), got {params.depth}")
         if mode == "symmetric" and not initial.generation_symmetric \
                 and initial.kind != "file":
             raise ConfigError(
@@ -521,8 +530,8 @@ def run_selfsimilar(cfg: dict, out_dir):
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
     n0 = _integer(cfg.get("n0", 0), "n0")
-    if n0 < 0:
-        raise ConfigError(f"n0 must be >= 0, got {n0}")
+    if not 0 <= n0 < n_max:
+        raise ConfigError(f"n0 must satisfy 0 <= n0 < n_max = {n_max}, got {n0}")
     alpha_tilde = cfg.get("alpha_tilde")
     if alpha_tilde is not None:
         alpha_tilde = _lift_spec(alpha_tilde, beta).alpha_tilde

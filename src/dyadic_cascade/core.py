@@ -208,3 +208,13 @@ class TreeState:
     @property
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
+
+    @cached_property
+    def generation_energies(self) -> np.ndarray:
+        """Energy of each generation 0..depth, read-only.  Computed on first
+        use and kept, since the state cannot change: every report on one
+        snapshot shares a single reduction."""
+        from .kernels import generation_energies  # kernels imports core
+        energies = generation_energies(self.params, self.values)
+        energies.setflags(write=False)
+        return energies

@@ -7,6 +7,13 @@ are never polluted by clamping.  The work integrals entering the energy
 balance (forcing input, per-generation viscous work, per-boundary flux) are
 advanced with the same stage values and weights as the solution, so the
 balance residual is consistent to the solver's order.
+
+Overflow is part of the control flow: a step whose stages overflow is
+rejected, not reported.  integrate therefore runs under one
+np.errstate(over="ignore", invalid="ignore"), entered once per call by its
+decorator; rhs_tree and lift.verify_lift_equivariance enter the same state
+around their kernel calls.  The kernel itself never touches the
+floating-point error state.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
     RangeError,
     StepSizeUnderflow,
 )
-from .kernels import boundary_fluxes, generation_energies, make_kernel, total_energy
+from .kernels import boundary_fluxes, generation_energies, make_kernel
 
 # Dormand-Prince 5(4) tableau (autonomous form; no c column needed).
 _A = (
@@ -129,7 +136,8 @@ def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
     params = params or state.params
     if not state.is_finite:
         raise NonFiniteState("rhs: state contains non-finite entries")
-    return make_kernel(params).rhs(state.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return make_kernel(params).rhs(state.values)
 
 
 def _step_factor(err_norm: float) -> float:
@@ -146,11 +154,22 @@ def _rounding_gap(t: float) -> float:
     return 16.0 * _EPS * max(abs(t), 1.0)
 
 
+def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
+    """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, computed in
+    scratch without temporaries; bit-equal to the np.mean form."""
+    sc = np.abs(y5, out=scratch)
+    np.maximum(sc, y, out=sc)
+    sc *= rtol
+    sc += atol
+    np.divide(err, sc, out=sc)
+    np.square(sc, out=sc)
+    return math.sqrt(float(np.add.reduce(sc)) / sc.size)
+
+
 def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
-    with np.errstate(over="ignore", invalid="ignore"):
-        sc = abs_tol + rel_tol * np.abs(y)
-        d0 = math.sqrt(float(np.mean(np.square(y / sc))))
-        d1 = math.sqrt(float(np.mean(np.square(f0 / sc))))
+    sc = abs_tol + rel_tol * np.abs(y)
+    d0 = math.sqrt(float(np.mean(np.square(y / sc))))
+    d1 = math.sqrt(float(np.mean(np.square(f0 / sc))))
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -158,6 +177,7 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
     return min(h0, 0.1 * t_end, max_step)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: TreeState,
     params: ModelParams | None = None,
@@ -214,9 +234,9 @@ def integrate(
 
     K = np.zeros((7, n))
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
-    yy = np.empty(n)
-    y5 = np.empty(n)
+    yy = np.empty(n)   # stage input; after the last stage, the new solution
     err = np.empty(n)
+    scratch = np.empty(n)
 
     kernel.rhs_work(y, out=K[0], work_out=W[0])
     if not np.isfinite(K[0]).all():
@@ -249,27 +269,21 @@ def integrate(
                 kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
             else:
                 kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1])
-            finite = bool(np.isfinite(K[s + 1]).all())
-            if not finite:
-                break
+        # the last A row is the b row (FSAL), so yy is now the 5th-order
+        # solution and K[6] its derivative: a finite K[6] means a finite y5
+        y5 = yy
+        finite = bool(np.isfinite(K[1:]).all())
         if finite:
-            np.matmul(_B, K, out=y5)
-            y5 *= h
-            y5 += y
             np.matmul(_E, K, out=err)
             err *= h
-            finite = bool(np.isfinite(y5).all())
-        if finite:
-            sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err_norm = math.sqrt(float(np.mean(np.square(err / sc))))
+            err_norm = _error_norm(err, y, y5, rtol, atol, scratch)
             finite = math.isfinite(err_norm)
 
-        negative = finite and y5.min() < 0.0
         if not finite:
             cause, shrink = "non-finite", 0.5
         elif err_norm > 1.0:
             cause, shrink = "error norm", _step_factor(err_norm)
-        elif negative and reject_halve and y5.min() < -atol:
+        elif (y5_min := y5.min()) < -atol and reject_halve:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
             # abs_tol is integration noise and is flattened below, anything
@@ -292,15 +306,15 @@ def integrate(
         n_acc += 1
         q += h * (_B @ W)
         t = target if lands else t + h
-        if negative:  # a component was flattened; FSAL derivative is stale
-            y = np.maximum(y5, 0.0)
+        if y5_min < 0.0:  # a component was flattened; FSAL derivative is stale
+            np.maximum(y5, 0.0, out=y)
             kernel.rhs_work(y, out=K[0], work_out=W[0])
         else:
-            y, y5 = y5, y  # reuse the old y buffer for the next y5
+            y, yy = y5, y  # the old y buffer takes the next stage inputs
             K[0] = K[6]
             W[0] = W[6]
         step_t.append(t)
-        step_E.append(total_energy(y))
+        step_E.append(float(np.add.reduce(np.square(y, out=scratch))))
 
         if targets is None or t == target:
             rec_t.append(t)
@@ -338,7 +352,8 @@ def energy_report(state: TreeState, params: ModelParams | None = None,
     All sums are fixed-order pairwise reductions.
     """
     params = params or state.params
-    per_gen = generation_energies(params, state.values)
+    per_gen = (state.generation_energies if params is state.params
+               else generation_energies(params, state.values))
     cumulative = np.cumsum(per_gen)
     return EnergyReport(
         per_generation=per_gen,
@@ -368,8 +383,8 @@ def balance_residual(traj: Trajectory, s: float, t: float,
     m = params.depth if generation is None else generation
     if not 0 <= m <= params.depth:
         raise RangeError(f"observation generation {m} outside 0..{params.depth}")
-    e_t = float(np.add.reduce(generation_energies(params, traj.states[j].values)[: m + 1]))
-    e_s = float(np.add.reduce(generation_energies(params, traj.states[i].values)[: m + 1]))
+    e_t = float(np.add.reduce(traj.states[j].generation_energies[: m + 1]))
+    e_s = float(np.add.reduce(traj.states[i].generation_energies[: m + 1]))
     forcing = 2.0 * params.f ** 2 * (traj.work_x0[j] - traj.work_x0[i])
     viscous = 2.0 * params.nu * float(
         np.add.reduce(traj.work_visc[j, : m + 1] - traj.work_visc[i, : m + 1]))
@@ -386,7 +401,7 @@ def flux_budget_check(traj: Trajectory, n: int) -> tuple[float, float]:
         raise RangeError(f"boundary index {n} outside -1..{params.depth}")
     if n == -1:
         return 0.0, 0.0
-    e_n0 = float(np.add.reduce(generation_energies(params, traj.states[0].values)[: n + 1]))
+    e_n0 = float(np.add.reduce(traj.states[0].generation_energies[: n + 1]))
     if n == params.depth:
         return 0.0, e_n0  # no stored generation beyond the truncation
     return float(traj.work_flux[-1, n]), e_n0

@@ -86,3 +86,8 @@ class DegenerateWindow(CascadeError):
 
 class ConfigError(CascadeError):
     """Invalid run configuration; message carries the offending field path."""
+
+
+class StateFileError(CascadeError, ValueError):
+    """A state file is malformed or does not match the model parameters;
+    the message names the file and the cause."""

@@ -16,12 +16,16 @@ file):
 - a node's derivative is ((visc + gain) - loss), with visc = (-nu d_g) * X
   (0.0 when nu = 0), gain = c_g * X_p^2 and loss = (c_{g+1} * X) * (sum of
   children);
-- the child sum is y[1:] for N = 1, y[1::2] + y[2::2] for N = 2 and
-  reshape(-1, N).sum(1) otherwise.  At N = 2 the strided add equals the
-  reshape sum bit for bit (apart from the sign of a zero sum) and is about
-  20x faster, because reducing rows of two pays numpy's per-row reduction
-  overhead on every pair.  At N >= 3 the reshape sum fixes the order in
-  which siblings are added;
+- the child sum is y[1:] for N = 1.  For N >= 2 it adds whole columns of
+  the (N, n_int) view y[1:].reshape(-1, N).T, in the order numpy's pairwise
+  reduction adds the N siblings of one row: sequentially for N < 8, into
+  eight accumulators for 8 <= N <= 128 (combined as ((0+1)+(2+3)) +
+  ((4+5)+(6+7)), then the remainder sequentially), and split in halves
+  beyond that.  It therefore equals reshape(-1, N).sum(1) bit for bit,
+  apart from the sign of a zero sum (numpy starts each row from +0.0).  For
+  3 <= N <= 8 it is 3-8x faster, because reducing short rows pays numpy's
+  per-row reduction overhead on every parent; at N = 16 the two are even,
+  and for N > 128 the column adds are slower;
 - per-generation sums (energies, viscous work, boundary fluxes) are numpy's
   pairwise np.add.reduce over each generation slice, then scaled by the
   generation's coefficient, so a boundary flux is (2 c_{n+1}) * sum(X^2 *
@@ -55,9 +59,34 @@ def _child_sums(y: np.ndarray, branching: int) -> np.ndarray:
     N = 1 this is a view of y."""
     if branching == 1:
         return y[1:]
-    if branching == 2:
-        return y[1::2] + y[2::2]
-    return y[1:].reshape(-1, branching).sum(axis=1)
+    return _column_sum(y[1:].reshape(-1, branching).T)
+
+
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum of the rows of cols, a (k, m) array, in the order of numpy's
+    pairwise sum of k values (numpy's pairwise_sum in loops_utils)."""
+    k = len(cols)
+    if k < 8:
+        s = cols[0] + cols[1]
+        for c in cols[2:]:
+            s += c
+        return s
+    if k <= 128:
+        m = k - k % 8
+        acc = cols[:8]
+        if m > 8:
+            acc = acc.copy()
+            for i in range(8, m, 8):
+                acc += cols[i:i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        s = quads[0] + quads[1]
+        for c in cols[m:]:
+            s += c
+        return s
+    half = k // 2
+    half -= half % 8
+    return _column_sum(cols[:half]) + _column_sum(cols[half:])
 
 
 def _add_to_children(values: np.ndarray, dst: np.ndarray, branching: int) -> None:
@@ -107,11 +136,6 @@ def boundary_fluxes(params: ModelParams, y: np.ndarray) -> np.ndarray:
                    _flux_coefficients(params))
 
 
-def total_energy(y: np.ndarray) -> float:
-    """Energy of the whole state."""
-    return float(np.add.reduce(np.square(y)))
-
-
 class Kernel:
     """Whole-array evaluation of the model equation on the heap array."""
 
@@ -132,33 +156,33 @@ class Kernel:
         self.gain0 = c[0] * np.square(np.float64(params.f))
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Time derivative of y.  A state near the overflow threshold gives
+        a non-finite derivative; whether numpy warns about it is the
+        caller's np.errstate (integrate and rhs_tree silence it)."""
         deriv = np.empty_like(y) if out is None else out
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain = np.square(y[:self.n_internal])
-            gain *= self.c_next
-            self._deriv(y, gain, _child_sums(y, self.params.branching), deriv)
+        gain = np.square(y[:self.n_internal])
+        gain *= self.c_next
+        self._deriv(y, gain, _child_sums(y, self.params.branching), deriv)
         return deriv
 
     def rhs_work(self, y, out=None, work_out=None):
         """Derivative plus instantaneous work rates packed as
-        [x0, visc rate per generation, flux rate per boundary].  Overflow is
-        deliberately silent: the integrator detects non-finite results and
-        rejects the step."""
+        [x0, visc rate per generation, flux rate per boundary].  Overflow
+        is handled as in rhs."""
         p = self.params
         depth, n_int = p.depth, self.n_internal
         deriv = np.empty_like(y) if out is None else out
         if work_out is None:
             work_out = np.empty(2 * depth + 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the squares live in deriv until _deriv overwrites it
-            sq = np.square(y, out=deriv)
-            csum = _child_sums(y, p.branching)
-            work_out[0] = y[0]
-            visc = _generation_sums(p, sq, depth + 1, work_out[1:depth + 2])
-            visc *= self.d
-            _fluxes(p, sq[:n_int], csum, self.flux_coefficients, work_out[depth + 2:])
-            gain = np.multiply(self.c_next, sq[:n_int])
-            self._deriv(y, gain, csum, deriv)
+        # the squares live in deriv until _deriv overwrites it
+        sq = np.square(y, out=deriv)
+        csum = _child_sums(y, p.branching)
+        work_out[0] = y[0]
+        visc = _generation_sums(p, sq, depth + 1, work_out[1:depth + 2])
+        visc *= self.d
+        _fluxes(p, sq[:n_int], csum, self.flux_coefficients, work_out[depth + 2:])
+        gain = np.multiply(self.c_next, sq[:n_int])
+        self._deriv(y, gain, csum, deriv)
         return deriv, work_out
 
     def _deriv(self, y, gain, csum, deriv):

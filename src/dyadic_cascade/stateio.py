@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from .core import ModelParams, TreeState, node_count
+from .errors import StateFileError
 
 MAGIC = b"DYAD"
 VERSION = 1
@@ -29,22 +30,24 @@ def dump_state(state: TreeState, path) -> None:
 
 def load_state(path, params: ModelParams) -> TreeState:
     """Read a snapshot; the caller supplies the model parameters, which must
-    agree with the header's branching and depth."""
+    agree with the header's branching and depth.  A malformed or mismatched
+    file raises StateFileError; an unreadable one, OSError."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise StateFileError(f"{path}: truncated header")
         magic, version, branching, depth = _HEADER.unpack(raw)
         if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise StateFileError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise StateFileError(f"{path}: unsupported version {version}")
         if branching != params.branching or depth != params.depth:
-            raise ValueError(
+            raise StateFileError(
                 f"{path}: header (branching={branching}, depth={depth}) does not "
                 f"match params (branching={params.branching}, depth={params.depth})")
         n = node_count(branching, depth, params.max_nodes)
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if data.shape[0] != n:
-            raise ValueError(f"{path}: expected {n} values, got {data.shape[0]}")
-    return TreeState(data, params)  # the copy converts to native order
+        raw = fh.read(8 * n)
+        if len(raw) != 8 * n:
+            raise StateFileError(f"{path}: expected {8 * n} data bytes, got {len(raw)}")
+    # TreeState's copy converts to native byte order
+    return TreeState(np.frombuffer(raw, dtype="<f8"), params)

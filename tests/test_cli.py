@@ -21,7 +21,7 @@ from dyadic_cascade.cli import (
     main,
     run_simulate,
 )
-from dyadic_cascade.errors import ConfigError, DegenerateWindow
+from dyadic_cascade.errors import ConfigError, DegenerateWindow, StateFileError
 
 
 def base_config(**overrides):
@@ -116,6 +116,22 @@ class TestBuildInitial:
         other = ModelParams(alpha=1.0, branching=2, depth=4)
         with pytest.raises(ValueError, match="does not match"):
             load_state(path, other)
+
+    @pytest.mark.parametrize("match,corrupt", [
+        ("truncated header", lambda raw: raw[:10]),
+        ("bad magic", lambda raw: b"DYAX" + raw[4:]),
+        ("unsupported version", lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:]),
+        ("does not match", lambda raw: raw[:12] + (4).to_bytes(4, "little") + raw[16:]),
+        ("expected 120 data bytes, got 117", lambda raw: raw[:-3]),
+    ], ids=["truncated_header", "bad_magic", "unsupported_version",
+            "header_params_mismatch", "short_data"])
+    def test_malformed_file_raises_state_file_error(self, tmp_path, match, corrupt):
+        p = ModelParams(alpha=1.0, branching=2, depth=3)
+        path = tmp_path / "state.bin"
+        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(StateFileError, match=match):
+            load_state(path, p)
 
     def test_dump_format_layout(self, tmp_path):
         p = ModelParams(alpha=1.0, branching=4, depth=1)
@@ -320,7 +336,8 @@ class TestOtherCommands:
 class TestBadInput:
     """Bad input exits 1 with a message, never a traceback.  Relative file
     names resolve in a directory holding s.bin, a valid binary depth-3
-    state, and neg.bin, the same state with one negative entry."""
+    state, neg.bin, the same state with one negative entry, and short.bin,
+    s.bin without its last three bytes."""
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param("fit-spectrum",
@@ -391,6 +408,18 @@ class TestBadInput:
                      {"params": {"alpha": 1.0, "depth": 3}, "state_file": "s.bin",
                       "window": [0, 9]},
                      id="fit_spectrum_window_outside_depth"),
+        pytest.param("selfsimilar", {"t0": -1.0, "beta": 1.0, "n_max": 5, "n0": 9},
+                     id="selfsimilar_n0_above_n_max"),
+        pytest.param("selfsimilar", {"t0": -1.0, "beta": 1.0, "n_max": 5, "n0": 5},
+                     id="selfsimilar_n0_equals_n_max"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "branching": 2, "depth": 1},
+                                 initial={"kind": "selfsimilar", "t0": -1.0}),
+                     id="simulate_selfsimilar_depth_below_two"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
+                                 initial={"kind": "file", "path": "short.bin"}),
+                     id="simulate_short_state_file"),
     ])
     def test_exits_1(self, tmp_path, monkeypatch, capsys, command, cfg):
         monkeypatch.chdir(tmp_path)
@@ -399,6 +428,7 @@ class TestBadInput:
         dump_state(TreeState(values, p), tmp_path / "s.bin")
         values[2] = -0.5
         dump_state(TreeState(values, p), tmp_path / "neg.bin")
+        (tmp_path / "short.bin").write_bytes((tmp_path / "s.bin").read_bytes()[:-3])
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from dyadic_cascade import (
     solve_viscous_stationary,
 )
 from dyadic_cascade.errors import ForcedRun, RangeError
+from dyadic_cascade.kernels import generation_energies
 
 
 class TestEnergyReport:
@@ -115,6 +116,25 @@ class TestBalanceResidual:
             r = balance_residual(traj, 0.0, 1.0, generation=m)
             assert r <= 0.0
             assert r == pytest.approx(-traj.work_flux[-1, m], abs=1e-10)
+
+    def test_snapshot_energies_are_computed_once(self):
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=0.5, branching=4, depth=3)
+        rng = np.random.default_rng(9)
+        x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
+        traj = integrate(x, p, 0.4, output_times=[0.1, 0.2, 0.3])
+        for i, t in enumerate(traj.times):
+            state = traj.states[i]
+            assert energy_report(state, p).per_generation is state.generation_energies
+            assert not state.generation_energies.flags.writeable
+            if i == 0:
+                continue
+            # the shared sums are the plain per-slice reductions, bit for bit
+            e = [generation_energies(p, traj.states[k].values) for k in (0, i)]
+            expected = (float(np.add.reduce(e[1])) - float(np.add.reduce(e[0]))
+                        - 2.0 * p.f ** 2 * (traj.work_x0[i] - traj.work_x0[0])
+                        + 2.0 * p.nu * float(np.add.reduce(
+                            traj.work_visc[i] - traj.work_visc[0])))
+            assert balance_residual(traj, 0.0, t) == expected
 
     def test_range_errors(self):
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)

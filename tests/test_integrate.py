@@ -12,6 +12,7 @@ from dyadic_cascade import (
     inviscid_tree_profile,
     solve_selfsimilar_classic,
 )
+from dyadic_cascade.dynamics import _error_norm
 from dyadic_cascade.errors import MaxRejections, NonFiniteState, RangeError, StepSizeUnderflow
 
 
@@ -186,6 +187,14 @@ class TestFailureModes:
         with pytest.raises(StepSizeUnderflow):
             integrate(TreeState(vals, p), p, 1.0)
 
+    def test_overflowing_stages_reject_as_non_finite(self):
+        # the stages overflow; the one finiteness check after the stage loop
+        # must see it, and no RuntimeWarning may escape
+        p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
+        vals = np.full(p.n_nodes, 1e150)
+        with pytest.raises(MaxRejections, match="non-finite"):
+            integrate(TreeState(vals, p), p, 1.0, SolverOptions(max_rejections=3))
+
     def test_max_rejections(self):
         p = ModelParams(alpha=1.0, gamma=3.0, nu=1e6, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(2)
@@ -217,3 +226,23 @@ class TestPositivityModes:
                                        positivity_mode="clamp-to-zero"))
         for s in traj.states:
             assert s.values.min() >= 0.0
+
+
+class TestErrorNorm:
+    """The scratch-array error norm is bit-equal to the plain formula for
+    y >= 0 (including -0.0 entries) and y5 with small negatives."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rtol,atol", [(1e-8, 1e-14), (1e-3, 1e-6), (1e-12, 1e-30)])
+    def test_bit_equal_to_mean_form(self, seed, rtol, atol):
+        rng = np.random.default_rng(seed)
+        n = 1000 + seed
+        y = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 3, n)
+        y[::7] = 0.0
+        y[3::11] = -0.0
+        y5 = y * (1.0 + rng.normal(0.0, 1e-6, n))
+        y5[::13] = -rng.uniform(0.0, 1e-15, len(y5[::13]))
+        err = rng.normal(0.0, 1e-9, n) * 10.0 ** rng.integers(-8, 2, n)
+        expected = math.sqrt(float(np.mean(np.square(
+            err / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))))))
+        assert _error_norm(err, y, y5, rtol, atol, np.empty(n)) == expected

@@ -14,7 +14,7 @@ from dyadic_cascade import (
     rhs_tree,
 )
 from dyadic_cascade.errors import NonFiniteState
-from dyadic_cascade.kernels import make_kernel
+from dyadic_cascade.kernels import _child_sums, make_kernel
 
 
 def tree_params(**kw):
@@ -52,6 +52,13 @@ class TestTreeRhs:
         vals[3] = np.inf
         with pytest.raises(NonFiniteState):
             rhs_tree(TreeState(vals, p))
+
+    def test_overflowing_derivative_is_silent(self):
+        # the squares of a finite 1e200 state overflow; under the repo's
+        # filterwarnings = error a RuntimeWarning would fail this test
+        p = tree_params(f=1.0)
+        d = rhs_tree(TreeState(np.full(p.n_nodes, 1e200), p))
+        assert not np.isfinite(d).all()
 
 
 class TestClassicRhs:
@@ -170,3 +177,24 @@ class TestNodeReference:
             rep = energy_report(state)
             assert_close(rep.per_generation, energy)
             assert_close(rep.boundary_flux, flux)
+
+
+class TestChildSums:
+    """The column child sum adds the siblings in the order of numpy's
+    pairwise row sum, so it equals the reshape sum bit for bit."""
+
+    @pytest.mark.parametrize("branching", [2, 3, 4, 5, 7, 8, 9, 16, 130])
+    @pytest.mark.parametrize("kind", ["random", "zero", "subnormal"])
+    def test_bit_equal_to_row_sum(self, branching, kind):
+        rng = np.random.default_rng(branching)
+        n = 1 + branching * 301
+        # mixed signs over many decades: any other association order rounds
+        # differently somewhere
+        y = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-40, 40, n)
+        if kind == "zero":
+            y[rng.random(n) < 0.5] = 0.0
+            y[1:1 + 7 * branching] = 0.0  # whole rows of zeros
+        elif kind == "subnormal":
+            y = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, -1000, n)
+        expected = y[1:].reshape(-1, branching).sum(axis=1)
+        assert _child_sums(y, branching).tobytes() == expected.tobytes()
