@@ -8,7 +8,12 @@ floats are written with repr (shortest round-trip decimal), LF endings,
 UTF-8; identical config and seed give identical bytes (the kernel uses
 fixed-order reductions).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success; 1 bad input, any errors.DomainError (ConfigError,
+StateFileError, SymmetryError, ParameterMismatch, DegenerateWindow,
+CapacityExceeded, ...), reported as "config error:"; 2 numerical failure,
+every other errors.CascadeError.  The library's own argument checks decide
+what is bad input; this module adds only the checks of the JSON shape and
+of rules the library has no twin for.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ import numpy as np
 from .core import ModelParams, TreeState, pow2
 from .dynamics import SolverOptions, balance_residual, energy_report, integrate
 from .errors import (
+    CapacityExceeded,
     CascadeError,
     ConfigError,
     DegenerateWindow,
-    StateFileError,
-    SymmetryError,
+    DomainError,
 )
 from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
@@ -63,23 +68,10 @@ def _check_unknown(d: dict, allowed, path: str):
 
 
 def _number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or isinstance(v, float) and math.isnan(v)):
         raise ConfigError(f"{path} must be a number, got {v!r}")
     return float(v)
-
-
-def _nonnegative(v, path: str) -> float:
-    x = _number(v, path)
-    if not x >= 0:
-        raise ConfigError(f"{path} must be >= 0, got {x!r}")
-    return x
-
-
-def _positive(v, path: str) -> float:
-    x = _number(v, path)
-    if not x > 0:
-        raise ConfigError(f"{path} must be > 0, got {x!r}")
-    return x
 
 
 def _integer(v, path: str) -> int:
@@ -118,11 +110,9 @@ class InitialSpec:
         _check_unknown(d, ("kind",) + _INITIAL_KINDS[kind], path)
         out = {"kind": kind}
         if kind == "root_only":
-            out["value"] = _nonnegative(_require(d, "value", path), f"{path}.value")
+            out["value"] = _number(_require(d, "value", path), f"{path}.value")
         elif kind == "selfsimilar":
             out["t0"] = _number(_require(d, "t0", path), f"{path}.t0")
-            if not out["t0"] < 0:
-                raise ConfigError(f"{path}.t0 must be < 0 (the pole precedes t = 0)")
         elif kind == "file":
             p = _require(d, "path", path)
             if not isinstance(p, str):
@@ -130,7 +120,12 @@ class InitialSpec:
             out["path"] = p
         elif kind == "random_positive":
             out["seed"] = _integer(_require(d, "seed", path), f"{path}.seed")
-            out["scale"] = _nonnegative(_require(d, "scale", path), f"{path}.scale")
+            scale = _number(_require(d, "scale", path), f"{path}.scale")
+            # build_initial draws from this module's own generator: no
+            # library call checks the scale
+            if not 0 <= scale < math.inf:
+                raise ConfigError(f"{path}.scale must be finite and >= 0, got {scale!r}")
+            out["scale"] = scale
         return cls(**out)
 
     def to_dict(self) -> dict:
@@ -160,10 +155,7 @@ def _solver_from_dict(d: dict, path: str = "solver") -> SolverOptions:
         kwargs["positivity_mode"] = d["positivity_mode"]
     if "max_rejections" in d:
         kwargs["max_rejections"] = _integer(d["max_rejections"], f"{path}.max_rejections")
-    try:
-        return SolverOptions(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    return SolverOptions(**kwargs)
 
 
 _PARAM_FIELDS = ("alpha", "gamma", "nu", "f", "branching", "depth")
@@ -178,8 +170,7 @@ def _params_from_dict(pd, model: str = "tree") -> ModelParams:
                          "params.branching")
     if model == "classic" and branching != 1:
         raise ConfigError("params.branching must be 1 for the classic model")
-    return _model_params(
-        "params",
+    return ModelParams(
         alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
         gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
         nu=_number(pd.get("nu", 0.0), "params.nu"),
@@ -187,14 +178,6 @@ def _params_from_dict(pd, model: str = "tree") -> ModelParams:
         branching=branching,
         depth=_integer(_require(pd, "depth", "params"), "params.depth"),
     )
-
-
-def _model_params(path: str, **kwargs) -> ModelParams:
-    """ModelParams with its domain errors reported as bad input."""
-    try:
-        return ModelParams(**kwargs)
-    except (ValueError, CascadeError) as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def _window(w, path: str) -> tuple[int, int] | None:
@@ -206,18 +189,11 @@ def _window(w, path: str) -> tuple[int, int] | None:
 
 
 def _load_state(path, params: ModelParams, field_path: str):
-    """load_state with unreadable or malformed files reported as bad input."""
+    """load_state with an unreadable file reported as bad input."""
     try:
         return load_state(path, params)
-    except (OSError, StateFileError) as e:
+    except OSError as e:
         raise ConfigError(f"{field_path}: {e}") from e
-
-
-def _lift_spec(alpha_tilde, beta: float) -> LiftSpec:
-    try:
-        return LiftSpec(alpha_tilde=_number(alpha_tilde, "alpha_tilde"), beta=beta)
-    except ValueError as e:
-        raise ConfigError(f"alpha_tilde: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -249,20 +225,12 @@ class RunConfig:
             raise ConfigError("mode.symmetric only applies to the tree model")
         params = _params_from_dict(_require(d, "params", ""), model)
         initial = InitialSpec.from_dict(_require(d, "initial", ""))
-        if initial.kind == "stationary_inviscid" and not params.f > 0:
-            raise ConfigError("initial.kind 'stationary_inviscid' requires "
-                              "params.f > 0 (f = 0 gives the zero state)")
-        if initial.kind == "selfsimilar" and params.depth < 2:
-            raise ConfigError("initial.kind 'selfsimilar' requires params.depth "
-                              f">= 2 (the profile's n_max), got {params.depth}")
         if mode == "symmetric" and not initial.generation_symmetric \
                 and initial.kind != "file":
             raise ConfigError(
                 f"initial.kind {initial.kind!r} is not generation-symmetric; "
                 "symmetric mode requires a symmetric initial spec")
         t_end = _number(_require(d, "t_end", ""), "t_end")
-        if t_end <= 0:
-            raise ConfigError("t_end must be > 0")
         out_iv = _number(_require(d, "output_interval", ""), "output_interval")
         if out_iv <= 0:
             raise ConfigError("output_interval must be > 0")
@@ -324,9 +292,8 @@ def build_initial(config: RunConfig) -> TreeState:
             values[offs[g]:offs[g + 1]] = lifted.a[g] / (0.0 - spec.t0)
     elif spec.kind == "file":
         values = _load_state(spec.path, params, "initial.path").values
-        if not ((values >= 0.0).all() and np.isfinite(values).all()):
-            raise ConfigError(f"initial.path: {spec.path} holds negative or "
-                              "non-finite entries (positive-solution mode)")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"initial.path: {spec.path} holds non-finite entries")
     elif spec.kind == "random_positive":
         # counter-based generator: full-mode and oracle reruns match exactly
         rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -356,7 +323,7 @@ class FitResult:
     residual: float
 
 
-def fit_spectrum(state_or_report, params: ModelParams | None = None,
+def fit_spectrum(state: TreeState, params: ModelParams | None = None,
                  window: tuple[int, int] | None = None) -> FitResult:
     """Least-squares decay exponent of the per-node RMS intensity.
 
@@ -364,13 +331,8 @@ def fit_spectrum(state_or_report, params: ModelParams | None = None,
     (inclusive) and returns the negated slope with the max absolute fit
     residual.  RMS must be strictly positive across the window.
     """
-    if isinstance(state_or_report, TreeState):
-        params = params or state_or_report.params
-        per_gen = generation_energies(params, state_or_report.values)
-    else:
-        if params is None:
-            raise ValueError("params required when passing an EnergyReport")
-        per_gen = np.asarray(state_or_report.per_generation)
+    params = params or state.params
+    per_gen = generation_energies(params, state.values)
     depth = len(per_gen) - 1
     lo, hi = window if window is not None else (0, depth)
     if not (0 <= lo < hi <= depth):
@@ -389,6 +351,7 @@ def fit_spectrum(state_or_report, params: ModelParams | None = None,
 
 
 def _write_text(path, text: str):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -402,9 +365,17 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
 
     Returns the trajectory (full mode) or the classic-side trajectory
     (symmetric mode)."""
-    os.makedirs(out_dir, exist_ok=True)
-    n_out = int(round(config.t_end / config.output_interval))
-    outputs = [i * config.output_interval for i in range(1, n_out + 1)]
+    for t in dump_times:
+        if not 0.0 <= t <= config.t_end:
+            raise ConfigError(f"--dump-state {t!r} is outside the run "
+                              f"[0, {config.t_end!r}]")
+    n_out = config.t_end / config.output_interval
+    params = config.params
+    if (n_out + 1) * params.n_nodes > params.max_nodes:
+        raise CapacityExceeded(
+            f"{n_out + 1:.3g} snapshots of {params.n_nodes} values exceed the "
+            f"budget of {params.max_nodes} stored values")
+    outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
     outputs = sorted({t for t in outputs if 0.0 < t <= config.t_end} |
                      {config.t_end} | {float(t) for t in dump_times})
 
@@ -412,9 +383,8 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     if config.mode == "symmetric":
         # evolve the classic system the lifted dynamics projects onto;
         # tree-equivalent energies/fluxes are the classic ones times 2^{-4at}
-        tree_params = config.params
-        spec = LiftSpec.for_branching(tree_params.branching, tree_params.beta)
-        classic_params = project_params(tree_params)
+        spec = LiftSpec.for_branching(params.branching, params.beta)
+        classic_params = project_params(params)
         classic_initial = _symmetric_classic_initial(config, classic_params, spec)
         traj = integrate(classic_initial, classic_params, config.t_end,
                          config.solver, output_times=outputs)
@@ -422,9 +392,9 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
         report_params = classic_params
     else:
         initial = build_initial(config)
-        traj = integrate(initial, config.params, config.t_end, config.solver,
+        traj = integrate(initial, params, config.t_end, config.solver,
                          output_times=outputs)
-        report_params = config.params
+        report_params = params
 
     depth = report_params.depth
     header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
@@ -475,19 +445,16 @@ def run_stationary(cfg: dict, out_dir):
     plus regime.json."""
     _check_unknown(cfg, _STATIONARY_FIELDS, "")
     f = _number(_require(cfg, "f", ""), "f")
-    if not f > 0:
-        raise ConfigError(f"f must be > 0 (f = 0 gives the zero state), got {f!r}")
-    nu = _nonnegative(_require(cfg, "nu", ""), "nu")
-    beta = _positive(_require(cfg, "beta", ""), "beta")
-    gamma = _positive(cfg.get("gamma", 1.0), "gamma")
+    nu = _number(_require(cfg, "nu", ""), "nu")
+    beta = _number(_require(cfg, "beta", ""), "beta")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
     n_max = _integer(cfg.get("n_max", 60), "n_max")
-    n_min = 2 if nu > 0 else 0  # the viscous shooting needs two levels
-    if n_max < n_min:
-        raise ConfigError(f"n_max must be >= {n_min}, got {n_max}")
-    tol = _positive(cfg.get("bisection_tol", 1e-12), "bisection_tol")
-    os.makedirs(out_dir, exist_ok=True)
+    tol = _number(cfg.get("bisection_tol", 1e-12), "bisection_tol")
 
     if nu == 0.0:
+        # the explicit profile takes no tolerance, so the solver never sees it
+        if not tol > 0:
+            raise ConfigError(f"bisection_tol must be > 0, got {tol!r}")
         state = inviscid_classic_profile(f, beta, n_max, gamma)
         y = state.values
         # nu-free rescaling 2^{beta(n+2)/3} Y_n, constant across shells
@@ -523,19 +490,12 @@ _SELFSIMILAR_FIELDS = ("t0", "beta", "n_max", "alpha_tilde", "n0")
 def run_selfsimilar(cfg: dict, out_dir):
     _check_unknown(cfg, _SELFSIMILAR_FIELDS, "")
     t0 = _number(_require(cfg, "t0", ""), "t0")
-    if not t0 < 0:
-        raise ConfigError(f"t0 must be < 0, got {t0!r}")
-    beta = _positive(_require(cfg, "beta", ""), "beta")
+    beta = _number(_require(cfg, "beta", ""), "beta")
     n_max = _integer(cfg.get("n_max", 25), "n_max")
-    if n_max < 2:
-        raise ConfigError(f"n_max must be >= 2, got {n_max}")
     n0 = _integer(cfg.get("n0", 0), "n0")
-    if not 0 <= n0 < n_max:
-        raise ConfigError(f"n0 must satisfy 0 <= n0 < n_max = {n_max}, got {n0}")
     alpha_tilde = cfg.get("alpha_tilde")
     if alpha_tilde is not None:
-        alpha_tilde = _lift_spec(alpha_tilde, beta).alpha_tilde
-    os.makedirs(out_dir, exist_ok=True)
+        alpha_tilde = _number(alpha_tilde, "alpha_tilde")
 
     profile = solve_selfsimilar_classic(t0, beta, n_max, n0=n0)
     if alpha_tilde is not None:
@@ -568,11 +528,14 @@ def run_lift(cfg: dict, out_dir):
     """Lift a classic state onto the tree; emits per-generation lift.csv and
     lift.json with the energy identities."""
     _check_unknown(cfg, _LIFT_FIELDS, "")
-    beta = _positive(_require(cfg, "beta", ""), "beta")
-    spec = _lift_spec(_require(cfg, "alpha_tilde", ""), beta)
+    beta = _number(_require(cfg, "beta", ""), "beta")
+    # LiftSpec first, so that a bad beta is reported as beta, not as the
+    # classic alpha
+    spec = LiftSpec(alpha_tilde=_number(_require(cfg, "alpha_tilde", ""), "alpha_tilde"),
+                    beta=beta)
     depth = _integer(_require(cfg, "depth", ""), "depth")
-    classic_params = _model_params(
-        "classic params", alpha=beta, gamma=_number(cfg.get("gamma", 1.0), "gamma"),
+    classic_params = ModelParams(
+        alpha=beta, gamma=_number(cfg.get("gamma", 1.0), "gamma"),
         nu=_number(cfg.get("nu", 0.0), "nu"), f=_number(cfg.get("f", 0.0), "f"),
         branching=1, depth=depth)
     if "classic_values" in cfg:
@@ -585,7 +548,6 @@ def run_lift(cfg: dict, out_dir):
         y = _load_state(cfg["classic_file"], classic_params, "classic_file")
     else:
         raise ConfigError("one of classic_values/classic_file is required")
-    os.makedirs(out_dir, exist_ok=True)
 
     x = lift_state(y, spec)
     lines = ["generation,classic_value,tree_value,generation_energy"]
@@ -610,13 +572,10 @@ _DISSIPATION_FIELDS = ("epsilon", "eta", "alpha", "alpha_tilde")
 
 def run_dissipation_bound(cfg: dict, out_dir):
     _check_unknown(cfg, _DISSIPATION_FIELDS, "")
-    eps = _positive(_require(cfg, "epsilon", ""), "epsilon")
-    eta = _positive(_require(cfg, "eta", ""), "eta")
+    eps = _number(_require(cfg, "epsilon", ""), "epsilon")
+    eta = _number(_require(cfg, "eta", ""), "eta")
     alpha = _number(_require(cfg, "alpha", ""), "alpha")
     alpha_tilde = _number(_require(cfg, "alpha_tilde", ""), "alpha_tilde")
-    if not alpha > alpha_tilde:
-        raise ConfigError(f"alpha must be > alpha_tilde, got {alpha!r} <= {alpha_tilde!r}")
-    os.makedirs(out_dir, exist_ok=True)
     t_bound = dissipation_time_bound(eps, eta, alpha, alpha_tilde)
     out = {"epsilon": eps, "eta": eta, "alpha": alpha,
            "alpha_tilde": alpha_tilde, "T": t_bound}
@@ -631,11 +590,7 @@ def run_fit_spectrum(cfg: dict, out_dir):
     _check_unknown(cfg, _FIT_FIELDS, "")
     params = _params_from_dict(_require(cfg, "params", ""))
     window = _window(cfg.get("window"), "window")
-    if window is not None and not 0 <= window[0] < window[1] <= params.depth:
-        raise ConfigError(f"window {list(window)} needs at least two "
-                          f"generations inside 0..{params.depth}")
     state = _load_state(_require(cfg, "state_file", ""), params, "state_file")
-    os.makedirs(out_dir, exist_ok=True)
     fit = fit_spectrum(state, params, window)
     out = {"eta_hat": fit.eta_hat, "residual": fit.residual}
     _write_json(os.path.join(out_dir, "fit_spectrum.json"), out)
@@ -683,10 +638,7 @@ def main(argv=None) -> int:
             run_dissipation_bound(cfg, args.out)
         elif args.command == "fit-spectrum":
             run_fit_spectrum(cfg, args.out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except SymmetryError as e:
+    except DomainError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except CascadeError as e:

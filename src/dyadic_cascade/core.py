@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityExceeded, DepthMismatch, RootHasNoParent
+from .errors import CapacityExceeded, DepthMismatch, DomainError, RootHasNoParent
 
 # Flat-array index of a node. The root is 0.
 NodeId = int
@@ -42,9 +42,9 @@ def node_count(branching: int, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET)
     Raises CapacityExceeded if the count would exceed ``max_nodes``.
     """
     if branching < 1:
-        raise ValueError(f"branching must be >= 1, got {branching}")
+        raise DomainError(f"branching must be >= 1, got {branching}")
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise DomainError(f"depth must be >= 0, got {depth}")
     if branching == 1:
         count = depth + 1
     else:
@@ -75,7 +75,7 @@ def parent(index: NodeId, branching: int) -> NodeId:
     if index == 0:
         raise RootHasNoParent("node 0 is the root")
     if index < 0:
-        raise ValueError(f"negative node index {index}")
+        raise DomainError(f"negative node index {index}")
     return (index - 1) // branching
 
 
@@ -92,7 +92,7 @@ def generation(index: NodeId, branching: int) -> int:
     """Generation number |j| of a node, O(1) via closed-form log with exact
     integer correction."""
     if index < 0:
-        raise ValueError(f"negative node index {index}")
+        raise DomainError(f"negative node index {index}")
     if branching == 1:
         return index
     # index lies in generation g iff (N^g - 1)/(N-1) <= index < (N^{g+1} - 1)/(N-1)
@@ -134,19 +134,19 @@ class ModelParams:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise DomainError(f"alpha must be > 0, got {self.alpha}")
         if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if self.f < 0:
-            raise ValueError(f"f must be >= 0, got {self.f}")
+            raise DomainError(f"gamma must be > 0, got {self.gamma}")
+        if not self.nu >= 0:
+            raise DomainError(f"nu must be >= 0, got {self.nu}")
+        if not self.f >= 0:
+            raise DomainError(f"f must be >= 0, got {self.f}")
         if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+            raise DomainError(f"depth must be >= 0, got {self.depth}")
         if self.branching < 1:
-            raise ValueError(f"branching must be >= 1, got {self.branching}")
+            raise DomainError(f"branching must be >= 1, got {self.branching}")
         if self.strict and not _is_power_of_two(self.branching):
-            raise ValueError(
+            raise DomainError(
                 f"branching must be a power of two (got {self.branching}); "
                 "pass strict=False to allow arbitrary arity"
             )

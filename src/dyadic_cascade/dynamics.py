@@ -61,15 +61,15 @@ class SolverOptions:
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be > 0")
+            raise DomainError("tolerances must be > 0")
         if not (self.max_step > 0):
-            raise ValueError("max_step must be > 0")
+            raise DomainError("max_step must be > 0")
         if self.initial_step is not None and not (self.initial_step > 0):
-            raise ValueError("initial_step must be > 0")
+            raise DomainError("initial_step must be > 0")
         if self.positivity_mode not in ("reject-and-halve", "clamp-to-zero"):
-            raise ValueError(f"unknown positivity_mode {self.positivity_mode!r}")
+            raise DomainError(f"unknown positivity_mode {self.positivity_mode!r}")
         if self.max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
+            raise DomainError("max_rejections must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,13 @@ class EnergyReport:
 
     per_generation[n] is the energy of generation n; cumulative[n] the energy
     of generations 0..n; boundary_flux[n] the instantaneous flux through the
-    n -> n+1 boundary (n < depth).  balance_residual is filled when the report
-    is produced along a trajectory, None for a bare state.
+    n -> n+1 boundary (n < depth).
     """
 
     per_generation: np.ndarray
     cumulative: np.ndarray
     total: float
     boundary_flux: np.ndarray
-    balance_residual: float | None = None
 
 
 @dataclass
@@ -196,14 +194,14 @@ def integrate(
     params = params or initial.params
     y = np.array(initial.values, dtype=np.float64)
     if y.shape[0] != params.n_nodes:
-        raise ValueError("initial state length does not match params")
+        raise DomainError("initial state length does not match params")
     if not np.isfinite(y).all():
         raise NonFiniteState("integrate: initial state contains non-finite entries")
     if y.min() < 0.0:
-        raise ValueError("integrate: initial state has negative entries "
-                         "(positive-solution mode)")
+        raise DomainError("integrate: initial state has negative entries "
+                          "(positive-solution mode)")
     if not t_end > 0:
-        raise ValueError("t_end must be > 0")
+        raise DomainError("t_end must be > 0")
 
     kernel = make_kernel(params)
     depth = params.depth
@@ -345,8 +343,7 @@ def integrate(
     )
 
 
-def energy_report(state: TreeState, params: ModelParams | None = None,
-                  balance_residual: float | None = None) -> EnergyReport:
+def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:
     """Per-generation energies, cumulative energies and boundary fluxes.
 
     All sums are fixed-order pairwise reductions.
@@ -360,7 +357,6 @@ def energy_report(state: TreeState, params: ModelParams | None = None,
         cumulative=cumulative,
         total=float(cumulative[-1]),
         boundary_flux=boundary_fluxes(params, state.values),
-        balance_residual=balance_residual,
     )
 
 
@@ -415,7 +411,7 @@ def dissipation_time_bound(epsilon: float, eta: float,
         T = 2 sqrt(2) eta^{3/2} epsilon^{-2} (1 - q)^{-3},  q = 2^{-(alpha-alpha_tilde)/3}
     """
     if not (epsilon > 0 and eta > 0):
-        raise ValueError("epsilon and eta must be > 0")
+        raise DomainError("epsilon and eta must be > 0")
     if not alpha > alpha_tilde:
         raise DomainError(
             f"requires alpha > alpha_tilde, got {alpha} <= {alpha_tilde}")

@@ -1,7 +1,10 @@
 """Exception taxonomy for the dyadic cascade library.
 
-Every failure mode that callers are expected to handle gets its own type;
-generic ValueError is reserved for plain argument misuse.
+Every failure mode that callers are expected to handle gets its own type.
+DomainError, which is also a ValueError, is the bad-input family: argument
+values outside an operation's domain raise it or one of its subclasses, and
+the CLI answers it with exit 1.  The CLI reports every other CascadeError
+as a numerical failure, exit 2.
 """
 
 
@@ -9,7 +12,12 @@ class CascadeError(Exception):
     """Base class for all library errors."""
 
 
-class CapacityExceeded(CascadeError):
+class DomainError(CascadeError, ValueError):
+    """Arguments outside the domain of the operation: bad input, not a
+    failed computation."""
+
+
+class CapacityExceeded(DomainError):
     """Requested tree exceeds the configured node budget."""
 
 
@@ -38,11 +46,7 @@ class RangeError(CascadeError):
     """Requested time is outside (or not stored in) the trajectory."""
 
 
-class DomainError(CascadeError):
-    """Parameters outside the mathematical domain of the operation."""
-
-
-class SymmetryError(CascadeError):
+class SymmetryError(DomainError):
     """Tree state is not constant within some generation."""
 
     def __init__(self, generation, message=None):
@@ -54,7 +58,7 @@ class DepthMismatch(CascadeError):
     """State does not provide enough generations/shells."""
 
 
-class ParameterMismatch(CascadeError):
+class ParameterMismatch(DomainError):
     """Parameter sets are inconsistent under the classic/tree correspondence."""
 
 
@@ -80,14 +84,14 @@ class PoleMismatch(CascadeError):
     """Grafts with different pole times combined in one state."""
 
 
-class DegenerateWindow(CascadeError):
+class DegenerateWindow(DomainError):
     """Spectrum fit window has fewer than two usable generations."""
 
 
-class ConfigError(CascadeError):
+class ConfigError(DomainError):
     """Invalid run configuration; message carries the offending field path."""
 
 
-class StateFileError(CascadeError, ValueError):
+class StateFileError(DomainError):
     """A state file is malformed or does not match the model parameters;
     the message names the file and the cause."""

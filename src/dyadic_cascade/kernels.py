@@ -16,16 +16,16 @@ file):
 - a node's derivative is ((visc + gain) - loss), with visc = (-nu d_g) * X
   (0.0 when nu = 0), gain = c_g * X_p^2 and loss = (c_{g+1} * X) * (sum of
   children);
-- the child sum is y[1:] for N = 1.  For N >= 2 it adds whole columns of
-  the (N, n_int) view y[1:].reshape(-1, N).T, in the order numpy's pairwise
-  reduction adds the N siblings of one row: sequentially for N < 8, into
-  eight accumulators for 8 <= N <= 128 (combined as ((0+1)+(2+3)) +
-  ((4+5)+(6+7)), then the remainder sequentially), and split in halves
-  beyond that.  It therefore equals reshape(-1, N).sum(1) bit for bit,
-  apart from the sign of a zero sum (numpy starts each row from +0.0).  For
-  3 <= N <= 8 it is 3-8x faster, because reducing short rows pays numpy's
-  per-row reduction overhead on every parent; at N = 16 the two are even,
-  and for N > 128 the column adds are slower;
+- the child sum is y[1:] for N = 1, and numpy's own row sum
+  y[1:].reshape(-1, N).sum(1) for N > 8.  For 2 <= N <= 8 it adds whole
+  columns of the (N, n_int) view y[1:].reshape(-1, N).T in the order that
+  row sum adds the N siblings of one row: sequentially for N < 8, as
+  ((0+1)+(2+3)) + ((4+5)+(6+7)) for N = 8.  It therefore equals the row
+  sum bit for bit, apart from the sign of a zero sum (numpy starts each row
+  from +0.0), and is 3-8x faster for 3 <= N <= 8, because reducing short
+  rows pays numpy's per-row overhead on every parent.  Wider rows amortize
+  that overhead: at N = 16 the two are within 15%, and from N = 32 the row
+  sum is 2-7x faster than adding columns;
 - per-generation sums (energies, viscous work, boundary fluxes) are numpy's
   pairwise np.add.reduce over each generation slice, then scaled by the
   generation's coefficient, so a boundary flux is (2 c_{n+1}) * sum(X^2 *
@@ -59,34 +59,24 @@ def _child_sums(y: np.ndarray, branching: int) -> np.ndarray:
     N = 1 this is a view of y."""
     if branching == 1:
         return y[1:]
-    return _column_sum(y[1:].reshape(-1, branching).T)
+    rows = y[1:].reshape(-1, branching)
+    if branching > 8:
+        return rows.sum(1)
+    return _column_sum(rows.T)
 
 
 def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """Sum of the rows of cols, a (k, m) array, in the order of numpy's
-    pairwise sum of k values (numpy's pairwise_sum in loops_utils)."""
-    k = len(cols)
-    if k < 8:
+    """Sum of the rows of cols, a (k, m) array with 2 <= k <= 8, in the
+    order of numpy's pairwise sum of k values (numpy's pairwise_sum in
+    loops_utils): sequential below 8, pairs of pairs at 8."""
+    if len(cols) < 8:
         s = cols[0] + cols[1]
         for c in cols[2:]:
             s += c
         return s
-    if k <= 128:
-        m = k - k % 8
-        acc = cols[:8]
-        if m > 8:
-            acc = acc.copy()
-            for i in range(8, m, 8):
-                acc += cols[i:i + 8]
-        pairs = acc[0::2] + acc[1::2]
-        quads = pairs[0::2] + pairs[1::2]
-        s = quads[0] + quads[1]
-        for c in cols[m:]:
-            s += c
-        return s
-    half = k // 2
-    half -= half % 8
-    return _column_sum(cols[:half]) + _column_sum(cols[half:])
+    pairs = cols[0::2] + cols[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    return quads[0] + quads[1]
 
 
 def _add_to_children(values: np.ndarray, dst: np.ndarray, branching: int) -> None:

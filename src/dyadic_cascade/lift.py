@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .errors import DepthMismatch, ParameterMismatch, SymmetryError
+from .errors import DepthMismatch, DomainError, ParameterMismatch, SymmetryError
 from .kernels import make_kernel
 
 #: Relative spread below which a generation counts as constant: accepts
@@ -36,11 +36,15 @@ class LiftSpec:
     beta: float
 
     def __post_init__(self):
-        if self.alpha_tilde < 0:
-            raise ValueError("alpha_tilde must be >= 0")
+        if not 0 <= self.alpha_tilde < math.inf:
+            raise DomainError(
+                f"alpha_tilde must be finite and >= 0, got {self.alpha_tilde}")
+        if not self.beta > 0:
+            raise DomainError(
+                f"beta = alpha - alpha_tilde must be > 0, got {self.beta}")
         n = pow2(2.0 * self.alpha_tilde)
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(
+            raise DomainError(
                 f"2^(2*alpha_tilde) = {n} is not a whole branching number")
 
     @property

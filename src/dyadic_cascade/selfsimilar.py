@@ -118,9 +118,9 @@ def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
     if not beta > 0:
         raise DomainError(f"beta must be > 0, got {beta}")
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if n0 < 0:
-        raise ValueError("n0 must be >= 0")
+        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    if not 0 <= n0 < n_max:
+        raise DomainError(f"n0 must satisfy 0 <= n0 < n_max = {n_max}, got {n0}")
 
     n_class = _HORIZON_FACTOR * n_max + _HORIZON_SLACK
     dps = _DPS_BASE + int(_DPS_PER_LEVEL * n_class)
@@ -158,7 +158,7 @@ def shifted_profile(profile: SelfSimilarProfile, n0: int) -> SelfSimilarProfile:
     if n0 == 0:
         return profile
     if profile.n0 != 0:
-        raise ValueError("shift from the base (n0 = 0) profile")
+        raise DomainError("shift from the base (n0 = 0) profile")
     scale = pow2(-profile.beta * n0)
     b = np.zeros(profile.n_max + 1)
     b[n0:] = scale * profile.b[: profile.n_max + 1 - n0]
@@ -279,7 +279,7 @@ def graft_selfsimilar(base: TreeState, profile: SelfSimilarProfile,
         raise DepthMismatch(f"profile covers {profile.n_max + 1} generations, "
                             f"tree needs {params.depth + 1}")
     if not 0 <= subtree_root < params.n_nodes:
-        raise ValueError(f"subtree root {subtree_root} outside the tree")
+        raise DomainError(f"subtree root {subtree_root} outside the tree")
     g0 = generation(subtree_root, params.branching)
     if g0 > profile.n0:
         raise GenerationMismatch(

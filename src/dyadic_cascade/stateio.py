@@ -49,5 +49,7 @@ def load_state(path, params: ModelParams) -> TreeState:
         raw = fh.read(8 * n)
         if len(raw) != 8 * n:
             raise StateFileError(f"{path}: expected {8 * n} data bytes, got {len(raw)}")
+        if fh.read(1):
+            raise StateFileError(f"{path}: bytes after the {8 * n} data bytes")
     # TreeState's copy converts to native byte order
     return TreeState(np.frombuffer(raw, dtype="<f8"), params)

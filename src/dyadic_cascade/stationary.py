@@ -88,6 +88,8 @@ def inviscid_classic_profile(f: float, beta: float, n_max: int,
         raise DomainError("inviscid profile requires f > 0 (f = 0 gives the zero state)")
     if not beta > 0:
         raise DomainError(f"beta must be > 0, got {beta}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     values = np.array([f * pow2(-beta * (n + 1) / 3.0) for n in range(n_max + 1)])
     params = ModelParams(alpha=beta, gamma=gamma, nu=0.0, f=f,
                          branching=1, depth=n_max)
@@ -106,8 +108,8 @@ def inviscid_tree_profile(f: float, alpha: float, alpha_tilde: float,
         raise DomainError("inviscid profile requires f > 0")
     branching = round(pow2(2.0 * alpha_tilde))
     if abs(pow2(2.0 * alpha_tilde) - branching) > 1e-9 or branching < 1:
-        raise ValueError(f"2^(2*alpha_tilde) = {pow2(2 * alpha_tilde)} "
-                         "is not a whole branching number")
+        raise DomainError(f"2^(2*alpha_tilde) = {pow2(2 * alpha_tilde)} "
+                          "is not a whole branching number")
     if alpha <= alpha_tilde:
         warnings.warn(
             "alpha <= alpha_tilde: profile is not square-summable on the "
@@ -131,7 +133,7 @@ def z_step_sequence(g: float, a: float, mu: float, n_max: int):
     Failure is data here, not an error.
     """
     if not (g > 0 and a > 0):
-        raise ValueError("g and a must be > 0")
+        raise DomainError("g and a must be > 0")
     z = [float(g), float(a)]
     for n in range(n_max):
         nxt = z[-2] ** 2 / z[-1] - pow2(mu * n)
@@ -304,7 +306,9 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
     if not (f > 0 and nu > 0 and beta > 0 and gamma > 0):
         raise DomainError("solve_viscous_stationary requires f, nu, beta, gamma > 0")
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    if not bisection_tol > 0:
+        raise DomainError(f"bisection_tol must be > 0, got {bisection_tol}")
     mu_f = gamma - 2.0 * beta / 3.0
     g_f = pow2(beta / 3.0) * f / nu
     n_class = _HORIZON_FACTOR * n_max + _HORIZON_SLACK
@@ -359,7 +363,7 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
 def asymptotic_flux(z: float, beta: float, nu: float) -> float:
     """Limiting border flux 2^{-4 beta/3} nu^3 z^3 of an anomalous profile."""
     if z < 0:
-        raise ValueError("z must be >= 0")
+        raise DomainError("z must be >= 0")
     return pow2(-4.0 * beta / 3.0) * nu ** 3 * z ** 3
 
 
@@ -383,7 +387,7 @@ def stationary_tree_profile(f: float, nu: float, alpha: float,
     f_classic = pow2(alpha_tilde) * f
     horizon = max(depth, 60) if n_max is None else n_max
     if horizon < depth:
-        raise ValueError("n_max must cover the requested depth")
+        raise DomainError("n_max must cover the requested depth")
     profile = solve_viscous_stationary(f_classic, nu, beta, gamma,
                                        n_max=horizon, bisection_tol=bisection_tol)
     classic_params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f_classic,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from dyadic_cascade import (
     load_state,
     pow2,
 )
+from dyadic_cascade import cli, errors
 from dyadic_cascade.cli import (
     InitialSpec,
     RunConfig,
@@ -123,8 +125,9 @@ class TestBuildInitial:
         ("unsupported version", lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:]),
         ("does not match", lambda raw: raw[:12] + (4).to_bytes(4, "little") + raw[16:]),
         ("expected 120 data bytes, got 117", lambda raw: raw[:-3]),
+        ("bytes after the 120 data bytes", lambda raw: raw + bytes(32)),
     ], ids=["truncated_header", "bad_magic", "unsupported_version",
-            "header_params_mismatch", "short_data"])
+            "header_params_mismatch", "short_data", "trailing_data"])
     def test_malformed_file_raises_state_file_error(self, tmp_path, match, corrupt):
         p = ModelParams(alpha=1.0, branching=2, depth=3)
         path = tmp_path / "state.bin"
@@ -333,11 +336,44 @@ class TestOtherCommands:
         assert abs(result["eta_hat"] - 11 / 6) <= 1e-10
 
 
+#: CascadeError types that are not bad input: the CLI reports them as a
+#: numerical failure.  Every other type must be a DomainError.
+EXIT_2_ERRORS = (
+    errors.CascadeError, errors.RootHasNoParent, errors.NonFiniteState,
+    errors.StepSizeUnderflow, errors.MaxRejections, errors.ForcedRun,
+    errors.RangeError, errors.DepthMismatch, errors.BracketFailure,
+    errors.NoConvergence, errors.OverlapError, errors.GenerationMismatch,
+    errors.PoleMismatch,
+)
+CASCADE_ERRORS = [c for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, errors.CascadeError)]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("error", CASCADE_ERRORS, ids=lambda c: c.__name__)
+    def test_error_type_sets_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        bad_input = issubclass(error, errors.DomainError)
+        assert bad_input != (error in EXIT_2_ERRORS), \
+            f"{error.__name__} must be a DomainError or listed in EXIT_2_ERRORS"
+
+        def run(cfg, out_dir):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_stationary", run)
+        path = write_config(tmp_path, {})
+        rc = main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == (1 if bad_input else 2)
+        prefix = "config error:" if bad_input else "numerical failure:"
+        assert capsys.readouterr().err.startswith(prefix)
+
+
 class TestBadInput:
-    """Bad input exits 1 with a message, never a traceback.  Relative file
-    names resolve in a directory holding s.bin, a valid binary depth-3
-    state, neg.bin, the same state with one negative entry, and short.bin,
-    s.bin without its last three bytes."""
+    """Bad input exits 1 with a message, never a traceback, and writes no
+    output directory.  Relative file names resolve in a directory holding
+    s.bin, a valid binary depth-3 state, neg.bin, the same state with one
+    negative entry, short.bin, s.bin without its last three bytes, and
+    zero.bin, the all-zero state.  A command may carry extra arguments
+    after its name."""
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param("fit-spectrum",
@@ -420,6 +456,46 @@ class TestBadInput:
                      base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
                                  initial={"kind": "file", "path": "short.bin"}),
                      id="simulate_short_state_file"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "nu": math.nan,
+                                         "branching": 2, "depth": 3}),
+                     id="simulate_nu_nan"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "f": math.nan,
+                                         "branching": 2, "depth": 3}),
+                     id="simulate_f_nan"),
+        pytest.param("simulate", base_config(t_end=math.nan), id="simulate_t_end_nan"),
+        pytest.param("simulate",
+                     base_config(mode="symmetric",
+                                 params={"alpha": 0.4, "branching": 2, "depth": 3},
+                                 initial={"kind": "root_only", "value": 0.5}),
+                     id="simulate_symmetric_alpha_not_above_alpha_tilde"),
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 1.0, "depth": 3}, "state_file": "zero.bin"},
+                     id="fit_spectrum_zero_state"),
+        pytest.param("stationary",
+                     {"f": 1.0, "nu": 0.0, "beta": 1.0, "bisection_tol": 0.0},
+                     id="stationary_inviscid_bisection_tol_not_positive"),
+        pytest.param("simulate --dump-state 5", base_config(),
+                     id="simulate_dump_time_after_t_end"),
+        pytest.param("simulate --dump-state -1", base_config(),
+                     id="simulate_dump_time_negative"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
+                                 output_interval=1e-320),
+                     id="simulate_output_interval_overflows"),
+        pytest.param("simulate",
+                     base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
+                                 output_interval=1e-9),
+                     id="simulate_output_interval_tiny"),
+        pytest.param("simulate",
+                     base_config(initial={"kind": "random_positive", "seed": 1,
+                                          "scale": -1.0}),
+                     id="simulate_random_scale_negative"),
+        pytest.param("simulate",
+                     base_config(initial={"kind": "random_positive", "seed": 1,
+                                          "scale": math.inf}),
+                     id="simulate_random_scale_infinite"),
     ])
     def test_exits_1(self, tmp_path, monkeypatch, capsys, command, cfg):
         monkeypatch.chdir(tmp_path)
@@ -429,6 +505,9 @@ class TestBadInput:
         values[2] = -0.5
         dump_state(TreeState(values, p), tmp_path / "neg.bin")
         (tmp_path / "short.bin").write_bytes((tmp_path / "s.bin").read_bytes()[:-3])
+        dump_state(TreeState.zeros(p), tmp_path / "zero.bin")
         path = write_config(tmp_path, cfg)
-        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        argv = command.split() + ["--config", path, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

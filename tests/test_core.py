@@ -16,7 +16,7 @@ from dyadic_cascade import (
     parent,
 )
 from dyadic_cascade.errors import (
-    CapacityExceeded, DepthMismatch, ParameterMismatch, RootHasNoParent)
+    CapacityExceeded, DepthMismatch, DomainError, ParameterMismatch, RootHasNoParent)
 
 
 def brute_force_offsets(branching, depth):
@@ -127,6 +127,11 @@ class TestModelParams:
     def test_capacity_guard(self):
         with pytest.raises(CapacityExceeded):
             ModelParams(alpha=1.0, branching=2, depth=64)
+
+    @pytest.mark.parametrize("name", ["nu", "f"])
+    def test_nan_coefficient_rejected(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0"):
+            ModelParams(alpha=1.0, **{name: math.nan})
 
     def test_coefficients_exact_powers(self):
         p = ModelParams(alpha=1.0, gamma=2.0, branching=2, depth=4)

@@ -27,7 +27,6 @@ class TestEnergyReport:
         assert (rep.cumulative == 1.0).all()
         assert rep.total == 1.0
         assert (rep.boundary_flux == 0.0).all()
-        assert rep.balance_residual is None
 
     def test_generation_one_halves(self):
         p = ModelParams(alpha=1.0, branching=2, depth=2)

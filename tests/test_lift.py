@@ -10,11 +10,13 @@ from dyadic_cascade import (
     lift_params,
     lift_state,
     pow2,
+    project_params,
     project_state,
     rhs_tree,
     verify_lift_equivariance,
 )
-from dyadic_cascade.errors import DepthMismatch, ParameterMismatch, SymmetryError
+from dyadic_cascade.errors import (
+    DepthMismatch, DomainError, ParameterMismatch, SymmetryError)
 
 
 def classic_params(depth=5, **kw):
@@ -32,6 +34,20 @@ class TestLiftSpec:
     def test_non_whole_branching_rejected(self):
         with pytest.raises(ValueError):
             LiftSpec(alpha_tilde=0.3, beta=1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.1, float("nan")])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(DomainError, match="beta = alpha - alpha_tilde"):
+            LiftSpec(alpha_tilde=0.5, beta=beta)
+
+    @pytest.mark.parametrize("alpha_tilde", [-0.5, float("inf"), float("nan")])
+    def test_alpha_tilde_must_be_finite_nonnegative(self, alpha_tilde):
+        with pytest.raises(DomainError, match="alpha_tilde must be finite"):
+            LiftSpec(alpha_tilde=alpha_tilde, beta=1.0)
+
+    def test_subcritical_tree_has_no_classic_projection(self):
+        with pytest.raises(DomainError, match="beta = alpha - alpha_tilde"):
+            project_params(ModelParams(alpha=0.4, branching=2, depth=3))
 
 
 class TestLiftState:

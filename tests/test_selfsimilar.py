@@ -87,6 +87,11 @@ class TestShooting:
         with pytest.raises(DomainError):
             solve_selfsimilar_classic(0.5, 2.0, 10)
 
+    @pytest.mark.parametrize("n0", [-1, 5, 9])
+    def test_n0_must_lie_below_n_max(self, n0):
+        with pytest.raises(DomainError, match="n0 must satisfy"):
+            solve_selfsimilar_classic(-1.0, 1.0, 5, n0=n0)
+
     def test_evaluation_below_pole_rejected(self, profile):
         with pytest.raises(DomainError):
             profile.classic_state(-1.5)

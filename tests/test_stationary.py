@@ -299,3 +299,11 @@ class TestSolverValidation:
             solve_viscous_stationary(0.0, 1.0, 2.0, 2.0)
         with pytest.raises(DomainError):
             solve_viscous_stationary(1.0, 0.0, 2.0, 2.0)
+
+    def test_bisection_tol_must_be_positive(self):
+        with pytest.raises(DomainError, match="bisection_tol"):
+            solve_viscous_stationary(1.0, 1.0, 2.0, 2.0, n_max=10, bisection_tol=0.0)
+
+    def test_inviscid_n_max_must_be_nonnegative(self):
+        with pytest.raises(DomainError, match="n_max"):
+            inviscid_classic_profile(1.0, 2.0, -1)
