@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .dynamics import SolverOptions, balance_residual, energy_report, integrate
+from .dynamics import (SolverOptions, balance_residual, dissipation_time_bound,
+                       energy_report, held_values, integrate)
 from .errors import (
     CapacityExceeded,
     CascadeError,
@@ -47,7 +48,6 @@ from .stationary import (
     inviscid_tree_profile,
     solve_viscous_stationary,
 )
-from .dynamics import dissipation_time_bound
 
 
 def _fmt(x: float) -> str:
@@ -68,10 +68,14 @@ def _check_unknown(d: dict, allowed, path: str):
 
 
 def _number(v, path: str) -> float:
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or isinstance(v, float) and math.isnan(v)):
-        raise ConfigError(f"{path} must be a number, got {v!r}")
-    return float(v)
+    """A finite JSON number as a float."""
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            if math.isfinite(x := float(v)):
+                return x
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{path} must be a finite number, got {v!r}")
 
 
 def _integer(v, path: str) -> int:
@@ -123,8 +127,8 @@ class InitialSpec:
             scale = _number(_require(d, "scale", path), f"{path}.scale")
             # build_initial draws from this module's own generator: no
             # library call checks the scale
-            if not 0 <= scale < math.inf:
-                raise ConfigError(f"{path}.scale must be finite and >= 0, got {scale!r}")
+            if scale < 0:
+                raise ConfigError(f"{path}.scale must be >= 0, got {scale!r}")
             out["scale"] = scale
         return cls(**out)
 
@@ -369,66 +373,55 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
         if not 0.0 <= t <= config.t_end:
             raise ConfigError(f"--dump-state {t!r} is outside the run "
                               f"[0, {config.t_end!r}]")
-    n_out = config.t_end / config.output_interval
-    params = config.params
-    if (n_out + 1) * params.n_nodes > params.max_nodes:
-        raise CapacityExceeded(
-            f"{n_out + 1:.3g} snapshots of {params.n_nodes} values exceed the "
-            f"budget of {params.max_nodes} stored values")
-    outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
-    outputs = sorted({t for t in outputs if 0.0 < t <= config.t_end} |
-                     {config.t_end} | {float(t) for t in dump_times})
-
+    params = run_params = config.params
     scale = 1.0
     if config.mode == "symmetric":
         # evolve the classic system the lifted dynamics projects onto;
         # tree-equivalent energies/fluxes are the classic ones times 2^{-4at}
         spec = LiftSpec.for_branching(params.branching, params.beta)
-        classic_params = project_params(params)
-        classic_initial = _symmetric_classic_initial(config, classic_params, spec)
-        traj = integrate(classic_initial, classic_params, config.t_end,
-                         config.solver, output_times=outputs)
+        run_params = project_params(params)
         scale = pow2(-4.0 * spec.alpha_tilde)
-        report_params = classic_params
-    else:
-        initial = build_initial(config)
-        traj = integrate(initial, params, config.t_end, config.solver,
-                         output_times=outputs)
-        report_params = params
+    n_out = config.t_end / config.output_interval
+    held = held_values(run_params, n_out, len(dump_times))
+    if held > params.max_nodes:
+        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
+                               f"the budget of {params.max_nodes}")
+    outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
 
-    depth = report_params.depth
+    initial = (_symmetric_classic_initial(config, run_params, spec)
+               if config.mode == "symmetric" else build_initial(config))
+    traj = integrate(initial, run_params, config.t_end, config.solver,
+                     output_times=outputs, keep=dump_times)
+
+    depth = run_params.depth
     header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
               + [f"flux_{n}" for n in range(depth)] + ["residual"])
     lines = [",".join(header)]
-    min_component = math.inf
     for i, t in enumerate(traj.times):
-        rep = energy_report(traj.states[i], report_params)
+        cumulative = np.cumsum(traj.energies[i])
         resid = 0.0 if i == 0 else balance_residual(traj, traj.times[0], t)
-        row = ([t, scale * rep.total]
-               + [scale * v for v in rep.cumulative]
-               + [scale * v for v in rep.boundary_flux]
+        row = ([t, scale * cumulative[-1]]
+               + [scale * v for v in cumulative]
+               + [scale * v for v in traj.fluxes[i]]
                + [scale * resid])
         lines.append(",".join(_fmt(v) for v in row))
-        min_component = min(min_component, float(traj.states[i].values.min()))
     _write_text(os.path.join(out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
 
     for t in dump_times:
-        idx = traj._index_of(float(t))
-        dump_state(traj.states[idx],
+        dump_state(traj.state_at(float(t)),
                    os.path.join(out_dir, f"state_t{_fmt(float(t))}.bin"))
 
-    final = traj.states[-1]
     try:
         window = config.fit_window
-        fitted = fit_spectrum(final, report_params, window).eta_hat
+        fitted = fit_spectrum(traj.final, run_params, window).eta_hat
     except DegenerateWindow:
         fitted = None
     summary = {
         "config": config.to_dict(),
         "summary": {
-            "final_energy": scale * energy_report(final, report_params).total,
+            "final_energy": scale * energy_report(traj.final, run_params).total,
             "fitted_decay_exponent": fitted,
-            "max_positivity_violation": max(0.0, -min_component),
+            "max_positivity_violation": max(0.0, -float(traj.min_value.min())),
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
         },
@@ -601,9 +594,9 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 

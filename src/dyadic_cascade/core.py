@@ -133,14 +133,14 @@ class ModelParams:
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if not self.nu >= 0:
-            raise DomainError(f"nu must be >= 0, got {self.nu}")
-        if not self.f >= 0:
-            raise DomainError(f"f must be >= 0, got {self.f}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be > 0 and finite, got {self.alpha}")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be > 0 and finite, got {self.gamma}")
+        if not 0 <= self.nu < math.inf:
+            raise DomainError(f"nu must be >= 0 and finite, got {self.nu}")
+        if not 0 <= self.f < math.inf:
+            raise DomainError(f"f must be >= 0 and finite, got {self.f}")
         if self.depth < 0:
             raise DomainError(f"depth must be >= 0, got {self.depth}")
         if self.branching < 1:
@@ -208,13 +208,3 @@ class TreeState:
     @property
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
-
-    @cached_property
-    def generation_energies(self) -> np.ndarray:
-        """Energy of each generation 0..depth, read-only.  Computed on first
-        use and kept, since the state cannot change: every report on one
-        snapshot shares a single reduction."""
-        from .kernels import generation_energies  # kernels imports core
-        energies = generation_energies(self.params, self.values)
-        energies.setflags(write=False)
-        return energies

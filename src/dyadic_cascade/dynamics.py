@@ -8,6 +8,9 @@ balance (forcing input, per-generation viscous work, per-boundary flux) are
 advanced with the same stage values and weights as the solution, so the
 balance residual is consistent to the solver's order.
 
+A run records a row of reductions per output time, not a state: full states
+are kept only at t_end and at the times the caller names.
+
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs under one
 np.errstate(over="ignore", invalid="ignore"), entered once per call by its
@@ -19,7 +22,7 @@ floating-point error state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,29 +92,36 @@ class EnergyReport:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots plus running work quadratures.
+    """Per-output reductions of one run, plus the states it kept.
 
-    times[i] / states[i] / the i-th rows of the work arrays belong together;
-    each states[i] is a read-only TreeState holding its own copy.  work_x0 is the integral of the root intensity; work_visc[:, g] the
+    Row i of every array belongs to times[i] (t = 0, then each output time):
+    energies[i, g] is the energy of generation g, fluxes[i, n] the flux
+    through the n -> n+1 boundary and min_value[i] the smallest component.
+    work_x0 is the integral of the root intensity; work_visc[:, g] the
     integral of d_g * (generation-g energy); work_flux[:, n] the integral of
-    the n -> n+1 boundary flux (factor 2 included).  step_times/step_energies
-    record the total energy after every accepted step regardless of the
-    snapshot cadence.
+    the n -> n+1 boundary flux (factor 2 included).  final is the state at
+    t_end; kept maps the row index of each kept time, and of t_end, to its
+    state.  Every state is read-only and holds its own copy.
     """
 
     params: ModelParams
     times: np.ndarray
-    states: list
+    energies: np.ndarray
+    fluxes: np.ndarray
+    min_value: np.ndarray
     work_x0: np.ndarray
     work_visc: np.ndarray
     work_flux: np.ndarray
-    step_times: np.ndarray
-    step_energies: np.ndarray
     n_accepted: int
     n_rejected: int
+    final: TreeState
+    kept: dict
 
     def state_at(self, t: float) -> TreeState:
-        return self.states[self._index_of(t)]
+        """The state kept at time t (the final state at t_end)."""
+        if (state := self.kept.get(self._index_of(t))) is None:
+            raise RangeError(f"state at time {t} was not kept")
+        return state
 
     def _index_of(self, t: float) -> int:
         times = self.times
@@ -121,7 +131,7 @@ class Trajectory:
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)):
                 return j
-        raise RangeError(f"time {t} not among recorded snapshot times")
+        raise RangeError(f"time {t} not among recorded output times")
 
 
 def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
@@ -175,21 +185,30 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
     return min(h0, 0.1 * t_end, max_step)
 
 
+def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
+    """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
+    scratch), n_keep kept states, the final state and a row of 4 * depth + 5
+    values at t = 0 and each output time.  n_outputs may be an inf float."""
+    return (12 + n_keep) * params.n_nodes + (n_outputs + 1) * (4 * params.depth + 5)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: TreeState,
     params: ModelParams | None = None,
     t_end: float = 1.0,
     opts: SolverOptions = SolverOptions(),
-    output_times=None,
+    output_times=(),
+    keep=(),
 ) -> Trajectory:
     """Integrate from t = 0 to t_end with the embedded 5(4) pair.
 
-    output_times selects the snapshot times (t = 0 and t_end are always
-    recorded; the solver lands on each output time exactly, stretching the
-    last step onto it when that step ends within rounding of it).  With
-    output_times=None every accepted step is recorded, which is only
-    advisable for small systems.
+    A row of reductions is recorded at t = 0 and at each output time in
+    (0, t_end]; t_end always is one.  The solver lands on each output time
+    exactly, stretching the last step onto it when that step ends within
+    rounding of it; times within rounding of each other share a row (0.3 and
+    3 * 0.1).  keep names output times in [0, t_end] whose state is kept
+    besides the final one.
     """
     params = params or initial.params
     y = np.array(initial.values, dtype=np.float64)
@@ -202,30 +221,41 @@ def integrate(
                           "(positive-solution mode)")
     if not t_end > 0:
         raise DomainError("t_end must be > 0")
+    keep = {float(t) for t in keep}
+    if not all(0.0 <= t <= t_end for t in keep):
+        raise DomainError(f"keep times must lie in [0, {t_end!r}]")
 
     kernel = make_kernel(params)
     depth = params.depth
     nq_v = depth + 1
 
-    if output_times is None:
-        targets = None
-    else:
-        targets = []
-        for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
-                        | {t_end}):
-            if targets and t - targets[-1] <= _rounding_gap(t):
-                targets.pop()  # one snapshot serves both (0.3 and 3 * 0.1)
-            targets.append(t)
+    targets = []
+    for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
+                    | keep - {0.0} | {t_end}):
+        if targets and t - targets[-1] <= _rounding_gap(t):
+            targets.pop()  # one row serves both (0.3 and 3 * 0.1)
+        targets.append(t)
 
     n = y.size
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
     q = np.zeros(nw)       # running quadratures, same layout
 
-    rec_t = [0.0]
-    rec_states = [TreeState(y, params)]
-    rec_q = [q.copy()]
-    step_t = []
-    step_E = []
+    times = np.array([0.0] + targets)
+    # a time merged into a later one shares its row; the final state is kept
+    kept_rows = {int(np.searchsorted(times, t)) for t in keep} | {len(targets)}
+    energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
+    min_value = np.empty(times.size)
+    kept = {}
+
+    def record(i, y):
+        energies[i] = generation_energies(params, y)
+        fluxes[i] = boundary_fluxes(params, y)
+        min_value[i] = y.min()
+        work[i] = q
+        if i in kept_rows:
+            kept[i] = TreeState(y, params)
+
+    record(0, y)
 
     reject_halve = opts.positivity_mode == "reject-and-halve"
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -250,7 +280,7 @@ def integrate(
     just_rejected = False
 
     while t < t_end:
-        target = t_end if targets is None else targets[ti]
+        target = targets[ti]
         # a step ending within rounding of the target is stretched onto it,
         # so the target is neither skipped nor followed by a vanishing step
         lands = t + h >= target - _rounding_gap(target)
@@ -311,15 +341,9 @@ def integrate(
             y, yy = y5, y  # the old y buffer takes the next stage inputs
             K[0] = K[6]
             W[0] = W[6]
-        step_t.append(t)
-        step_E.append(float(np.add.reduce(np.square(y, out=scratch))))
-
-        if targets is None or t == target:
-            rec_t.append(t)
-            rec_states.append(TreeState(y, params))
-            rec_q.append(q.copy())
         if t == target:
             ti += 1
+            record(ti, y)
 
         grow = _step_factor(err_norm)
         if just_rejected:
@@ -327,20 +351,11 @@ def integrate(
             just_rejected = False
         h = min(opts.max_step, h * grow)
 
-    rec_q_arr = np.array(rec_q)
-
     return Trajectory(
-        params=params,
-        times=np.array(rec_t),
-        states=rec_states,
-        work_x0=rec_q_arr[:, 0],
-        work_visc=rec_q_arr[:, 1:1 + nq_v],
-        work_flux=rec_q_arr[:, 1 + nq_v:],
-        step_times=np.array(step_t),
-        step_energies=np.array(step_E),
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-    )
+        params=params, times=times, energies=energies, fluxes=fluxes,
+        min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
+        work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, n_rejected=n_rej,
+        final=kept[ti], kept=kept)
 
 
 def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:
@@ -349,8 +364,7 @@ def energy_report(state: TreeState, params: ModelParams | None = None) -> Energy
     All sums are fixed-order pairwise reductions.
     """
     params = params or state.params
-    per_gen = (state.generation_energies if params is state.params
-               else generation_energies(params, state.values))
+    per_gen = generation_energies(params, state.values)
     cumulative = np.cumsum(per_gen)
     return EnergyReport(
         per_generation=per_gen,
@@ -379,8 +393,8 @@ def balance_residual(traj: Trajectory, s: float, t: float,
     m = params.depth if generation is None else generation
     if not 0 <= m <= params.depth:
         raise RangeError(f"observation generation {m} outside 0..{params.depth}")
-    e_t = float(np.add.reduce(traj.states[j].generation_energies[: m + 1]))
-    e_s = float(np.add.reduce(traj.states[i].generation_energies[: m + 1]))
+    e_t = float(np.add.reduce(traj.energies[j, : m + 1]))
+    e_s = float(np.add.reduce(traj.energies[i, : m + 1]))
     forcing = 2.0 * params.f ** 2 * (traj.work_x0[j] - traj.work_x0[i])
     viscous = 2.0 * params.nu * float(
         np.add.reduce(traj.work_visc[j, : m + 1] - traj.work_visc[i, : m + 1]))
@@ -397,7 +411,7 @@ def flux_budget_check(traj: Trajectory, n: int) -> tuple[float, float]:
         raise RangeError(f"boundary index {n} outside -1..{params.depth}")
     if n == -1:
         return 0.0, 0.0
-    e_n0 = float(np.add.reduce(traj.states[0].generation_energies[: n + 1]))
+    e_n0 = float(np.add.reduce(traj.energies[0, : n + 1]))
     if n == params.depth:
         return 0.0, e_n0  # no stored generation beyond the truncation
     return float(traj.work_flux[-1, n]), e_n0

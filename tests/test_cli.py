@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from dyadic_cascade.cli import (
     main,
     run_simulate,
 )
-from dyadic_cascade.errors import ConfigError, DegenerateWindow, StateFileError
+from dyadic_cascade.errors import (
+    CapacityExceeded,
+    ConfigError,
+    DegenerateWindow,
+    StateFileError,
+)
 
 
 def base_config(**overrides):
@@ -37,6 +43,11 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def raw_config(cfg, literal: str) -> bytes:
+    """cfg as JSON bytes with the string "<>" replaced by literal."""
+    return json.dumps(cfg).replace('"<>"', literal).encode()
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -220,6 +231,30 @@ class TestSimulateCommand:
         p = ModelParams(alpha=1.0, f=0.4, branching=2, depth=4)
         state = load_state(dumped, p)
         assert state.values[0] > 0
+
+    def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
+        # binary depth 8 has 511 nodes.  Two outputs of 511 values fit in
+        # 4000, but the 11 integrator arrays, the final state and a row of
+        # 4 * 8 + 5 values at each of the 2 recorded times do not
+        config = RunConfig.from_dict(base_config(
+            params={"alpha": 1.0, "f": 0.5, "branching": 2, "depth": 8},
+            t_end=0.5, output_interval=0.5))
+        for dumps in ((), (0.0, 0.5)):
+            out = tmp_path / f"o{len(dumps)}"
+            held = (11 + len(dumps) + 1) * 511 + 2 * (4 * 8 + 5)
+            for budget in (4000, held - 1):
+                cfg = replace(config, params=replace(config.params, max_nodes=budget))
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "build_initial", None)  # raised before it runs
+                    with pytest.raises(CapacityExceeded):
+                        run_simulate(cfg, out, dump_times=dumps)
+                assert not out.exists()
+            cfg = replace(config, params=replace(config.params, max_nodes=held))
+            assert run_simulate(cfg, out, dump_times=dumps).n_accepted > 0
+        # symmetric mode holds the 9-shell classic run, not the tree
+        sym = replace(config, mode="symmetric", initial=InitialSpec("root_only", 0.5),
+                      params=replace(config.params, max_nodes=4000))
+        assert run_simulate(sym, tmp_path / "s").n_accepted > 0
 
     def test_outputs_deterministic_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
@@ -508,6 +543,38 @@ class TestBadInput:
         dump_state(TreeState.zeros(p), tmp_path / "zero.bin")
         path = write_config(tmp_path, cfg)
         argv = command.split() + ["--config", path, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(raw_config(base_config(params={"alpha": "<>", "depth": 3}),
+                                "1e999"),
+                     id="simulate_alpha_1e999"),
+        pytest.param(raw_config(base_config(params={"alpha": 1.0, "gamma": "<>",
+                                                    "depth": 3}), "1e999"),
+                     id="simulate_gamma_1e999"),
+        pytest.param(raw_config(base_config(initial={"kind": "root_only",
+                                                     "value": "<>"}), "1e999"),
+                     id="simulate_root_value_1e999"),
+        pytest.param(raw_config(base_config(t_end="<>"), "1" + "0" * 400),
+                     id="simulate_t_end_beyond_float_range"),
+        pytest.param(raw_config(base_config(t_end="<>"), "1" + "0" * 5000),
+                     id="simulate_t_end_beyond_int_digit_limit"),
+        pytest.param(json.dumps(base_config()).encode("utf-16"),
+                     id="config_not_utf8"),
+        pytest.param(None, id="config_is_directory"),
+    ])
+    def test_config_file_exits_1(self, tmp_path, capsys, content):
+        """The same contract for config files that a dict cannot express:
+        raw JSON literals, bytes that are not UTF-8, and a directory
+        (content None)."""
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

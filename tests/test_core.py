@@ -133,6 +133,11 @@ class TestModelParams:
         with pytest.raises(DomainError, match=f"^{name} must be >= 0"):
             ModelParams(alpha=1.0, **{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "nu", "f"])
+    def test_infinite_coefficient_rejected(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be .* finite"):
+            ModelParams(**{"alpha": 1.0, name: math.inf})
+
     def test_coefficients_exact_powers(self):
         p = ModelParams(alpha=1.0, gamma=2.0, branching=2, depth=4)
         for g in range(5):

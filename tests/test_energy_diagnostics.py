@@ -15,7 +15,7 @@ from dyadic_cascade import (
     solve_viscous_stationary,
 )
 from dyadic_cascade.errors import ForcedRun, RangeError
-from dyadic_cascade.kernels import generation_energies
+from dyadic_cascade.kernels import boundary_fluxes, generation_energies
 
 
 class TestEnergyReport:
@@ -73,7 +73,8 @@ class TestBalanceResidual:
         traj = integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[0.5, 1.0])
         r = balance_residual(traj, 0.0, 1.0)
-        E0 = traj.step_energies[0]
+        E0 = traj.energies[0].sum()
+        assert E0 == energy_report(x).total
         assert abs(r) <= 1e-8 * E0
 
     def test_forced_viscous_balances(self):
@@ -97,7 +98,7 @@ class TestBalanceResidual:
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-18),
                          output_times=[0.5])
         r = balance_residual(traj, 0.0, 0.5)
-        scale = max(1.0, traj.step_energies[0])
+        scale = max(1.0, traj.energies[0].sum())
         assert abs(r) <= 1e-8 * scale
         # and the two work terms individually nearly cancel
         forcing = 2 * state.params.f ** 2 * traj.work_x0[-1]
@@ -116,19 +117,22 @@ class TestBalanceResidual:
             assert r <= 0.0
             assert r == pytest.approx(-traj.work_flux[-1, m], abs=1e-10)
 
-    def test_snapshot_energies_are_computed_once(self):
+    def test_rows_are_reductions_of_kept_states(self):
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=0.5, branching=4, depth=3)
         rng = np.random.default_rng(9)
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
-        traj = integrate(x, p, 0.4, output_times=[0.1, 0.2, 0.3])
+        traj = integrate(x, p, 0.4, output_times=[0.1, 0.2, 0.3],
+                         keep=[0.0, 0.1, 0.2, 0.3])
         for i, t in enumerate(traj.times):
-            state = traj.states[i]
-            assert energy_report(state, p).per_generation is state.generation_energies
-            assert not state.generation_energies.flags.writeable
+            y = traj.state_at(t).values
+            # each row is the plain reduction of its state, bit for bit
+            assert (traj.energies[i] == generation_energies(p, y)).all()
+            assert (traj.fluxes[i] == boundary_fluxes(p, y)).all()
+            assert traj.min_value[i] == y.min()
             if i == 0:
                 continue
-            # the shared sums are the plain per-slice reductions, bit for bit
-            e = [generation_energies(p, traj.states[k].values) for k in (0, i)]
+            e = [generation_energies(p, traj.state_at(traj.times[k]).values)
+                 for k in (0, i)]
             expected = (float(np.add.reduce(e[1])) - float(np.add.reduce(e[0]))
                         - 2.0 * p.f ** 2 * (traj.work_x0[i] - traj.work_x0[0])
                         + 2.0 * p.nu * float(np.add.reduce(

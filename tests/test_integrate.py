@@ -13,16 +13,25 @@ from dyadic_cascade import (
     solve_selfsimilar_classic,
 )
 from dyadic_cascade.dynamics import _error_norm
-from dyadic_cascade.errors import MaxRejections, NonFiniteState, RangeError, StepSizeUnderflow
+from dyadic_cascade.errors import (
+    DomainError,
+    MaxRejections,
+    NonFiniteState,
+    RangeError,
+    StepSizeUnderflow,
+)
 
 
 class TestBasics:
     def test_zero_initial_unforced_stays_zero(self):
         p = ModelParams(alpha=1.0, branching=2, depth=4, f=0.0)
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0)
-        for s in traj.states:
-            assert (s.values == 0.0).all()
-        assert (traj.step_energies == 0.0).all()
+        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+                         output_times=np.linspace(0.01, 1.0, 100))
+        assert len(traj.times) == 101
+        assert (traj.energies == 0.0).all()
+        assert (traj.fluxes == 0.0).all()
+        assert (traj.min_value == 0.0).all()
+        assert (traj.final.values == 0.0).all()
 
     def test_output_times_are_recorded_exactly(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
@@ -40,29 +49,56 @@ class TestBasics:
                          opts=SolverOptions(initial_step=h, max_step=h),
                          output_times=[0.5, 1.0])
         assert list(traj.times) == [0.0, 0.5, 1.0]
-        assert traj.step_times[-1] == 1.0
+        assert traj.times[-1] == 1.0
 
     def test_output_times_within_rounding_share_a_snapshot(self):
         # 3 * 0.1 = 0.30000000000000004 is one ulp above 0.3; landing on both
         # used to need a vanishing step (StepSizeUnderflow)
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.5)
         traj = integrate(TreeState.zeros(p), p, t_end=1.0,
-                         output_times=[0.3, 3 * 0.1, 1.0 - 1e-16])
+                         output_times=[0.3, 3 * 0.1, 1.0 - 1e-16], keep=[0.3])
         assert list(traj.times) == [0.0, 3 * 0.1, 1.0]
-        assert traj.state_at(0.3) is traj.states[1]
+        assert traj.state_at(0.3) is traj.state_at(3 * 0.1) is traj.kept[1]
+        assert traj.state_at(1.0 - 1e-16) is traj.final
 
     def test_snapshots_are_separate_read_only_states(self):
         for branching in (1, 2):
             p = ModelParams(alpha=1.0, f=0.5, branching=branching, depth=4)
             traj = integrate(TreeState.zeros(p), p, t_end=0.3,
-                             output_times=[0.1, 0.2])
-            assert len(traj.states) == 4
-            for i, s in enumerate(traj.states):
+                             output_times=[0.1, 0.2], keep=[0.0, 0.1, 0.2])
+            states = [traj.state_at(t) for t in traj.times]
+            assert len(states) == 4
+            assert states[-1] is traj.final
+            for i, s in enumerate(states):
                 assert type(s) is TreeState
                 assert s.params is p
                 assert not s.values.flags.writeable
-                for other in traj.states[:i]:
+                for other in states[:i]:
                     assert not np.shares_memory(s.values, other.values)
+
+    def test_only_final_and_kept_states_are_held(self):
+        p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
+        outputs = [i / 100 for i in range(1, 101)]
+        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+                         output_times=outputs, keep=[0.25, 0.5])
+        assert len(traj.times) == 101
+        held = [traj.state_at(0.25), traj.state_at(0.5), traj.final]
+        assert sorted(traj.kept) == [25, 50, 100]
+        assert all(traj.kept[i] is s for i, s in zip((25, 50, 100), held))
+        for i, s in enumerate(held):
+            assert not s.values.flags.writeable
+            for other in held[:i]:
+                assert not np.shares_memory(s.values, other.values)
+        with pytest.raises(RangeError, match="not kept"):
+            traj.state_at(0.3)
+        with pytest.raises(RangeError, match="not kept"):
+            traj.state_at(0.0)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_keep_time_outside_run_rejected(self, t):
+        p = ModelParams(alpha=1.0, branching=2, depth=2)
+        with pytest.raises(DomainError, match="keep times"):
+            integrate(TreeState.zeros(p), p, t_end=1.0, keep=[t])
 
     def test_t_end_always_recorded(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
@@ -97,7 +133,7 @@ class TestStationarity:
         traj = integrate(prof, p, t_end=1.0,
                          opts=SolverOptions(rel_tol=rel_tol, abs_tol=1e-30),
                          output_times=[1.0])
-        final = traj.states[-1].values
+        final = traj.final.values
         offs = p.offsets
         interior = slice(0, offs[5])
         rel = np.abs(final[interior] - prof.values[interior]) / prof.values[interior]
@@ -113,13 +149,11 @@ class TestSelfSimilarTracking:
         y0 = ss.classic_state(0.0)
         traj = integrate(y0, y0.params, t_end=0.1,
                          opts=SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
-                         output_times=[0.05, 0.1])
+                         output_times=[0.05, 0.1], keep=[0.05, 0.1])
         worst = np.zeros(3)
-        for i, t in enumerate(traj.times):
-            if t == 0.0:
-                continue
+        for t in traj.times[1:]:
             exact = ss.b[:3] / (t + 1.0)
-            worst = np.maximum(worst, np.abs(traj.states[i].values[:3] - exact) / exact)
+            worst = np.maximum(worst, np.abs(traj.state_at(t).values[:3] - exact) / exact)
         assert worst[0] <= 1e-4
         assert worst[1] <= 5e-3
         assert worst[2] <= 5e-2
@@ -133,7 +167,7 @@ class TestSelfSimilarTracking:
                              opts=SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                              output_times=[0.1])
             exact = ss.b[0] / 1.1
-            errs[depth] = abs(traj.states[-1].values[0] - exact) / exact
+            errs[depth] = abs(traj.final.values[0] - exact) / exact
         assert errs[10] < errs[8]
 
 
@@ -143,38 +177,43 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         x = TreeState(rng.uniform(0.0, 0.1, p.n_nodes), p)
         traj = integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
-                         output_times=[1.0])
-        E0 = energy_report(traj.states[0]).total
-        E1 = energy_report(traj.states[-1]).total
+                         output_times=np.linspace(0.01, 1.0, 100))
+        E0 = energy_report(x).total
+        E1 = energy_report(traj.final).total
         assert abs(E1 - E0) / E0 <= 100 * 1e-10
-        steps = traj.step_energies
-        assert (np.diff(steps) <= 1e-12 * steps[:-1]).all()
+        totals = traj.energies.sum(axis=1)
+        assert len(totals) == 101
+        assert (np.diff(totals) <= 1e-12 * totals[:-1]).all()
 
     def test_growth_bound_and_strict_positivity(self):
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=1.0, branching=2, depth=6)
         vals = np.zeros(p.n_nodes)
         vals[0] = 0.5
         traj = integrate(TreeState(vals, p), p, 2.0,
-                         SolverOptions(rel_tol=1e-8, abs_tol=1e-14))
-        E0 = energy_report(traj.states[0]).total
-        for t, E in zip(traj.step_times, traj.step_energies):
+                         SolverOptions(rel_tol=1e-8, abs_tol=1e-14),
+                         output_times=np.linspace(0.02, 2.0, 100))
+        E0 = energy_report(TreeState(vals, p)).total
+        assert len(traj.times) == 101
+        for t, E in zip(traj.times, traj.energies.sum(axis=1)):
             assert E <= (E0 + 1.0) * math.exp(2.0 * p.f ** 2 * t) * (1 + 1e-12)
         # forcing + positive root data make every component strictly positive
-        final = traj.states[-1].values
+        final = traj.final.values
         assert (final > 0.0).all()
-        for s in traj.states:
-            assert s.values.min() >= 0.0
+        assert (traj.min_value >= 0.0).all()
 
     def test_determinism_bitwise(self):
         p = ModelParams(alpha=1.3, gamma=1.1, nu=0.05, f=0.4, branching=2, depth=5)
         rng = np.random.Generator(np.random.Philox(9))
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
         opts = SolverOptions(rel_tol=1e-9, abs_tol=1e-15)
-        t1 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8])
-        t2 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8])
+        t1 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
+        t2 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
         assert (t1.times == t2.times).all()
-        for a, b in zip(t1.states, t2.states):
-            assert (a.values == b.values).all()
+        for t in (0.4, 0.8):
+            assert (t1.state_at(t).values == t2.state_at(t).values).all()
+        assert (t1.energies == t2.energies).all()
+        assert (t1.fluxes == t2.fluxes).all()
+        assert (t1.min_value == t2.min_value).all()
         assert (t1.work_visc == t2.work_visc).all()
         assert (t1.work_flux == t2.work_flux).all()
         assert t1.work_x0.tolist() == t2.work_x0.tolist()
@@ -223,9 +262,11 @@ class TestPositivityModes:
         x = TreeState(rng.uniform(0.0, 1.0, p.n_nodes), p)
         traj = integrate(x, p, 0.2,
                          SolverOptions(rel_tol=1e-6, abs_tol=1e-12,
-                                       positivity_mode="clamp-to-zero"))
-        for s in traj.states:
-            assert s.values.min() >= 0.0
+                                       positivity_mode="clamp-to-zero"),
+                         output_times=np.linspace(0.002, 0.2, 100))
+        assert len(traj.times) == 101
+        assert (traj.min_value >= 0.0).all()
+        assert traj.final.values.min() >= 0.0
 
 
 class TestErrorNorm:

@@ -187,6 +187,6 @@ class TestFlowCommutation:
         traj_cl = integrate(y0, p, 0.5, opts, output_times=[0.5])
         x0 = lift_state(y0, spec)
         traj_tr = integrate(x0, x0.params, 0.5, opts, output_times=[0.5])
-        lifted_final = lift_state(traj_cl.states[-1], spec)
-        sup = np.abs(lifted_final.values - traj_tr.states[-1].values).max()
+        lifted_final = lift_state(traj_cl.final, spec)
+        sup = np.abs(lifted_final.values - traj_tr.final.values).max()
         assert sup <= 10 * rel_tol

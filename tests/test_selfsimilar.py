@@ -185,7 +185,7 @@ class TestGraft:
         traj = integrate(state0, state0.params, 0.2,
                          SolverOptions(rel_tol=1e-9, abs_tol=1e-16),
                          output_times=[0.2])
-        final = traj.states[-1].values
+        final = traj.final.values
         # untouched complement stays exactly zero
         touched = np.zeros(base.params.n_nodes, dtype=bool)
         for root in (3, 6):
@@ -249,7 +249,7 @@ class TestPoleTranslation:
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-18),
                          output_times=[s])
         expected = grafted.at_time(s).values
-        got = traj.states[-1].values
+        got = traj.final.values
         offs = state0.params.offsets
         for g, tol in ((0, 2e-4), (1, 1e-2), (2, 1e-1)):
             sl = slice(offs[g], offs[g + 1])
