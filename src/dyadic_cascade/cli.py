@@ -468,6 +468,8 @@ def run_stationary(cfg: dict, out_dir):
             "threshold": info.threshold, "z_limit": profile.z_limit,
             "asymptotic_flux": flux, "z0": float(profile.z[1]),
             "bracket": list(profile.bracket),
+            "newton_iterations": profile.newton_iterations,
+            "newton_residual": profile.newton_residual,
         }
         rows = [(n, profile.z[n + 1], profile.y[n]) for n in range(n_max + 1)]
 
@@ -506,7 +508,9 @@ def run_selfsimilar(cfg: dict, out_dir):
         "t0": profile.t0, "beta": profile.beta, "n0": nz,
         "b_first_nonzero": float(profile.b[nz]),
         "w_limit": profile.w_limit,
-        "bracket": list(profile.bracket) if profile.bracket else None,
+        "bracket": list(profile.bracket),
+        "newton_iterations": profile.newton_iterations,
+        "newton_residual": profile.newton_residual,
         "tail_ratio": float(profile.b[n_max] / profile.b[n_max - 1]),
     }
     _write_json(os.path.join(out_dir, "selfsimilar.json"), summary)
@@ -598,6 +602,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError("config nests too deeply to parse") from e
 
 
 def main(argv=None) -> int:

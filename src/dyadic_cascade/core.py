@@ -39,20 +39,24 @@ def pow2(x: float) -> float:
 def node_count(branching: int, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
     """Total number of nodes in generations 0..depth of the complete tree.
 
-    Raises CapacityExceeded if the count would exceed ``max_nodes``.
+    Raises CapacityExceeded if the count would exceed ``max_nodes``; a
+    count that cannot fit is rejected from bit lengths, without building it.
     """
     if branching < 1:
         raise DomainError(f"branching must be >= 1, got {branching}")
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
+    budget_bits = int(max_nodes).bit_length()
     if branching == 1:
         count = depth + 1
+    elif depth * (branching.bit_length() - 1) >= budget_bits:
+        count = None  # at least branching**depth >= 2**budget_bits nodes
     else:
         count = (branching ** (depth + 1) - 1) // (branching - 1)
-    if count > max_nodes:
+    if count is None or count > max_nodes:
         raise CapacityExceeded(
-            f"node_count({branching}, {depth}) = {count} exceeds budget {max_nodes}"
-        )
+            f"a tree of branching {branching} and depth {depth} holds more "
+            f"than the budget of {max_nodes} nodes")
     return count
 
 

@@ -5,18 +5,26 @@ On the chain model the coefficients obey
     -b_n = 2^{beta n} b_{n-1}^2 - 2^{beta (n+1)} b_n b_{n+1},   b_{-1} = 0,
 
 a one-parameter recurrence in b_0; only one b_0 yields the positive,
-square-summable decaying branch.  The shooting works in the scaled variables
-w_n = 2^{beta n / 3} b_n, whose recurrence
+square-summable decaying branch.  In the scaled variables
+w_n = 2^{beta n / 3} b_n the recurrence reads
 
-    w_{n+1} = w_{n-1}^2 / w_n + 2^{-2 beta (n+1)/3}
+    w_{n+1} = w_{n-1}^2 / w_n + q^{n+1},      q = 2^{-2 beta / 3},
 
-settles on a strictly positive plateau exactly at the root; off the root, a
-perturbation mode of ratio -2 takes over, producing dips (and rebound
-spikes) whose index parity identifies the shooting direction: w_n is
+so w_1 = q whatever b_0 is, and the wanted branch settles on a strictly
+positive plateau.  It is solved as one boundary-value problem: the unknowns
+are (w_0, w_2, ..., w_M), M = n_max + _PAD, the equations are the recurrence
+for n = 1..M, and the plateau closure w_{M+1} = w_M ends it.  In this order
+the Jacobian is tridiagonal, so each damped Newton step (started from
+w = 1) is one O(M) Thomas solve.
+
+The root is certified as in the stationary solver.  Off the root a
+perturbation mode of ratio -2 takes over the forward recurrence and produces
+dips (and rebound spikes) whose index parity tells the direction: w_n is
 increasing in w_0 for even n >= 2 and decreasing for odd n, so a dip at an
-even index means w_0 was too small.  The dip/spike thresholds are recorded
-in _DIP_RATIO; their adequacy is established by the trajectory-tracking
-tests, and inconsistent bracketing raises BracketFailure loudly.
+even index means w_0 was too small.  _DIP_RATIO holds the dip/spike
+threshold.  bisect_shooting narrows a bracket around the Newton w_0 with
+that rule to the default bisection_tol, and inconsistent bracketing raises
+BracketFailure loudly.
 
 The solution whose first nonzero coefficient sits at index n0 >= 1 is the
 base solution shifted and scaled: b'_{n0+m} = 2^{-beta n0} b_m (the
@@ -35,13 +43,20 @@ from .errors import (
     DepthMismatch,
     DomainError,
     GenerationMismatch,
-    NoConvergence,
     OverlapError,
     ParameterMismatch,
     PoleMismatch,
 )
 from .lift import LiftSpec, scale_factor
-from .stationary import bisect_shooting, _DPS_BASE, _DPS_PER_LEVEL, _HORIZON_FACTOR, _HORIZON_SLACK
+from .stationary import (
+    BISECTION_TOL,
+    _PAD,
+    bisect_shooting,
+    certificate_precision,
+    certified_bracket,
+    damped_newton,
+    start_bracket,
+)
 
 #: Ratio between consecutive scaled coefficients that counts as a dip/spike.
 _DIP_RATIO = 8.0
@@ -55,7 +70,10 @@ class SelfSimilarProfile:
     n0 >= 1).  After lift_selfsimilar, a[n] carries the per-generation tree
     coefficient a_j = 2^{-(n+2) alpha_tilde} b_n (constant within each
     generation; materialized on demand).  w_limit is the plateau of the
-    scaled recurrence, a conditioning diagnostic.
+    scaled recurrence, a conditioning diagnostic.  bracket is the
+    parity-certified bracket on b_0 = w_0; newton_iterations and
+    newton_residual (the largest final residual, relative to max(1, |x_n|))
+    describe the Newton solve.
     """
 
     t0: float
@@ -66,6 +84,8 @@ class SelfSimilarProfile:
     a: np.ndarray | None = None
     w_limit: float | None = None
     bracket: tuple[float, float] | None = None
+    newton_iterations: int | None = None
+    newton_residual: float | None = None
 
     @property
     def n_max(self) -> int:
@@ -106,9 +126,27 @@ def _classify_dips(w0, q_eps, n_levels, ratio):
     return "survive", None
 
 
+def _selfsimilar_system(x, q, q_pow):
+    """Residual w_{n+1} - q^{n+1} - w_{n-1}^2 / w_n, n = 1..M, and its
+    Jacobian in the unknowns x = (w_0, w_2, ..., w_M); w_1 = q and the
+    closure w_{M+1} = w_M.  None unless every w_n > 0."""
+    w = np.concatenate((x[:1], [q], x[1:]))
+    if not (w > 0).all():
+        return None
+    nxt = np.append(w[2:], w[-1])
+    ratio = w[:-1] / w[1:]                  # w_{n-1} / w_n
+    diag = ratio ** 2
+    diag[0] = -2.0 * ratio[0]               # d/dw_0 of the n = 1 row
+    diag[-1] += 1.0
+    sub = -2.0 * ratio
+    sub[1] = 0.0                            # w_1 is not an unknown
+    return nxt - q_pow - w[:-1] * ratio, sub, diag, np.ones(len(x))
+
+
 def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
-                              n0: int = 0, max_iter: int = 600) -> SelfSimilarProfile:
-    """Find the positive decaying coefficient sequence by bisection on b_0.
+                              n0: int = 0) -> SelfSimilarProfile:
+    """Solve for the positive decaying coefficient sequence and certify b_0
+    by the parity rule.
 
     The algebraic system for b does not involve t0; the pole time only enters
     when the profile is evaluated, Y_n(t) = b_n/(t - t0).
@@ -122,33 +160,30 @@ def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
     if not 0 <= n0 < n_max:
         raise DomainError(f"n0 must satisfy 0 <= n0 < n_max = {n_max}, got {n0}")
 
-    n_class = _HORIZON_FACTOR * n_max + _HORIZON_SLACK
-    dps = _DPS_BASE + int(_DPS_PER_LEVEL * n_class)
+    top = n_max + _PAD
+    q = pow2(-2.0 * beta / 3.0)
+    q_pow = q ** np.arange(2.0, top + 2)
+    x, iterations, residual = damped_newton(
+        lambda x: _selfsimilar_system(x, q, q_pow), np.ones(top), "w")
+    w = np.concatenate((x[:1], [q], x[1:]))
+    root = float(w[0])
+
+    horizon, dps = certificate_precision(BISECTION_TOL)
     with mp.workdps(dps):
         q_eps = mp.mpf(2) ** (-2 * mp.mpf(beta) / 3)
 
         def classify(a):
-            return _classify_dips(a, q_eps, n_class, _DIP_RATIO)
+            return _classify_dips(a, q_eps, horizon, _DIP_RATIO)
 
-        width_floor = mp.mpf(10) ** (-(dps - 15))
-        root, (lo, hi), survived = bisect_shooting(
-            classify, mp.mpf(1), max_iter=max_iter, width_floor=width_floor,
-            what="b_0")
-        if not survived:
-            raise NoConvergence(
-                "no plateau-stable b_0 found before the precision floor; "
-                "dip thresholds or precision budget need revisiting")
-        # rebuild the plateau and scale back to b
-        w = [mp.mpf(0), root]
-        for n in range(n_max):
-            w.append(w[-2] ** 2 / w[-1] + q_eps ** (n + 1))
-        qb = mp.mpf(2) ** (-mp.mpf(beta) / 3)
-        b = np.array([float(w[n + 1] * qb ** n) for n in range(n_max + 1)])
-        w_limit = float(w[-1])
-        bracket = (float(lo), float(hi))
+        lo, hi = bisect_shooting(classify, start_bracket(root),
+                                 width_floor=BISECTION_TOL, what="b_0")
+        bracket = certified_bracket(root, lo, hi, "b_0")
 
+    b = w[: n_max + 1] * np.exp2(-beta / 3.0 * np.arange(n_max + 1))
     profile = SelfSimilarProfile(t0=float(t0), beta=float(beta), b=b,
-                                 w_limit=w_limit, bracket=bracket)
+                                 w_limit=float(w[n_max]), bracket=bracket,
+                                 newton_iterations=iterations,
+                                 newton_residual=residual)
     return shifted_profile(profile, n0) if n0 > 0 else profile
 
 

@@ -1,6 +1,6 @@
 """Stationary solutions: explicit inviscid profiles, the viscous shell
-recurrence with its nested-interval shooting solver, regime classification,
-and the limiting border flux.
+recurrence with its Newton solver and parity certificate, regime
+classification, and the limiting border flux.
 
 The viscous stationary classic profile is found through the rescaled
 variables Z_n = nu^{-1} 2^{beta (n+2)/3} Y_n, which obey
@@ -8,20 +8,34 @@ variables Z_n = nu^{-1} 2^{beta (n+2)/3} Y_n, which obey
     Z_{-1} = g := nu^{-1} 2^{beta/3} f,
     Z_{n+1} = Z_{n-1}^2 / Z_n - 2^{mu n},      mu = gamma - (2/3) beta.
 
-Shooting on Z_0: the first index where the sequence goes non-positive
-classifies the trial (Z_n is increasing in Z_0 for even n, decreasing for
-odd n, so an even first failure means Z_0 was too small, odd means too
-large).  Relative error in Z_0 roughly doubles per level, so the recurrence
-is iterated in extended precision with a classification horizon well past
-n_max.  For mu >= 0 the true sequence decays doubly exponentially and no
-finite precision can keep the forward recurrence positive for 60 levels;
-past the well-conditioned head the sequence is completed with the same
-recurrence solved in its contracting direction,
-Z_m = Z_{m-1}^2 / (2^{mu m} + Z_{m+1}).
+Exactly one Z_0 keeps the sequence positive, and shooting forward from it is
+unstable: relative error in Z_0 roughly doubles per level.  The sequence is
+therefore solved as one boundary-value problem in u_n = ln Z_n, n = 0..M with
+M = n_max + _PAD:
+
+    logaddexp(u_{n+1}, mu n ln 2) = 2 u_{n-1} - u_n,      u_{-1} = ln g,
+
+closed by Z_{M+1} = Z_M for mu < 0 (the plateau) and Z_{M+1} = 0 for mu >= 0
+(doubly exponential decay).  Each equation couples n-1, n and n+1, so the
+Jacobian is tridiagonal with positive pivots and a damped Newton step
+(Deuflhard's natural monotonicity test) is one O(M) Thomas solve.  The
+window starts at _WINDOW_STEP levels and grows by as many at a time; each new
+level is seeded with the contracting form of the recurrence,
+Z_m = Z_{m-1}^2 / (2^{mu m} + Z_{m+1}), taking Z_{m+1} ~ Z_{m-1}.  Log
+variables keep the doubly exponential tail informative where Z underflows
+float64.
+
+The Newton root is certified by the parity rule of the forward recurrence:
+Z_n is increasing in Z_0 for even n and decreasing for odd n, so a trial whose
+first non-positive value has an even index lies below the root, odd above.
+bisect_shooting narrows a bracket of +-_START_HALF_WIDTH around the Newton Z_0
+with that rule, in extended precision, to bisection_tol; the Newton root must
+lie in the result.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -37,11 +51,31 @@ REGIME_REGULAR = "ViscousRegular"
 REGIME_ANOMALOUS = "ViscousAnomalous"
 REGIME_SMALL_FORCING = "ViscousSmallForcingRegular"
 
-#: classification horizon slack and digits-per-level for the shooting solver
+#: levels solved past n_max, so that the closure's error dies out before n_max
+_PAD = 40
+#: levels of the first Newton window and of each extension
+_WINDOW_STEP = 20
+#: Newton stops when no step component exceeds this, relative to max(1, |x|);
+#: that last step is still taken, so the result is accurate to rounding
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
+#: smallest damping factor before Newton gives up
+_LAMBDA_MIN = 1e-10
+#: default relative width of the certified bracket
+BISECTION_TOL = 1e-12
+#: half-width of the certificate's starting bracket, relative to the Newton root
+_START_HALF_WIDTH = 1e-9
+#: how far the float Newton root may sit outside the certified bracket, in
+#: units of its own rounding error: ulp(root) * max(1, |ln root|), since
+#: Z_0 = exp(u_0) carries the absolute rounding error of u_0
+_ROOT_ULPS = 4
+#: certificate horizon: slack plus levels per halving of the bracket width,
+#: and the digits carried per level of the horizon
 _HORIZON_FACTOR = 2
 _HORIZON_SLACK = 20
 _DPS_PER_LEVEL = 0.35
 _DPS_BASE = 60
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -150,8 +184,10 @@ class StationaryProfile:
     z[i] = Z_{i-1} for i = 0..n_max+1 (so z[0] = g); z_log2 carries log2 of
     the same values and stays informative where the doubly exponential tail
     underflows float64.  y is the recovered classic profile
-    Y_n = nu 2^{-beta(n+2)/3} Z_n.  tail_start is the first Z index produced
-    by the stabilized closure (None if the forward head covered everything).
+    Y_n = nu 2^{-beta(n+2)/3} Z_n.  bracket is the parity-certified bracket
+    on Z_0; newton_iterations counts the Newton steps over every window, and
+    newton_residual is the largest final residual, each relative to
+    max(1, |ln Z_n|).
     """
 
     z: np.ndarray
@@ -164,12 +200,74 @@ class StationaryProfile:
     z_limit_last: float | None
     bracket: tuple[float, float]
     params: ModelParams
-    tail_start: int | None
     regime_info: RegimeInfo
+    newton_iterations: int
+    newton_residual: float
 
     @property
     def state(self) -> TreeState:
         return TreeState(self.y, self.params)
+
+
+def thomas(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by elimination without pivoting.
+
+    Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i];
+    sub[0] and sup[-1] meet zeros and drop out.  The callers' pivots never
+    vanish.  The sweep is sequential, so it runs on Python floats; numpy
+    would pay one call per row."""
+    n = len(diag)
+    c = [0.0] * n
+    d = [0.0] * n
+    c_prev = d_prev = 0.0
+    for i in range(n):
+        p = diag[i] - sub[i] * c_prev
+        c_prev = c[i] = sup[i] / p
+        d_prev = d[i] = (rhs[i] - sub[i] * d_prev) / p
+    x_next = 0.0
+    for i in range(n - 1, -1, -1):
+        x_next = d[i] = d[i] - c[i] * x_next
+    return np.array(d)
+
+
+def damped_newton(system, x, what):
+    """Solve system(x) = 0 by Newton with Deuflhard's natural monotonicity
+    test: a step of length lam is accepted when the simplified correction at
+    the trial point, solved with the old Jacobian, is at most (1 - lam/2)
+    times the full one.  Sizes are max-norms relative to max(1, |x|).
+
+    system(x) -> (r, sub, diag, sup), the residual and tridiagonal Jacobian,
+    or None where x leaves the system's domain.
+    Returns (x, iterations, largest relative residual).
+    """
+    lam = 1.0
+    for it in range(_NEWTON_MAX_ITER + 1):
+        r, *band = system(x)
+        band = [v.tolist() for v in band]
+        weight = np.maximum(1.0, np.abs(x))
+        dx = thomas(*band, (-r).tolist())
+        size = float(np.max(np.abs(dx) / weight))
+        if not math.isfinite(size):
+            break
+        if size <= _NEWTON_TOL:
+            x = x + dx
+            r = system(x)[0]
+            return x, it, float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x))))
+        lam = min(1.0, 2.0 * lam)
+        while True:
+            trial = x + lam * dx
+            out = system(trial)
+            if out is not None:
+                bar = thomas(*band, (-out[0]).tolist())
+                if np.max(np.abs(bar) / weight) <= (1.0 - lam / 2.0) * size:
+                    break
+            lam /= 2.0
+            if lam < _LAMBDA_MIN:
+                raise NoConvergence(f"damped Newton for {what} stalled at "
+                                    f"iteration {it}")
+        x = trial
+    raise NoConvergence(f"Newton for {what} did not converge in "
+                        f"{_NEWTON_MAX_ITER} iterations")
 
 
 def _classify_parity(g, a, mu, n_levels):
@@ -185,124 +283,102 @@ def _classify_parity(g, a, mu, n_levels):
     return "survive", None
 
 
-def bisect_shooting(classify, start, *, max_iter=600, width_floor=None,
-                    bracket=None, what="shooting parameter"):
-    """Generic parity-rule bisection used by the stationary and self-similar
-    solvers.
+def certificate_precision(tol: float) -> tuple[int, int]:
+    """(horizon, dps) of a parity certificate that narrows the starting
+    bracket to tol: a trial at relative distance d from the root departs
+    within about log2(1/d) levels, and every level costs a few digits."""
+    width = min(tol, _START_HALF_WIDTH)
+    levels = _HORIZON_SLACK + _HORIZON_FACTOR * math.ceil(-math.log2(width))
+    return levels, _DPS_BASE + int(_DPS_PER_LEVEL * levels)
 
-    classify(a) -> ('raise'|'lower'|'survive', info).  Probes geometrically
-    from ``start`` (factor 2) until both directions are seen, then bisects;
-    a trial surviving the full classification horizon is accepted as the
-    root.  width_floor (relative) stops refinement when precision is
-    exhausted; reaching it without a survivor returns survived=False.
+
+def start_bracket(root: float) -> tuple:
+    """The certificate's starting bracket root (1 -+ _START_HALF_WIDTH)."""
+    a, h = mp.mpf(root), mp.mpf(_START_HALF_WIDTH)
+    return a * (1 - h), a * (1 + h)
+
+
+def bisect_shooting(classify, bracket, *, width_floor, max_iter=600,
+                    what="shooting parameter"):
+    """Narrow a bracket with the parity rule; the stationary and
+    self-similar certificates share it.
+
+    classify(a) -> ('raise'|'lower'|'survive', info).  bracket = (lo, hi)
+    must classify as (raise, lower), or BracketFailure is raised.  It is
+    halved until hi - lo <= width_floor * lo.  A midpoint that survives the
+    whole classification horizon cannot be told from the root and collapses
+    the bracket onto itself.  Returns (lo, hi) as mpf.
     """
-    lo = hi = None
-    if bracket is not None:
-        lo_c, _ = classify(mp.mpf(bracket[0]))
-        hi_c, _ = classify(mp.mpf(bracket[1]))
-        if lo_c == "survive":
-            return mp.mpf(bracket[0]), (mp.mpf(bracket[0]),) * 2, True
-        if hi_c == "survive":
-            return mp.mpf(bracket[1]), (mp.mpf(bracket[1]),) * 2, True
-        if lo_c != "raise" or hi_c != "lower":
-            raise BracketFailure(
-                f"supplied bracket {bracket} classifies as ({lo_c}, {hi_c}); "
-                "expected (raise, lower)")
-        lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
-    else:
-        a = mp.mpf(start)
-        c, _ = classify(a)
-        if c == "survive":
-            return a, (a, a), True
-        if c == "raise":
-            lo = a
-            for _ in range(400):
-                a = a * 2
-                c2, _ = classify(a)
-                if c2 == "lower":
-                    hi = a
-                    break
-                if c2 == "survive":
-                    return a, (lo, a), True
-                lo = a
-            else:
-                raise BracketFailure(f"no upper bracket for {what} after 400 probes")
-        else:
-            hi = a
-            for _ in range(400):
-                a = a / 2
-                c2, _ = classify(a)
-                if c2 == "raise":
-                    lo = a
-                    break
-                if c2 == "survive":
-                    return a, (a, hi), True
-                hi = a
-            else:
-                raise BracketFailure(f"no lower bracket for {what} after 400 probes")
-
-    floor = mp.mpf(width_floor) if width_floor is not None else mp.mpf(0)
+    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
+    lo_c, _ = classify(lo)
+    hi_c, _ = classify(hi)
+    if lo_c != "raise" or hi_c != "lower":
+        raise BracketFailure(
+            f"bracket ({float(lo)!r}, {float(hi)!r}) on {what} classifies as "
+            f"({lo_c}, {hi_c}); expected (raise, lower)")
+    floor = mp.mpf(width_floor)
     for _ in range(max_iter):
+        if hi - lo <= floor * lo:
+            return lo, hi
         mid = (lo + hi) / 2
         c, _ = classify(mid)
         if c == "survive":
-            return mid, (lo, hi), True
+            return mid, mid
         if c == "raise":
             lo = mid
         else:
             hi = mid
-        if (hi - lo) < floor * mid:
-            return (lo + hi) / 2, (lo, hi), False
-    raise NoConvergence(f"bisection on {what} did not find a survivor "
-                        f"in {max_iter} iterations")
+    raise NoConvergence(f"bisection on {what} did not reach width "
+                        f"{width_floor} in {max_iter} iterations")
 
 
-def _build_sequence(g, root, mu, n_max, dps):
-    """Forward head while conditioned, stabilized closure for the rest.
+def certified_bracket(root: float, lo, hi, what: str) -> tuple[float, float]:
+    """The certified bracket as floats; NoConvergence unless the Newton root
+    lies in it, up to _ROOT_ULPS times its rounding error."""
+    lo, hi = float(lo), float(hi)
+    slack = _ROOT_ULPS * math.ulp(root) * max(1.0, abs(math.log(root)))
+    if not lo - slack <= root <= hi + slack:
+        raise NoConvergence(f"Newton {what} = {root!r} lies outside the "
+                            f"parity-certified bracket [{lo!r}, {hi!r}]")
+    return lo, hi
 
-    Returns (z list of mpf, Z_{-1}..Z_{n_max}, tail_start or None).
-    """
-    z = [g, root]
-    cond = mp.mpf(1)
-    cond_cap = mp.mpf(10) ** (dps - 15)
-    switch = None
-    for n in range(n_max):
-        A = z[-2] ** 2 / z[-1]
-        B = mp.mpf(2) ** (mu * n)
-        nxt = A - B
-        if nxt <= 0:
-            switch = n + 1
-            break
-        cond *= max(A / nxt, mp.mpf(2))
-        if cond > cond_cap:
-            z.append(nxt)
-            switch = n + 2
-            break
-        z.append(nxt)
-    if switch is None:
-        return z, None
-    # closure Z_m = Z_{m-1}^2 / (2^{mu m} + Z_{m+1}), relaxed twice
-    tail = {}
-    for _ in range(3):
-        prev = z[-1]
-        for m in range(switch, n_max + 2):
-            corr = tail.get(m + 1, mp.mpf(0))
-            tail[m] = prev ** 2 / (mp.mpf(2) ** (mu * m) + corr)
-            prev = tail[m]
-    for m in range(switch, n_max + 2):
-        z.append(tail[m])
-    return z[: n_max + 2], switch
+
+def _stationary_system(u, ln_g, c, plateau):
+    """Residual logaddexp(u_{n+1}, c_n) - 2 u_{n-1} + u_n and its Jacobian,
+    n = 0..M, with u_{-1} = ln_g and the closure u_{M+1} = u_M (plateau) or
+    Z_{M+1} = 0."""
+    prev = np.concatenate(([ln_g], u[:-1]))
+    nxt = np.concatenate((u[1:], [u[-1] if plateau else -np.inf]))
+    lse = np.logaddexp(nxt, c)
+    sup = np.exp(nxt - lse)
+    diag = np.ones(len(u))
+    if plateau:
+        diag[-1] += sup[-1]
+    return lse - 2.0 * prev + u, np.full(len(u), -2.0), diag, sup
+
+
+def _seed(u, ln_g, mu, stop):
+    """Extend u to levels 0..stop-1 with u_m = 2 u_{m-1} -
+    logaddexp(mu m ln 2, u_{m-1}), the contracting closure with
+    Z_{m+1} ~ Z_{m-1}."""
+    out = u.tolist()
+    prev = out[-1] if out else ln_g
+    for m in range(len(out), stop):
+        c = mu * m * _LN2
+        top = max(c, prev)
+        prev = 2.0 * prev - top - math.log1p(math.exp(min(c, prev) - top))
+        out.append(prev)
+    if not math.isfinite(prev):
+        raise NoConvergence(f"ln Z leaves the float64 range before level {stop}; "
+                            "lower n_max")
+    return np.array(out)
 
 
 def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
-                             n_max: int = 60, bisection_tol: float = 1e-12,
-                             *, bracket=None, max_iter: int = 600) -> StationaryProfile:
-    """Shoot the rescaled recurrence for the viscous stationary classic
-    profile and classify its regime.
-
-    bracket optionally overrides the automatic (geometric-probe) bracket
-    initialization with (lo, hi); both ends must straddle the root.
-    """
+                             n_max: int = 60,
+                             bisection_tol: float = BISECTION_TOL) -> StationaryProfile:
+    """Solve the rescaled recurrence for the viscous stationary classic
+    profile, certify Z_0 by the parity rule, and classify the regime."""
     if not (f > 0 and nu > 0 and beta > 0 and gamma > 0):
         raise DomainError("solve_viscous_stationary requires f, nu, beta, gamma > 0")
     if n_max < 2:
@@ -311,52 +387,54 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
         raise DomainError(f"bisection_tol must be > 0, got {bisection_tol}")
     mu_f = gamma - 2.0 * beta / 3.0
     g_f = pow2(beta / 3.0) * f / nu
-    n_class = _HORIZON_FACTOR * n_max + _HORIZON_SLACK
-    dps = _DPS_BASE + int(_DPS_PER_LEVEL * n_class)
+    ln_g = beta / 3.0 * _LN2 + math.log(f) - math.log(nu)
+    levels = n_max + 1 + _PAD
+    plateau = mu_f < 0
 
+    u = np.empty(0)
+    iterations = 0
+    while len(u) < levels:
+        u = _seed(u, ln_g, mu_f, min(len(u) + _WINDOW_STEP, levels))
+        c = mu_f * _LN2 * np.arange(len(u))
+        u, its, residual = damped_newton(
+            lambda x: _stationary_system(x, ln_g, c, plateau), u, "ln Z")
+        iterations += its
+    u = u[: n_max + 1]
+    z = np.concatenate(([g_f], np.exp(u)))
+    root = float(z[1])
+
+    horizon, dps = certificate_precision(bisection_tol)
     with mp.workdps(dps):
         g = mp.mpf(2) ** (mp.mpf(beta) / 3) * mp.mpf(f) / mp.mpf(nu)
         mu = mp.mpf(gamma) - 2 * mp.mpf(beta) / 3
 
         def classify(a):
-            return _classify_parity(g, a, mu, n_class)
+            return _classify_parity(g, a, mu, horizon)
 
-        width_floor = mp.mpf(10) ** (-(dps - 15))
-        root, (lo, hi), survived = bisect_shooting(
-            classify, g, max_iter=max_iter, width_floor=width_floor,
-            bracket=bracket, what="Z_0")
-        if not survived and mu < 0:
-            raise NoConvergence(
-                "no full-horizon survivor found for mu < 0; the parity rule "
-                "or precision budget is broken")
-        if not survived and (hi - lo) > mp.mpf(bisection_tol) * root:
-            raise NoConvergence(
-                f"bracket width {float((hi - lo) / root):.3e} above "
-                f"bisection_tol {bisection_tol}")
-        z_mp, tail_start = _build_sequence(g, root, mu, n_max, dps)
-        z = np.array([float(v) for v in z_mp])
-        z_log2 = np.array([float(mp.log(v, 2)) for v in z_mp])
-        y_mp = [mp.mpf(nu) * mp.mpf(2) ** (-mp.mpf(beta) * (n + 2) / 3) * z_mp[n + 1]
-                for n in range(n_max + 1)]
-        y = np.array([float(v) for v in y_mp])
+        lo, hi = bisect_shooting(classify, start_bracket(root),
+                                 width_floor=bisection_tol, what="Z_0")
+        bracket = certified_bracket(root, lo, hi, "Z_0")
 
-        info = classify_regime(beta, gamma, g_f)
-        z_limit = z_limit_last = None
-        if info.mu < 0:
-            t0, t1, t2 = z_mp[-3], z_mp[-2], z_mp[-1]
-            denom = (t2 - t1) - (t1 - t0)
-            aitken = t2 - (t2 - t1) ** 2 / denom if denom != 0 else t2
-            z_limit_last = float(t2)
-            if info.regime == REGIME_ANOMALOUS:
-                z_limit = float(aitken)
-        bracket_out = (float(lo), float(hi))
+    z_log2 = np.concatenate(([math.log2(g_f)], u / _LN2))
+    n = np.arange(n_max + 1)
+    y = np.exp(math.log(nu) - beta * _LN2 / 3.0 * (n + 2) + u)
+
+    info = classify_regime(beta, gamma, g_f)
+    z_limit = z_limit_last = None
+    if info.mu < 0:
+        t0, t1, t2 = z[-3:]
+        denom = (t2 - t1) - (t1 - t0)
+        z_limit_last = float(t2)
+        if info.regime == REGIME_ANOMALOUS:
+            z_limit = float(t2 - (t2 - t1) ** 2 / denom if denom != 0 else t2)
 
     params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f,
                          branching=1, depth=n_max)
     return StationaryProfile(
         z=z, z_log2=z_log2, y=y, g=g_f, mu=mu_f, regime=info.regime,
-        z_limit=z_limit, z_limit_last=z_limit_last, bracket=bracket_out,
-        params=params, tail_start=tail_start, regime_info=info,
+        z_limit=z_limit, z_limit_last=z_limit_last, bracket=bracket,
+        params=params, regime_info=info, newton_iterations=iterations,
+        newton_residual=residual,
     )
 
 
@@ -370,7 +448,7 @@ def asymptotic_flux(z: float, beta: float, nu: float) -> float:
 def stationary_tree_profile(f: float, nu: float, alpha: float,
                             alpha_tilde: float, depth: int, gamma: float = 1.0,
                             n_max: int | None = None,
-                            bisection_tol: float = 1e-12) -> TreeState:
+                            bisection_tol: float = BISECTION_TOL) -> TreeState:
     """Unique stationary positive tree profile.
 
     Inviscid: the explicit formula.  Viscous: solve the classic profile with

@@ -564,6 +564,10 @@ class TestBadInput:
         pytest.param(json.dumps(base_config()).encode("utf-16"),
                      id="config_not_utf8"),
         pytest.param(None, id="config_is_directory"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="config_nested_too_deeply"),
+        pytest.param(json.dumps(base_config(params={"alpha": 1.0, "branching": 2,
+                                                    "depth": 20000})).encode(),
+                     id="simulate_depth_20000"),
     ])
     def test_config_file_exits_1(self, tmp_path, capsys, content):
         """The same contract for config files that a dict cannot express:

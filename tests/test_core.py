@@ -44,6 +44,21 @@ class TestNodeCount:
             node_count(2, 40)
         assert node_count(2, 40, max_nodes=2 ** 42) == 2 ** 41 - 1
 
+    @pytest.mark.parametrize("branching, depth", [(2, 20000), (2, 10 ** 12),
+                                                  (3, 10 ** 15), (2 ** 40, 1)])
+    def test_capacity_without_the_exact_count(self, branching, depth):
+        """A count far past the budget is rejected from bit lengths, and the
+        message names the budget, not a count of thousands of digits."""
+        with pytest.raises(CapacityExceeded, match="budget of 1073741824 nodes") as e:
+            node_count(branching, depth)
+        assert len(str(e.value)) < 120
+
+    def test_capacity_edge(self):
+        assert node_count(2, 29) == 2 ** 30 - 1
+        with pytest.raises(CapacityExceeded):
+            node_count(2, 30)
+        assert node_count(2, 30, max_nodes=2 ** 31 - 1) == 2 ** 31 - 1
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             node_count(0, 3)

@@ -23,6 +23,7 @@ from dyadic_cascade.stationary import (
     REGIME_REGULAR,
     REGIME_SMALL_FORCING,
     _classify_parity,
+    bisect_shooting,
 )
 
 
@@ -213,17 +214,26 @@ class TestAnomalousRegime:
         assert abs(p40.z[1] - profile.z[1]) <= 10 * 1e-12 * profile.z[1]
 
     def test_bracket_invariance(self, profile):
-        alt = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=60,
-                                       bracket=(1.0, 5.0))
-        alt2 = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=60,
-                                        bracket=(2.0, 3.5))
-        assert abs(alt.z[1] - profile.z[1]) <= 10 * 1e-12 * profile.z[1]
-        assert abs(alt2.z[1] - profile.z[1]) <= 10 * 1e-12 * profile.z[1]
+        """The Newton root does not depend on bisection_tol; the certified
+        bracket contains it and is no wider than the tolerance (a tolerance
+        above the starting bracket leaves that bracket as it is)."""
+        for tol in (1e-6, 1e-12, 1e-14):
+            alt = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=60,
+                                           bisection_tol=tol)
+            assert alt.z[1] == profile.z[1]
+            lo, hi = alt.bracket
+            assert lo <= alt.z[1] <= hi
+            assert hi - lo <= max(tol, 2e-9) * alt.z[1]
 
     def test_bad_bracket_rejected(self, profile):
-        with pytest.raises(BracketFailure):
-            solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=30,
-                                     bracket=(0.01, 0.02))
+        def classify(a):
+            return _classify_parity(mp.mpf(3), a, mp.mpf(-1), 60)
+
+        with mp.workdps(60):
+            with pytest.raises(BracketFailure):
+                bisect_shooting(classify, (0.01, 0.02), width_floor=1e-12)
+            lo, hi = bisect_shooting(classify, (1.0, 5.0), width_floor=1e-12)
+        assert float(lo) <= profile.z[1] <= float(hi)
 
     def test_root_against_scan_oracle(self, profile):
         lo, hi = scan_oracle(3.0, -1.0, 50, 1.0, 5.0)
