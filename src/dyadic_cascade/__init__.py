@@ -52,7 +52,6 @@ from .stationary import (
     inviscid_tree_profile,
     solve_viscous_stationary,
     stationary_tree_profile,
-    z_step_sequence,
 )
 from .stateio import dump_state, load_state
 from . import errors
@@ -70,7 +69,7 @@ __all__ = [
     "solve_selfsimilar_classic", "tree_coefficient_energy",
     "RegimeInfo", "StationaryProfile", "asymptotic_flux", "classify_regime",
     "inviscid_classic_profile", "inviscid_tree_profile",
-    "solve_viscous_stationary", "stationary_tree_profile", "z_step_sequence",
+    "solve_viscous_stationary", "stationary_tree_profile",
     "dump_state", "load_state",
     "errors",
 ]

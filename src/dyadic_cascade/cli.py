@@ -430,7 +430,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     return traj
 
 
-_STATIONARY_FIELDS = ("f", "nu", "beta", "gamma", "n_max", "bisection_tol")
+_STATIONARY_FIELDS = ("f", "nu", "beta", "gamma", "n_max")
 
 
 def run_stationary(cfg: dict, out_dir):
@@ -442,12 +442,8 @@ def run_stationary(cfg: dict, out_dir):
     beta = _number(_require(cfg, "beta", ""), "beta")
     gamma = _number(cfg.get("gamma", 1.0), "gamma")
     n_max = _integer(cfg.get("n_max", 60), "n_max")
-    tol = _number(cfg.get("bisection_tol", 1e-12), "bisection_tol")
 
     if nu == 0.0:
-        # the explicit profile takes no tolerance, so the solver never sees it
-        if not tol > 0:
-            raise ConfigError(f"bisection_tol must be > 0, got {tol!r}")
         state = inviscid_classic_profile(f, beta, n_max, gamma)
         y = state.values
         # nu-free rescaling 2^{beta(n+2)/3} Y_n, constant across shells
@@ -459,8 +455,7 @@ def run_stationary(cfg: dict, out_dir):
         }
         rows = [(n, z[n], y[n]) for n in range(n_max + 1)]
     else:
-        profile = solve_viscous_stationary(f, nu, beta, gamma, n_max=n_max,
-                                           bisection_tol=tol)
+        profile = solve_viscous_stationary(f, nu, beta, gamma, n_max=n_max)
         info = profile.regime_info
         flux = asymptotic_flux(profile.z_limit, beta, nu) if profile.z_limit else None
         regime = {

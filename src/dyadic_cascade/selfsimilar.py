@@ -22,9 +22,9 @@ perturbation mode of ratio -2 takes over the forward recurrence and produces
 dips (and rebound spikes) whose index parity tells the direction: w_n is
 increasing in w_0 for even n >= 2 and decreasing for odd n, so a dip at an
 even index means w_0 was too small.  _DIP_RATIO holds the dip/spike
-threshold.  bisect_shooting narrows a bracket around the Newton w_0 with
-that rule to the default bisection_tol, and inconsistent bracketing raises
-BracketFailure loudly.
+threshold.  bisect_shooting classifies the two ends of the certified bracket
+around the Newton w_0 with that rule; ends that do not read (raise, lower)
+raise BracketFailure.
 
 The solution whose first nonzero coefficient sits at index n0 >= 1 is the
 base solution shifted and scaled: b'_{n0+m} = 2^{-beta n0} b_m (the
@@ -50,10 +50,10 @@ from .errors import (
 from .lift import LiftSpec, scale_factor
 from .stationary import (
     BISECTION_TOL,
+    _CERT_DPS,
+    _CERT_LEVELS,
     _PAD,
     bisect_shooting,
-    certificate_precision,
-    certified_bracket,
     damped_newton,
     start_bracket,
 )
@@ -109,7 +109,7 @@ class SelfSimilarProfile:
                          self.classic_params(depth))
 
 
-def _classify_dips(w0, q_eps, n_levels, ratio):
+def _classify_dips(w0, q_eps, n_levels):
     """Classify a trial w_0 by the parity of the first dip of the scaled
     recurrence; spikes are rebounds of a dip one index earlier."""
     wm1, wn = mp.mpf(0), w0
@@ -118,9 +118,9 @@ def _classify_dips(w0, q_eps, n_levels, ratio):
         m = n + 1
         if m >= 2:
             r = nxt / wn
-            if r < 1.0 / ratio:
+            if r < 1.0 / _DIP_RATIO:
                 return ("raise" if m % 2 == 0 else "lower"), m
-            if r > ratio:
+            if r > _DIP_RATIO:
                 return ("raise" if (m - 1) % 2 == 0 else "lower"), m
         wm1, wn = wn, nxt
     return "survive", None
@@ -168,20 +168,19 @@ def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
     w = np.concatenate((x[:1], [q], x[1:]))
     root = float(w[0])
 
-    horizon, dps = certificate_precision(BISECTION_TOL)
-    with mp.workdps(dps):
+    with mp.workdps(_CERT_DPS):
         q_eps = mp.mpf(2) ** (-2 * mp.mpf(beta) / 3)
 
         def classify(a):
-            return _classify_dips(a, q_eps, horizon, _DIP_RATIO)
+            return _classify_dips(a, q_eps, _CERT_LEVELS)
 
         lo, hi = bisect_shooting(classify, start_bracket(root),
                                  width_floor=BISECTION_TOL, what="b_0")
-        bracket = certified_bracket(root, lo, hi, "b_0")
 
     b = w[: n_max + 1] * np.exp2(-beta / 3.0 * np.arange(n_max + 1))
     profile = SelfSimilarProfile(t0=float(t0), beta=float(beta), b=b,
-                                 w_limit=float(w[n_max]), bracket=bracket,
+                                 w_limit=float(w[n_max]),
+                                 bracket=(float(lo), float(hi)),
                                  newton_iterations=iterations,
                                  newton_residual=residual)
     return shifted_profile(profile, n0) if n0 > 0 else profile

@@ -28,9 +28,9 @@ float64.
 The Newton root is certified by the parity rule of the forward recurrence:
 Z_n is increasing in Z_0 for even n and decreasing for odd n, so a trial whose
 first non-positive value has an even index lies below the root, odd above.
-bisect_shooting narrows a bracket of +-_START_HALF_WIDTH around the Newton Z_0
-with that rule, in extended precision, to bisection_tol; the Newton root must
-lie in the result.
+bisect_shooting classifies the two ends of the bracket Z_0 (1 -+ _CERT_HALF_WIDTH)
+in extended precision; they must read (raise, lower), so the parity root lies
+within _CERT_HALF_WIDTH of the Newton root, or BracketFailure is raised.
 """
 
 from __future__ import annotations
@@ -61,20 +61,15 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 #: smallest damping factor before Newton gives up
 _LAMBDA_MIN = 1e-10
-#: default relative width of the certified bracket
+#: relative width of the certified bracket
 BISECTION_TOL = 1e-12
-#: half-width of the certificate's starting bracket, relative to the Newton root
-_START_HALF_WIDTH = 1e-9
-#: how far the float Newton root may sit outside the certified bracket, in
-#: units of its own rounding error: ulp(root) * max(1, |ln root|), since
-#: Z_0 = exp(u_0) carries the absolute rounding error of u_0
-_ROOT_ULPS = 4
-#: certificate horizon: slack plus levels per halving of the bracket width,
-#: and the digits carried per level of the horizon
-_HORIZON_FACTOR = 2
-_HORIZON_SLACK = 20
-_DPS_PER_LEVEL = 0.35
-_DPS_BASE = 60
+#: half-width h of the certified bracket root (1 -+ h), relative to the
+#: Newton root; 2h is below BISECTION_TOL, so its two ends are the only trials
+_CERT_HALF_WIDTH = 4e-13
+#: a trial at relative distance h departs within about 2 log2(1/h) levels and
+#: each level costs 0.35 digits: 20 + 2 ceil(log2(1/h)) levels, 60 + 0.35 of them
+_CERT_LEVELS = 104
+_CERT_DPS = 96
 _LN2 = math.log(2.0)
 
 
@@ -84,7 +79,6 @@ class RegimeInfo:
     mu: float
     g: float | None
     threshold: float | None
-    certificate: str
 
 
 def classify_regime(beta: float, gamma: float, g: float | None) -> RegimeInfo:
@@ -97,22 +91,11 @@ def classify_regime(beta: float, gamma: float, g: float | None) -> RegimeInfo:
     """
     mu = gamma - 2.0 * beta / 3.0
     if mu >= 0.0:
-        return RegimeInfo(
-            regime=REGIME_REGULAR, mu=mu, g=g, threshold=None,
-            certificate="Z_n < Z_{n-1}^2 eventually; doubly exponential decay",
-        )
+        return RegimeInfo(regime=REGIME_REGULAR, mu=mu, g=g, threshold=None)
     threshold = 1.0 / (1.0 - pow2(mu))
     if g is not None and g > threshold:
-        return RegimeInfo(
-            regime=REGIME_ANOMALOUS, mu=mu, g=g, threshold=threshold,
-            certificate="Z non-increasing with strictly positive limit; "
-                        "border flux -> 2^{-4 beta/3} nu^3 z^3",
-        )
-    return RegimeInfo(
-        regime=REGIME_SMALL_FORCING, mu=mu, g=g, threshold=threshold,
-        certificate="below the forcing threshold; behavior inconclusive "
-                    "in this range",
-    )
+        return RegimeInfo(regime=REGIME_ANOMALOUS, mu=mu, g=g, threshold=threshold)
+    return RegimeInfo(regime=REGIME_SMALL_FORCING, mu=mu, g=g, threshold=threshold)
 
 
 def inviscid_classic_profile(f: float, beta: float, n_max: int,
@@ -158,25 +141,6 @@ def inviscid_tree_profile(f: float, alpha: float, alpha_tilde: float,
     return TreeState(values, params)
 
 
-def z_step_sequence(g: float, a: float, mu: float, n_max: int):
-    """Iterate the rescaled stationary recurrence in double precision.
-
-    Returns (z, failure_index): z[i] holds Z_{i-1} starting from Z_{-1} = g,
-    Z_0 = a; iteration stops at n_max or at the first non-positive value,
-    whose subscript is returned (None if the whole sequence stays positive).
-    Failure is data here, not an error.
-    """
-    if not (g > 0 and a > 0):
-        raise DomainError("g and a must be > 0")
-    z = [float(g), float(a)]
-    for n in range(n_max):
-        nxt = z[-2] ** 2 / z[-1] - pow2(mu * n)
-        z.append(nxt)
-        if nxt <= 0.0:
-            return np.array(z), n + 1
-    return np.array(z), None
-
-
 @dataclass(frozen=True)
 class StationaryProfile:
     """Solved stationary profile in rescaled and physical variables.
@@ -197,7 +161,6 @@ class StationaryProfile:
     mu: float
     regime: str
     z_limit: float | None
-    z_limit_last: float | None
     bracket: tuple[float, float]
     params: ModelParams
     regime_info: RegimeInfo
@@ -283,25 +246,16 @@ def _classify_parity(g, a, mu, n_levels):
     return "survive", None
 
 
-def certificate_precision(tol: float) -> tuple[int, int]:
-    """(horizon, dps) of a parity certificate that narrows the starting
-    bracket to tol: a trial at relative distance d from the root departs
-    within about log2(1/d) levels, and every level costs a few digits."""
-    width = min(tol, _START_HALF_WIDTH)
-    levels = _HORIZON_SLACK + _HORIZON_FACTOR * math.ceil(-math.log2(width))
-    return levels, _DPS_BASE + int(_DPS_PER_LEVEL * levels)
-
-
-def start_bracket(root: float) -> tuple:
-    """The certificate's starting bracket root (1 -+ _START_HALF_WIDTH)."""
-    a, h = mp.mpf(root), mp.mpf(_START_HALF_WIDTH)
-    return a * (1 - h), a * (1 + h)
+def start_bracket(root: float) -> tuple[float, float]:
+    """The certified bracket root (1 -+ _CERT_HALF_WIDTH)."""
+    return root * (1 - _CERT_HALF_WIDTH), root * (1 + _CERT_HALF_WIDTH)
 
 
 def bisect_shooting(classify, bracket, *, width_floor, max_iter=600,
                     what="shooting parameter"):
-    """Narrow a bracket with the parity rule; the stationary and
-    self-similar certificates share it.
+    """Narrow a bracket with the parity rule.  The stationary and
+    self-similar certificates pass start_bracket, already narrower than
+    width_floor, so they classify its two ends and nothing else.
 
     classify(a) -> ('raise'|'lower'|'survive', info).  bracket = (lo, hi)
     must classify as (raise, lower), or BracketFailure is raised.  It is
@@ -330,17 +284,6 @@ def bisect_shooting(classify, bracket, *, width_floor, max_iter=600,
             hi = mid
     raise NoConvergence(f"bisection on {what} did not reach width "
                         f"{width_floor} in {max_iter} iterations")
-
-
-def certified_bracket(root: float, lo, hi, what: str) -> tuple[float, float]:
-    """The certified bracket as floats; NoConvergence unless the Newton root
-    lies in it, up to _ROOT_ULPS times its rounding error."""
-    lo, hi = float(lo), float(hi)
-    slack = _ROOT_ULPS * math.ulp(root) * max(1.0, abs(math.log(root)))
-    if not lo - slack <= root <= hi + slack:
-        raise NoConvergence(f"Newton {what} = {root!r} lies outside the "
-                            f"parity-certified bracket [{lo!r}, {hi!r}]")
-    return lo, hi
 
 
 def _stationary_system(u, ln_g, c, plateau):
@@ -375,16 +318,13 @@ def _seed(u, ln_g, mu, stop):
 
 
 def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
-                             n_max: int = 60,
-                             bisection_tol: float = BISECTION_TOL) -> StationaryProfile:
+                             n_max: int = 60) -> StationaryProfile:
     """Solve the rescaled recurrence for the viscous stationary classic
     profile, certify Z_0 by the parity rule, and classify the regime."""
     if not (f > 0 and nu > 0 and beta > 0 and gamma > 0):
         raise DomainError("solve_viscous_stationary requires f, nu, beta, gamma > 0")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
-    if not bisection_tol > 0:
-        raise DomainError(f"bisection_tol must be > 0, got {bisection_tol}")
     mu_f = gamma - 2.0 * beta / 3.0
     g_f = pow2(beta / 3.0) * f / nu
     ln_g = beta / 3.0 * _LN2 + math.log(f) - math.log(nu)
@@ -403,36 +343,32 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
     z = np.concatenate(([g_f], np.exp(u)))
     root = float(z[1])
 
-    horizon, dps = certificate_precision(bisection_tol)
-    with mp.workdps(dps):
+    with mp.workdps(_CERT_DPS):
         g = mp.mpf(2) ** (mp.mpf(beta) / 3) * mp.mpf(f) / mp.mpf(nu)
         mu = mp.mpf(gamma) - 2 * mp.mpf(beta) / 3
 
         def classify(a):
-            return _classify_parity(g, a, mu, horizon)
+            return _classify_parity(g, a, mu, _CERT_LEVELS)
 
         lo, hi = bisect_shooting(classify, start_bracket(root),
-                                 width_floor=bisection_tol, what="Z_0")
-        bracket = certified_bracket(root, lo, hi, "Z_0")
+                                 width_floor=BISECTION_TOL, what="Z_0")
 
     z_log2 = np.concatenate(([math.log2(g_f)], u / _LN2))
     n = np.arange(n_max + 1)
     y = np.exp(math.log(nu) - beta * _LN2 / 3.0 * (n + 2) + u)
 
     info = classify_regime(beta, gamma, g_f)
-    z_limit = z_limit_last = None
-    if info.mu < 0:
+    z_limit = None
+    if info.regime == REGIME_ANOMALOUS:
         t0, t1, t2 = z[-3:]
         denom = (t2 - t1) - (t1 - t0)
-        z_limit_last = float(t2)
-        if info.regime == REGIME_ANOMALOUS:
-            z_limit = float(t2 - (t2 - t1) ** 2 / denom if denom != 0 else t2)
+        z_limit = float(t2 - (t2 - t1) ** 2 / denom if denom != 0 else t2)
 
     params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f,
                          branching=1, depth=n_max)
     return StationaryProfile(
         z=z, z_log2=z_log2, y=y, g=g_f, mu=mu_f, regime=info.regime,
-        z_limit=z_limit, z_limit_last=z_limit_last, bracket=bracket,
+        z_limit=z_limit, bracket=(float(lo), float(hi)),
         params=params, regime_info=info, newton_iterations=iterations,
         newton_residual=residual,
     )
@@ -447,8 +383,7 @@ def asymptotic_flux(z: float, beta: float, nu: float) -> float:
 
 def stationary_tree_profile(f: float, nu: float, alpha: float,
                             alpha_tilde: float, depth: int, gamma: float = 1.0,
-                            n_max: int | None = None,
-                            bisection_tol: float = BISECTION_TOL) -> TreeState:
+                            n_max: int | None = None) -> TreeState:
     """Unique stationary positive tree profile.
 
     Inviscid: the explicit formula.  Viscous: solve the classic profile with
@@ -466,8 +401,7 @@ def stationary_tree_profile(f: float, nu: float, alpha: float,
     horizon = max(depth, 60) if n_max is None else n_max
     if horizon < depth:
         raise DomainError("n_max must cover the requested depth")
-    profile = solve_viscous_stationary(f_classic, nu, beta, gamma,
-                                       n_max=horizon, bisection_tol=bisection_tol)
+    profile = solve_viscous_stationary(f_classic, nu, beta, gamma, n_max=horizon)
     classic_params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f_classic,
                                  branching=1, depth=depth)
     classic = TreeState(profile.y[: depth + 1], classic_params)

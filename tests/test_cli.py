@@ -466,6 +466,7 @@ class TestBadInput:
                      id="stationary_nu_negative"),
         pytest.param("stationary", {"f": 1.0, "nu": 1.0, "beta": 0.0},
                      id="stationary_beta_not_positive"),
+        # bisection_tol is not a field: the certificate has one fixed width
         pytest.param("stationary",
                      {"f": 1.0, "nu": 1.0, "beta": 1.0, "bisection_tol": 0.0},
                      id="stationary_bisection_tol_not_positive"),
@@ -508,7 +509,7 @@ class TestBadInput:
         pytest.param("fit-spectrum",
                      {"params": {"alpha": 1.0, "depth": 3}, "state_file": "zero.bin"},
                      id="fit_spectrum_zero_state"),
-        pytest.param("stationary",
+        pytest.param("stationary",  # an unknown field on the inviscid path too
                      {"f": 1.0, "nu": 0.0, "beta": 1.0, "bisection_tol": 0.0},
                      id="stationary_inviscid_bisection_tol_not_positive"),
         pytest.param("simulate --dump-state 5", base_config(),
@@ -582,3 +583,17 @@ class TestBadInput:
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_bisection_tol_is_rejected_before_any_solve(tmp_path, monkeypatch, capsys):
+    """bisection_tol is not a config field: even a value no certificate
+    could reach exits 1 before any solve starts."""
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "solve_viscous_stationary", solve)
+    path = write_config(tmp_path, {"f": 10, "nu": 0.01, "beta": 3, "gamma": 1,
+                                   "n_max": 60, "bisection_tol": 1e-200})
+    assert main(["stationary", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown field bisection_tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

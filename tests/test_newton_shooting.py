@@ -3,7 +3,6 @@ with the forward-shooting oracle, the recurrence defect of the CLI output,
 the parity certificate, head stability across n_max and solver statistics."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -157,7 +156,7 @@ GRID = REGULAR + ANOMALOUS + SMALL_FORCING + THRESHOLD
 
 class TestCertificate:
     @pytest.mark.parametrize("cfg", GRID)
-    @pytest.mark.parametrize("n_max", [2, 60, 300])
+    @pytest.mark.parametrize("n_max", [2, 6, 20, 60, 120, 200, 300])
     def test_grid_solves_and_certifies(self, cfg, n_max):
         prof = solve_viscous_stationary(*cfg, n_max=n_max)
         lo, hi = prof.bracket
@@ -168,7 +167,7 @@ class TestCertificate:
         assert prof.newton_residual <= 1e-14
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
-    @pytest.mark.parametrize("n_max", [2, 25, 200])
+    @pytest.mark.parametrize("n_max", [2, 6, 12, 25, 60, 120, 200])
     def test_selfsimilar_grid_certifies(self, beta, n_max):
         prof = solve_selfsimilar_classic(-1.0, beta, n_max)
         lo, hi = prof.bracket
@@ -183,7 +182,7 @@ class TestCertificate:
     ])
     def test_certificate_calls_its_module_bisect(self, monkeypatch, module, solve):
         """Each solver calls bisect_shooting through its own module global,
-        classify first: 2 bracket ends plus 11 halvings from 2e-9 to 1e-12."""
+        classify first, and classifies only the two ends of the bracket."""
         calls = []
         original = module.bisect_shooting
 
@@ -195,7 +194,7 @@ class TestCertificate:
 
         monkeypatch.setattr(module, "bisect_shooting", counting)
         solve()
-        assert len(calls) == 13
+        assert len(calls) == 2
 
     def test_wrong_newton_root_is_caught(self, monkeypatch):
         original = stationary.damped_newton
@@ -208,14 +207,35 @@ class TestCertificate:
                 return x, its, res
             return perturbed
 
-        # inside the starting bracket: the bisection lands elsewhere
-        monkeypatch.setattr(stationary, "damped_newton", off_by(1e-10))
-        with pytest.raises(NoConvergence, match="outside the parity-certified"):
-            solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=30)
-        # outside it: the starting bracket does not straddle the root
-        monkeypatch.setattr(stationary, "damped_newton", off_by(1e-8))
-        with pytest.raises(BracketFailure):
-            solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=30)
+        # u_0 = ln Z_0, so a shift of u_0 is a relative shift of Z_0; the
+        # bracket's half-width is 4e-13, so 1e-12 and more are caught
+        for shift in (1e-8, 1e-10, 1e-12):
+            monkeypatch.setattr(stationary, "damped_newton", off_by(shift))
+            with pytest.raises(BracketFailure, match="expected \\(raise, lower\\)"):
+                solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=30)
+        monkeypatch.setattr(stationary, "damped_newton", off_by(1e-14))
+        prof = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=30)
+        lo, hi = prof.bracket
+        assert lo <= prof.z[1] <= hi
+
+    def test_wrong_selfsimilar_root_is_caught(self, monkeypatch):
+        original = selfsimilar.damped_newton
+
+        def off_by(factor):
+            def perturbed(system, x, what):
+                x, its, res = original(system, x, what)
+                x = x.copy()
+                x[0] *= factor
+                return x, its, res
+            return perturbed
+
+        monkeypatch.setattr(selfsimilar, "damped_newton", off_by(1 + 1e-12))
+        with pytest.raises(BracketFailure, match="on b_0"):
+            solve_selfsimilar_classic(-1.0, 1.0, 30)
+        monkeypatch.setattr(selfsimilar, "damped_newton", off_by(1 - 1e-14))
+        prof = solve_selfsimilar_classic(-1.0, 1.0, 30)
+        lo, hi = prof.bracket
+        assert lo <= prof.b[0] <= hi
 
     def test_wrong_newton_root_exits_2(self, tmp_path, monkeypatch, capsys):
         original = selfsimilar.damped_newton
@@ -228,16 +248,6 @@ class TestCertificate:
         code, _ = run_cli(tmp_path, "selfsimilar", {"t0": -1.0, "beta": 1.0})
         assert code == 2
         assert "BracketFailure" in capsys.readouterr().err
-
-    def test_tolerance_below_float_resolution(self):
-        """Z_0 = exp(u_0) is off the parity root by a few ulps of u_0 (5 ulps
-        of Z_0 here); a bracket narrower than that still certifies it."""
-        prof = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=60,
-                                        bisection_tol=1e-30)
-        lo, hi = prof.bracket
-        root = prof.z[1]
-        assert hi - lo <= 1e-30 * lo
-        assert abs(root - lo) <= 4 * math.ulp(root) * math.log(root)
 
     def test_overflowing_tail_is_a_numerical_failure(self):
         with pytest.raises(NoConvergence, match="float64 range"):

@@ -14,7 +14,6 @@ from dyadic_cascade import (
     rhs_tree,
     solve_viscous_stationary,
     stationary_tree_profile,
-    z_step_sequence,
 )
 from dyadic_cascade.cli import fit_spectrum
 from dyadic_cascade.errors import BracketFailure, DomainError
@@ -69,16 +68,6 @@ class TestInviscidProfiles:
 
 
 class TestZStepSequence:
-    def test_first_step(self):
-        z, fail = z_step_sequence(2.0, 1.0, 0.0, 4)
-        assert z[2] == 3.0  # Z_1 = g^2/a - 2^{mu*0} = 4 - 1
-        assert fail is None or fail > 1
-
-    def test_failure_index(self):
-        z, fail = z_step_sequence(2.0, 1.0, -1.0, 6)
-        assert fail == 2
-        assert z[3] == pytest.approx(1.0 / 3.0 - 0.5, abs=1e-15)
-
     def test_inviscid_limit_sanity(self):
         # with the corrective term formally removed, the rescaled inviscid
         # profile is the constant sequence: Z_{n+1} Z_n = Z_{n-1}^2
@@ -93,11 +82,11 @@ class TestZStepSequence:
         index (Z_n is increasing in Z_0 for even n, decreasing for odd)."""
         prof = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=20)
         root = prof.z[1]
-        for a, expected_parity in ((root * 0.7, 0), (root * 0.95, 0),
-                                   (root * 1.05, 1), (root * 1.4, 1)):
-            _, fail = z_step_sequence(prof.g, a, prof.mu, 40)
-            assert fail is not None
-            assert fail % 2 == expected_parity
+        for a, expected in ((root * 0.7, "raise"), (root * 0.95, "raise"),
+                            (root * 1.05, "lower"), (root * 1.4, "lower")):
+            label, fail = _classify_parity(prof.g, a, prof.mu, 40)
+            assert label == expected
+            assert fail % 2 == (0 if expected == "raise" else 1)
 
 
 def scan_oracle(g, mu, n_levels, lo, hi, rounds=5, steps=24):
@@ -214,16 +203,13 @@ class TestAnomalousRegime:
         assert abs(p40.z[1] - profile.z[1]) <= 10 * 1e-12 * profile.z[1]
 
     def test_bracket_invariance(self, profile):
-        """The Newton root does not depend on bisection_tol; the certified
-        bracket contains it and is no wider than the tolerance (a tolerance
-        above the starting bracket leaves that bracket as it is)."""
-        for tol in (1e-6, 1e-12, 1e-14):
-            alt = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=60,
-                                           bisection_tol=tol)
-            assert alt.z[1] == profile.z[1]
-            lo, hi = alt.bracket
-            assert lo <= alt.z[1] <= hi
-            assert hi - lo <= max(tol, 2e-9) * alt.z[1]
+        """The certified bracket is centred on the Newton root and no wider
+        than 1e-12 of it."""
+        root = profile.z[1]
+        lo, hi = profile.bracket
+        assert lo < root < hi
+        assert (lo + hi) / 2 == pytest.approx(root, rel=1e-15)
+        assert hi - lo <= 1e-12 * root
 
     def test_bad_bracket_rejected(self, profile):
         def classify(a):
@@ -309,10 +295,6 @@ class TestSolverValidation:
             solve_viscous_stationary(0.0, 1.0, 2.0, 2.0)
         with pytest.raises(DomainError):
             solve_viscous_stationary(1.0, 0.0, 2.0, 2.0)
-
-    def test_bisection_tol_must_be_positive(self):
-        with pytest.raises(DomainError, match="bisection_tol"):
-            solve_viscous_stationary(1.0, 1.0, 2.0, 2.0, n_max=10, bisection_tol=0.0)
 
     def test_inviscid_n_max_must_be_nonnegative(self):
         with pytest.raises(DomainError, match="n_max"):
