@@ -424,6 +424,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
             "max_positivity_violation": max(0.0, -float(traj.min_value.min())),
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
+            "stiff_from": traj.stiff_from,
         },
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

@@ -1,11 +1,19 @@
 """Time integration under Galerkin truncation and energy/flux diagnostics.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with FSAL.  Positivity
+The integrator is an embedded Dormand-Prince 5(4) pair with FSAL.  Since
+c_n = 2^{alpha n}, the Jacobian's spectral radius grows like 2^{alpha depth},
+and on deep forced runs DP5's step is bounded by stability, not accuracy.  A
+run of at most _STIFF_MAX_NODES values therefore runs DOPRI5's stiffness
+test, and once it fires switches for good to RODAS4, a stiffly accurate
+linearly implicit Rosenbrock step of order 4 that solves with the dense
+Jacobian.  Both steps share one loop: landing on output times, rejection
+causes, the positivity rule and the recording are the same.  Positivity
 is enforced by step rejection (default): any step that would produce a
 negative component is retried with half the step, so the balance diagnostics
 are never polluted by clamping.  The work integrals entering the energy
 balance (forcing input, per-generation viscous work, per-boundary flux) are
-advanced with the same stage values and weights as the solution, so the
+advanced with the same stage values and weights as the solution (under
+RODAS4 as extra components whose Jacobian rows are the work rates'), so the
 balance residual is consistent to the solver's order.
 
 A run records a row of reductions per output time, not a state: full states
@@ -28,6 +36,7 @@ import numpy as np
 
 from .core import ModelParams, TreeState, pow2
 from .errors import (
+    CapacityExceeded,
     DomainError,
     ForcedRun,
     MaxRejections,
@@ -51,6 +60,42 @@ _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 _ORDER = 5
 _EPS = float(np.finfo(np.float64).eps)
+
+# DOPRI5's stiffness test (Hairer & Wanner II, IV.2): h lambda estimated
+# every _STIFF_EVERY accepted steps, and on every step while a verdict is
+# pending; _STIFF_VERDICTS estimates above _STIFF_H_LAMBDA switch to RODAS4
+# for the rest of the run, _NONSTIFF_RESET below in a row clear the count.
+# Only runs of at most _STIFF_MAX_NODES values test: the estimate and the
+# RODAS4 step use the dense Jacobian.
+_STIFF_MAX_NODES = 256
+_STIFF_EVERY = 100
+_STIFF_H_LAMBDA = 3.25
+_STIFF_VERDICTS = 15
+_NONSTIFF_RESET = 6
+
+# RODAS4 (Hairer & Wanner II, IV.7; rodas.f, METH = 1), in the form with
+# stage increments k_i: (1/(h gamma) I - J) k_i = F(Y_i) + sum_j C_ij/h k_j,
+# Y_i = y + sum_j A_ij k_j for i <= 5, Y_6 = Y_5 + k_5, y_new = Y_6 + k_6.
+# The method is stiffly accurate and k_6 is the error of its embedded
+# order-3 solution Y_6.
+_RODAS_GAMMA = 0.25
+_RODAS_ORDER = 4
+_RODAS_A = tuple(np.array(row) for row in (
+    (),
+    (1.544,),
+    (0.9466785280815826, 0.2557011698983284),
+    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+))
+_RODAS_C = tuple(np.array(row) for row in (
+    (),
+    (-5.6688,),
+    (-2.430093356833875, -0.2063599157091915),
+    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
+    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
+    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+     -6.058818238834054),
+))
 
 
 @dataclass(frozen=True)
@@ -99,9 +144,10 @@ class Trajectory:
     through the n -> n+1 boundary and min_value[i] the smallest component.
     work_x0 is the integral of the root intensity; work_visc[:, g] the
     integral of d_g * (generation-g energy); work_flux[:, n] the integral of
-    the n -> n+1 boundary flux (factor 2 included).  final is the state at
-    t_end; kept maps the row index of each kept time, and of t_end, to its
-    state.  Every state is read-only and holds its own copy.
+    the n -> n+1 boundary flux (factor 2 included).  stiff_from is the time
+    the run switched from DP5 to RODAS4, None if it never did.  final is the
+    state at t_end; kept maps the row index of each kept time, and of t_end,
+    to its state.  Every state is read-only and holds its own copy.
     """
 
     params: ModelParams
@@ -114,6 +160,7 @@ class Trajectory:
     work_flux: np.ndarray
     n_accepted: int
     n_rejected: int
+    stiff_from: float | None
     final: TreeState
     kept: dict
 
@@ -148,12 +195,13 @@ def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
         return make_kernel(params).rhs(state.values)
 
 
-def _step_factor(err_norm: float) -> float:
-    """Step-size multiplier for an error norm: below 1 after a rejection
-    (err_norm > 1), at most 5 after an acceptance."""
+def _step_factor(err_norm: float, order: int) -> float:
+    """Step-size multiplier for an error norm of a method of this order:
+    below 1 after a rejection (err_norm > 1), at most 5 after an
+    acceptance."""
     if err_norm == 0.0:
         return 5.0
-    return min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / _ORDER)))
+    return min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / order)))
 
 
 def _rounding_gap(t: float) -> float:
@@ -185,11 +233,68 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
     return min(h0, 0.1 * t_end, max_step)
 
 
+def _stiffness_estimate(kernel, y, K, h) -> float:
+    """h rho(J) for DOPRI5's stiffness test.  K[6] - K[5] = f(y5) - f(Y6),
+    Y6 the input of stage 6, is about J (y5 - Y6): DOPRI5's quotient
+    ||K[6] - K[5]|| / ||y5 - Y6|| is one power step from y5 - Y6.  That
+    difference is mostly non-stiff error, so the quotient reads far below
+    rho(J); two more power steps with the Jacobian at y give
+    h sqrt(||J^2 u|| / ||u||), u = K[6] - K[5]."""
+    u = K[6] - K[5]
+    norm_u = float(np.linalg.norm(u))
+    if norm_u == 0.0:
+        return 0.0
+    jac = kernel.jacobian(y, 0.0)  # -J
+    return h * math.sqrt(float(np.linalg.norm(jac @ (jac @ u))) / norm_u)
+
+
+class _Rodas4:
+    """Workspace and attempt of the RODAS4 step.  The work rates ride along
+    as extra components whose Jacobian has the rows W_y and zero columns, so
+    their stage increments k_q,i = h gamma (w(Y_i) + sum_j C_ij/h k_q,j +
+    W_y(y) k_i) need no solve."""
+
+    def __init__(self, kernel, n, nw):
+        self.kernel = kernel
+        self.k = np.empty((6, n))
+        self.kq = np.empty((6, nw))
+        self.f = np.empty(n)
+        self.w = np.empty(nw)
+
+    def attempt(self, y, f0, w0, h, out):
+        """One attempt over h from y, whose derivative and work rates are f0
+        and w0.  Writes the new solution to out and returns the increment of
+        the work quadratures; the error estimate is self.k[5].  Raises
+        np.linalg.LinAlgError if the stage matrix is singular."""
+        kernel, k, kq = self.kernel, self.k, self.kq
+        hg = h * _RODAS_GAMMA
+        m = kernel.jacobian(y, 1.0 / hg)
+        f, w = f0, w0
+        for i in range(6):
+            if i == 5:
+                out += k[4]  # Y_6 = Y_5 + k_5
+            elif i:
+                np.matmul(_RODAS_A[i], k[:i], out=out)
+                out += y
+            if i:
+                f, w = kernel.rhs_work(out, out=self.f, work_out=self.w)
+            c = _RODAS_C[i] / h
+            k[i] = np.linalg.solve(m, f + c @ k[:i])
+            kq[i] = w + c @ kq[:i] + kernel.work_jvp(y, k[i])
+            kq[i] *= hg
+        out += k[5]
+        return _RODAS_A[4] @ kq[:4] + kq[4] + kq[5]
+
+
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
     scratch), n_keep kept states, the final state and a row of 4 * depth + 5
-    values at t = 0 and each output time.  n_outputs may be an inf float."""
-    return (12 + n_keep) * params.n_nodes + (n_outputs + 1) * (4 * params.depth + 5)
+    values at t = 0 and each output time.  A run of n <= _STIFF_MAX_NODES
+    values may switch to RODAS4, which adds its stage matrix and 8 arrays of
+    n.  n_outputs may be an inf float."""
+    n = params.n_nodes
+    stiff = n * n + 8 * n if n <= _STIFF_MAX_NODES else 0
+    return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -201,22 +306,25 @@ def integrate(
     output_times=(),
     keep=(),
 ) -> Trajectory:
-    """Integrate from t = 0 to t_end with the embedded 5(4) pair.
+    """Integrate from t = 0 to t_end with the embedded 5(4) pair, switching
+    for good to RODAS4 once DOPRI5's stiffness test fires (runs of at most
+    _STIFF_MAX_NODES values only).
 
     A row of reductions is recorded at t = 0 and at each output time in
     (0, t_end]; t_end always is one.  The solver lands on each output time
     exactly, stretching the last step onto it when that step ends within
     rounding of it; times within rounding of each other share a row (0.3 and
     3 * 0.1).  keep names output times in [0, t_end] whose state is kept
-    besides the final one.
+    besides the final one.  Raises CapacityExceeded before allocating when
+    held_values exceeds params.max_nodes.
     """
     params = params or initial.params
-    y = np.array(initial.values, dtype=np.float64)
-    if y.shape[0] != params.n_nodes:
+    values = initial.values
+    if values.shape[0] != params.n_nodes:
         raise DomainError("initial state length does not match params")
-    if not np.isfinite(y).all():
+    if not np.isfinite(values).all():
         raise NonFiniteState("integrate: initial state contains non-finite entries")
-    if y.min() < 0.0:
+    if values.min() < 0.0:
         raise DomainError("integrate: initial state has negative entries "
                           "(positive-solution mode)")
     if not t_end > 0:
@@ -225,16 +333,21 @@ def integrate(
     if not all(0.0 <= t <= t_end for t in keep):
         raise DomainError(f"keep times must lie in [0, {t_end!r}]")
 
-    kernel = make_kernel(params)
-    depth = params.depth
-    nq_v = depth + 1
-
     targets = []
     for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
                     | keep - {0.0} | {t_end}):
         if targets and t - targets[-1] <= _rounding_gap(t):
             targets.pop()  # one row serves both (0.3 and 3 * 0.1)
         targets.append(t)
+    held = held_values(params, len(targets), len(keep))
+    if held > params.max_nodes:
+        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
+                               f"the budget of {params.max_nodes}")
+
+    y = np.array(values, dtype=np.float64)
+    kernel = make_kernel(params)
+    depth = params.depth
+    nq_v = depth + 1
 
     n = y.size
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
@@ -278,6 +391,11 @@ def integrate(
     n_rej = 0
     consecutive_rej = 0
     just_rejected = False
+    tests_stiffness = n <= _STIFF_MAX_NODES
+    n_stiff = n_nonstiff = 0  # stiffness verdicts pending, non-stiff in a row
+    rodas = None  # the RODAS4 workspace once the run has switched
+    stiff_from = None
+    order = _ORDER
 
     while t < t_end:
         target = targets[ti]
@@ -289,29 +407,40 @@ def integrate(
         if h <= _rounding_gap(t):
             raise StepSizeUnderflow(f"step {h:.3e} underflowed at t = {t!r}")
 
-        for s in range(6):
-            np.matmul(_A_ROWS[s], K[: s + 1], out=yy)
-            yy *= h
-            yy += y
-            if s == 0:
-                kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
+        if rodas is None:
+            for s in range(6):
+                np.matmul(_A_ROWS[s], K[: s + 1], out=yy)
+                yy *= h
+                yy += y
+                if s == 0:
+                    kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
+                else:
+                    kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1])
+            # the last A row is the b row (FSAL), so yy is now the 5th-order
+            # solution and K[6] its derivative: a finite K[6] means a finite y5
+            finite = bool(np.isfinite(K[1:]).all())
+            if finite:
+                np.matmul(_E, K, out=err)
+                err *= h
+                err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
+                finite = math.isfinite(err_norm)
+        else:
+            try:
+                dq = rodas.attempt(y, K[0], W[0], h, out=yy)
+            except np.linalg.LinAlgError:  # singular stage matrix
+                finite = False
             else:
-                kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1])
-        # the last A row is the b row (FSAL), so yy is now the 5th-order
-        # solution and K[6] its derivative: a finite K[6] means a finite y5
-        y5 = yy
-        finite = bool(np.isfinite(K[1:]).all())
-        if finite:
-            np.matmul(_E, K, out=err)
-            err *= h
-            err_norm = _error_norm(err, y, y5, rtol, atol, scratch)
-            finite = math.isfinite(err_norm)
+                finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
+            if finite:
+                err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, scratch)
+                finite = math.isfinite(err_norm)
+        y_new = yy
 
         if not finite:
             cause, shrink = "non-finite", 0.5
         elif err_norm > 1.0:
-            cause, shrink = "error norm", _step_factor(err_norm)
-        elif (y5_min := y5.min()) < -atol and reject_halve:
+            cause, shrink = "error norm", _step_factor(err_norm, order)
+        elif (y_min := y_new.min()) < -atol and reject_halve:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
             # abs_tol is integration noise and is flattened below, anything
@@ -332,30 +461,45 @@ def integrate(
         # accept
         consecutive_rej = 0
         n_acc += 1
-        q += h * (_B @ W)
+        q += h * (_B @ W) if rodas is None else dq
         t = target if lands else t + h
-        if y5_min < 0.0:  # a component was flattened; FSAL derivative is stale
-            np.maximum(y5, 0.0, out=y)
+        if y_min < 0.0:  # a component was flattened; its derivative is stale
+            np.maximum(y_new, 0.0, out=y)
+        else:
+            y, yy = y_new, y  # the old y buffer takes the next stage inputs
+        if y_min < 0.0 or rodas is not None:
             kernel.rhs_work(y, out=K[0], work_out=W[0])
         else:
-            y, yy = y5, y  # the old y buffer takes the next stage inputs
             K[0] = K[6]
             W[0] = W[6]
         if t == target:
             ti += 1
             record(ti, y)
 
-        grow = _step_factor(err_norm)
+        grow = _step_factor(err_norm, order)
         if just_rejected:
             grow = min(grow, 1.0)  # no growth right after a rejection
             just_rejected = False
+        if tests_stiffness and rodas is None and (
+                n_acc % _STIFF_EVERY == 0 or n_stiff > 0):
+            if _stiffness_estimate(kernel, y, K, h) > _STIFF_H_LAMBDA:
+                n_stiff += 1
+                n_nonstiff = 0
+                if n_stiff == _STIFF_VERDICTS:
+                    rodas = _Rodas4(kernel, n, nw)
+                    stiff_from = t
+                    order = _RODAS_ORDER
+            else:
+                n_nonstiff += 1
+                if n_nonstiff == _NONSTIFF_RESET:
+                    n_stiff = 0
         h = min(opts.max_step, h * grow)
 
     return Trajectory(
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
         work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, n_rejected=n_rej,
-        final=kept[ti], kept=kept)
+        stiff_from=stiff_from, final=kept[ti], kept=kept)
 
 
 def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:

@@ -181,6 +181,38 @@ class Kernel:
         self._deriv(y, gain, csum, deriv)
         return deriv, work_out
 
+    def jacobian(self, y, fac):
+        """The dense matrix fac * I - J(y), J the Jacobian of rhs: fac +
+        nu d_g + c_{g+1} * (sum of children) on the diagonal, -2 c_{g+1} X_p
+        at (child, parent) and c_{g+1} X_p at (parent, child)."""
+        n, n_int = y.size, self.n_internal
+        diag = np.full(n, float(fac))
+        if self.neg_nu_d is not None:
+            diag -= self.neg_nu_d
+        diag[:n_int] += self.c_next * _child_sums(y, self.params.branching)
+        m = np.diag(diag)
+        kids = np.arange(1, n)
+        parents = (kids - 1) // self.params.branching
+        coupling = (self.c_next * y[:n_int])[parents]
+        m[kids, parents] = -2.0 * coupling
+        m[parents, kids] = coupling
+        return m
+
+    def work_jvp(self, y, v):
+        """The Jacobian of rhs_work's work rates at y applied to v:
+        [v_0, 2 d_g * sum_g X v, 2 c_{n+1} * sum_n (2 X v csum + X^2 csum(v))]."""
+        p = self.params
+        depth, n_int = p.depth, self.n_internal
+        out = np.empty(2 * depth + 2)
+        out[0] = v[0]
+        visc = _generation_sums(p, y * v, depth + 1, out[1:depth + 2])
+        visc *= 2.0 * self.d
+        # 2 X v csum + X^2 csum(v) = X (2 v csum + X csum(v))
+        inner = 2.0 * v[:n_int] * _child_sums(y, p.branching)
+        inner += y[:n_int] * _child_sums(v, p.branching)
+        _fluxes(p, y[:n_int], inner, self.flux_coefficients, out[depth + 2:])
+        return out
+
     def _deriv(self, y, gain, csum, deriv):
         """deriv = (visc + gain) - loss per node, where gain[p] = c_{g+1} X_p^2
         is what each child of internal node p receives.  gain is reused as

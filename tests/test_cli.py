@@ -204,6 +204,21 @@ class TestSimulateCommand:
             assert all(float(v) == 0.0 for v in line.split(",")[1:])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["summary"]["max_positivity_violation"] == 0.0
+        assert summary["summary"]["stiff_from"] is None
+
+    def test_summary_records_the_stiff_switch(self, tmp_path):
+        # the forced inviscid chain of depth 18 switches to RODAS4 near t = 0.785
+        cfg = write_config(tmp_path, base_config(
+            model="classic", initial={"kind": "root_only", "value": 1.0},
+            params={"alpha": 1.0, "f": 1.0, "depth": 18},
+            t_end=1.0, output_interval=0.01))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+        stiff_from = json.loads((out1 / "summary.json").read_text())["summary"]["stiff_from"]
+        assert 0.7 < stiff_from < 0.9
+        for name in ("trajectory.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_exit_codes(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),

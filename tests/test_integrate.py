@@ -7,13 +7,16 @@ from dyadic_cascade import (
     ModelParams,
     SolverOptions,
     TreeState,
+    balance_residual,
     energy_report,
     integrate,
     inviscid_tree_profile,
     solve_selfsimilar_classic,
 )
-from dyadic_cascade.dynamics import _error_norm
+from dyadic_cascade import dynamics
+from dyadic_cascade.dynamics import _error_norm, _Rodas4, held_values
 from dyadic_cascade.errors import (
+    CapacityExceeded,
     DomainError,
     MaxRejections,
     NonFiniteState,
@@ -287,3 +290,131 @@ class TestErrorNorm:
         expected = math.sqrt(float(np.mean(np.square(
             err / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))))))
         assert _error_norm(err, y, y5, rtol, atol, np.empty(n)) == expected
+
+
+def forced_chain(depth, t_end=1.0, keep=()):
+    """The forced inviscid chain from root_only 1 with 100 outputs: at depth
+    18 DP5 is stability-limited from t = 0.74 on."""
+    p = ModelParams(alpha=1.0, gamma=1.0, nu=0.0, f=1.0, branching=1, depth=depth)
+    y = np.zeros(p.n_nodes)
+    y[0] = 1.0
+    return integrate(TreeState(y, p), p, t_end,
+                     output_times=[i * t_end / 100 for i in range(1, 101)], keep=keep)
+
+
+def dp5_only(run, *args, **kwargs):
+    """run with the stiffness test off: the DP5 oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_STIFF_MAX_NODES", 0)
+        return run(*args, **kwargs)
+
+
+def worst_residual(traj):
+    return max(abs(balance_residual(traj, 0.0, t)) for t in traj.times[1:])
+
+
+@pytest.fixture(scope="module")
+def chain18():
+    return forced_chain(18, keep=[0.8])
+
+
+@pytest.fixture(scope="module")
+def chain18_dp5():
+    return dp5_only(forced_chain, 18)
+
+
+class TestStiffSwitch:
+    def test_rodas4_is_fourth_order(self):
+        # fixed steps from t = 0 to 0.5: halving h divides the error of the
+        # solution and of the work quadratures by about 2^4
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=1.0, branching=1, depth=5)
+        y0 = np.zeros(p.n_nodes)
+        y0[0] = 1.0
+        ref = integrate(TreeState(y0, p), p, 0.5, SolverOptions(rel_tol=1e-13, abs_tol=1e-16))
+        q_ref = np.concatenate(([ref.work_x0[-1]], ref.work_visc[-1], ref.work_flux[-1]))
+        kernel = dynamics.make_kernel(p)
+
+        def errors(steps):
+            rodas = _Rodas4(kernel, p.n_nodes, q_ref.size)
+            y, q, out = y0.copy(), np.zeros(q_ref.size), np.empty(p.n_nodes)
+            for _ in range(steps):
+                f, w = kernel.rhs_work(y)
+                q += rodas.attempt(y, f, w, 0.5 / steps, out)
+                y = out.copy()
+            return np.abs(y - ref.final.values).max(), np.abs(q - q_ref).max()
+
+        coarse, fine = errors(64), errors(128)
+        for c, f in zip(coarse, fine):
+            assert 14.0 <= c / f <= 18.0
+
+    def test_chain_stiff_switches_and_matches_dp5(self, chain18, chain18_dp5):
+        assert chain18_dp5.stiff_from is None
+        assert 0.7 < chain18.stiff_from < 0.9
+        assert chain18.n_accepted <= 4000 < chain18_dp5.n_accepted
+        assert chain18.n_rejected < 50
+        e, e_dp5 = chain18.energies[-1].sum(), chain18_dp5.energies[-1].sum()
+        assert abs(e - e_dp5) <= 1e-9 * e_dp5
+        assert worst_residual(chain18) <= 1e-9 * e
+        assert chain18.min_value.min() >= 0.0
+
+    @pytest.mark.parametrize("branching,depth,alpha,t_end", [
+        (1, 4, 1.0, 1.0), (1, 10, 1.0, 1.0), (2, 6, 2.0, 1.0), (2, 7, 2.0, 0.5)])
+    def test_runs_that_never_switch_are_bit_identical(self, branching, depth, alpha, t_end):
+        # every run tests its stiffness at least once (100 accepted steps)
+        # without switching; the test must not touch the DP5 path
+        p = ModelParams(alpha=alpha, gamma=1.0, nu=0.0, f=1.0, branching=branching,
+                        depth=depth)
+        y = np.zeros(p.n_nodes)
+        y[0] = 1.0
+        args = (TreeState(y, p), p, t_end, SolverOptions(),
+                np.linspace(t_end / 100, t_end, 100), [t_end / 2])
+        traj, oracle = integrate(*args), dp5_only(integrate, *args)
+        assert traj.stiff_from is None
+        assert traj.n_accepted >= 100
+        assert (traj.n_accepted, traj.n_rejected) == (oracle.n_accepted, oracle.n_rejected)
+        for name in ("times", "energies", "fluxes", "min_value", "work_x0",
+                     "work_visc", "work_flux"):
+            assert getattr(traj, name).tobytes() == getattr(oracle, name).tobytes()
+        assert traj.final.values.tobytes() == oracle.final.values.tobytes()
+
+    def test_depth_40_chain_finishes(self):
+        traj = forced_chain(40)
+        assert traj.stiff_from is not None
+        assert traj.n_accepted <= 6000
+        assert worst_residual(traj) <= 1e-8 * traj.energies[-1].sum()
+        assert traj.min_value.min() >= 0.0
+
+    def test_switched_chain_matches_radau(self, chain18):
+        integrate_ivp = pytest.importorskip("scipy.integrate")
+        p = chain18.params
+        kernel = dynamics.make_kernel(p)
+        sol = integrate_ivp.solve_ivp(
+            lambda t, y: kernel.rhs(y), (0.8, 1.0), chain18.state_at(0.8).values,
+            method="Radau", rtol=1e-11, atol=1e-14, jac=lambda t, y: -kernel.jacobian(y, 0.0))
+        assert sol.status == 0
+        expected = sol.y[:, -1]
+        assert (np.abs(chain18.final.values - expected) <= 1e-8 * expected).all()
+
+
+class TestCapacity:
+    def test_held_values_counts_the_stiff_workspace(self, monkeypatch):
+        chain = ModelParams(alpha=1.0, branching=1, depth=18)
+        tree = ModelParams(alpha=1.0, branching=2, depth=8)  # 511 nodes
+        with_stiff = [held_values(p, 100, 1) for p in (chain, tree)]
+        monkeypatch.setattr(dynamics, "_STIFF_MAX_NODES", 0)
+        assert with_stiff[0] - held_values(chain, 100, 1) == 19 * 19 + 8 * 19
+        assert with_stiff[1] == held_values(tree, 100, 1)
+
+    def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
+        p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
+        outputs = [0.25, 0.5, 0.75, 1.0]
+        held = held_values(p, len(outputs), 1)
+        x = TreeState.zeros(p)
+        for budget in (p.n_nodes, held - 1):
+            tight = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=budget)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "make_kernel", None)  # raised before it runs
+                with pytest.raises(CapacityExceeded, match="would hold"):
+                    integrate(x, tight, 1.0, output_times=outputs, keep=[0.5])
+        fits = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=held)
+        assert integrate(x, fits, 1.0, output_times=outputs, keep=[0.5]).n_accepted > 0

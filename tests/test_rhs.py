@@ -198,3 +198,45 @@ class TestChildSums:
             y = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, -1000, n)
         expected = y[1:].reshape(-1, branching).sum(axis=1)
         assert _child_sums(y, branching).tobytes() == expected.tobytes()
+
+
+class TestJacobian:
+    """jacobian and work_jvp against central differences of rhs and
+    rhs_work.  rhs is quadratic, so its central difference is exact up to
+    rounding; the flux rates are cubic and leave an O(eps^2) term."""
+
+    @pytest.mark.parametrize("nu,f", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.0), (0.25, 1.3)])
+    @pytest.mark.parametrize("branching,depth", [(1, 6), (2, 4), (4, 3)])
+    def test_jacobian_matches_central_differences(self, branching, depth, nu, f):
+        p = ModelParams(alpha=1.7, gamma=2.3, nu=nu, f=f, branching=branching,
+                        depth=depth)
+        kernel = make_kernel(p)
+        y = np.random.default_rng(3).uniform(0.1, 2.0, p.n_nodes)
+        eps = 1e-3
+        numeric = np.empty((p.n_nodes, p.n_nodes))
+        for j in range(p.n_nodes):
+            e = np.zeros(p.n_nodes)
+            e[j] = eps
+            numeric[:, j] = (kernel.rhs(y + e) - kernel.rhs(y - e)) / (2 * eps)
+        fac = 7.5
+        m = kernel.jacobian(y, fac)
+        assert m.shape == (p.n_nodes, p.n_nodes)
+        scale = np.abs(numeric).max()
+        assert np.abs((fac * np.eye(p.n_nodes) - m) - numeric).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("nu,f", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.0), (0.25, 1.3)])
+    @pytest.mark.parametrize("branching,depth", [(1, 6), (2, 4), (4, 3)])
+    def test_work_jvp_matches_central_differences(self, branching, depth, nu, f):
+        p = ModelParams(alpha=1.7, gamma=2.3, nu=nu, f=f, branching=branching,
+                        depth=depth)
+        kernel = make_kernel(p)
+        rng = np.random.default_rng(4)
+        y = rng.uniform(0.1, 2.0, p.n_nodes)
+        v = rng.normal(0.0, 1.0, p.n_nodes)
+        eps = 1e-5
+        numeric = (kernel.rhs_work(y + eps * v)[1]
+                   - kernel.rhs_work(y - eps * v)[1]) / (2 * eps)
+        jvp = kernel.work_jvp(y, v)
+        assert jvp.shape == (2 * depth + 2,)
+        assert jvp[0] == v[0]
+        assert np.abs(jvp - numeric).max() <= 1e-8 * np.abs(numeric).max()
