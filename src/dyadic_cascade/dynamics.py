@@ -66,7 +66,12 @@ _EPS = float(np.finfo(np.float64).eps)
 # pending; _STIFF_VERDICTS estimates above _STIFF_H_LAMBDA switch to RODAS4
 # for the rest of the run, _NONSTIFF_RESET below in a row clear the count.
 # Only runs of at most _STIFF_MAX_NODES values test: the estimate and the
-# RODAS4 step use the dense Jacobian.
+# RODAS4 step use the dense Jacobian, and an attempt inverts it (O(n^3)).
+# Forced inviscid binary trees of depth 7 (255 values) timed against DP5
+# alone on a 2-core VM: where the run is stiff the switch wins (alpha 2,
+# t 10: 2.2 s against 7.1 s; alpha 3, t 3: 3.8 s against 173 s), and where
+# it switches near t_end it costs up to 15% (alpha 1.5, t 15: 1.5 s against
+# 1.3-1.5 s).
 _STIFF_MAX_NODES = 256
 _STIFF_EVERY = 100
 _STIFF_H_LAMBDA = 3.25
@@ -264,11 +269,12 @@ class _Rodas4:
     def attempt(self, y, f0, w0, h, out):
         """One attempt over h from y, whose derivative and work rates are f0
         and w0.  Writes the new solution to out and returns the increment of
-        the work quadratures; the error estimate is self.k[5].  Raises
-        np.linalg.LinAlgError if the stage matrix is singular."""
+        the work quadratures; the error estimate is self.k[5].  The stage
+        matrix is inverted once, so each stage costs a product, not a
+        factorization.  Raises np.linalg.LinAlgError if it is singular."""
         kernel, k, kq = self.kernel, self.k, self.kq
         hg = h * _RODAS_GAMMA
-        m = kernel.jacobian(y, 1.0 / hg)
+        m_inv = np.linalg.inv(kernel.jacobian(y, 1.0 / hg))
         f, w = f0, w0
         for i in range(6):
             if i == 5:
@@ -279,7 +285,7 @@ class _Rodas4:
             if i:
                 f, w = kernel.rhs_work(out, out=self.f, work_out=self.w)
             c = _RODAS_C[i] / h
-            k[i] = np.linalg.solve(m, f + c @ k[:i])
+            np.matmul(m_inv, f + c @ k[:i], out=k[i])
             kq[i] = w + c @ kq[:i] + kernel.work_jvp(y, k[i])
             kq[i] *= hg
         out += k[5]
@@ -290,10 +296,15 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
     scratch), n_keep kept states, the final state and a row of 4 * depth + 5
     values at t = 0 and each output time.  A run of n <= _STIFF_MAX_NODES
-    values may switch to RODAS4, which adds its stage matrix and 8 arrays of
-    n.  n_outputs may be an inf float."""
+    values may switch to RODAS4.  While np.linalg.inv inverts the stage
+    matrix, the matrix, the two LAPACK buffers numpy copies it and the
+    identity into, and the inverse are alive (4 n^2); besides them RODAS4
+    holds 7 arrays of n (stage increments and derivative), up to 3 more of
+    stage temporaries and 7 of the 2 * depth + 2 work rates.  n_outputs may
+    be an inf float."""
     n = params.n_nodes
-    stiff = n * n + 8 * n if n <= _STIFF_MAX_NODES else 0
+    nw = 2 * params.depth + 2
+    stiff = 4 * n * n + 10 * n + 7 * nw if n <= _STIFF_MAX_NODES else 0
     return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
 
 

@@ -377,6 +377,23 @@ class TestStiffSwitch:
             assert getattr(traj, name).tobytes() == getattr(oracle, name).tobytes()
         assert traj.final.values.tobytes() == oracle.final.values.tobytes()
 
+    def test_switched_run_at_the_size_bound_matches_dp5(self):
+        # 255 values, the largest tree under _STIFF_MAX_NODES; it switches
+        # near t = 2 and then solves with the dense 255 x 255 stage matrix
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=7)
+        assert p.n_nodes <= dynamics._STIFF_MAX_NODES
+        y = np.zeros(p.n_nodes)
+        y[0] = 1.0
+        args = (TreeState(y, p), p, 2.5, SolverOptions(), np.linspace(0.025, 2.5, 100))
+        traj, oracle = integrate(*args), dp5_only(integrate, *args)
+        assert oracle.stiff_from is None
+        assert 1.5 < traj.stiff_from < 2.5
+        assert traj.n_accepted + traj.n_rejected < oracle.n_accepted + oracle.n_rejected
+        e, e_dp5 = traj.energies[-1].sum(), oracle.energies[-1].sum()
+        assert abs(e - e_dp5) <= 1e-9 * e_dp5
+        assert worst_residual(traj) <= 1e-9 * e
+        assert traj.min_value.min() >= 0.0
+
     def test_depth_40_chain_finishes(self):
         traj = forced_chain(40)
         assert traj.stiff_from is not None
@@ -402,7 +419,7 @@ class TestCapacity:
         tree = ModelParams(alpha=1.0, branching=2, depth=8)  # 511 nodes
         with_stiff = [held_values(p, 100, 1) for p in (chain, tree)]
         monkeypatch.setattr(dynamics, "_STIFF_MAX_NODES", 0)
-        assert with_stiff[0] - held_values(chain, 100, 1) == 19 * 19 + 8 * 19
+        assert with_stiff[0] - held_values(chain, 100, 1) == 4 * 19 * 19 + 10 * 19 + 7 * 38
         assert with_stiff[1] == held_values(tree, 100, 1)
 
     def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
