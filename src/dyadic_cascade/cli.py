@@ -424,6 +424,8 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
             "max_positivity_violation": max(0.0, -float(traj.min_value.min())),
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
+            "n_rejected_by_cause": traj.rejected,
+            "n_stiffness_tests": traj.n_stiffness_tests,
             "stiff_from": traj.stiff_from,
         },
     }
@@ -436,7 +438,9 @@ _STATIONARY_FIELDS = ("f", "nu", "beta", "gamma", "n_max")
 
 def run_stationary(cfg: dict, out_dir):
     """Solve the classic stationary profile and emit profile.csv (n,Z_n,Y_n)
-    plus regime.json."""
+    plus regime.json.  regime.json's asymptotic_flux is c_{n+1} Y_n^2
+    Y_{n+1} in the limit, half of what boundary_fluxes and the flux_n
+    columns of simulate's trajectory.csv report."""
     _check_unknown(cfg, _STATIONARY_FIELDS, "")
     f = _number(_require(cfg, "f", ""), "f")
     nu = _number(_require(cfg, "nu", ""), "nu")

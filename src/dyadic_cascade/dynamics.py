@@ -2,11 +2,13 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL.  Since
 c_n = 2^{alpha n}, the Jacobian's spectral radius grows like 2^{alpha depth},
-and on deep forced runs DP5's step is bounded by stability, not accuracy.  A
-run of at most _STIFF_MAX_NODES values therefore runs DOPRI5's stiffness
-test, and once it fires switches for good to RODAS4, a stiffly accurate
-linearly implicit Rosenbrock step of order 4 that solves with the dense
-Jacobian.  Both steps share one loop: landing on output times, rejection
+and on deep forced runs DP5's step is bounded by stability, not accuracy.
+Every run therefore runs DOPRI5's stiffness test with matrix-free
+Jacobian-vector products, and once it fires switches for good to RODAS4, a
+stiffly accurate linearly implicit Rosenbrock step of order 4.  The
+Jacobian's sparsity graph is the tree, so RODAS4 solves its stage matrix by
+an O(n) leaves-to-root elimination (Kernel.factor); no dense matrix is ever
+formed.  Both steps share one loop: landing on output times, rejection
 causes, the positivity rule and the recording are the same.  Positivity
 is enforced by step rejection (default): any step that would produce a
 negative component is retried with half the step, so the balance diagnostics
@@ -60,21 +62,20 @@ _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 _ORDER = 5
 _EPS = float(np.finfo(np.float64).eps)
+#: why a step attempt was rejected, in the order Trajectory.rejected lists them
+REJECTION_CAUSES = ("error norm", "non-finite", "positivity")
 
 # DOPRI5's stiffness test (Hairer & Wanner II, IV.2): h lambda estimated
-# every _STIFF_EVERY accepted steps, and on every step while a verdict is
-# pending; _STIFF_VERDICTS estimates above _STIFF_H_LAMBDA switch to RODAS4
-# for the rest of the run, _NONSTIFF_RESET below in a row clear the count.
-# Only runs of at most _STIFF_MAX_NODES values test: the estimate and the
-# RODAS4 step use the dense Jacobian, and an attempt inverts it (O(n^3)).
-# Forced inviscid binary trees of depth 7 (255 values) timed against DP5
-# alone on a 2-core VM: where the run is stiff the switch wins (alpha 2,
-# t 10: 2.2 s against 7.1 s; alpha 3, t 3: 3.8 s against 173 s), and where
-# it switches near t_end it costs up to 15% (alpha 1.5, t 15: 1.5 s against
-# 1.3-1.5 s).
-_STIFF_MAX_NODES = 256
+# every _STIFF_EVERY accepted steps, on every step while a verdict is
+# pending and after every error-norm rejection; _STIFF_VERDICTS estimates
+# above _STIFF_H_LAMBDA switch to RODAS4 for the rest of the run,
+# _NONSTIFF_RESET below in a row clear the count.  Every run tests: an
+# estimate costs two Jacobian-vector products, each about one RHS, and the
+# RODAS4 step solves by an O(n) tree elimination.  DP5's stability boundary
+# on the negative real axis is at h lambda = 3.3, and on stiff runs it
+# settles at 3.14-3.2, so the threshold sits below that.
 _STIFF_EVERY = 100
-_STIFF_H_LAMBDA = 3.25
+_STIFF_H_LAMBDA = 3.0
 _STIFF_VERDICTS = 15
 _NONSTIFF_RESET = 6
 
@@ -149,8 +150,10 @@ class Trajectory:
     through the n -> n+1 boundary and min_value[i] the smallest component.
     work_x0 is the integral of the root intensity; work_visc[:, g] the
     integral of d_g * (generation-g energy); work_flux[:, n] the integral of
-    the n -> n+1 boundary flux (factor 2 included).  stiff_from is the time
-    the run switched from DP5 to RODAS4, None if it never did.  final is the
+    the n -> n+1 boundary flux (factor 2 included).  rejected counts the
+    rejected step attempts by cause, in the order of REJECTION_CAUSES, and
+    n_stiffness_tests the stiffness estimates.  stiff_from is the time the
+    run switched from DP5 to RODAS4, None if it never did.  final is the
     state at t_end; kept maps the row index of each kept time, and of t_end,
     to its state.  Every state is read-only and holds its own copy.
     """
@@ -164,10 +167,15 @@ class Trajectory:
     work_visc: np.ndarray
     work_flux: np.ndarray
     n_accepted: int
-    n_rejected: int
+    rejected: dict
+    n_stiffness_tests: int
     stiff_from: float | None
     final: TreeState
     kept: dict
+
+    @property
+    def n_rejected(self) -> int:
+        return sum(self.rejected.values())
 
     def state_at(self, t: float) -> TreeState:
         """The state kept at time t (the final state at t_end)."""
@@ -238,43 +246,58 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
     return min(h0, 0.1 * t_end, max_step)
 
 
-def _stiffness_estimate(kernel, y, K, h) -> float:
-    """h rho(J) for DOPRI5's stiffness test.  K[6] - K[5] = f(y5) - f(Y6),
-    Y6 the input of stage 6, is about J (y5 - Y6): DOPRI5's quotient
-    ||K[6] - K[5]|| / ||y5 - Y6|| is one power step from y5 - Y6.  That
-    difference is mostly non-stiff error, so the quotient reads far below
-    rho(J); two more power steps with the Jacobian at y give
-    h sqrt(||J^2 u|| / ||u||), u = K[6] - K[5]."""
-    u = K[6] - K[5]
-    norm_u = float(np.linalg.norm(u))
-    if norm_u == 0.0:
-        return 0.0
-    jac = kernel.jacobian(y, 0.0)  # -J
-    return h * math.sqrt(float(np.linalg.norm(jac @ (jac @ u))) / norm_u)
+def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
+    """h rho(J) for DOPRI5's stiffness test, computed in the scratch arrays
+    u and ju.  K[6] - K[5] = f(y5) - f(Y6), Y6 the input of stage 6, is
+    about J (y5 - Y6): DOPRI5's quotient ||K[6] - K[5]|| / ||y5 - Y6|| is
+    one power step from y5 - Y6.  That difference is mostly non-stiff
+    error, so the quotient reads far below rho(J); two more power steps with
+    the Jacobian at y give h sqrt(||J^2 u|| / ||u||), u = K[6] - K[5].
+
+    At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
+    one more round of two steps: on stiff chains two steps from y + 1 read
+    about 0.4 rho(J), four within 7%.  u is scaled to a largest entry of 1
+    before each round, so that J^2 u cannot overflow where u is large (the
+    stages of a rejected attempt)."""
+    np.subtract(K[6], K[5], out=u)
+    rounds = 1
+    if not np.abs(u, out=ju).max() > 0.0:
+        np.add(y, 1.0, out=u)
+        rounds = 2
+    for _ in range(rounds):
+        largest = np.abs(u, out=ju).max()
+        if not largest > 0.0:  # J^2 (y + 1) = 0
+            return 0.0
+        u /= largest
+        norm_u = float(np.linalg.norm(u))
+        kernel.jvp(y, u, out=ju)
+        kernel.jvp(y, ju, out=u)
+    return h * math.sqrt(float(np.linalg.norm(u)) / norm_u)
 
 
 class _Rodas4:
     """Workspace and attempt of the RODAS4 step.  The work rates ride along
     as extra components whose Jacobian has the rows W_y and zero columns, so
     their stage increments k_q,i = h gamma (w(Y_i) + sum_j C_ij/h k_q,j +
-    W_y(y) k_i) need no solve."""
+    W_y(y) k_i) need no solve.  k and kq are the (6, n) and (6, nw) arrays
+    of stage increments; integrate lends it the rows DP5 no longer uses."""
 
-    def __init__(self, kernel, n, nw):
+    def __init__(self, kernel, k, kq):
         self.kernel = kernel
-        self.k = np.empty((6, n))
-        self.kq = np.empty((6, nw))
-        self.f = np.empty(n)
-        self.w = np.empty(nw)
+        self.k = k
+        self.kq = kq
+        self.f = np.empty(k.shape[1])
+        self.w = np.empty(kq.shape[1])
 
     def attempt(self, y, f0, w0, h, out):
-        """One attempt over h from y, whose derivative and work rates are f0
-        and w0.  Writes the new solution to out and returns the increment of
-        the work quadratures; the error estimate is self.k[5].  The stage
-        matrix is inverted once, so each stage costs a product, not a
-        factorization.  Raises np.linalg.LinAlgError if it is singular."""
+        """One attempt over h from y >= 0, whose derivative and work rates
+        are f0 and w0.  Writes the new solution to out and returns the
+        increment of the work quadratures; the error estimate is self.k[5].
+        The stage matrix is factored once, so each stage costs two sweeps
+        over the tree."""
         kernel, k, kq = self.kernel, self.k, self.kq
         hg = h * _RODAS_GAMMA
-        m_inv = np.linalg.inv(kernel.jacobian(y, 1.0 / hg))
+        solve = kernel.factor(y, 1.0 / hg)
         f, w = f0, w0
         for i in range(6):
             if i == 5:
@@ -285,7 +308,7 @@ class _Rodas4:
             if i:
                 f, w = kernel.rhs_work(out, out=self.f, work_out=self.w)
             c = _RODAS_C[i] / h
-            np.matmul(m_inv, f + c @ k[:i], out=k[i])
+            solve(f + c @ k[:i], out=k[i])
             kq[i] = w + c @ kq[:i] + kernel.work_jvp(y, k[i])
             kq[i] *= hg
         out += k[5]
@@ -295,16 +318,16 @@ class _Rodas4:
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
     scratch), n_keep kept states, the final state and a row of 4 * depth + 5
-    values at t = 0 and each output time.  A run of n <= _STIFF_MAX_NODES
-    values may switch to RODAS4.  While np.linalg.inv inverts the stage
-    matrix, the matrix, the two LAPACK buffers numpy copies it and the
-    identity into, and the inverse are alive (4 n^2); besides them RODAS4
-    holds 7 arrays of n (stage increments and derivative), up to 3 more of
-    stage temporaries and 7 of the 2 * depth + 2 work rates.  n_outputs may
-    be an inf float."""
+    values at t = 0 and each output time, plus what RODAS4 adds once a run
+    switches.  Its stage increments reuse DP5's stage rows; it adds its
+    derivative and work rates, the factored stage matrix (a_p and the
+    pivots: 2 n), up to 2 stage temporaries of n and 2 of the
+    nw = 2 * depth + 2 work rates.  On a chain the factor and the sweep's
+    copy of r are lists of Python floats, 32 bytes or 4 values per entry:
+    12 n instead of 2 n.  n_outputs may be an inf float."""
     n = params.n_nodes
     nw = 2 * params.depth + 2
-    stiff = 4 * n * n + 10 * n + 7 * nw if n <= _STIFF_MAX_NODES else 0
+    stiff = (15 if params.branching == 1 else 5) * n + 3 * nw
     return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
 
 
@@ -318,8 +341,10 @@ def integrate(
     keep=(),
 ) -> Trajectory:
     """Integrate from t = 0 to t_end with the embedded 5(4) pair, switching
-    for good to RODAS4 once DOPRI5's stiffness test fires (runs of at most
-    _STIFF_MAX_NODES values only).
+    for good to RODAS4 once DOPRI5's stiffness test fires.  Any run may
+    switch: the test costs two Jacobian-vector products every _STIFF_EVERY
+    accepted steps and after each error-norm rejection, and never changes
+    the steps of a run that does not switch.
 
     A row of reductions is recorded at t = 0 and at each output time in
     (0, t_end]; t_end always is one.  The solver lands on each output time
@@ -399,10 +424,10 @@ def integrate(
     t = 0.0
     ti = 0  # next output target index
     n_acc = 0
-    n_rej = 0
+    rejected = dict.fromkeys(REJECTION_CAUSES, 0)
     consecutive_rej = 0
     just_rejected = False
-    tests_stiffness = n <= _STIFF_MAX_NODES
+    n_tests = 0
     n_stiff = n_nonstiff = 0  # stiffness verdicts pending, non-stiff in a row
     rodas = None  # the RODAS4 workspace once the run has switched
     stiff_from = None
@@ -436,12 +461,8 @@ def integrate(
                 err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
                 finite = math.isfinite(err_norm)
         else:
-            try:
-                dq = rodas.attempt(y, K[0], W[0], h, out=yy)
-            except np.linalg.LinAlgError:  # singular stage matrix
-                finite = False
-            else:
-                finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
+            dq = rodas.attempt(y, K[0], W[0], h, out=yy)
+            finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
             if finite:
                 err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, scratch)
                 finite = math.isfinite(err_norm)
@@ -460,57 +481,60 @@ def integrate(
         else:
             cause = None
         if cause is not None:
-            n_rej += 1
+            rejected[cause] += 1
             consecutive_rej += 1
             just_rejected = True
             if consecutive_rej > opts.max_rejections:
                 raise MaxRejections(
                     f"{consecutive_rej} consecutive rejections ({cause}) at t = {t}")
-            h *= shrink
-            continue
-
-        # accept
-        consecutive_rej = 0
-        n_acc += 1
-        q += h * (_B @ W) if rodas is None else dq
-        t = target if lands else t + h
-        if y_min < 0.0:  # a component was flattened; its derivative is stale
-            np.maximum(y_new, 0.0, out=y)
+            # an error-norm rejection is where a stability-bound DP5 shows,
+            # and its stages are those of a whole attempt
+            tests = cause == "error norm"
+            h_taken, h = h, h * shrink
         else:
-            y, yy = y_new, y  # the old y buffer takes the next stage inputs
-        if y_min < 0.0 or rodas is not None:
-            kernel.rhs_work(y, out=K[0], work_out=W[0])
-        else:
-            K[0] = K[6]
-            W[0] = W[6]
-        if t == target:
-            ti += 1
-            record(ti, y)
+            consecutive_rej = 0
+            n_acc += 1
+            q += h * (_B @ W) if rodas is None else dq
+            t = target if lands else t + h
+            if y_min < 0.0:  # a component was flattened; its derivative is stale
+                np.maximum(y_new, 0.0, out=y)
+            else:
+                y, yy = y_new, y  # the old y buffer takes the next stage inputs
+            if y_min < 0.0 or rodas is not None:
+                kernel.rhs_work(y, out=K[0], work_out=W[0])
+            else:
+                K[0] = K[6]
+                W[0] = W[6]
+            if t == target:
+                ti += 1
+                record(ti, y)
 
-        grow = _step_factor(err_norm, order)
-        if just_rejected:
-            grow = min(grow, 1.0)  # no growth right after a rejection
-            just_rejected = False
-        if tests_stiffness and rodas is None and (
-                n_acc % _STIFF_EVERY == 0 or n_stiff > 0):
-            if _stiffness_estimate(kernel, y, K, h) > _STIFF_H_LAMBDA:
+            grow = _step_factor(err_norm, order)
+            if just_rejected:
+                grow = min(grow, 1.0)  # no growth right after a rejection
+                just_rejected = False
+            tests = n_acc % _STIFF_EVERY == 0 or n_stiff > 0
+            h_taken, h = h, min(opts.max_step, h * grow)
+
+        if tests and rodas is None:
+            n_tests += 1
+            if _stiffness_estimate(kernel, y, K, h_taken, err, scratch) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
-                    rodas = _Rodas4(kernel, n, nw)
+                    rodas = _Rodas4(kernel, K[1:], W[1:])
                     stiff_from = t
                     order = _RODAS_ORDER
             else:
                 n_nonstiff += 1
                 if n_nonstiff == _NONSTIFF_RESET:
                     n_stiff = 0
-        h = min(opts.max_step, h * grow)
 
     return Trajectory(
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
-        work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, n_rejected=n_rej,
-        stiff_from=stiff_from, final=kept[ti], kept=kept)
+        work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, rejected=rejected,
+        n_stiffness_tests=n_tests, stiff_from=stiff_from, final=kept[ti], kept=kept)
 
 
 def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:

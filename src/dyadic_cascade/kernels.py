@@ -41,6 +41,10 @@ file):
 
 All of this is fixed-order and deterministic, so identical inputs give
 identical bytes.
+
+The stiff integrator never forms the Jacobian: Kernel.jvp applies it with
+the same whole-array operations, and Kernel.factor solves its stage matrix
+by eliminating the tree leaves to root, in O(n).
 """
 
 from __future__ import annotations
@@ -65,7 +69,12 @@ def _child_sums(y: np.ndarray, branching: int) -> np.ndarray:
     N = 1 this is a view of y."""
     if branching == 1:
         return y[1:]
-    rows = y[1:].reshape(-1, branching)
+    return _row_sums(y[1:], branching)
+
+
+def _row_sums(x: np.ndarray, branching: int) -> np.ndarray:
+    """Sum of each run of N consecutive values of x, N = branching >= 2."""
+    rows = x.reshape(-1, branching)
     if branching > 8:
         return rows.sum(1)
     return _column_sum(rows.T)
@@ -181,22 +190,48 @@ class Kernel:
         self._deriv(y, gain, csum, deriv)
         return deriv, work_out
 
-    def jacobian(self, y, fac):
-        """The dense matrix fac * I - J(y), J the Jacobian of rhs: fac +
-        nu d_g + c_{g+1} * (sum of children) on the diagonal, -2 c_{g+1} X_p
-        at (child, parent) and c_{g+1} X_p at (parent, child)."""
-        n, n_int = y.size, self.n_internal
-        diag = np.full(n, float(fac))
+    def jvp(self, y, v, out=None):
+        """J(y) v, J the Jacobian of rhs: -nu d_g v, plus 2 c_{g+1} X_p v_p
+        on each child of p, minus c_{g+1} (v S + X S(v)) on each internal
+        node, S the child sum.  Overflow is handled as in rhs."""
+        n_int, branching = self.n_internal, self.params.branching
+        jv = np.empty_like(v) if out is None else out
+        if self.neg_nu_d is None:
+            jv.fill(0.0)
+        else:
+            np.multiply(self.neg_nu_d, v, out=jv)
+        a = np.multiply(self.c_next, y[:n_int])
+        gain = np.multiply(a, v[:n_int])
+        gain *= 2.0
+        _add_to_children(gain, jv[1:], branching)
+        loss = np.multiply(v[:n_int], _child_sums(y, branching), out=gain)
+        loss *= self.c_next
+        a *= _child_sums(v, branching)
+        loss += a
+        jv[:n_int] -= loss
+        return jv
+
+    def factor(self, y, fac):
+        """Factor M = fac I - J(y) for y >= 0 and fac > 0, and return a
+        function solving M x = r into out.
+
+        M has D = fac + nu d_g + c_{g+1} S on the diagonal, a_p = c_{g+1}
+        X_p at (p, child) and -2 a_p at (child, p); its graph is the tree,
+        so eliminating each generation into its parents, leaves to root,
+        leaves no fill-in.  The pivot of p is D_p + 2 a_p^2 sum_k 1/pivot_k
+        >= fac > 0, so no pivoting is needed.  The forward sweep takes r_p
+        -= a_p sum_k r_k/pivot_k, the back sweep x_k = (r_k + 2 a_p x_p) /
+        pivot_k.  Chains sweep on Python floats (numpy would pay one call per
+        node), trees one generation per numpy operation."""
+        n_int, branching = self.n_internal, self.params.branching
+        a = np.multiply(self.c_next, y[:n_int])
+        diag = np.full(y.size, float(fac))
         if self.neg_nu_d is not None:
             diag -= self.neg_nu_d
-        diag[:n_int] += self.c_next * _child_sums(y, self.params.branching)
-        m = np.diag(diag)
-        kids = np.arange(1, n)
-        parents = (kids - 1) // self.params.branching
-        coupling = (self.c_next * y[:n_int])[parents]
-        m[kids, parents] = -2.0 * coupling
-        m[parents, kids] = coupling
-        return m
+        diag[:n_int] += self.c_next * _child_sums(y, branching)
+        if branching == 1:
+            return _chain_solver(a.tolist(), diag.tolist())
+        return _tree_solver(a, diag, self.params.offsets, branching)
 
     def work_jvp(self, y, v):
         """The Jacobian of rhs_work's work rates at y applied to v:
@@ -226,6 +261,63 @@ class Kernel:
         loss = np.multiply(self.c_next, y[:self.n_internal], out=gain)
         loss *= csum
         deriv[:self.n_internal] -= loss
+
+
+def _chain_solver(a, diag):
+    """Kernel.factor for N = 1: a and diag are lists, node i's child is
+    node i + 1."""
+    n = len(diag)
+    inv = diag  # diag[i] is read once, before inv[i] replaces it
+    inv_next = inv[n - 1] = 1.0 / diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        inv_next = inv[i] = 1.0 / (diag[i] + 2.0 * a[i] * a[i] * inv_next)
+
+    def solve(r, out):
+        r = r.tolist()
+        for i in range(n - 1, 0, -1):
+            r[i - 1] -= a[i - 1] * (r[i] * inv[i])
+        x = r[0] = r[0] * inv[0]
+        for i in range(1, n):
+            x = r[i] = (r[i] + 2.0 * a[i - 1] * x) * inv[i]
+        out[:] = r
+        return out
+
+    return solve
+
+
+def _tree_solver(a, diag, offs, branching):
+    """Kernel.factor for N >= 2: a and diag are arrays, and the children of
+    generation g are generation g + 1 in parent order."""
+    depth = len(offs) - 2
+    gens = [(slice(offs[g], offs[g + 1]), slice(offs[g + 1], offs[g + 2]))
+            for g in range(depth)]
+    inv = diag
+    leaves = inv[offs[depth]:]
+    np.divide(1.0, leaves, out=leaves)
+    for par, kids in reversed(gens):
+        s = _row_sums(inv[kids], branching)
+        s *= a[par]
+        s *= a[par]
+        s *= 2.0
+        s += inv[par]
+        np.divide(1.0, s, out=inv[par])
+
+    def solve(r, out):
+        z = out
+        z[:] = r
+        for par, kids in reversed(gens):
+            s = _row_sums(z[kids] * inv[kids], branching)
+            s *= a[par]
+            z[par] -= s
+        z[0] *= inv[0]
+        for par, kids in gens:
+            ax = np.multiply(a[par], z[par])
+            ax *= 2.0
+            _add_to_children(ax, z[kids], branching)
+            z[kids] *= inv[kids]
+        return z
+
+    return solve
 
 
 def make_kernel(params: ModelParams) -> Kernel:

@@ -375,7 +375,11 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
 
 
 def asymptotic_flux(z: float, beta: float, nu: float) -> float:
-    """Limiting border flux 2^{-4 beta/3} nu^3 z^3 of an anomalous profile."""
+    """Limiting border flux 2^{-4 beta/3} nu^3 z^3 of an anomalous profile.
+
+    This is c_{n+1} Y_n^2 Y_{n+1} in the limit, the flux of d(X^2/2)/dt.
+    boundary_fluxes and the energy balance carry the factor 2 of d(X^2)/dt,
+    so a run's deep boundary_fluxes level off at twice this value."""
     if z < 0:
         raise DomainError("z must be >= 0")
     return pow2(-4.0 * beta / 3.0) * nu ** 3 * z ** 3

@@ -205,9 +205,11 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["summary"]["max_positivity_violation"] == 0.0
         assert summary["summary"]["stiff_from"] is None
+        assert summary["summary"]["n_rejected_by_cause"] == {
+            "error norm": 0, "non-finite": 0, "positivity": 0}
 
     def test_summary_records_the_stiff_switch(self, tmp_path):
-        # the forced inviscid chain of depth 18 switches to RODAS4 near t = 0.785
+        # the forced inviscid chain of depth 18 switches to RODAS4 near t = 0.748
         cfg = write_config(tmp_path, base_config(
             model="classic", initial={"kind": "root_only", "value": 1.0},
             params={"alpha": 1.0, "f": 1.0, "depth": 18},
@@ -215,8 +217,12 @@ class TestSimulateCommand:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-        stiff_from = json.loads((out1 / "summary.json").read_text())["summary"]["stiff_from"]
-        assert 0.7 < stiff_from < 0.9
+        summary = json.loads((out1 / "summary.json").read_text())["summary"]
+        assert 0.7 < summary["stiff_from"] < 0.9
+        by_cause = summary["n_rejected_by_cause"]
+        assert list(by_cause) == ["error norm", "non-finite", "positivity"]
+        assert sum(by_cause.values()) == summary["n_rejected"]
+        assert summary["n_stiffness_tests"] >= 15  # the verdicts that switched
         for name in ("trajectory.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -249,14 +255,15 @@ class TestSimulateCommand:
 
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
         # binary depth 8 has 511 nodes.  Two outputs of 511 values fit in
-        # 4000, but the 11 integrator arrays, the final state and a row of
-        # 4 * 8 + 5 values at each of the 2 recorded times do not
+        # 4000, but the 11 integrator arrays, the final state, RODAS4's
+        # 5 n + 3 (2 * 8 + 2) values and a row of 4 * 8 + 5 values at each of
+        # the 2 recorded times do not
         config = RunConfig.from_dict(base_config(
             params={"alpha": 1.0, "f": 0.5, "branching": 2, "depth": 8},
             t_end=0.5, output_interval=0.5))
         for dumps in ((), (0.0, 0.5)):
             out = tmp_path / f"o{len(dumps)}"
-            held = (11 + len(dumps) + 1) * 511 + 2 * (4 * 8 + 5)
+            held = (11 + len(dumps) + 1 + 5) * 511 + 3 * 18 + 2 * (4 * 8 + 5)
             for budget in (4000, held - 1):
                 cfg = replace(config, params=replace(config.params, max_nodes=budget))
                 with monkeypatch.context() as m:

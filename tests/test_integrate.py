@@ -9,12 +9,15 @@ from dyadic_cascade import (
     TreeState,
     balance_residual,
     energy_report,
+    asymptotic_flux,
     integrate,
     inviscid_tree_profile,
     solve_selfsimilar_classic,
+    solve_viscous_stationary,
 )
 from dyadic_cascade import dynamics
 from dyadic_cascade.dynamics import _error_norm, _Rodas4, held_values
+from dyadic_cascade.kernels import boundary_fluxes
 from dyadic_cascade.errors import (
     CapacityExceeded,
     DomainError,
@@ -23,6 +26,7 @@ from dyadic_cascade.errors import (
     RangeError,
     StepSizeUnderflow,
 )
+from jacobian_oracle import dense_jacobian
 
 
 class TestBasics:
@@ -303,9 +307,12 @@ def forced_chain(depth, t_end=1.0, keep=()):
 
 
 def dp5_only(run, *args, **kwargs):
-    """run with the stiffness test off: the DP5 oracle."""
+    """run with a stiffness threshold no estimate passes: the DP5 oracle.
+    It computes no estimate either, so that a run that tests and never
+    switches can be compared with one that never tests."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_STIFF_MAX_NODES", 0)
+        m.setattr(dynamics, "_STIFF_H_LAMBDA", math.inf)
+        m.setattr(dynamics, "_stiffness_estimate", lambda *estimate_args: 0.0)
         return run(*args, **kwargs)
 
 
@@ -335,7 +342,7 @@ class TestStiffSwitch:
         kernel = dynamics.make_kernel(p)
 
         def errors(steps):
-            rodas = _Rodas4(kernel, p.n_nodes, q_ref.size)
+            rodas = _Rodas4(kernel, np.empty((6, p.n_nodes)), np.empty((6, q_ref.size)))
             y, q, out = y0.copy(), np.zeros(q_ref.size), np.empty(p.n_nodes)
             for _ in range(steps):
                 f, w = kernel.rhs_work(y)
@@ -378,16 +385,15 @@ class TestStiffSwitch:
         assert traj.final.values.tobytes() == oracle.final.values.tobytes()
 
     def test_switched_run_at_the_size_bound_matches_dp5(self):
-        # 255 values, the largest tree under _STIFF_MAX_NODES; it switches
-        # near t = 2 and then solves with the dense 255 x 255 stage matrix
+        # 255 values, the largest tree the dense stage matrix used to serve;
+        # it switches well before t_end and then solves by tree elimination
         p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=7)
-        assert p.n_nodes <= dynamics._STIFF_MAX_NODES
         y = np.zeros(p.n_nodes)
         y[0] = 1.0
         args = (TreeState(y, p), p, 2.5, SolverOptions(), np.linspace(0.025, 2.5, 100))
         traj, oracle = integrate(*args), dp5_only(integrate, *args)
         assert oracle.stiff_from is None
-        assert 1.5 < traj.stiff_from < 2.5
+        assert 0.0 < traj.stiff_from < 2.0
         assert traj.n_accepted + traj.n_rejected < oracle.n_accepted + oracle.n_rejected
         e, e_dp5 = traj.energies[-1].sum(), oracle.energies[-1].sum()
         assert abs(e - e_dp5) <= 1e-9 * e_dp5
@@ -407,20 +413,110 @@ class TestStiffSwitch:
         kernel = dynamics.make_kernel(p)
         sol = integrate_ivp.solve_ivp(
             lambda t, y: kernel.rhs(y), (0.8, 1.0), chain18.state_at(0.8).values,
-            method="Radau", rtol=1e-11, atol=1e-14, jac=lambda t, y: -kernel.jacobian(y, 0.0))
+            method="Radau", rtol=1e-11, atol=1e-14, jac=lambda t, y: dense_jacobian(p, y))
         assert sol.status == 0
         expected = sol.y[:, -1]
         assert (np.abs(chain18.final.values - expected) <= 1e-8 * expected).all()
 
 
+def viscous_chain(f, nu, beta, gamma, depth, t_end):
+    """A forced viscous chain from the zero state, with no output times."""
+    p = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f, branching=1, depth=depth)
+    return integrate(TreeState.zeros(p), p, t_end)
+
+
+class TestStiffDetection:
+    """Runs the test used to miss: each switches and finishes in well under
+    a second."""
+
+    def test_estimate_at_a_bitwise_fixed_point(self):
+        # K[6] == K[5] gives u = 0; the probe y + 1 still sees rho(J) at the
+        # step where DP5 settles (h rho = 3.2)
+        p = ModelParams(alpha=3.0, gamma=1.0, nu=0.01, f=10.0, branching=1, depth=12)
+        y = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=40).y[:p.n_nodes]
+        kernel = dynamics.make_kernel(p)
+        K = np.tile(kernel.rhs(y), (7, 1))
+        h = 3.2 / np.abs(np.linalg.eigvals(dense_jacobian(p, y))).max()
+        scratch = np.empty((2, p.n_nodes))
+        estimate = dynamics._stiffness_estimate(kernel, y, K, h, *scratch)
+        assert dynamics._STIFF_H_LAMBDA < estimate <= 1.1 * 3.2
+
+    def test_forced_chain_switches_where_dp5_settles(self):
+        # DP5 alone settles at h rho = 3.14-3.2 from t = 0.03 on and needs
+        # about 146k steps and 8 s for t = 0.5 alone
+        traj = viscous_chain(50.0, 0.1, 1.0, 1.0, 20, 10.0)
+        assert traj.stiff_from < 0.1
+        assert traj.n_accepted + traj.n_rejected < 2000
+        assert worst_residual(traj) <= 1e-8 * traj.energies[-1].sum()
+        assert traj.min_value.min() >= 0.0
+
+    def test_fast_transient_switches_instead_of_underflowing(self):
+        # DP5's estimates jump from 1.4 to 324 within about 20 steps near
+        # t = 0.032; it used to raise StepSizeUnderflow at t = 0.03245
+        traj = viscous_chain(10.0, 0.01, 3.0, 1.0, 32, 10.0)
+        assert traj.stiff_from < 0.04
+        head = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=80).y[0]
+        assert abs(traj.final.values[0] - head) <= 1e-8 * head
+
+
+class TestSolverStats:
+    def test_rejections_by_cause_sum_to_the_total(self):
+        traj = viscous_chain(10.0, 0.01, 3.0, 1.0, 32, 0.1)
+        assert tuple(traj.rejected) == dynamics.REJECTION_CAUSES
+        assert sum(traj.rejected.values()) == traj.n_rejected
+        assert traj.rejected["error norm"] > 0 and traj.rejected["positivity"] > 0
+        assert traj.n_stiffness_tests > 0
+
+    def test_non_finite_rejections_are_counted(self):
+        # the stages of a first step of 1000 overflow; halving recovers
+        p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
+        traj = integrate(TreeState(np.ones(p.n_nodes), p), p, 1e3,
+                         SolverOptions(initial_step=1e3))
+        assert traj.rejected["non-finite"] > 0
+        assert sum(traj.rejected.values()) == traj.n_rejected
+
+    def test_stats_are_unchanged_by_wrapped_kernel_methods(self, chain18, monkeypatch):
+        # a tracer (bench/spans.py) wraps the kernel's methods; the run and
+        # its statistics must not notice
+        make_kernel = dynamics.make_kernel
+
+        def traced(params):
+            kernel = make_kernel(params)
+            for name in ("rhs", "rhs_work", "jvp"):
+                method = getattr(kernel, name)
+                setattr(kernel, name, lambda *a, _m=method, **k: _m(*a, **k))
+            return kernel
+
+        monkeypatch.setattr(dynamics, "make_kernel", traced)
+        again = forced_chain(18, keep=[0.8])
+        for name in ("n_accepted", "n_rejected", "rejected", "n_stiffness_tests",
+                     "stiff_from"):
+            assert getattr(again, name) == getattr(chain18, name)
+        assert again.energies.tobytes() == chain18.energies.tobytes()
+
+
+class TestSteadyFlux:
+    def test_deep_flux_is_twice_the_asymptotic_flux(self):
+        # asymptotic_flux is c_{n+1} Y_n^2 Y_{n+1}, without the factor 2 of
+        # d(X^2)/dt that boundary_fluxes carries: at steady state the flux
+        # over boundaries 12-23 is 998.8016 against 2 x 499.4003
+        traj = viscous_chain(10.0, 0.01, 3.0, 1.0, 24, 20.0)
+        profile = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0)
+        expected = 2.0 * asymptotic_flux(profile.z_limit, 3.0, 0.01)
+        deep = boundary_fluxes(traj.params, traj.final.values)[12:24]
+        assert np.abs(deep - expected).max() <= 1e-5 * expected
+
+
 class TestCapacity:
-    def test_held_values_counts_the_stiff_workspace(self, monkeypatch):
-        chain = ModelParams(alpha=1.0, branching=1, depth=18)
-        tree = ModelParams(alpha=1.0, branching=2, depth=8)  # 511 nodes
-        with_stiff = [held_values(p, 100, 1) for p in (chain, tree)]
-        monkeypatch.setattr(dynamics, "_STIFF_MAX_NODES", 0)
-        assert with_stiff[0] - held_values(chain, 100, 1) == 4 * 19 * 19 + 10 * 19 + 7 * 38
-        assert with_stiff[1] == held_values(tree, 100, 1)
+    def test_held_values_counts_the_stiff_workspace(self):
+        # every run may switch, and RODAS4's workspace is O(n): 15 n + 3 nw
+        # on a chain (its factor is lists of Python floats), 5 n + 3 nw on
+        # a tree, nw = 2 depth + 2 work rates
+        for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 15 * 19 + 3 * 38),
+                         (ModelParams(alpha=1.0, branching=2, depth=8), 5 * 511 + 3 * 18),
+                         (ModelParams(alpha=1.0, branching=2, depth=17), 5 * 262143 + 3 * 36)):
+            rows = 101 * (4 * p.depth + 5)
+            assert held_values(p, 100, 1) == 13 * p.n_nodes + stiff + rows
 
     def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)

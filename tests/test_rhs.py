@@ -15,6 +15,7 @@ from dyadic_cascade import (
 )
 from dyadic_cascade.errors import NonFiniteState
 from dyadic_cascade.kernels import _child_sums, make_kernel
+from jacobian_oracle import dense_jacobian
 
 
 def tree_params(**kw):
@@ -201,9 +202,10 @@ class TestChildSums:
 
 
 class TestJacobian:
-    """jacobian and work_jvp against central differences of rhs and
-    rhs_work.  rhs is quadratic, so its central difference is exact up to
-    rounding; the flux rates are cubic and leave an O(eps^2) term."""
+    """jvp and work_jvp against central differences of rhs and rhs_work
+    along random directions.  rhs is quadratic, so its central difference
+    is exact up to rounding; the flux rates are cubic and leave an O(eps^2)
+    term."""
 
     @pytest.mark.parametrize("nu,f", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.0), (0.25, 1.3)])
     @pytest.mark.parametrize("branching,depth", [(1, 6), (2, 4), (4, 3)])
@@ -211,18 +213,18 @@ class TestJacobian:
         p = ModelParams(alpha=1.7, gamma=2.3, nu=nu, f=f, branching=branching,
                         depth=depth)
         kernel = make_kernel(p)
-        y = np.random.default_rng(3).uniform(0.1, 2.0, p.n_nodes)
+        rng = np.random.default_rng(3)
+        y = rng.uniform(0.1, 2.0, p.n_nodes)
+        oracle = dense_jacobian(p, y)
         eps = 1e-3
-        numeric = np.empty((p.n_nodes, p.n_nodes))
-        for j in range(p.n_nodes):
-            e = np.zeros(p.n_nodes)
-            e[j] = eps
-            numeric[:, j] = (kernel.rhs(y + e) - kernel.rhs(y - e)) / (2 * eps)
-        fac = 7.5
-        m = kernel.jacobian(y, fac)
-        assert m.shape == (p.n_nodes, p.n_nodes)
-        scale = np.abs(numeric).max()
-        assert np.abs((fac * np.eye(p.n_nodes) - m) - numeric).max() <= 1e-10 * scale
+        for _ in range(4):
+            v = rng.normal(0.0, 1.0, p.n_nodes)
+            numeric = (kernel.rhs(y + eps * v) - kernel.rhs(y - eps * v)) / (2 * eps)
+            jv = kernel.jvp(y, v)
+            assert jv.shape == (p.n_nodes,)
+            scale = np.abs(numeric).max()
+            assert np.abs(jv - numeric).max() <= 1e-10 * scale
+            assert np.abs(oracle @ v - numeric).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("nu,f", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.0), (0.25, 1.3)])
     @pytest.mark.parametrize("branching,depth", [(1, 6), (2, 4), (4, 3)])
@@ -240,3 +242,44 @@ class TestJacobian:
         assert jvp.shape == (2 * depth + 2,)
         assert jvp[0] == v[0]
         assert np.abs(jvp - numeric).max() <= 1e-8 * np.abs(numeric).max()
+
+
+class TestElimination:
+    """Kernel.factor solves fac I - J(y) against the dense oracle."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    @pytest.mark.parametrize("branching,depth", [(1, 1), (1, 6), (2, 4), (4, 3), (8, 2)])
+    def test_residual_against_dense_matrix(self, branching, depth, nu):
+        p = ModelParams(alpha=1.7, gamma=2.3, nu=nu, f=1.3, branching=branching,
+                        depth=depth)
+        rng = np.random.default_rng(7)
+        for zeros in (False, True):
+            y = rng.uniform(0.1, 2.0, p.n_nodes)
+            if zeros:  # a zero parent decouples its children; zero leaves too
+                y[rng.random(p.n_nodes) < 0.3] = 0.0
+            for fac in (7.5, 1e4):
+                m = fac * np.eye(p.n_nodes) - dense_jacobian(p, y)
+                r = rng.normal(0.0, 1.0, p.n_nodes)
+                x = make_kernel(p).factor(y, fac)(r, np.empty(p.n_nodes))
+                assert np.abs(m @ x - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("branching,depth", [(1, 30), (2, 9)])
+    def test_stiff_solve_matches_refined_lu(self, branching, depth):
+        # inviscid and deep, so rho(J) / fac is up to 1e15: the residual of
+        # any solution rounded to float64 is then eps ||M|| ||x||, far above
+        # ||r||, so the elimination is held to the solution instead: LAPACK's
+        # LU, refined twice with residuals in long double (the unrefined LU is
+        # 7e-13 off on the binary tree, the elimination 4e-16)
+        p = ModelParams(alpha=1.7, gamma=2.3, nu=0.0, f=1.3, branching=branching,
+                        depth=depth)
+        rng = np.random.default_rng(8)
+        y = rng.uniform(0.0, 2.0, p.n_nodes)
+        fac = 3.7
+        m = fac * np.eye(p.n_nodes) - dense_jacobian(p, y)
+        r = rng.normal(0.0, 1.0, p.n_nodes)
+        x = make_kernel(p).factor(y, fac)(r, np.empty(p.n_nodes))
+        expected = np.linalg.solve(m, r).astype(np.longdouble)
+        for _ in range(2):
+            residual = r - m.astype(np.longdouble) @ expected
+            expected += np.linalg.solve(m, residual.astype(np.float64))
+        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
