@@ -396,28 +396,30 @@ def integrate(
     min_value = np.empty(times.size)
     kept = {}
 
-    def record(i, y):
-        energies[i] = generation_energies(params, y)
-        fluxes[i] = boundary_fluxes(params, y)
-        min_value[i] = y.min()
-        work[i] = q
-        if i in kept_rows:
-            kept[i] = TreeState(y, params)
-
-    record(0, y)
-
-    reject_halve = opts.positivity_mode == "reject-and-halve"
-    rtol, atol = opts.rel_tol, opts.abs_tol
-
     K = np.zeros((7, n))
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
+    e_last = np.empty(nq_v)  # generation energies of the last rhs_work input
     yy = np.empty(n)   # stage input; after the last stage, the new solution
     err = np.empty(n)
     scratch = np.empty(n)
 
-    kernel.rhs_work(y, out=K[0], work_out=W[0])
+    def record(i, y, y_min):
+        # K[0], W[0] and e_last always belong to y (the initial evaluation,
+        # FSAL or a re-evaluation), so a row needs no pass over y of its own
+        energies[i] = e_last
+        fluxes[i] = W[0, 1 + nq_v:]
+        min_value[i] = y_min
+        work[i] = q
+        if i in kept_rows:
+            kept[i] = TreeState(y, params)
+
+    kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
     if not np.isfinite(K[0]).all():
         raise NonFiniteState("integrate: derivative non-finite at initial state")
+    record(0, y, y.min())
+
+    reject_halve = opts.positivity_mode == "reject-and-halve"
+    rtol, atol = opts.rel_tol, opts.abs_tol
     h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step)
     h = min(h, t_end, opts.max_step)
 
@@ -445,21 +447,28 @@ def integrate(
 
         if rodas is None:
             for s in range(6):
-                np.matmul(_A_ROWS[s], K[: s + 1], out=yy)
+                if s == 0:  # one weight: a multiply, at a quarter of a matmul's cost
+                    np.multiply(K[0], _A[0][0], out=yy)
+                else:
+                    np.matmul(_A_ROWS[s], K[: s + 1], out=yy)
                 yy *= h
                 yy += y
                 if s == 0:
                     kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
                 else:
-                    kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1])
+                    kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1],
+                                    energies_out=e_last)
             # the last A row is the b row (FSAL), so yy is now the 5th-order
-            # solution and K[6] its derivative: a finite K[6] means a finite y5
-            finite = bool(np.isfinite(K[1:]).all())
-            if finite:
-                np.matmul(_E, K, out=err)
-                err *= h
-                err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
-                finite = math.isfinite(err_norm)
+            # solution y5 and K[6] = f(y5).  A finite error norm is the whole
+            # finiteness check: f of a state with a non-finite entry is
+            # non-finite at that node or its parent (at depth 0 only if
+            # nu > 0, else f is constant), K[1] enters K[2]'s input with
+            # weight 9/40, y5 is K[6]'s input, and every stage but K[1] has a
+            # nonzero e weight, so any non-finite stage or y5 reaches err
+            np.matmul(_E, K, out=err)
+            err *= h
+            err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
+            finite = math.isfinite(err_norm)
         else:
             dq = rodas.attempt(y, K[0], W[0], h, out=yy)
             finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
@@ -501,13 +510,13 @@ def integrate(
             else:
                 y, yy = y_new, y  # the old y buffer takes the next stage inputs
             if y_min < 0.0 or rodas is not None:
-                kernel.rhs_work(y, out=K[0], work_out=W[0])
+                kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
             else:
-                K[0] = K[6]
+                K[0] = K[6]  # e_last came with K[6]
                 W[0] = W[6]
             if t == target:
                 ti += 1
-                record(ti, y)
+                record(ti, y, y.min() if y_min < 0.0 else y_min)
 
             grow = _step_factor(err_norm, order)
             if just_rejected:

@@ -170,10 +170,13 @@ class Kernel:
         self._deriv(y, gain, _child_sums(y, self.params.branching), deriv)
         return deriv
 
-    def rhs_work(self, y, out=None, work_out=None):
+    def rhs_work(self, y, out=None, work_out=None, energies_out=None):
         """Derivative plus instantaneous work rates packed as
-        [x0, visc rate per generation, flux rate per boundary].  Overflow
-        is handled as in rhs."""
+        [x0, visc rate per generation, flux rate per boundary].  The flux
+        rates are boundary_fluxes(y); the viscous rates are the generation
+        energies scaled by d_g, and energies_out, if given, receives the
+        energies before that scaling, bit-equal to generation_energies(y).
+        Overflow is handled as in rhs."""
         p = self.params
         depth, n_int = p.depth, self.n_internal
         deriv = np.empty_like(y) if out is None else out
@@ -183,8 +186,8 @@ class Kernel:
         sq = np.square(y, out=deriv)
         csum = _child_sums(y, p.branching)
         work_out[0] = y[0]
-        visc = _generation_sums(p, sq, depth + 1, work_out[1:depth + 2])
-        visc *= self.d
+        energies = _generation_sums(p, sq, depth + 1, energies_out)
+        np.multiply(energies, self.d, out=work_out[1:depth + 2])
         _fluxes(p, sq[:n_int], csum, self.flux_coefficients, work_out[depth + 2:])
         gain = np.multiply(self.c_next, sq[:n_int])
         self._deriv(y, gain, csum, deriv)

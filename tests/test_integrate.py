@@ -17,7 +17,7 @@ from dyadic_cascade import (
 )
 from dyadic_cascade import dynamics
 from dyadic_cascade.dynamics import _error_norm, _Rodas4, held_values
-from dyadic_cascade.kernels import boundary_fluxes
+from dyadic_cascade.kernels import Kernel, boundary_fluxes, generation_energies
 from dyadic_cascade.errors import (
     CapacityExceeded,
     DomainError,
@@ -467,6 +467,30 @@ class TestSolverStats:
         assert traj.rejected["error norm"] > 0 and traj.rejected["positivity"] > 0
         assert traj.n_stiffness_tests > 0
 
+    @pytest.mark.parametrize("nu", [0.0, 0.1])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_stage_2_rejects_as_non_finite(self, monkeypatch, nu, bad):
+        # no finiteness scan runs over the stages: K[1], the only stage that
+        # Kernel.rhs computes, has no e weight and must reach the error norm
+        # through stage 3's input
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=nu, f=1.0, branching=2, depth=6)
+        y = np.zeros(p.n_nodes)
+        y[0] = 1.0
+        rhs, calls = Kernel.rhs, []
+
+        def spoiled(self, y, out=None):
+            deriv = rhs(self, y, out)
+            calls.append(None)
+            if len(calls) == 30:
+                deriv[-1] = bad  # a leaf
+            return deriv
+
+        monkeypatch.setattr(Kernel, "rhs", spoiled)
+        traj = integrate(TreeState(y, p), p, 1.0, output_times=np.linspace(0.01, 1.0, 100))
+        assert len(calls) > 30
+        assert traj.rejected == {"error norm": 0, "non-finite": 1, "positivity": 0}
+        assert np.isfinite(traj.energies).all() and np.isfinite(traj.fluxes).all()
+
     def test_non_finite_rejections_are_counted(self):
         # the stages of a first step of 1000 overflow; halving recovers
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
@@ -493,6 +517,50 @@ class TestSolverStats:
                      "stiff_from"):
             assert getattr(again, name) == getattr(chain18, name)
         assert again.energies.tobytes() == chain18.energies.tobytes()
+
+
+class TestRecordedRows:
+    """A row is taken from the evaluation of f that the run makes anyway at
+    the recorded state; it must equal the reductions of that state computed
+    afresh, bit for bit, on every branch: DP5's FSAL, the re-evaluation
+    after a flattening and RODAS4's re-evaluation."""
+
+    @staticmethod
+    def assert_rows_are_fresh(traj):
+        p = traj.params
+        assert sorted(traj.kept) == list(range(len(traj.times)))
+        for i, state in traj.kept.items():
+            y = state.values
+            assert traj.energies[i].tobytes() == generation_energies(p, y).tobytes()
+            assert traj.fluxes[i].tobytes() == boundary_fluxes(p, y).tobytes()
+            assert traj.min_value[i].tobytes() == y.min().tobytes()
+
+    @staticmethod
+    def run(p, y, t_end, opts=SolverOptions()):
+        outputs = np.linspace(t_end / 100, t_end, 100)
+        return integrate(TreeState(y, p), p, t_end, opts, output_times=outputs,
+                         keep=[0.0, *outputs])
+
+    def test_dp5_tree_run(self):
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=8)
+        y = np.random.Generator(np.random.Philox(1)).uniform(0.0, 0.01, p.n_nodes)
+        traj = self.run(p, y, 1.5)
+        assert traj.stiff_from is None
+        self.assert_rows_are_fresh(traj)
+
+    def test_clamp_mode_run_that_flattens(self):
+        # components leaving exact zero go slightly negative and are
+        # flattened, on steps that land on 0.01, ..., 0.09
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
+        traj = self.run(p, np.zeros(p.n_nodes), 1.0,
+                        SolverOptions(positivity_mode="clamp-to-zero"))
+        assert traj.stiff_from is None
+        self.assert_rows_are_fresh(traj)
+
+    def test_run_that_switches_to_rodas4(self):
+        traj = forced_chain(18, keep=[0.0, *(i / 100 for i in range(1, 101))])
+        assert traj.stiff_from is not None
+        self.assert_rows_are_fresh(traj)
 
 
 class TestSteadyFlux:
