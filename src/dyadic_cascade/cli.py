@@ -426,6 +426,10 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
             "n_rejected": traj.n_rejected,
             "n_rejected_by_cause": traj.rejected,
             "n_stiffness_tests": traj.n_stiffness_tests,
+            "n_rhs_evals": traj.n_rhs,
+            "h_min": traj.h_min,
+            "h_max": traj.h_max,
+            "n_flattened": traj.n_flattened,
             "stiff_from": traj.stiff_from,
         },
     }

@@ -150,12 +150,19 @@ class Trajectory:
     through the n -> n+1 boundary and min_value[i] the smallest component.
     work_x0 is the integral of the root intensity; work_visc[:, g] the
     integral of d_g * (generation-g energy); work_flux[:, n] the integral of
-    the n -> n+1 boundary flux (factor 2 included).  rejected counts the
-    rejected step attempts by cause, in the order of REJECTION_CAUSES, and
-    n_stiffness_tests the stiffness estimates.  stiff_from is the time the
-    run switched from DP5 to RODAS4, None if it never did.  final is the
-    state at t_end; kept maps the row index of each kept time, and of t_end,
-    to its state.  Every state is read-only and holds its own copy.
+    the n -> n+1 boundary flux (factor 2 included).
+
+    The solver statistics are deterministic, so identical inputs give
+    identical counts.  rejected counts the rejected step attempts by cause,
+    in the order of REJECTION_CAUSES, and n_stiffness_tests the stiffness
+    estimates.  n_rhs counts the evaluations of f (Kernel.rhs and rhs_work
+    calls; the Jacobian-vector products of the stiffness test and RODAS4's
+    work_jvp are not among them), h_min and h_max are the smallest and the
+    largest accepted step, and n_flattened counts the accepted steps whose
+    negative components were set to 0.  stiff_from is the time the run
+    switched from DP5 to RODAS4, None if it never did.  final is the state
+    at t_end; kept maps the row index of each kept time, and of t_end, to
+    its state.  Every state is read-only and holds its own copy.
     """
 
     params: ModelParams
@@ -169,6 +176,10 @@ class Trajectory:
     n_accepted: int
     rejected: dict
     n_stiffness_tests: int
+    n_rhs: int
+    h_min: float
+    h_max: float
+    n_flattened: int
     stiff_from: float | None
     final: TreeState
     kept: dict
@@ -430,6 +441,9 @@ def integrate(
     consecutive_rej = 0
     just_rejected = False
     n_tests = 0
+    n_rhs = 1  # f(y0) above
+    n_flattened = 0
+    h_min, h_max = math.inf, 0.0
     n_stiff = n_nonstiff = 0  # stiffness verdicts pending, non-stiff in a row
     rodas = None  # the RODAS4 workspace once the run has switched
     stiff_from = None
@@ -465,11 +479,13 @@ def integrate(
             # nu > 0, else f is constant), K[1] enters K[2]'s input with
             # weight 9/40, y5 is K[6]'s input, and every stage but K[1] has a
             # nonzero e weight, so any non-finite stage or y5 reaches err
+            n_rhs += 6
             np.matmul(h * _E, K, out=err)
             err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
             finite = math.isfinite(err_norm)
         else:
             dq = rodas.attempt(y, K[0], W[0], h, out=yy)
+            n_rhs += 5
             finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
             if finite:
                 err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, scratch)
@@ -502,14 +518,17 @@ def integrate(
         else:
             consecutive_rej = 0
             n_acc += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
             q += h * (_B @ W) if rodas is None else dq
             t = target if lands else t + h
             if y_min < 0.0:  # a component was flattened; its derivative is stale
                 np.maximum(y_new, 0.0, out=y)
+                n_flattened += 1
             else:
                 y, yy = y_new, y  # the old y buffer takes the next stage inputs
             if y_min < 0.0 or rodas is not None:
                 kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
+                n_rhs += 1
             else:
                 K[0] = K[6]  # e_last came with K[6]
                 W[0] = W[6]
@@ -542,7 +561,8 @@ def integrate(
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
         work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, rejected=rejected,
-        n_stiffness_tests=n_tests, stiff_from=stiff_from, final=kept[ti], kept=kept)
+        n_stiffness_tests=n_tests, n_rhs=n_rhs, h_min=h_min, h_max=h_max,
+        n_flattened=n_flattened, stiff_from=stiff_from, final=kept[ti], kept=kept)
 
 
 def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:

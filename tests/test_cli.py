@@ -223,6 +223,9 @@ class TestSimulateCommand:
         assert list(by_cause) == ["error norm", "non-finite", "positivity"]
         assert sum(by_cause.values()) == summary["n_rejected"]
         assert summary["n_stiffness_tests"] >= 15  # the verdicts that switched
+        assert summary["n_rhs_evals"] > 6 * summary["n_accepted"] // 2
+        assert 0.0 < summary["h_min"] < summary["h_max"] <= 0.01 * (1 + 1e-12)
+        assert summary["n_flattened"] >= 0
         for name in ("trajectory.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

@@ -504,19 +504,41 @@ class TestSolverStats:
         # its statistics must not notice
         make_kernel = dynamics.make_kernel
 
+        f_calls = []
+
         def traced(params):
             kernel = make_kernel(params)
             for name in ("rhs", "rhs_work", "jvp"):
                 method = getattr(kernel, name)
-                setattr(kernel, name, lambda *a, _m=method, **k: _m(*a, **k))
+
+                def wrapped(*a, _m=method, _name=name, **k):
+                    if _name != "jvp":
+                        f_calls.append(_name)
+                    return _m(*a, **k)
+
+                setattr(kernel, name, wrapped)
             return kernel
 
         monkeypatch.setattr(dynamics, "make_kernel", traced)
         again = forced_chain(18, keep=[0.8])
         for name in ("n_accepted", "n_rejected", "rejected", "n_stiffness_tests",
-                     "stiff_from"):
+                     "n_rhs", "h_min", "h_max", "n_flattened", "stiff_from"):
             assert getattr(again, name) == getattr(chain18, name)
         assert again.energies.tobytes() == chain18.energies.tobytes()
+        assert again.n_rhs == len(f_calls)  # both DP5 and RODAS4 steps
+        assert 0.0 < again.h_min < again.h_max < 1.0
+
+    def test_dp5_counts(self):
+        # on DP5, f(y0) plus 6 evaluations per attempt plus one re-evaluation
+        # per flattening; no step spans more than one output interval
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
+        traj = integrate(TreeState.zeros(p), p, 1.0,
+                         SolverOptions(positivity_mode="clamp-to-zero"),
+                         output_times=np.linspace(0.01, 1.0, 100))
+        assert traj.stiff_from is None and traj.n_flattened > 0
+        attempts = traj.n_accepted + traj.n_rejected
+        assert traj.n_rhs == 1 + 6 * attempts + traj.n_flattened
+        assert 0.0 < traj.h_min < traj.h_max <= np.diff(traj.times).max()
 
 
 class TestRecordedRows:
@@ -554,7 +576,7 @@ class TestRecordedRows:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
         traj = self.run(p, np.zeros(p.n_nodes), 1.0,
                         SolverOptions(positivity_mode="clamp-to-zero"))
-        assert traj.stiff_from is None
+        assert traj.stiff_from is None and traj.n_flattened > 0
         self.assert_rows_are_fresh(traj)
 
     def test_run_that_switches_to_rodas4(self):
