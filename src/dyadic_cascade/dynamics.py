@@ -19,7 +19,17 @@ RODAS4 as extra components whose Jacobian rows are the work rates'), so the
 balance residual is consistent to the solver's order.
 
 A run records a row of reductions per output time, not a state: full states
-are kept only at t_end and at the times the caller names.
+are kept only at t_end and at the times the caller names.  A row's energies
+and fluxes are by-products of f at the recorded state, which the run
+evaluates anyway (FSAL, or the re-evaluation after a flattening or a RODAS4
+step): rhs_work hands out the generation energies before it scales them.
+
+On trees a DP5 attempt costs memory traffic more than arithmetic, so it
+makes as few passes over the state as it can: h is folded into the tableau
+rows (a stage input is one matmul and one add, stage 2's one multiply), and
+the error norm is also the attempt's finiteness check (see the stage loop).
+The RODAS4 step keeps an explicit scan of its stages and its new solution,
+since that solution is never an input of f before it is accepted.
 
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs under one
@@ -416,7 +426,7 @@ def integrate(
 
     def record(i, y, y_min):
         # K[0], W[0] and e_last always belong to y (the initial evaluation,
-        # FSAL or a re-evaluation), so a row needs no pass over y of its own
+        # FSAL or a re-evaluation), so energies and fluxes need no pass over y
         energies[i] = e_last
         fluxes[i] = W[0, 1 + nq_v:]
         min_value[i] = y_min
@@ -462,7 +472,7 @@ def integrate(
         if rodas is None:
             ha = h * _A_LOWER  # h folded into the weights saves a pass per stage
             for s in range(6):
-                if s == 0:  # one weight: a multiply, at a quarter of a matmul's cost
+                if s == 0:  # one weight: a multiply takes a third of a matmul's time
                     np.multiply(K[0], ha[0, 0], out=yy)
                 else:
                     np.matmul(ha[s, :s + 1], K[: s + 1], out=yy)
@@ -474,11 +484,13 @@ def integrate(
                                     energies_out=e_last)
             # the last A row is the b row (FSAL), so yy is now the 5th-order
             # solution y5 and K[6] = f(y5).  A finite error norm is the whole
-            # finiteness check: f of a state with a non-finite entry is
-            # non-finite at that node or its parent (at depth 0 only if
-            # nu > 0, else f is constant), K[1] enters K[2]'s input with
-            # weight 9/40, y5 is K[6]'s input, and every stage but K[1] has a
-            # nonzero e weight, so any non-finite stage or y5 reaches err
+            # finiteness check of the attempt:
+            # - f of a state with a non-finite entry is non-finite, at that
+            #   node or at its parent (a lone node needs nu > 0, else f is
+            #   constant and no stage can become non-finite);
+            # - every stage but K[1] has a nonzero e weight, so a non-finite
+            #   stage makes err non-finite (inf - inf and 0 * inf are NaN);
+            # - K[1] enters K[2]'s input with weight 9/40, and y5 is K[6]'s.
             n_rhs += 6
             np.matmul(h * _E, K, out=err)
             err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
@@ -486,6 +498,7 @@ def integrate(
         else:
             dq = rodas.attempt(y, K[0], W[0], h, out=yy)
             n_rhs += 5
+            # y_new = Y_6 + k_6 reaches f only after it is accepted: scan it
             finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
             if finite:
                 err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, scratch)
