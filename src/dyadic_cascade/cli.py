@@ -19,6 +19,7 @@ of rules the library has no twin for.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -610,7 +611,9 @@ def _load_config(path) -> dict:
         raise ConfigError("config nests too deeply to parse") from e
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first main call, not at import."""
     parser = argparse.ArgumentParser(
         prog="dyadic-cascade",
         description="Tree/classic dyadic cascade simulator and solvers")
@@ -624,7 +627,11 @@ def main(argv=None) -> int:
             p.add_argument("--dump-state", type=float, action="append",
                            default=[], metavar="T",
                            help="write a binary node-level snapshot at time T")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

@@ -427,6 +427,41 @@ class TestExitCodeContract:
         assert capsys.readouterr().err.startswith(prefix)
 
 
+class TestRepeatedCalls:
+    """main builds its parser once per process; one call leaves nothing
+    behind for the next."""
+
+    def test_dump_state_values_do_not_carry_over(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            initial={"kind": "root_only", "value": 0.5},
+            params={"alpha": 1.0, "f": 0.4, "branching": 2, "depth": 4}))
+        runs = ((["--dump-state", "0.25"], ["state_t0.25.bin"]),
+                ([], []),
+                (["--dump-state", "0.5"], ["state_t0.5.bin"]))
+        for i, (extra, dumps) in enumerate(runs):
+            out = tmp_path / f"o{i}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)] + extra) == 0
+            assert sorted(p.name for p in out.iterdir()) == \
+                dumps + ["summary.json", "trajectory.csv"]
+
+    def test_a_call_that_exits_2_leaves_the_next_intact(self, tmp_path, capsys):
+        good = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:  # argparse: no such command
+            main(["simulate-all", "--config", good])
+        assert exc.value.code == 2
+        sp = tmp_path / "big.bin"
+        p = ModelParams(alpha=1.0, branching=2, depth=4)
+        dump_state(TreeState(np.full(p.n_nodes, 1e150), p), sp)
+        blowup = write_config(tmp_path, base_config(
+            initial={"kind": "file", "path": str(sp)}), name="blowup.json")
+        assert main(["simulate", "--config", blowup, "--out", str(tmp_path / "b")]) == 2
+        capsys.readouterr()
+        out = tmp_path / "good"
+        assert main(["simulate", "--config", good, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "summary.json").exists()
+
+
 class TestBadInput:
     """Bad input exits 1 with a message, never a traceback, and writes no
     output directory.  Relative file names resolve in a directory holding
