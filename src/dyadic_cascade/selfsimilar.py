@@ -24,7 +24,7 @@ increasing in w_0 for even n >= 2 and decreasing for odd n, so a dip at an
 even index means w_0 was too small.  _DIP_RATIO holds the dip/spike
 threshold.  bisect_shooting classifies the two ends of the certified bracket
 around the Newton w_0 with that rule; ends that do not read (raise, lower)
-raise BracketFailure.
+raise BracketFailure.  The trials run in decimal, on the float q.
 
 The solution whose first nonzero coefficient sits at index n0 >= 1 is the
 base solution shifted and scaled: b'_{n0+m} = 2^{-beta n0} b_m (the
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import mpmath as mp
 import numpy as np
 
 from .core import ModelParams, NodeId, TreeState, generation, pow2
@@ -49,13 +48,11 @@ from .errors import (
 )
 from .lift import LiftSpec, scale_factor
 from .stationary import (
-    BISECTION_TOL,
-    _CERT_DPS,
     _CERT_LEVELS,
     _PAD,
+    _certificate_context,
     bisect_shooting,
     damped_newton,
-    start_bracket,
 )
 
 #: Ratio between consecutive scaled coefficients that counts as a dip/spike.
@@ -111,18 +108,22 @@ class SelfSimilarProfile:
 
 def _classify_dips(w0, q_eps, n_levels):
     """Classify a trial w_0 by the parity of the first dip of the scaled
-    recurrence; spikes are rebounds of a dip one index earlier."""
-    wm1, wn = mp.mpf(0), w0
-    for n in range(n_levels):
-        nxt = wm1 ** 2 / wn + q_eps ** (n + 1)
-        m = n + 1
-        if m >= 2:
-            r = nxt / wn
-            if r < 1.0 / _DIP_RATIO:
-                return ("raise" if m % 2 == 0 else "lower"), m
-            if r > _DIP_RATIO:
-                return ("raise" if (m - 1) % 2 == 0 else "lower"), m
-        wm1, wn = wn, nxt
+    recurrence; spikes are rebounds of a dip one index earlier.  Floats are
+    converted exactly, and q^{n+1} is multiplied up level by level."""
+    with _certificate_context() as (D, _):
+        dip, spike = 1 / D(_DIP_RATIO), D(_DIP_RATIO)
+        wm1, wn, q, power = D(0), D(w0), D(q_eps), D(1)
+        for n in range(n_levels):
+            power *= q
+            nxt = wm1 * wm1 / wn + power
+            m = n + 1
+            if m >= 2:
+                r = nxt / wn
+                if r < dip:
+                    return ("raise" if m % 2 == 0 else "lower"), m
+                if r > spike:
+                    return ("raise" if (m - 1) % 2 == 0 else "lower"), m
+            wm1, wn = wn, nxt
     return "survive", None
 
 
@@ -166,21 +167,13 @@ def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
     x, iterations, residual = damped_newton(
         lambda x: _selfsimilar_system(x, q, q_pow), np.ones(top), "w")
     w = np.concatenate((x[:1], [q], x[1:]))
-    root = float(w[0])
-
-    with mp.workdps(_CERT_DPS):
-        q_eps = mp.mpf(2) ** (-2 * mp.mpf(beta) / 3)
-
-        def classify(a):
-            return _classify_dips(a, q_eps, _CERT_LEVELS)
-
-        lo, hi = bisect_shooting(classify, start_bracket(root),
-                                 width_floor=BISECTION_TOL, what="b_0")
+    bracket = bisect_shooting(lambda a: _classify_dips(a, q, _CERT_LEVELS),
+                              float(w[0]), what="b_0")
 
     b = w[: n_max + 1] * np.exp2(-beta / 3.0 * np.arange(n_max + 1))
     profile = SelfSimilarProfile(t0=float(t0), beta=float(beta), b=b,
                                  w_limit=float(w[n_max]),
-                                 bracket=(float(lo), float(hi)),
+                                 bracket=bracket,
                                  newton_iterations=iterations,
                                  newton_residual=residual)
     return shifted_profile(profile, n0) if n0 > 0 else profile

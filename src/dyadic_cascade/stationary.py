@@ -29,17 +29,18 @@ The Newton root is certified by the parity rule of the forward recurrence:
 Z_n is increasing in Z_0 for even n and decreasing for odd n, so a trial whose
 first non-positive value has an even index lies below the root, odd above.
 bisect_shooting classifies the two ends of the bracket Z_0 (1 -+ _CERT_HALF_WIDTH)
-in extended precision; they must read (raise, lower), so the parity root lies
-within _CERT_HALF_WIDTH of the Newton root, or BracketFailure is raised.
+in decimal, on the float g and mu; they must read (raise, lower), so the parity
+root lies within _CERT_HALF_WIDTH of the Newton root, or BracketFailure is raised.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
-import mpmath as mp
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
@@ -61,10 +62,8 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 #: smallest damping factor before Newton gives up
 _LAMBDA_MIN = 1e-10
-#: relative width of the certified bracket
-BISECTION_TOL = 1e-12
 #: half-width h of the certified bracket root (1 -+ h), relative to the
-#: Newton root; 2h is below BISECTION_TOL, so its two ends are the only trials
+#: Newton root, so the bracket is narrower than 1e-12 of it
 _CERT_HALF_WIDTH = 4e-13
 #: a trial at relative distance h departs within about 2 log2(1/h) levels and
 #: each level costs 0.35 digits: 20 + 2 ceil(log2(1/h)) levels, 60 + 0.35 of them
@@ -233,57 +232,58 @@ def damped_newton(system, x, what):
                         f"{_NEWTON_MAX_ITER} iterations")
 
 
+@functools.cache
+def _certificate_setup():
+    """decimal, the certificate's context and ln 2 in it, on first use."""
+    import decimal as dec
+
+    traps = [dec.Overflow, dec.Underflow, dec.DivisionByZero, dec.InvalidOperation]
+    ctx = dec.Context(prec=_CERT_DPS, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
+    return dec, ctx, ctx.ln(2)
+
+
+@contextlib.contextmanager
+def _certificate_context():
+    """Yield (Decimal, ln 2) in a copy of the certificate's context; overflow,
+    underflow, division by zero and invalid operations raise BracketFailure."""
+    dec, ctx, ln2 = _certificate_setup()
+    try:
+        with dec.localcontext(ctx):
+            yield dec.Decimal, ln2
+    except dec.DecimalException as e:
+        raise BracketFailure(f"certificate arithmetic failed: {type(e).__name__}") from e
+
+
 def _classify_parity(g, a, mu, n_levels):
     """Forward recurrence classification: ('survive', None) or
-    ('raise'|'lower', first_nonpositive_index)."""
-    zm1, zn = g, a
-    for n in range(n_levels):
-        nxt = zm1 ** 2 / zn - mp.mpf(2) ** (mu * n)
-        if nxt <= 0:
-            k = n + 1
-            return ("raise" if k % 2 == 0 else "lower"), k
-        zm1, zn = zn, nxt
+    ('raise'|'lower', first_nonpositive_index).  Floats are converted
+    exactly; 2^mu is formed once and 2^{mu n} multiplied up level by level."""
+    with _certificate_context() as (D, ln2):
+        zm1, zn, power = D(g), D(a), D(1)
+        step = (D(mu) * ln2).exp()
+        for n in range(n_levels):
+            nxt = zm1 * zm1 / zn - power
+            if nxt <= 0:
+                k = n + 1
+                return ("raise" if k % 2 == 0 else "lower"), k
+            zm1, zn = zn, nxt
+            power *= step
     return "survive", None
 
 
-def start_bracket(root: float) -> tuple[float, float]:
-    """The certified bracket root (1 -+ _CERT_HALF_WIDTH)."""
-    return root * (1 - _CERT_HALF_WIDTH), root * (1 + _CERT_HALF_WIDTH)
-
-
-def bisect_shooting(classify, bracket, *, width_floor, max_iter=600,
-                    what="shooting parameter"):
-    """Narrow a bracket with the parity rule.  The stationary and
-    self-similar certificates pass start_bracket, already narrower than
-    width_floor, so they classify its two ends and nothing else.
-
-    classify(a) -> ('raise'|'lower'|'survive', info).  bracket = (lo, hi)
-    must classify as (raise, lower), or BracketFailure is raised.  It is
-    halved until hi - lo <= width_floor * lo.  A midpoint that survives the
-    whole classification horizon cannot be told from the root and collapses
-    the bracket onto itself.  Returns (lo, hi) as mpf.
-    """
-    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
+def bisect_shooting(classify, root, *, what="shooting parameter"):
+    """Certify the bracket root (1 -+ _CERT_HALF_WIDTH) by the parity rule
+    and return it: classify(a) -> ('raise'|'lower'|'survive', info) must read
+    raise at its lower end and lower at its upper end, or BracketFailure is
+    raised.  Nothing is narrowed; bench/spans.py wraps this function by name."""
+    lo, hi = root * (1 - _CERT_HALF_WIDTH), root * (1 + _CERT_HALF_WIDTH)
     lo_c, _ = classify(lo)
     hi_c, _ = classify(hi)
     if lo_c != "raise" or hi_c != "lower":
         raise BracketFailure(
-            f"bracket ({float(lo)!r}, {float(hi)!r}) on {what} classifies as "
+            f"bracket ({lo!r}, {hi!r}) on {what} classifies as "
             f"({lo_c}, {hi_c}); expected (raise, lower)")
-    floor = mp.mpf(width_floor)
-    for _ in range(max_iter):
-        if hi - lo <= floor * lo:
-            return lo, hi
-        mid = (lo + hi) / 2
-        c, _ = classify(mid)
-        if c == "survive":
-            return mid, mid
-        if c == "raise":
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence(f"bisection on {what} did not reach width "
-                        f"{width_floor} in {max_iter} iterations")
+    return lo, hi
 
 
 def _stationary_system(u, ln_g, c, plateau):
@@ -341,17 +341,8 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
         iterations += its
     u = u[: n_max + 1]
     z = np.concatenate(([g_f], np.exp(u)))
-    root = float(z[1])
-
-    with mp.workdps(_CERT_DPS):
-        g = mp.mpf(2) ** (mp.mpf(beta) / 3) * mp.mpf(f) / mp.mpf(nu)
-        mu = mp.mpf(gamma) - 2 * mp.mpf(beta) / 3
-
-        def classify(a):
-            return _classify_parity(g, a, mu, _CERT_LEVELS)
-
-        lo, hi = bisect_shooting(classify, start_bracket(root),
-                                 width_floor=BISECTION_TOL, what="Z_0")
+    bracket = bisect_shooting(lambda a: _classify_parity(g_f, a, mu_f, _CERT_LEVELS),
+                              float(z[1]), what="Z_0")
 
     z_log2 = np.concatenate(([math.log2(g_f)], u / _LN2))
     n = np.arange(n_max + 1)
@@ -368,7 +359,7 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
                          branching=1, depth=n_max)
     return StationaryProfile(
         z=z, z_log2=z_log2, y=y, g=g_f, mu=mu_f, regime=info.regime,
-        z_limit=z_limit, bracket=(float(lo), float(hi)),
+        z_limit=z_limit, bracket=bracket,
         params=params, regime_info=info, newton_iterations=iterations,
         newton_residual=residual,
     )

@@ -56,6 +56,28 @@ def classify_dips(w0, q_eps, n_levels, ratio):
     return "survive", None
 
 
+def narrow(classify, bracket, width_floor, max_iter=600):
+    """Halve bracket = (lo, hi), which must classify as (raise, lower), until
+    hi - lo <= width_floor * lo.  A midpoint that survives the whole horizon
+    cannot be told from the root and collapses the bracket onto itself.
+    Returns (lo, hi) as mpf."""
+    lo, hi = mp.mpf(bracket[0]), mp.mpf(bracket[1])
+    assert (classify(lo)[0], classify(hi)[0]) == ("raise", "lower")
+    floor = mp.mpf(width_floor)
+    for _ in range(max_iter):
+        if hi - lo <= floor * lo:
+            return lo, hi
+        mid = (lo + hi) / 2
+        c, _ = classify(mid)
+        if c == "survive":
+            return mid, mid
+        if c == "raise":
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("oracle narrowing did not converge")
+
+
 def bisect(classify, start, width_floor, max_iter=600):
     """Probe geometrically from start until both directions are seen, then
     bisect; a survivor of the whole horizon is the root.  Returns

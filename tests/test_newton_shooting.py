@@ -2,8 +2,10 @@
 with the forward-shooting oracle, the recurrence defect of the CLI output,
 the parity certificate, head stability across n_max and solver statistics."""
 
+import decimal
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from dyadic_cascade import (
 )
 from dyadic_cascade.cli import main
 from dyadic_cascade.errors import BracketFailure, NoConvergence
-from dyadic_cascade.stationary import REGIME_REGULAR, REGIME_SMALL_FORCING
+from dyadic_cascade.selfsimilar import _classify_dips
+from dyadic_cascade.stationary import (
+    _CERT_DPS,
+    _CERT_LEVELS,
+    REGIME_REGULAR,
+    REGIME_SMALL_FORCING,
+    _classify_parity,
+)
 
 
 def near_threshold(beta, gamma, scale):
@@ -252,6 +261,78 @@ class TestCertificate:
     def test_overflowing_tail_is_a_numerical_failure(self):
         with pytest.raises(NoConvergence, match="float64 range"):
             solve_viscous_stationary(1.0, 1.0, 1.0, 1.0, n_max=1100)
+
+
+def certificate_verdicts(monkeypatch, module, solve):
+    """The trials a solver's certificate classifies and its verdicts."""
+    trials, verdicts = [], []
+    original = module.bisect_shooting
+
+    def recording(classify, *args, **kwargs):
+        def recorded(a):
+            trials.append(a)
+            verdicts.append(classify(a))
+            return verdicts[-1]
+        return original(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(module, "bisect_shooting", recording)
+    solve()
+    return trials, verdicts
+
+
+class TestDecimalCertificate:
+    """The decimal certificate reads, as (class, index) at both ends, what
+    the mpmath certificate it replaced read: 96 digits, 104 levels, and g, mu
+    or q formed in mpmath from the model parameters."""
+
+    @pytest.mark.parametrize("cfg", [(1.0, 1.0, 1.0, 1.0), (10.0, 0.01, 3.0, 1.0),
+                                     (1.0, 10.0, 1.0, 0.1), (1.0, 1.0, 2.0, 2.0),
+                                     (50.0, 0.1, 1.0, 1.0)])
+    @pytest.mark.parametrize("n_max", [60, 200])
+    def test_stationary_verdicts_match_mpmath(self, monkeypatch, cfg, n_max):
+        f, nu, beta, gamma = cfg
+        bracket, verdicts = certificate_verdicts(
+            monkeypatch, stationary,
+            lambda: solve_viscous_stationary(*cfg, n_max=n_max))
+        with mp.workdps(_CERT_DPS):
+            g = mp.mpf(2) ** (mp.mpf(beta) / 3) * mp.mpf(f) / mp.mpf(nu)
+            mu = mp.mpf(gamma) - 2 * mp.mpf(beta) / 3
+            expected = [oracle.classify_parity(g, mp.mpf(a), mu, _CERT_LEVELS)
+                        for a in bracket]
+        assert verdicts == expected
+        assert [c for c, _ in verdicts] == ["raise", "lower"]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    def test_selfsimilar_verdicts_match_mpmath(self, monkeypatch, beta):
+        bracket, verdicts = certificate_verdicts(
+            monkeypatch, selfsimilar,
+            lambda: solve_selfsimilar_classic(-1.0, beta, 120))
+        with mp.workdps(_CERT_DPS):
+            q_eps = mp.mpf(2) ** (-2 * mp.mpf(beta) / 3)
+            expected = [oracle.classify_dips(mp.mpf(a), q_eps, _CERT_LEVELS,
+                                             oracle.DIP_RATIO)
+                        for a in bracket]
+        assert verdicts == expected
+        assert [c for c, _ in verdicts] == ["raise", "lower"]
+
+    @pytest.mark.parametrize("classify, args, signal", [
+        (_classify_parity, (3.0, 1.0, 1e300, 10), "Overflow"),  # 2^mu
+        (_classify_parity, (decimal.Decimal("1e999999999999999990"), 1.0, 0.0, 10),
+         "Overflow"),                                            # g^2
+        (_classify_parity, (3.0, 0.0, -1.0, 10), "DivisionByZero"),
+        (_classify_dips, (decimal.Decimal("1e-999999999999999990"), 0.5, 10),
+         "Underflow"),
+        (_classify_parity, (3.0, float("nan"), -1.0, 10), "InvalidOperation"),
+    ])
+    def test_decimal_signals_are_bracket_failures(self, classify, args, signal):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
+            with pytest.raises(BracketFailure, match=signal):
+                classify(*args)
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps),
+                    dict(ctx.flags)) == before
 
 
 class TestSolverStatistics:

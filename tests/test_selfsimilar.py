@@ -2,6 +2,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import shooting_oracle as oracle
+
 from dyadic_cascade import (
     ModelParams,
     SolverOptions,
@@ -23,7 +25,6 @@ from dyadic_cascade.errors import (
     ParameterMismatch,
     PoleMismatch,
 )
-from dyadic_cascade.selfsimilar import _classify_dips
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,8 @@ class TestShooting:
             lo, hi = mp.mpf("0.1"), mp.mpf("2.0")
             for _ in range(5):
                 grid = [lo + (hi - lo) * i / 24 for i in range(25)]
-                labels = [_classify_dips(a, q_eps, 60)[0] for a in grid]
+                labels = [oracle.classify_dips(a, q_eps, 60, oracle.DIP_RATIO)[0]
+                          for a in grid]
                 bracket = None
                 for (a1, l1), (a2, l2) in zip(zip(grid, labels),
                                               zip(grid[1:], labels[1:])):

@@ -2,6 +2,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import shooting_oracle as oracle
+
 from dyadic_cascade import (
     ModelParams,
     TreeState,
@@ -21,7 +23,6 @@ from dyadic_cascade.stationary import (
     REGIME_ANOMALOUS,
     REGIME_REGULAR,
     REGIME_SMALL_FORCING,
-    _classify_parity,
     bisect_shooting,
 )
 
@@ -82,9 +83,10 @@ class TestZStepSequence:
         index (Z_n is increasing in Z_0 for even n, decreasing for odd)."""
         prof = solve_viscous_stationary(1.5, 1.0, 3.0, 1.0, n_max=20)
         root = prof.z[1]
+        g, mu = mp.mpf(prof.g), mp.mpf(prof.mu)
         for a, expected in ((root * 0.7, "raise"), (root * 0.95, "raise"),
                             (root * 1.05, "lower"), (root * 1.4, "lower")):
-            label, fail = _classify_parity(prof.g, a, prof.mu, 40)
+            label, fail = oracle.classify_parity(g, mp.mpf(a), mu, 40)
             assert label == expected
             assert fail % 2 == (0 if expected == "raise" else 1)
 
@@ -95,7 +97,7 @@ def scan_oracle(g, mu, n_levels, lo, hi, rounds=5, steps=24):
         g, mu, lo, hi = map(mp.mpf, (g, mu, lo, hi))
         for _ in range(rounds):
             grid = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-            labels = [_classify_parity(g, a, mu, n_levels)[0] for a in grid]
+            labels = [oracle.classify_parity(g, a, mu, n_levels)[0] for a in grid]
             bracket = None
             for (a1, l1), (a2, l2) in zip(zip(grid, labels), zip(grid[1:], labels[1:])):
                 if l1 == "raise" and l2 != "raise":
@@ -213,12 +215,12 @@ class TestAnomalousRegime:
 
     def test_bad_bracket_rejected(self, profile):
         def classify(a):
-            return _classify_parity(mp.mpf(3), a, mp.mpf(-1), 60)
+            return oracle.classify_parity(mp.mpf(3), mp.mpf(a), mp.mpf(-1), 60)
 
         with mp.workdps(60):
             with pytest.raises(BracketFailure):
-                bisect_shooting(classify, (0.01, 0.02), width_floor=1e-12)
-            lo, hi = bisect_shooting(classify, (1.0, 5.0), width_floor=1e-12)
+                bisect_shooting(classify, 0.015)
+            lo, hi = oracle.narrow(classify, (1.0, 5.0), width_floor=1e-12)
         assert float(lo) <= profile.z[1] <= float(hi)
 
     def test_root_against_scan_oracle(self, profile):
