@@ -156,8 +156,11 @@ class Kernel:
         # c_{g+1} of each internal node: its loss coefficient and the gain
         # coefficient of its children
         self.c_next = np.repeat(c[1:-1], widths[:-1])
-        self.neg_nu_d = (np.repeat(-params.nu * self.d, widths)
+        # -nu d_g of the internal nodes only: every leaf has -nu d_depth
+        neg_nu_d = -params.nu * self.d
+        self.neg_nu_d = (np.repeat(neg_nu_d[:-1], widths[:-1])
                          if params.nu != 0.0 else None)
+        self.neg_nu_d_leaf = neg_nu_d[-1]
         self.gain0 = c[0] * np.square(np.float64(params.f))
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,10 +202,7 @@ class Kernel:
         node, S the child sum.  Overflow is handled as in rhs."""
         n_int, branching = self.n_internal, self.params.branching
         jv = np.empty_like(v) if out is None else out
-        if self.neg_nu_d is None:
-            jv.fill(0.0)
-        else:
-            np.multiply(self.neg_nu_d, v, out=jv)
+        self._viscous(v, jv)
         a = np.multiply(self.c_next, y[:n_int])
         gain = np.multiply(a, v[:n_int])
         gain *= 2.0
@@ -230,7 +230,8 @@ class Kernel:
         a = np.multiply(self.c_next, y[:n_int])
         diag = np.full(y.size, float(fac))
         if self.neg_nu_d is not None:
-            diag -= self.neg_nu_d
+            diag[:n_int] -= self.neg_nu_d
+            diag[n_int:] -= self.neg_nu_d_leaf
         diag[:n_int] += self.c_next * _child_sums(y, branching)
         if branching == 1:
             return _chain_solver(a.tolist(), diag.tolist())
@@ -255,15 +256,21 @@ class Kernel:
         """deriv = (visc + gain) - loss per node, where gain[p] = c_{g+1} X_p^2
         is what each child of internal node p receives.  gain is reused as
         scratch."""
-        if self.neg_nu_d is None:
-            deriv.fill(0.0)
-        else:
-            np.multiply(self.neg_nu_d, y, out=deriv)
+        self._viscous(y, deriv)
         deriv[0] += self.gain0
         _add_to_children(gain, deriv[1:], self.params.branching)
         loss = np.multiply(self.c_next, y[:self.n_internal], out=gain)
         loss *= csum
         deriv[:self.n_internal] -= loss
+
+    def _viscous(self, v, out):
+        """out = -nu d_g v node by node (0 when nu = 0)."""
+        if self.neg_nu_d is None:
+            out.fill(0.0)
+            return
+        n_int = self.n_internal
+        np.multiply(self.neg_nu_d, v[:n_int], out=out[:n_int])
+        np.multiply(v[n_int:], self.neg_nu_d_leaf, out=out[n_int:])
 
 
 def _chain_solver(a, diag):
