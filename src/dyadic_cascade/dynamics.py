@@ -486,15 +486,16 @@ def integrate(
             # solution y5 and K[6] = f(y5).  A finite error norm is the whole
             # finiteness check of the attempt:
             # - f of a state with a non-finite entry is non-finite, at that
-            #   node or at its parent (a lone node needs nu > 0, else f is
-            #   constant and no stage can become non-finite);
+            #   node or at its parent;
             # - every stage but K[1] has a nonzero e weight, so a non-finite
             #   stage makes err non-finite (inf - inf and 0 * inf are NaN);
             # - K[1] enters K[2]'s input with weight 9/40, and y5 is K[6]'s.
+            # Only on a lone undamped node, whose f is constant, can y5
+            # overflow with finite stages: there y5 is one value to check.
             n_rhs += 6
             np.matmul(h * _E, K, out=err)
             err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
-            finite = math.isfinite(err_norm)
+            finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
             dq = rodas.attempt(y, K[0], W[0], h, out=yy)
             n_rhs += 5

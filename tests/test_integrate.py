@@ -241,6 +241,17 @@ class TestFailureModes:
         with pytest.raises(MaxRejections, match="non-finite"):
             integrate(TreeState(vals, p), p, 1.0, SolverOptions(max_rejections=3))
 
+    def test_lone_undamped_node_never_accepts_an_overflow(self):
+        # f is the constant c_0 f^2 = 1e308, so the state reaches the float
+        # limit at t = 1.7977; every stage and the error norm stay finite
+        p = ModelParams(alpha=1.0, branching=1, depth=0, f=1e154)
+        x = TreeState(np.array([1e150]), p)
+        with pytest.raises(StepSizeUnderflow, match="at t = 1.797"):
+            integrate(x, p, 2.0)
+        traj = integrate(x, p, 1.7)
+        assert traj.final.values[0] == pytest.approx(1.7e308, rel=1e-12)
+        assert traj.n_rejected == 0
+
     def test_max_rejections(self):
         p = ModelParams(alpha=1.0, gamma=3.0, nu=1e6, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(2)
