@@ -291,27 +291,27 @@ class TestDecimalCertificate:
     @pytest.mark.parametrize("n_max", [60, 200])
     def test_stationary_verdicts_match_mpmath(self, monkeypatch, cfg, n_max):
         f, nu, beta, gamma = cfg
-        bracket, verdicts = certificate_verdicts(
+        trials, verdicts = certificate_verdicts(
             monkeypatch, stationary,
             lambda: solve_viscous_stationary(*cfg, n_max=n_max))
         with mp.workdps(_CERT_DPS):
             g = mp.mpf(2) ** (mp.mpf(beta) / 3) * mp.mpf(f) / mp.mpf(nu)
             mu = mp.mpf(gamma) - 2 * mp.mpf(beta) / 3
             expected = [oracle.classify_parity(g, mp.mpf(a), mu, _CERT_LEVELS)
-                        for a in bracket]
+                        for a in trials]
         assert verdicts == expected
         assert [c for c, _ in verdicts] == ["raise", "lower"]
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
     def test_selfsimilar_verdicts_match_mpmath(self, monkeypatch, beta):
-        bracket, verdicts = certificate_verdicts(
+        trials, verdicts = certificate_verdicts(
             monkeypatch, selfsimilar,
             lambda: solve_selfsimilar_classic(-1.0, beta, 120))
         with mp.workdps(_CERT_DPS):
             q_eps = mp.mpf(2) ** (-2 * mp.mpf(beta) / 3)
             expected = [oracle.classify_dips(mp.mpf(a), q_eps, _CERT_LEVELS,
                                              oracle.DIP_RATIO)
-                        for a in bracket]
+                        for a in trials]
         assert verdicts == expected
         assert [c for c, _ in verdicts] == ["raise", "lower"]
 
