@@ -168,6 +168,14 @@ class ModelParams:
     def offsets(self) -> tuple[int, ...]:
         return generation_offsets(self.branching, self.depth)
 
+    @cached_property
+    def generation_starts(self) -> np.ndarray:
+        """offsets[:-1] as a read-only intp array: the segment starts of a
+        per-generation np.add.reduceat."""
+        starts = np.array(self.offsets[:-1], dtype=np.intp)
+        starts.setflags(write=False)
+        return starts
+
     @property
     def n_nodes(self) -> int:
         return self.offsets[-1]

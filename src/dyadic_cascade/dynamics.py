@@ -582,7 +582,9 @@ def integrate(
 def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:
     """Per-generation energies, cumulative energies and boundary fluxes.
 
-    All sums are fixed-order pairwise reductions.
+    The energies and the fluxes are one np.add.reduceat each over the
+    generations, in the fixed order the kernels module describes, so they
+    equal rhs_work's bit for bit.
     """
     params = params or state.params
     per_gen = generation_energies(params, state.values)

@@ -32,12 +32,13 @@ file):
   pairs over the first 8 columns, then the rest one by one), and a
   prototype of that order took 0.18 ms against the row sum's 0.21 ms (2-core
   VM, numpy 2.4), so the cut-off stays at 8;
-- per-generation sums (energies, viscous work, boundary fluxes) are numpy's
-  pairwise np.add.reduce over each generation slice, then scaled by the
+- per-generation sums (energies, viscous work, boundary fluxes) are one
+  np.add.reduceat over the generation starts, then scaled by the
   generation's coefficient, so a boundary flux is (2 c_{n+1}) * sum(X^2 *
-  child sum).  np.add.reduceat would be one call but sums sequentially,
-  which changes the last bits at N >= 2.  With N = 1 each slice is one
-  node and the values are used as they are.
+  child sum).  A reduceat segment v is v[0] + np.add.reduce(v[1:]) (numpy
+  2.4), pairwise like np.add.reduce(v) but split differently, so the two
+  differ in the last bits.  With N = 1 each generation is one node and the
+  values are used as they are.
 
 All of this is fixed-order and deterministic, so identical inputs give
 identical bytes.
@@ -109,15 +110,13 @@ def _add_to_children(values: np.ndarray, dst: np.ndarray, branching: int) -> Non
 
 def _generation_sums(params: ModelParams, values: np.ndarray, n_gen: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise sum of values over each of the generations 0..n_gen-1."""
+    """Sum of values over each of the generations 0..n_gen-1, which values
+    holds and nothing else."""
+    if params.branching > 1:
+        return np.add.reduceat(values, params.generation_starts[:n_gen], out=out)
     if out is None:
         out = np.empty(n_gen)
-    if params.branching == 1:
-        out[:] = values
-        return out
-    offs = params.offsets
-    for g in range(n_gen):
-        out[g] = np.add.reduce(values[offs[g]:offs[g + 1]])
+    out[:] = values
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,12 @@ from dyadic_cascade import (
     rhs_tree,
 )
 from dyadic_cascade.errors import NonFiniteState
-from dyadic_cascade.kernels import _child_sums, make_kernel
+from dyadic_cascade.kernels import (
+    _child_sums,
+    boundary_fluxes,
+    generation_energies,
+    make_kernel,
+)
 from jacobian_oracle import dense_jacobian
 
 
@@ -199,6 +206,49 @@ class TestChildSums:
             y = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, -1000, n)
         expected = y[1:].reshape(-1, branching).sum(axis=1)
         assert _child_sums(y, branching).tobytes() == expected.tobytes()
+
+
+def split_pairwise_sums(values, offsets):
+    """Per-generation v[0] + np.add.reduce(v[1:]), one generation at a time:
+    the order of a segment of np.add.reduceat."""
+    out = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        v = values[lo:hi]
+        out.append(v[0] + np.add.reduce(v[1:]))
+    return np.array(out)
+
+
+class TestGenerationSums:
+    """Every per-generation reduction sums each generation in one fixed
+    order: bit-equal to an independent per-generation split pairwise sum,
+    and within a few ulps of the exactly rounded sum."""
+
+    @pytest.mark.parametrize("branching,depth,strict", [
+        (1, 40, True), (2, 13, True), (8, 5, True), (3, 8, False), (9, 5, False)])
+    def test_bit_equal_to_split_pairwise_sum(self, branching, depth, strict):
+        p = ModelParams(alpha=1.3, gamma=1.1, nu=0.2, f=0.5, branching=branching,
+                        depth=depth, strict=strict)
+        offs = p.offsets
+        n_int = offs[-2]
+        rng = np.random.default_rng(branching)
+        y = rng.uniform(0.0, 1.0, p.n_nodes) * 10.0 ** rng.integers(-8, 8, p.n_nodes)
+        csum = (y[1:].reshape(-1, branching).sum(axis=1) if branching > 1
+                else y[1:])
+        energies = split_pairwise_sums(np.square(y), offs)
+        coefficients = np.array([2.0 * pow2(p.alpha * (n + 1)) for n in range(depth)])
+        fluxes = split_pairwise_sums(np.square(y[:n_int]) * csum, offs[:-1]) * coefficients
+
+        assert generation_energies(p, y).tobytes() == energies.tobytes()
+        assert boundary_fluxes(p, y).tobytes() == fluxes.tobytes()
+        got = np.empty(depth + 1)
+        _, work = make_kernel(p).rhs_work(y, energies_out=got)
+        assert got.tobytes() == energies.tobytes()
+        assert work[depth + 2:].tobytes() == fluxes.tobytes()
+
+        sq = np.square(y)
+        for g in range(depth + 1):
+            exact = math.fsum(sq[offs[g]:offs[g + 1]])
+            assert abs(energies[g] - exact) <= 4 * np.spacing(exact)
 
 
 class TestJacobian:
