@@ -24,6 +24,8 @@ NodeId = int
 #: instead of an out-of-memory kill.
 DEFAULT_NODE_BUDGET = 2 ** 30
 
+_LN2 = math.log(2.0)
+
 
 def pow2(x: float) -> float:
     """2**x through a single code path.
@@ -34,6 +36,12 @@ def pow2(x: float) -> float:
     and makes integer exponents exact.
     """
     return 2.0 ** float(x)
+
+
+def one_minus_pow2(x: float) -> float:
+    """1 - 2^x as -expm1(x ln 2), without the cancellation of 1 - pow2(x)
+    for x near 0."""
+    return -math.expm1(x * _LN2)
 
 
 def node_count(branching: int, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:

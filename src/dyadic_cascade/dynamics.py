@@ -46,12 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, TreeState, pow2
+from .core import ModelParams, TreeState, one_minus_pow2
 from .errors import (
     CapacityExceeded,
     DomainError,
     ForcedRun,
     MaxRejections,
+    NonFiniteResult,
     NonFiniteState,
     RangeError,
     StepSizeUnderflow,
@@ -652,5 +653,19 @@ def dissipation_time_bound(epsilon: float, eta: float,
     if not alpha > alpha_tilde:
         raise DomainError(
             f"requires alpha > alpha_tilde, got {alpha} <= {alpha_tilde}")
-    q = pow2(-(alpha - alpha_tilde) / 3.0)
-    return 2.0 * math.sqrt(2.0) * eta ** 1.5 / (epsilon ** 2 * (1.0 - q) ** 3)
+    gap = one_minus_pow2(-(alpha - alpha_tilde) / 3.0)  # 1 - q
+    # mantissas and binary exponents apart, so that no intermediate over- or
+    # underflows unless T itself is beyond the float range
+    m_eta, e_eta = math.frexp(eta)
+    if e_eta % 2:
+        m_eta, e_eta = 2.0 * m_eta, e_eta - 1
+    m_eps, e_eps = math.frexp(epsilon)
+    m_gap, e_gap = math.frexp(gap)
+    try:  # gap is 0 where (alpha - alpha_tilde) / 3 underflows
+        mantissa = 2.0 * math.sqrt(2.0) * m_eta ** 1.5 / (m_eps ** 2 * m_gap ** 3)
+        return math.ldexp(mantissa, 3 * e_eta // 2 - 2 * e_eps - 3 * e_gap)
+    except (OverflowError, ZeroDivisionError):
+        raise NonFiniteResult(
+            f"the dissipation time bound for epsilon {epsilon!r}, eta {eta!r}, "
+            f"alpha - alpha_tilde {alpha - alpha_tilde!r} is beyond the float "
+            "range") from None

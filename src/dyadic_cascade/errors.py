@@ -29,6 +29,11 @@ class NonFiniteState(CascadeError):
     """A state vector contains NaN or infinity."""
 
 
+class NonFiniteResult(CascadeError):
+    """A result is NaN or lies beyond the float range, so it cannot be
+    reported as a number."""
+
+
 class StepSizeUnderflow(CascadeError):
     """Adaptive step fell below the representable floor (stiffness beyond the
     explicit method)."""

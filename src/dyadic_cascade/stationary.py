@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelParams, TreeState, pow2
+from .core import ModelParams, TreeState, one_minus_pow2, pow2
 from .errors import BracketFailure, DomainError, NoConvergence
 from .lift import LiftSpec, lift_state
 
@@ -91,7 +91,7 @@ def classify_regime(beta: float, gamma: float, g: float | None) -> RegimeInfo:
     mu = gamma - 2.0 * beta / 3.0
     if mu >= 0.0:
         return RegimeInfo(regime=REGIME_REGULAR, mu=mu, g=g, threshold=None)
-    threshold = 1.0 / (1.0 - pow2(mu))
+    threshold = 1.0 / one_minus_pow2(mu)
     if g is not None and g > threshold:
         return RegimeInfo(regime=REGIME_ANOMALOUS, mu=mu, g=g, threshold=threshold)
     return RegimeInfo(regime=REGIME_SMALL_FORCING, mu=mu, g=g, threshold=threshold)

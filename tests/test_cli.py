@@ -400,6 +400,7 @@ class TestOtherCommands:
 #: numerical failure.  Every other type must be a DomainError.
 EXIT_2_ERRORS = (
     errors.CascadeError, errors.RootHasNoParent, errors.NonFiniteState,
+    errors.NonFiniteResult,
     errors.StepSizeUnderflow, errors.MaxRejections, errors.ForcedRun,
     errors.RangeError, errors.DepthMismatch, errors.BracketFailure,
     errors.NoConvergence, errors.OverlapError, errors.GenerationMismatch,

@@ -2,7 +2,7 @@ import mpmath as mp
 import pytest
 
 from dyadic_cascade import dissipation_time_bound
-from dyadic_cascade.errors import DomainError
+from dyadic_cascade.errors import DomainError, NonFiniteResult
 
 
 def oracle(epsilon, eta, delta):
@@ -50,3 +50,25 @@ def test_domain():
 def test_matches_oracle(eps, eta, delta):
     t = dissipation_time_bound(eps, eta, alpha=1.0 + delta, alpha_tilde=1.0)
     assert t == pytest.approx(oracle(eps, eta, delta), rel=1e-13)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12, 2.0 ** -52])
+def test_small_gap_matches_oracle(delta):
+    """1 - 2^{-delta/3} is formed without cancellation: a few ulps even
+    where 1 - q would keep no correct digit."""
+    alpha = 1.0 + delta
+    t = dissipation_time_bound(0.1, 1.0, alpha, alpha_tilde=1.0)
+    assert t == pytest.approx(oracle(0.1, 1.0, alpha - 1.0), rel=4e-15)
+
+
+@pytest.mark.parametrize("eps,eta", [(1e-200, 1e-200), (1e300, 1e300), (1e-170, 1e-150)])
+def test_range_of_intermediates(eps, eta):
+    """eps^2 or eta^{3/2} alone leave the float range, T does not."""
+    t = dissipation_time_bound(eps, eta, alpha=2.0, alpha_tilde=1.0)
+    assert t == pytest.approx(oracle(eps, eta, 1.0), rel=4e-15)
+
+
+@pytest.mark.parametrize("eps,eta,alpha", [(1e-300, 1e300, 2.0), (1.0, 1.0, 5e-324)])
+def test_beyond_float_range_is_typed(eps, eta, alpha):
+    with pytest.raises(NonFiniteResult, match="beyond the float range"):
+        dissipation_time_bound(eps, eta, alpha, alpha_tilde=0.0)

@@ -251,6 +251,20 @@ class TestClassifyRegime:
         # 3 gamma = 2 beta exactly: inclusive boundary
         assert classify_regime(3.0, 2.0, 10.0).regime == REGIME_REGULAR
 
+    def test_mu_minus_one_threshold_is_exact(self):
+        assert classify_regime(3.0, 1.0, None).threshold == 2.0
+
+    @pytest.mark.parametrize("beta,gamma", [
+        (1.5 + 1.5e-6, 1.0), (1.5 + 1.5e-9, 1.0), (1.5 + 1.5e-12, 1.0),
+        (1.5000001e-20, 1e-20)])
+    def test_threshold_near_mu_zero_matches_oracle(self, beta, gamma):
+        """1/(1 - 2^mu) without cancellation, against 60 digits, down to
+        a mu of -6.7e-28, where 2^mu rounds to 1."""
+        info = classify_regime(beta, gamma, None)
+        with mp.workdps(60):
+            expected = float(1 / (1 - mp.mpf(2) ** mp.mpf(info.mu)))
+        assert info.threshold == pytest.approx(expected, rel=4e-16)
+
 
 class TestAsymptoticFlux:
     def test_closed_form(self):
