@@ -11,9 +11,10 @@ fixed-order reductions).
 Exit codes: 0 success; 1 bad input, any errors.DomainError (ConfigError,
 StateFileError, SymmetryError, ParameterMismatch, DegenerateWindow,
 CapacityExceeded, ...), reported as "config error:"; 2 numerical failure,
-every other errors.CascadeError.  The library's own argument checks decide
-what is bad input; this module adds only the checks of the JSON shape and
-of rules the library has no twin for.
+every other errors.CascadeError, among them NonFiniteResult for a NaN or an
+infinity bound for an output file, which is then not written.  The
+library's own argument checks decide what is bad input; this module adds
+only the checks of the JSON shape and of rules the library has no twin for.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     ConfigError,
     DegenerateWindow,
     DomainError,
+    NonFiniteResult,
 )
 from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
@@ -361,8 +363,49 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
+def _write_csv(path, header: list[str], lines: list[str]) -> None:
+    """Write a table whose rows are formatted with _fmt.  A row holding nan
+    or inf, the reprs of the non-finite floats, raises NonFiniteResult
+    naming the file, the column and the row (counted from 1 below the
+    header), and the file is not written.  The check scans the text, which
+    costs far less than testing each value before it is formatted."""
+    for i, line in enumerate(lines, 1):
+        if "nan" in line or "inf" in line:
+            cells = line.split(",")
+            j = next(j for j, c in enumerate(cells) if c in ("nan", "inf", "-inf"))
+            raise NonFiniteResult(f"{path}: {header[j]} is {cells[j]} in row {i}")
+    _write_text(path, "\n".join([",".join(header)] + lines) + "\n")
+
+
 def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as JSON.  A NaN or an infinity, which JSON cannot hold,
+    raises NonFiniteResult naming the file and the field, and the file is
+    not written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _non_finite_field(obj)
+        if found is None:
+            raise
+        raise NonFiniteResult(f"{path}: {found[0]} is {_fmt(found[1])}") from None
+    _write_text(path, text + "\n")
+
+
+def _non_finite_field(obj, where: str = ""):
+    """(field path, value) of the first NaN or infinity in obj, a tree of
+    dicts, lists and scalars, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (where, obj)
+    if isinstance(obj, dict):
+        items = ((f"{where}.{k}".lstrip("."), v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for w, v in items:
+        if found := _non_finite_field(v, w):
+            return found
+    return None
 
 
 def run_simulate(config: RunConfig, out_dir, dump_times=()):
@@ -397,7 +440,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     depth = run_params.depth
     header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
               + [f"flux_{n}" for n in range(depth)] + ["residual"])
-    lines = [",".join(header)]
+    lines = []
     for i, t in enumerate(traj.times):
         cumulative = np.cumsum(traj.energies[i])
         resid = 0.0 if i == 0 else balance_residual(traj, traj.times[0], t)
@@ -406,7 +449,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
                + [scale * v for v in traj.fluxes[i]]
                + [scale * resid])
         lines.append(",".join(_fmt(v) for v in row))
-    _write_text(os.path.join(out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, lines)
 
     for t in dump_times:
         dump_state(traj.state_at(float(t)),
@@ -478,8 +521,8 @@ def run_stationary(cfg: dict, out_dir):
         }
         rows = [(n, profile.z[n + 1], profile.y[n]) for n in range(n_max + 1)]
 
-    lines = ["n,Z_n,Y_n"] + [f"{n},{_fmt(z)},{_fmt(y)}" for n, z, y in rows]
-    _write_text(os.path.join(out_dir, "profile.csv"), "\n".join(lines) + "\n")
+    lines = [f"{n},{_fmt(z)},{_fmt(y)}" for n, z, y in rows]
+    _write_csv(os.path.join(out_dir, "profile.csv"), ["n", "Z_n", "Y_n"], lines)
     _write_json(os.path.join(out_dir, "regime.json"), regime)
     return regime
 
@@ -500,14 +543,13 @@ def run_selfsimilar(cfg: dict, out_dir):
     profile = solve_selfsimilar_classic(t0, beta, n_max, n0=n0)
     if alpha_tilde is not None:
         profile = lift_selfsimilar(profile, alpha_tilde)
-        header = "n,b_n,a_n"
+        header = ["n", "b_n", "a_n"]
         rows = [f"{n},{_fmt(profile.b[n])},{_fmt(profile.a[n])}"
                 for n in range(n_max + 1)]
     else:
-        header = "n,b_n"
+        header = ["n", "b_n"]
         rows = [f"{n},{_fmt(profile.b[n])}" for n in range(n_max + 1)]
-    _write_text(os.path.join(out_dir, "selfsimilar.csv"),
-                "\n".join([header] + rows) + "\n")
+    _write_csv(os.path.join(out_dir, "selfsimilar.csv"), header, rows)
     nz = profile.n0
     summary = {
         "t0": profile.t0, "beta": profile.beta, "n0": nz,
@@ -552,12 +594,12 @@ def run_lift(cfg: dict, out_dir):
         raise ConfigError("one of classic_values/classic_file is required")
 
     x = lift_state(y, spec)
-    lines = ["generation,classic_value,tree_value,generation_energy"]
     per_gen = generation_energies(x.params, x.values)
-    for g in range(depth + 1):
-        lines.append(f"{g},{_fmt(y.values[g])},{_fmt(x.generation_slice(g)[0])},"
-                     f"{_fmt(per_gen[g])}")
-    _write_text(os.path.join(out_dir, "lift.csv"), "\n".join(lines) + "\n")
+    lines = [f"{g},{_fmt(y.values[g])},{_fmt(x.generation_slice(g)[0])},"
+             f"{_fmt(per_gen[g])}" for g in range(depth + 1)]
+    _write_csv(os.path.join(out_dir, "lift.csv"),
+               ["generation", "classic_value", "tree_value", "generation_energy"],
+               lines)
     summary = {
         "alpha": spec.alpha, "branching": spec.branching,
         "f_tree": x.params.f,
@@ -634,20 +676,24 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
-        if args.command == "simulate":
-            run_simulate(RunConfig.from_dict(cfg), args.out,
-                         dump_times=args.dump_state)
-        elif args.command == "stationary":
-            run_stationary(cfg, args.out)
-        elif args.command == "selfsimilar":
-            run_selfsimilar(cfg, args.out)
-        elif args.command == "lift":
-            run_lift(cfg, args.out)
-        elif args.command == "dissipation-bound":
-            run_dissipation_bound(cfg, args.out)
-        elif args.command == "fit-spectrum":
-            run_fit_spectrum(cfg, args.out)
+        # numpy's overflow warnings are off: a NaN or an infinity that
+        # reaches an output file is a numerical failure of its own
+        # (_write_csv, _write_json)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = _load_config(args.config)
+            if args.command == "simulate":
+                run_simulate(RunConfig.from_dict(cfg), args.out,
+                             dump_times=args.dump_state)
+            elif args.command == "stationary":
+                run_stationary(cfg, args.out)
+            elif args.command == "selfsimilar":
+                run_selfsimilar(cfg, args.out)
+            elif args.command == "lift":
+                run_lift(cfg, args.out)
+            elif args.command == "dissipation-bound":
+                run_dissipation_bound(cfg, args.out)
+            elif args.command == "fit-spectrum":
+                run_fit_spectrum(cfg, args.out)
     except DomainError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -658,3 +661,62 @@ def test_bisection_tol_is_rejected_before_any_solve(tmp_path, monkeypatch, capsy
     assert main(["stationary", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "unknown field bisection_tol" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+class TestNonFiniteOutput:
+    """Cases at the edge of the float range, each run as a fresh CLI
+    process: the exit code the contract gives, at most a one-line message
+    naming what failed, no traceback, and no nan or infinity in any file
+    written.  A command that exits 2 writes none of the files it failed
+    on."""
+
+    NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+    @pytest.mark.parametrize("command,cfg,code,names", [
+        pytest.param("stationary", {"f": 1, "nu": 1, "beta": 1.5000001e-20,
+                                    "gamma": 1e-20, "n_max": 10},
+                     0, (), id="stationary_mu_near_zero"),
+        pytest.param("dissipation-bound", {"epsilon": 0.1, "eta": 1,
+                                           "alpha": 1.0000000000000002,
+                                           "alpha_tilde": 1},
+                     0, (), id="dissipation_bound_gap_near_zero"),
+        pytest.param("dissipation-bound", {"epsilon": 1e-300, "eta": 1e300,
+                                           "alpha": 2, "alpha_tilde": 1},
+                     2, ("beyond the float range",), id="dissipation_bound_overflows"),
+        # X_0 = t: E_0 and the forcing work overflow, and the residual is
+        # inf - inf (at depth 3 the same run takes 26,804 steps)
+        pytest.param("simulate", {"model": "tree", "params": {
+                         "alpha": 1, "branching": 2, "depth": 0, "f": 1},
+                         "initial": {"kind": "zero"}, "t_end": 1e300,
+                         "output_interval": 1e299},
+                     2, ("trajectory.csv", "E_total"), id="simulate_energy_overflows"),
+        pytest.param("lift", {"alpha_tilde": 0.5, "beta": 1, "depth": 3,
+                              "classic_values": [1e300] * 4},
+                     2, ("lift.csv", "generation_energy"), id="lift_energy_overflows"),
+        pytest.param("lift", {"alpha_tilde": 0.5, "beta": 1, "depth": 3,
+                              "classic_values": [1e154] * 4},
+                     2, ("lift.json", "classic_norm_sq"), id="lift_norm_overflows"),
+    ])
+    def test_exit_code_message_and_files(self, tmp_path, command, cfg, code, names):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / "o"
+        run = subprocess.run(
+            [sys.executable, "-m", "dyadic_cascade.cli", command,
+             "--config", write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == code
+        assert "Traceback" not in run.stderr
+        if code == 0:
+            assert run.stderr == ""
+        else:
+            (line,) = run.stderr.splitlines()
+            assert line.startswith("numerical failure: NonFiniteResult: ")
+            assert all(name in line for name in names)
+            if names[0].endswith((".csv", ".json")):
+                assert not (out / names[0]).exists()
+        written = list(out.iterdir()) if out.exists() else []
+        assert (code == 0) <= bool(written)
+        for path in written:
+            assert not self.NON_FINITE.search(path.read_text()), path.name
