@@ -249,6 +249,10 @@ class TestGenerationSums:
         for g in range(depth + 1):
             exact = math.fsum(sq[offs[g]:offs[g + 1]])
             assert abs(energies[g] - exact) <= 4 * np.spacing(exact)
+        products = np.square(y[:n_int]) * csum
+        for n in range(depth):
+            exact = math.fsum(products[offs[n]:offs[n + 1]]) * coefficients[n]
+            assert abs(fluxes[n] - exact) <= 4 * np.spacing(exact)
 
 
 class TestJacobian:
