@@ -245,14 +245,11 @@ class TestClassifyRegime:
     def test_anomalous(self):
         info = classify_regime(3.0, 1.0, 3.0)
         assert info.regime == REGIME_ANOMALOUS
-        assert info.threshold == pytest.approx(2.0)
+        assert info.threshold == 2.0  # exact: the shooting regime.json bytes
 
     def test_boundary_is_regular(self):
         # 3 gamma = 2 beta exactly: inclusive boundary
         assert classify_regime(3.0, 2.0, 10.0).regime == REGIME_REGULAR
-
-    def test_mu_minus_one_threshold_is_exact(self):
-        assert classify_regime(3.0, 1.0, None).threshold == 2.0
 
     @pytest.mark.parametrize("beta,gamma", [
         (1.5 + 1.5e-6, 1.0), (1.5 + 1.5e-9, 1.0), (1.5 + 1.5e-12, 1.0),
