@@ -30,10 +30,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .dynamics import (SolverOptions, balance_residual, dissipation_time_bound,
-                       energy_report, held_values, integrate)
+from .dynamics import (SolverOptions, balance_residual, check_capacity,
+                       dissipation_time_bound, energy_report, integrate)
 from .errors import (
-    CapacityExceeded,
     CascadeError,
     ConfigError,
     DegenerateWindow,
@@ -330,15 +329,14 @@ class FitResult:
     residual: float
 
 
-def fit_spectrum(state: TreeState, params: ModelParams | None = None,
-                 window: tuple[int, int] | None = None) -> FitResult:
+def fit_spectrum(state: TreeState, window: tuple[int, int] | None = None) -> FitResult:
     """Least-squares decay exponent of the per-node RMS intensity.
 
     Fits log2(RMS per node at generation n) against n over the window
     (inclusive) and returns the negated slope with the max absolute fit
     residual.  RMS must be strictly positive across the window.
     """
-    params = params or state.params
+    params = state.params
     per_gen = generation_energies(params, state.values)
     depth = len(per_gen) - 1
     lo, hi = window if window is not None else (0, depth)
@@ -426,15 +424,12 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
         run_params = project_params(params)
         scale = pow2(-4.0 * spec.alpha_tilde)
     n_out = config.t_end / config.output_interval
-    held = held_values(run_params, n_out, len(dump_times))
-    if held > params.max_nodes:
-        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
-                               f"the budget of {params.max_nodes}")
+    check_capacity(run_params, n_out, len(dump_times))
     outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
 
     initial = (_symmetric_classic_initial(config, run_params, spec)
                if config.mode == "symmetric" else build_initial(config))
-    traj = integrate(initial, run_params, config.t_end, config.solver,
+    traj = integrate(initial, config.t_end, config.solver,
                      output_times=outputs, keep=dump_times)
 
     depth = run_params.depth
@@ -457,13 +452,13 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
 
     try:
         window = config.fit_window
-        fitted = fit_spectrum(traj.final, run_params, window).eta_hat
+        fitted = fit_spectrum(traj.final, window).eta_hat
     except DegenerateWindow:
         fitted = None
     summary = {
         "config": config.to_dict(),
         "summary": {
-            "final_energy": scale * energy_report(traj.final, run_params).total,
+            "final_energy": scale * energy_report(traj.final).total,
             "fitted_decay_exponent": fitted,
             "max_positivity_violation": max(0.0, -float(traj.min_value.min())),
             "n_accepted": traj.n_accepted,
@@ -635,7 +630,7 @@ def run_fit_spectrum(cfg: dict, out_dir):
     params = _params_from_dict(_require(cfg, "params", ""))
     window = _window(cfg.get("window"), "window")
     state = _load_state(_require(cfg, "state_file", ""), params, "state_file")
-    fit = fit_spectrum(state, params, window)
+    fit = fit_spectrum(state, window)
     out = {"eta_hat": fit.eta_hat, "residual": fit.residual}
     _write_json(os.path.join(out_dir, "fit_spectrum.json"), out)
     return out

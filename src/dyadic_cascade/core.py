@@ -10,7 +10,7 @@ shell, node n holding shell n, so one state type serves both models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -131,8 +131,8 @@ class ModelParams:
     ``beta`` = alpha - alpha_tilde, the exponent the classic model inherits
     under the generation-symmetric correspondence.
 
-    By default ``branching`` must be a power of two so alpha_tilde is exact;
-    pass ``strict=False`` to allow any branching >= 1.
+    ``branching`` must be a power of two (1 for the chain), so that
+    alpha_tilde is exact.
     """
 
     alpha: float
@@ -142,7 +142,6 @@ class ModelParams:
     branching: int = 2
     depth: int = 0
     max_nodes: int = DEFAULT_NODE_BUDGET
-    strict: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
@@ -155,13 +154,9 @@ class ModelParams:
             raise DomainError(f"f must be >= 0 and finite, got {self.f}")
         if self.depth < 0:
             raise DomainError(f"depth must be >= 0, got {self.depth}")
-        if self.branching < 1:
-            raise DomainError(f"branching must be >= 1, got {self.branching}")
-        if self.strict and not _is_power_of_two(self.branching):
+        if not _is_power_of_two(self.branching):
             raise DomainError(
-                f"branching must be a power of two (got {self.branching}); "
-                "pass strict=False to allow arbitrary arity"
-            )
+                f"branching must be a power of two, got {self.branching}")
         node_count(self.branching, self.depth, self.max_nodes)  # capacity check
 
     @property

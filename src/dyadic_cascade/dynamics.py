@@ -200,34 +200,36 @@ class Trajectory:
         return sum(self.rejected.values())
 
     def state_at(self, t: float) -> TreeState:
-        """The state kept at time t (the final state at t_end)."""
+        """The state kept at time t (the final state at t_end).  t names the
+        recorded time nearest to it within rounding, the rule by which
+        integrate merges output times."""
         if (state := self.kept.get(self._index_of(t))) is None:
             raise RangeError(f"state at time {t} was not kept")
         return state
 
     def _index_of(self, t: float) -> int:
         times = self.times
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise RangeError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
         i = int(np.searchsorted(times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)):
-                return j
-        raise RangeError(f"time {t} not among recorded output times")
+        if i > 0 and t - times[i - 1] < times[i] - t:
+            i -= 1
+        if abs(times[i] - t) > _rounding_gap(t):
+            raise RangeError(f"time {t} not among recorded output times")
+        return i
 
 
-def rhs_tree(state: TreeState, params: ModelParams | None = None) -> np.ndarray:
+def rhs_tree(state: TreeState) -> np.ndarray:
     """Time derivative of a state under Galerkin truncation.
 
     The root's parent value is the forcing f; children beyond the stored
     depth are zero.  For the chain (branching 1) shell -1 aliases f and
     shell depth+1 is zero.
     """
-    params = params or state.params
     if not state.is_finite:
         raise NonFiniteState("rhs: state contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        return make_kernel(params).rhs(state.values)
+        return make_kernel(state.params).rhs(state.values)
 
 
 def _step_factor(err_norm: float, order: int) -> float:
@@ -353,10 +355,17 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
 
 
+def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
+    """Raise CapacityExceeded when held_values exceeds params.max_nodes."""
+    held = held_values(params, n_outputs, n_keep)
+    if held > params.max_nodes:
+        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
+                               f"the budget of {params.max_nodes}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: TreeState,
-    params: ModelParams | None = None,
     t_end: float = 1.0,
     opts: SolverOptions = SolverOptions(),
     output_times=(),
@@ -373,13 +382,13 @@ def integrate(
     exactly, stretching the last step onto it when that step ends within
     rounding of it; times within rounding of each other share a row (0.3 and
     3 * 0.1).  keep names output times in [0, t_end] whose state is kept
-    besides the final one.  Raises CapacityExceeded before allocating when
-    held_values exceeds params.max_nodes.
+    besides the final one.  The model is initial.params.  Raises
+    CapacityExceeded before allocating when held_values exceeds
+    params.max_nodes, and NonFiniteResult when a recorded row's energies
+    are finite and its work integrals are not.
     """
-    params = params or initial.params
+    params = initial.params
     values = initial.values
-    if values.shape[0] != params.n_nodes:
-        raise DomainError("initial state length does not match params")
     if not np.isfinite(values).all():
         raise NonFiniteState("integrate: initial state contains non-finite entries")
     if values.min() < 0.0:
@@ -397,10 +406,7 @@ def integrate(
         if targets and t - targets[-1] <= _rounding_gap(t):
             targets.pop()  # one row serves both (0.3 and 3 * 0.1)
         targets.append(t)
-    held = held_values(params, len(targets), len(keep))
-    if held > params.max_nodes:
-        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
-                               f"the budget of {params.max_nodes}")
+    check_capacity(params, len(targets), len(keep))
 
     y = np.array(values, dtype=np.float64)
     kernel = make_kernel(params)
@@ -426,6 +432,12 @@ def integrate(
     scratch = np.empty(n)
 
     def record(i, y, y_min):
+        # energies beyond the float range show in the row itself; work
+        # integrals beyond it under finite energies would show only as a
+        # nan balance residual
+        if np.isfinite(e_last).all() and not np.isfinite(q).all():
+            raise NonFiniteResult(
+                f"integrate: the work integrals are not finite at t = {float(times[i])!r}")
         # K[0], W[0] and e_last always belong to y (the initial evaluation,
         # FSAL or a re-evaluation), so energies and fluxes need no pass over y
         energies[i] = e_last
@@ -580,14 +592,14 @@ def integrate(
         n_flattened=n_flattened, stiff_from=stiff_from, final=kept[ti], kept=kept)
 
 
-def energy_report(state: TreeState, params: ModelParams | None = None) -> EnergyReport:
+def energy_report(state: TreeState) -> EnergyReport:
     """Per-generation energies, cumulative energies and boundary fluxes.
 
     The energies and the fluxes are one np.add.reduceat each over the
     generations, in the fixed order the kernels module describes, so they
     equal rhs_work's bit for bit.
     """
-    params = params or state.params
+    params = state.params
     per_gen = generation_energies(params, state.values)
     cumulative = np.cumsum(per_gen)
     return EnergyReport(

@@ -25,13 +25,8 @@ file):
   from +0.0), and is 3-8x faster for 3 <= N <= 8, because reducing short
   rows pays numpy's per-row overhead on every parent.  Wider rows amortize
   that overhead: at N = 16 the two are within 15%, and from N = 32 the row
-  sum is 2-7x faster than adding columns.  The cut-off costs N = 9..15,
-  which only ModelParams(strict=False) allows: at N = 9 on 66k nodes the
-  row sum takes 0.17-0.29 ms, about 2x the 0.09 ms of a column loop.  Adding
-  columns in numpy's order there needs its 8-accumulator loop (pairs of
-  pairs over the first 8 columns, then the rest one by one), and a
-  prototype of that order took 0.18 ms against the row sum's 0.21 ms (2-core
-  VM, numpy 2.4), so the cut-off stays at 8;
+  sum is 2-7x faster than adding columns.  ModelParams admits only powers
+  of two, so the cut-off falls between N = 8 and N = 16;
 - per-generation sums (energies, viscous work, boundary fluxes) are one
   np.add.reduceat over the generation starts, then scaled by the
   generation's coefficient, so a boundary flux is (2 c_{n+1}) * sum(X^2 *

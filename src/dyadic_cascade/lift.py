@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .errors import DepthMismatch, DomainError, ParameterMismatch, SymmetryError
+from .errors import DomainError, ParameterMismatch, SymmetryError
 from .kernels import make_kernel
 
 #: Relative spread below which a generation counts as constant: accepts
@@ -66,9 +66,9 @@ def scale_factor(spec: LiftSpec, gen: int) -> float:
     return pow2(-(gen + 2) * spec.alpha_tilde)
 
 
-def lift_params(classic: ModelParams, spec: LiftSpec,
-                depth: int | None = None) -> ModelParams:
-    """Tree-side parameters corresponding to a classic system."""
+def lift_params(classic: ModelParams, spec: LiftSpec) -> ModelParams:
+    """Tree-side parameters corresponding to a classic system, to the same
+    depth."""
     if classic.branching != 1:
         raise ParameterMismatch("lift_params expects classic params (branching 1)")
     if abs(classic.alpha - spec.beta) > 1e-12 * max(1.0, abs(spec.beta)):
@@ -80,7 +80,7 @@ def lift_params(classic: ModelParams, spec: LiftSpec,
         nu=classic.nu,
         f=scale_factor(spec, -1) * classic.f,
         branching=spec.branching,
-        depth=classic.depth if depth is None else depth,
+        depth=classic.depth,
         max_nodes=classic.max_nodes,
     )
 
@@ -99,17 +99,13 @@ def project_params(tree: ModelParams) -> ModelParams:
     )
 
 
-def lift_state(y: TreeState, spec: LiftSpec, depth: int | None = None) -> TreeState:
-    """Materialize the lifted tree state of a chain state (branching 1) down
-    to ``depth`` generations."""
-    depth = y.params.depth if depth is None else depth
-    if y.params.depth < depth:
-        raise DepthMismatch(
-            f"classic state has {y.params.depth + 1} shells, need {depth + 1}")
-    tree_params = lift_params(y.params, spec, depth=depth)
+def lift_state(y: TreeState, spec: LiftSpec) -> TreeState:
+    """Materialize the lifted tree state of a chain state (branching 1), one
+    generation per shell, with the parameters lift_params gives y.params."""
+    tree_params = lift_params(y.params, spec)
     offs = tree_params.offsets
     values = np.empty(tree_params.n_nodes)
-    for g in range(depth + 1):
+    for g in range(tree_params.depth + 1):
         values[offs[g]:offs[g + 1]] = scale_factor(spec, g) * y.values[g]
     return TreeState(values, tree_params)
 
@@ -136,27 +132,17 @@ def project_state(x: TreeState) -> TreeState:
     return TreeState(y, project_params(params))
 
 
-def verify_lift_equivariance(y: TreeState, spec: LiftSpec,
-                             params: ModelParams | None = None,
-                             h: float = 0.0) -> float:
+def verify_lift_equivariance(y: TreeState, spec: LiftSpec) -> float:
     """Max-norm defect between the two routes classic -> tree derivative.
 
-    Route one evaluates the tree right-hand side on the lifted state; route
-    two lifts the classic right-hand side (same per-generation factors).
-    With h > 0 the comparison is between explicit Euler steps of size h
-    through both routes (defect scales by h); h = 0 compares the derivatives
-    directly.  Double-precision inputs give a defect of rounding size,
-    <= 1e-12 times the term scale.
+    y is a chain state of the classic system y.params; lift_params raises
+    ParameterMismatch unless that system has branching 1 and alpha =
+    spec.beta.  Route one evaluates the tree right-hand side on the lifted state; route two
+    lifts the classic right-hand side (same per-generation factors).
+    Double-precision inputs give a defect of rounding size, <= 1e-12 times
+    the term scale.
     """
-    params = params or y.params
-    if params.branching != 1:
-        raise ParameterMismatch("verify_lift_equivariance expects classic params")
-    if abs(params.alpha - spec.beta) > 1e-12 * max(1.0, abs(spec.beta)):
-        raise ParameterMismatch(
-            f"classic exponent {params.alpha} != spec beta {spec.beta}")
-    if y.params is not params:
-        y = TreeState(y.values, params)
-
+    params = y.params
     lifted = lift_state(y, spec)
     with np.errstate(over="ignore", invalid="ignore"):  # as in rhs_tree
         tree_deriv = make_kernel(lifted.params).rhs(lifted.values)
@@ -165,10 +151,4 @@ def verify_lift_equivariance(y: TreeState, spec: LiftSpec,
     lifted_deriv = np.empty_like(tree_deriv)
     for g in range(params.depth + 1):
         lifted_deriv[offs[g]:offs[g + 1]] = scale_factor(spec, g) * classic_deriv[g]
-
-    if h > 0.0:
-        route_one = lifted.values + h * tree_deriv
-        shifted = TreeState(y.values + h * classic_deriv, params)
-        route_two = lift_state(shifted, spec).values
-        return float(np.max(np.abs(route_one - route_two)))
     return float(np.max(np.abs(tree_deriv - lifted_deriv)))

@@ -88,22 +88,13 @@ class SelfSimilarProfile:
     def n_max(self) -> int:
         return len(self.b) - 1
 
-    def classic_params(self, depth: int | None = None,
-                       gamma: float = 1.0) -> ModelParams:
-        depth = self.n_max if depth is None else depth
-        return ModelParams(alpha=self.beta, gamma=gamma, nu=0.0, f=0.0,
-                           branching=1, depth=depth)
-
-    def classic_state(self, t: float = 0.0, depth: int | None = None) -> TreeState:
-        """Y_n(t) = b_n / (t - t0), materialized to the requested depth."""
-        depth = self.n_max if depth is None else depth
-        if depth > self.n_max:
-            raise DepthMismatch(f"profile holds {self.n_max + 1} coefficients, "
-                                f"need {depth + 1}")
+    def classic_state(self, t: float = 0.0) -> TreeState:
+        """Y_n(t) = b_n / (t - t0) for n = 0..n_max, a state of the
+        unforced inviscid chain with alpha = beta."""
         if t <= self.t0:
             raise DomainError(f"t = {t} not above the pole t0 = {self.t0}")
-        return TreeState(self.b[: depth + 1] / (t - self.t0),
-                         self.classic_params(depth))
+        return TreeState(self.b / (t - self.t0),
+                         ModelParams(alpha=self.beta, branching=1, depth=self.n_max))
 
 
 def _classify_dips(w0, q_eps, n_levels):
@@ -195,19 +186,15 @@ def shifted_profile(profile: SelfSimilarProfile, n0: int) -> SelfSimilarProfile:
     return shifted
 
 
-def lift_selfsimilar(profile: SelfSimilarProfile, alpha_tilde: float,
-                     depth: int | None = None) -> SelfSimilarProfile:
+def lift_selfsimilar(profile: SelfSimilarProfile, alpha_tilde: float) -> SelfSimilarProfile:
     """Fill the per-generation tree coefficients a_n = 2^{-(n+2) alpha_tilde} b_n
-    (tree exponent alpha = beta + alpha_tilde).
+    for n = 0..n_max (tree exponent alpha = beta + alpha_tilde).
 
-    depth only validates coverage; the profile stays in formula form and is
-    materialized when grafted.
+    The profile stays in formula form; graft_selfsimilar materializes it and
+    checks that it covers the tree's depth.
     """
     if alpha_tilde < 0:
         raise ParameterMismatch("alpha_tilde must be >= 0")
-    if depth is not None and depth > profile.n_max:
-        raise DepthMismatch(f"profile holds {profile.n_max + 1} generations, "
-                            f"need {depth + 1}")
     spec = LiftSpec(alpha_tilde=alpha_tilde, beta=profile.beta)
     a = np.array([scale_factor(spec, n) * profile.b[n]
                   for n in range(profile.n_max + 1)])

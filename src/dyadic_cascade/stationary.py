@@ -377,8 +377,8 @@ def asymptotic_flux(z: float, beta: float, nu: float) -> float:
 
 
 def stationary_tree_profile(f: float, nu: float, alpha: float,
-                            alpha_tilde: float, depth: int, gamma: float = 1.0,
-                            n_max: int | None = None) -> TreeState:
+                            alpha_tilde: float, depth: int,
+                            gamma: float = 1.0) -> TreeState:
     """Unique stationary positive tree profile.
 
     Inviscid: the explicit formula.  Viscous: solve the classic profile with
@@ -393,10 +393,8 @@ def stationary_tree_profile(f: float, nu: float, alpha: float,
         return inviscid_tree_profile(f, alpha, alpha_tilde, depth, gamma=gamma)
     beta = alpha - alpha_tilde
     f_classic = pow2(alpha_tilde) * f
-    horizon = max(depth, 60) if n_max is None else n_max
-    if horizon < depth:
-        raise DomainError("n_max must cover the requested depth")
-    profile = solve_viscous_stationary(f_classic, nu, beta, gamma, n_max=horizon)
+    profile = solve_viscous_stationary(f_classic, nu, beta, gamma,
+                                       n_max=max(depth, 60))
     classic_params = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f_classic,
                                  branching=1, depth=depth)
     classic = TreeState(profile.y[: depth + 1], classic_params)

@@ -13,6 +13,7 @@ from dyadic_cascade import (
     ModelParams,
     TreeState,
     dump_state,
+    integrate,
     inviscid_classic_profile,
     inviscid_tree_profile,
     load_state,
@@ -258,6 +259,22 @@ class TestSimulateCommand:
         p = ModelParams(alpha=1.0, f=0.4, branching=2, depth=4)
         state = load_state(dumped, p)
         assert state.values[0] > 0
+
+    def test_dump_state_just_after_an_output_time(self, tmp_path):
+        # 1e-10 after the output time 0.5 is far beyond rounding: the run
+        # records that time in a row of its own and dumps the state kept there
+        params = {"alpha": 1, "branching": 2, "depth": 3, "f": 1}
+        cfg = write_config(tmp_path, base_config(
+            params=params, initial={"kind": "root_only", "value": 0.1},
+            t_end=1.0, output_interval=0.5))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--dump-state", "0.5000000001"]) == 0
+        p = ModelParams(**params)
+        x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
+        expected = integrate(x, 1.0, output_times=[0.5, 1.0], keep=[0.5000000001])
+        dumped = load_state(out / "state_t0.5000000001.bin", p)
+        assert dumped.values.tobytes() == expected.state_at(0.5000000001).values.tobytes()
 
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
         # binary depth 8 has 511 nodes.  Two outputs of 511 values fit in
@@ -690,6 +707,13 @@ class TestNonFiniteOutput:
                          "initial": {"kind": "zero"}, "t_end": 1e300,
                          "output_interval": 1e299},
                      2, ("trajectory.csv", "E_total"), id="simulate_energy_overflows"),
+        # E_0 settles at 1e10, and its viscous work integral passes the float
+        # range before the first output time: integrate itself raises
+        pytest.param("simulate", {"model": "classic", "params": {
+                         "alpha": 1, "depth": 0, "f": 10, "nu": 1e-3},
+                         "initial": {"kind": "zero"}, "t_end": 1e300,
+                         "output_interval": 5e299},
+                     2, ("work integrals", "t = 5e+299"), id="simulate_work_overflows"),
         pytest.param("lift", {"alpha_tilde": 0.5, "beta": 1, "depth": 3,
                               "classic_values": [1e300] * 4},
                      2, ("lift.csv", "generation_energy"), id="lift_energy_overflows"),
@@ -716,6 +740,8 @@ class TestNonFiniteOutput:
             assert all(name in line for name in names)
             if names[0].endswith((".csv", ".json")):
                 assert not (out / names[0]).exists()
+            else:
+                assert not out.exists()
         written = list(out.iterdir()) if out.exists() else []
         assert (code == 0) <= bool(written)
         for path in written:

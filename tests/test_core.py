@@ -127,10 +127,9 @@ class TestModelParams:
         assert p.beta == p.alpha - p.alpha_tilde
 
     def test_power_of_two_required_by_default(self):
-        with pytest.raises(ValueError):
-            ModelParams(alpha=1.0, branching=3, depth=1)
-        p = ModelParams(alpha=1.0, branching=3, depth=1, strict=False)
-        assert p.branching == 3
+        for branching in (0, 3, 9, -4):
+            with pytest.raises(DomainError, match="branching must be a power of two"):
+                ModelParams(alpha=1.0, branching=branching, depth=1)
 
     def test_domain_validation(self):
         for kwargs in ({"alpha": 0.0}, {"alpha": 1.0, "gamma": -1.0},

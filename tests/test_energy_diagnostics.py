@@ -70,7 +70,7 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, branching=2, depth=6, f=0.0, nu=0.0)
         rng = np.random.default_rng(2)
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
-        traj = integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
+        traj = integrate(x, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[0.5, 1.0])
         r = balance_residual(traj, 0.0, 1.0)
         E0 = traj.energies[0].sum()
@@ -81,7 +81,7 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.2, f=0.8, branching=2, depth=5)
         vals = np.zeros(p.n_nodes)
         vals[0] = 0.3
-        traj = integrate(TreeState(vals, p), p, 1.5,
+        traj = integrate(TreeState(vals, p), 1.5,
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[0.5, 1.5])
         r = balance_residual(traj, 0.5, 1.5)
@@ -94,7 +94,7 @@ class TestBalanceResidual:
         # step is bounded by the deepest viscous rate nu 2^{gamma n}
         prof = solve_viscous_stationary(1.0, 1.0, 2.0, 2.0, n_max=6)
         state = prof.state
-        traj = integrate(state, state.params, 0.5,
+        traj = integrate(state, 0.5,
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-18),
                          output_times=[0.5])
         r = balance_residual(traj, 0.0, 0.5)
@@ -110,7 +110,7 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, branching=2, depth=ss_depth, f=0.0, nu=0.0)
         rng = np.random.default_rng(3)
         x = TreeState(rng.uniform(0, 0.3, p.n_nodes), p)
-        traj = integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
+        traj = integrate(x, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[1.0])
         for m in (2, 5):
             r = balance_residual(traj, 0.0, 1.0, generation=m)
@@ -121,7 +121,7 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=0.5, branching=4, depth=3)
         rng = np.random.default_rng(9)
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
-        traj = integrate(x, p, 0.4, output_times=[0.1, 0.2, 0.3],
+        traj = integrate(x, 0.4, output_times=[0.1, 0.2, 0.3],
                          keep=[0.0, 0.1, 0.2, 0.3])
         for i, t in enumerate(traj.times):
             y = traj.state_at(t).values
@@ -143,7 +143,7 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
         rng = np.random.default_rng(4)
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
-        traj = integrate(x, p, 1.0, output_times=[1.0])
+        traj = integrate(x, 1.0, output_times=[1.0])
         with pytest.raises(RangeError):
             balance_residual(traj, 0.5, 0.2)
         with pytest.raises(RangeError):
@@ -153,13 +153,13 @@ class TestBalanceResidual:
 class TestFluxBudget:
     def test_zero_data(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.0)
-        traj = integrate(TreeState.zeros(p), p, 1.0, output_times=[1.0])
+        traj = integrate(TreeState.zeros(p), 1.0, output_times=[1.0])
         assert flux_budget_check(traj, 1) == (0.0, 0.0)
 
     def test_boundary_minus_one_is_trivial(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.0)
         rng = np.random.default_rng(5)
-        traj = integrate(TreeState(rng.uniform(0, 0.5, p.n_nodes), p), p, 1.0,
+        traj = integrate(TreeState(rng.uniform(0, 0.5, p.n_nodes), p), 1.0,
                          output_times=[1.0])
         assert flux_budget_check(traj, -1) == (0.0, 0.0)
 
@@ -167,7 +167,7 @@ class TestFluxBudget:
         p = ModelParams(alpha=1.0, branching=2, depth=5, f=0.0)
         vals = np.zeros(p.n_nodes)
         vals[0] = 1.0
-        traj = integrate(TreeState(vals, p), p, 3.0,
+        traj = integrate(TreeState(vals, p), 3.0,
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[3.0])
         acc, e0 = flux_budget_check(traj, 0)
@@ -177,7 +177,7 @@ class TestFluxBudget:
     def test_budget_inequality_all_boundaries(self):
         p = ModelParams(alpha=1.2, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(6)
-        traj = integrate(TreeState(rng.uniform(0, 0.4, p.n_nodes), p), p, 2.0,
+        traj = integrate(TreeState(rng.uniform(0, 0.4, p.n_nodes), p), 2.0,
                          SolverOptions(rel_tol=1e-9, abs_tol=1e-15),
                          output_times=[2.0])
         for n in range(-1, 7):
@@ -186,6 +186,6 @@ class TestFluxBudget:
 
     def test_forced_run_rejected(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.5)
-        traj = integrate(TreeState.zeros(p), p, 1.0, output_times=[1.0])
+        traj = integrate(TreeState.zeros(p), 1.0, output_times=[1.0])
         with pytest.raises(ForcedRun):
             flux_budget_check(traj, 0)

@@ -22,6 +22,7 @@ from dyadic_cascade.errors import (
     CapacityExceeded,
     DomainError,
     MaxRejections,
+    NonFiniteResult,
     NonFiniteState,
     RangeError,
     StepSizeUnderflow,
@@ -32,7 +33,7 @@ from jacobian_oracle import dense_jacobian
 class TestBasics:
     def test_zero_initial_unforced_stays_zero(self):
         p = ModelParams(alpha=1.0, branching=2, depth=4, f=0.0)
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+        traj = integrate(TreeState.zeros(p), t_end=1.0,
                          output_times=np.linspace(0.01, 1.0, 100))
         assert len(traj.times) == 101
         assert (traj.energies == 0.0).all()
@@ -42,7 +43,7 @@ class TestBasics:
 
     def test_output_times_are_recorded_exactly(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+        traj = integrate(TreeState.zeros(p), t_end=1.0,
                          output_times=[0.25, 0.5, 1.0])
         assert list(traj.times) == [0.0, 0.25, 0.5, 1.0]
 
@@ -52,7 +53,7 @@ class TestBasics:
         # to skip the 0.5 snapshot; 0.0147...: a step ending 1.8e-15 short of
         # t_end used to leave a vanishing last step (StepSizeUnderflow)
         p = ModelParams(alpha=1.0, branching=2, depth=3)
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+        traj = integrate(TreeState.zeros(p), t_end=1.0,
                          opts=SolverOptions(initial_step=h, max_step=h),
                          output_times=[0.5, 1.0])
         assert list(traj.times) == [0.0, 0.5, 1.0]
@@ -62,16 +63,32 @@ class TestBasics:
         # 3 * 0.1 = 0.30000000000000004 is one ulp above 0.3; landing on both
         # used to need a vanishing step (StepSizeUnderflow)
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.5)
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+        traj = integrate(TreeState.zeros(p), t_end=1.0,
                          output_times=[0.3, 3 * 0.1, 1.0 - 1e-16], keep=[0.3])
         assert list(traj.times) == [0.0, 3 * 0.1, 1.0]
         assert traj.state_at(0.3) is traj.state_at(3 * 0.1) is traj.kept[1]
         assert traj.state_at(1.0 - 1e-16) is traj.final
 
+    def test_lookups_find_the_row_integrate_recorded(self):
+        # 1e-10 apart is far beyond rounding: the run records two rows, and
+        # a lookup of either time finds its own row, not the first one near it
+        p = ModelParams(alpha=1.0, nu=0.1, f=0.5, branching=2, depth=3)
+        t1 = 0.5 + 1e-10
+        traj = integrate(TreeState.zeros(p), t_end=1.0, output_times=[0.5, t1],
+                         keep=[0.5, t1])
+        assert list(traj.times) == [0.0, 0.5, t1, 1.0]
+        assert traj.state_at(0.5) is traj.kept[1]
+        assert traj.state_at(t1) is traj.kept[2]
+        e, wx, wv = traj.energies, traj.work_x0, traj.work_visc
+        row_2 = (float(np.add.reduce(e[2])) - float(np.add.reduce(e[0]))
+                 - 2.0 * p.f ** 2 * (wx[2] - wx[0])
+                 + 2.0 * p.nu * float(np.add.reduce(wv[2] - wv[0])))
+        assert balance_residual(traj, 0.0, t1) == row_2
+
     def test_snapshots_are_separate_read_only_states(self):
         for branching in (1, 2):
             p = ModelParams(alpha=1.0, f=0.5, branching=branching, depth=4)
-            traj = integrate(TreeState.zeros(p), p, t_end=0.3,
+            traj = integrate(TreeState.zeros(p), t_end=0.3,
                              output_times=[0.1, 0.2], keep=[0.0, 0.1, 0.2])
             states = [traj.state_at(t) for t in traj.times]
             assert len(states) == 4
@@ -86,7 +103,7 @@ class TestBasics:
     def test_only_final_and_kept_states_are_held(self):
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
         outputs = [i / 100 for i in range(1, 101)]
-        traj = integrate(TreeState.zeros(p), p, t_end=1.0,
+        traj = integrate(TreeState.zeros(p), t_end=1.0,
                          output_times=outputs, keep=[0.25, 0.5])
         assert len(traj.times) == 101
         held = [traj.state_at(0.25), traj.state_at(0.5), traj.final]
@@ -105,11 +122,11 @@ class TestBasics:
     def test_keep_time_outside_run_rejected(self, t):
         p = ModelParams(alpha=1.0, branching=2, depth=2)
         with pytest.raises(DomainError, match="keep times"):
-            integrate(TreeState.zeros(p), p, t_end=1.0, keep=[t])
+            integrate(TreeState.zeros(p), t_end=1.0, keep=[t])
 
     def test_t_end_always_recorded(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
-        traj = integrate(TreeState.zeros(p), p, t_end=0.7, output_times=[0.5])
+        traj = integrate(TreeState.zeros(p), t_end=0.7, output_times=[0.5])
         assert traj.times[-1] == 0.7
 
     def test_negative_initial_rejected(self):
@@ -117,14 +134,14 @@ class TestBasics:
         vals = np.zeros(p.n_nodes)
         vals[3] = -0.1
         with pytest.raises(ValueError):
-            integrate(TreeState(vals, p), p, 1.0)
+            integrate(TreeState(vals, p), 1.0)
 
     def test_nonfinite_initial_rejected(self):
         p = ModelParams(alpha=1.0, branching=2, depth=2)
         vals = np.zeros(p.n_nodes)
         vals[3] = np.nan
         with pytest.raises(NonFiniteState):
-            integrate(TreeState(vals, p), p, 1.0)
+            integrate(TreeState(vals, p), 1.0)
 
 
 class TestStationarity:
@@ -137,7 +154,7 @@ class TestStationarity:
         rel_tol = 1e-8
         prof = inviscid_tree_profile(f, 2.5, 1.5, depth=5)
         p = prof.params
-        traj = integrate(prof, p, t_end=1.0,
+        traj = integrate(prof, t_end=1.0,
                          opts=SolverOptions(rel_tol=rel_tol, abs_tol=1e-30),
                          output_times=[1.0])
         final = traj.final.values
@@ -154,7 +171,7 @@ class TestSelfSimilarTracking:
         # b_n/(t - t0).  Envelope measured at depth 10, t <= 0.1.
         ss = solve_selfsimilar_classic(-1.0, 2.0, 10)
         y0 = ss.classic_state(0.0)
-        traj = integrate(y0, y0.params, t_end=0.1,
+        traj = integrate(y0, t_end=0.1,
                          opts=SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=[0.05, 0.1], keep=[0.05, 0.1])
         worst = np.zeros(3)
@@ -170,7 +187,7 @@ class TestSelfSimilarTracking:
         for depth in (8, 10):
             ss = solve_selfsimilar_classic(-1.0, 2.0, depth)
             y0 = ss.classic_state(0.0)
-            traj = integrate(y0, y0.params, t_end=0.1,
+            traj = integrate(y0, t_end=0.1,
                              opts=SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                              output_times=[0.1])
             exact = ss.b[0] / 1.1
@@ -183,7 +200,7 @@ class TestInvariants:
         p = ModelParams(alpha=1.0, branching=2, depth=8, f=0.0, nu=0.0)
         rng = np.random.default_rng(5)
         x = TreeState(rng.uniform(0.0, 0.1, p.n_nodes), p)
-        traj = integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
+        traj = integrate(x, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
                          output_times=np.linspace(0.01, 1.0, 100))
         E0 = energy_report(x).total
         E1 = energy_report(traj.final).total
@@ -196,7 +213,7 @@ class TestInvariants:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=1.0, branching=2, depth=6)
         vals = np.zeros(p.n_nodes)
         vals[0] = 0.5
-        traj = integrate(TreeState(vals, p), p, 2.0,
+        traj = integrate(TreeState(vals, p), 2.0,
                          SolverOptions(rel_tol=1e-8, abs_tol=1e-14),
                          output_times=np.linspace(0.02, 2.0, 100))
         E0 = energy_report(TreeState(vals, p)).total
@@ -213,8 +230,8 @@ class TestInvariants:
         rng = np.random.Generator(np.random.Philox(9))
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
         opts = SolverOptions(rel_tol=1e-9, abs_tol=1e-15)
-        t1 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
-        t2 = integrate(x, p, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
+        t1 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
+        t2 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
         assert (t1.times == t2.times).all()
         for t in (0.4, 0.8):
             assert (t1.state_at(t).values == t2.state_at(t).values).all()
@@ -231,7 +248,7 @@ class TestFailureModes:
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
         vals = np.full(p.n_nodes, 1e150)
         with pytest.raises(StepSizeUnderflow):
-            integrate(TreeState(vals, p), p, 1.0)
+            integrate(TreeState(vals, p), 1.0)
 
     def test_overflowing_stages_reject_as_non_finite(self):
         # the stages overflow; the one finiteness check after the stage loop
@@ -239,7 +256,7 @@ class TestFailureModes:
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
         vals = np.full(p.n_nodes, 1e150)
         with pytest.raises(MaxRejections, match="non-finite"):
-            integrate(TreeState(vals, p), p, 1.0, SolverOptions(max_rejections=3))
+            integrate(TreeState(vals, p), 1.0, SolverOptions(max_rejections=3))
 
     def test_lone_undamped_node_never_accepts_an_overflow(self):
         # f is the constant c_0 f^2 = 1e308, so the state reaches the float
@@ -247,22 +264,30 @@ class TestFailureModes:
         p = ModelParams(alpha=1.0, branching=1, depth=0, f=1e154)
         x = TreeState(np.array([1e150]), p)
         with pytest.raises(StepSizeUnderflow, match="at t = 1.797"):
-            integrate(x, p, 2.0)
-        traj = integrate(x, p, 1.7)
+            integrate(x, 2.0)
+        traj = integrate(x, 1.7)
         assert traj.final.values[0] == pytest.approx(1.7e308, rel=1e-12)
         assert traj.n_rejected == 0
+
+    def test_work_integrals_beyond_the_float_range_raise(self):
+        # the root settles at f^2 / nu = 1e5, so E_0 = 1e10 stays finite,
+        # while its viscous work integral passes the float range before the
+        # first output time
+        p = ModelParams(alpha=1.0, nu=1e-3, f=10.0, branching=1, depth=0)
+        with pytest.raises(NonFiniteResult, match=r"work integrals .* t = 1e\+299$"):
+            integrate(TreeState.zeros(p), 1e300, output_times=[1e299, 1e300])
 
     def test_max_rejections(self):
         p = ModelParams(alpha=1.0, gamma=3.0, nu=1e6, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(2)
         x = TreeState(rng.uniform(0.1, 1.0, p.n_nodes), p)
         with pytest.raises(MaxRejections):
-            integrate(x, p, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-14,
-                                               initial_step=1.0, max_rejections=3))
+            integrate(x, 1.0, SolverOptions(rel_tol=1e-10, abs_tol=1e-14,
+                                            initial_step=1.0, max_rejections=3))
 
     def test_range_error_outside_trajectory(self):
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.2)
-        traj = integrate(TreeState.zeros(p), p, 0.5, output_times=[0.5])
+        traj = integrate(TreeState.zeros(p), 0.5, output_times=[0.5])
         with pytest.raises(RangeError):
             traj.state_at(0.7)
         with pytest.raises(RangeError):
@@ -278,7 +303,7 @@ class TestPositivityModes:
         p = ModelParams(alpha=2.0, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(8)
         x = TreeState(rng.uniform(0.0, 1.0, p.n_nodes), p)
-        traj = integrate(x, p, 0.2,
+        traj = integrate(x, 0.2,
                          SolverOptions(rel_tol=1e-6, abs_tol=1e-12,
                                        positivity_mode="clamp-to-zero"),
                          output_times=np.linspace(0.002, 0.2, 100))
@@ -313,7 +338,7 @@ def forced_chain(depth, t_end=1.0, keep=()):
     p = ModelParams(alpha=1.0, gamma=1.0, nu=0.0, f=1.0, branching=1, depth=depth)
     y = np.zeros(p.n_nodes)
     y[0] = 1.0
-    return integrate(TreeState(y, p), p, t_end,
+    return integrate(TreeState(y, p), t_end,
                      output_times=[i * t_end / 100 for i in range(1, 101)], keep=keep)
 
 
@@ -348,7 +373,7 @@ class TestStiffSwitch:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=1.0, branching=1, depth=5)
         y0 = np.zeros(p.n_nodes)
         y0[0] = 1.0
-        ref = integrate(TreeState(y0, p), p, 0.5, SolverOptions(rel_tol=1e-13, abs_tol=1e-16))
+        ref = integrate(TreeState(y0, p), 0.5, SolverOptions(rel_tol=1e-13, abs_tol=1e-16))
         q_ref = np.concatenate(([ref.work_x0[-1]], ref.work_visc[-1], ref.work_flux[-1]))
         kernel = dynamics.make_kernel(p)
 
@@ -384,7 +409,7 @@ class TestStiffSwitch:
                         depth=depth)
         y = np.zeros(p.n_nodes)
         y[0] = 1.0
-        args = (TreeState(y, p), p, t_end, SolverOptions(),
+        args = (TreeState(y, p), t_end, SolverOptions(),
                 np.linspace(t_end / 100, t_end, 100), [t_end / 2])
         traj, oracle = integrate(*args), dp5_only(integrate, *args)
         assert traj.stiff_from is None
@@ -401,7 +426,7 @@ class TestStiffSwitch:
         p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=7)
         y = np.zeros(p.n_nodes)
         y[0] = 1.0
-        args = (TreeState(y, p), p, 2.5, SolverOptions(), np.linspace(0.025, 2.5, 100))
+        args = (TreeState(y, p), 2.5, SolverOptions(), np.linspace(0.025, 2.5, 100))
         traj, oracle = integrate(*args), dp5_only(integrate, *args)
         assert oracle.stiff_from is None
         assert 0.0 < traj.stiff_from < 2.0
@@ -433,7 +458,7 @@ class TestStiffSwitch:
 def viscous_chain(f, nu, beta, gamma, depth, t_end):
     """A forced viscous chain from the zero state, with no output times."""
     p = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f, branching=1, depth=depth)
-    return integrate(TreeState.zeros(p), p, t_end)
+    return integrate(TreeState.zeros(p), t_end)
 
 
 class TestStiffDetection:
@@ -497,7 +522,7 @@ class TestSolverStats:
             return deriv
 
         monkeypatch.setattr(Kernel, "rhs", spoiled)
-        traj = integrate(TreeState(y, p), p, 1.0, output_times=np.linspace(0.01, 1.0, 100))
+        traj = integrate(TreeState(y, p), 1.0, output_times=np.linspace(0.01, 1.0, 100))
         assert len(calls) > 30
         assert traj.rejected == {"error norm": 0, "non-finite": 1, "positivity": 0}
         assert np.isfinite(traj.energies).all() and np.isfinite(traj.fluxes).all()
@@ -505,7 +530,7 @@ class TestSolverStats:
     def test_non_finite_rejections_are_counted(self):
         # the stages of a first step of 1000 overflow; halving recovers
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.0)
-        traj = integrate(TreeState(np.ones(p.n_nodes), p), p, 1e3,
+        traj = integrate(TreeState(np.ones(p.n_nodes), p), 1e3,
                          SolverOptions(initial_step=1e3))
         assert traj.rejected["non-finite"] > 0
         assert sum(traj.rejected.values()) == traj.n_rejected
@@ -543,7 +568,7 @@ class TestSolverStats:
         # on DP5, f(y0) plus 6 evaluations per attempt plus one re-evaluation
         # per flattening; no step spans more than one output interval
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
-        traj = integrate(TreeState.zeros(p), p, 1.0,
+        traj = integrate(TreeState.zeros(p), 1.0,
                          SolverOptions(positivity_mode="clamp-to-zero"),
                          output_times=np.linspace(0.01, 1.0, 100))
         assert traj.stiff_from is None and traj.n_flattened > 0
@@ -571,7 +596,7 @@ class TestRecordedRows:
     @staticmethod
     def run(p, y, t_end, opts=SolverOptions()):
         outputs = np.linspace(t_end / 100, t_end, 100)
-        return integrate(TreeState(y, p), p, t_end, opts, output_times=outputs,
+        return integrate(TreeState(y, p), t_end, opts, output_times=outputs,
                          keep=[0.0, *outputs])
 
     def test_dp5_tree_run(self):
@@ -623,12 +648,12 @@ class TestCapacity:
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
         outputs = [0.25, 0.5, 0.75, 1.0]
         held = held_values(p, len(outputs), 1)
-        x = TreeState.zeros(p)
         for budget in (p.n_nodes, held - 1):
             tight = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=budget)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "make_kernel", None)  # raised before it runs
                 with pytest.raises(CapacityExceeded, match="would hold"):
-                    integrate(x, tight, 1.0, output_times=outputs, keep=[0.5])
+                    integrate(TreeState.zeros(tight), 1.0, output_times=outputs, keep=[0.5])
         fits = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=held)
-        assert integrate(x, fits, 1.0, output_times=outputs, keep=[0.5]).n_accepted > 0
+        traj = integrate(TreeState.zeros(fits), 1.0, output_times=outputs, keep=[0.5])
+        assert traj.n_accepted > 0

@@ -15,8 +15,7 @@ from dyadic_cascade import (
     rhs_tree,
     verify_lift_equivariance,
 )
-from dyadic_cascade.errors import (
-    DepthMismatch, DomainError, ParameterMismatch, SymmetryError)
+from dyadic_cascade.errors import DomainError, ParameterMismatch, SymmetryError
 
 
 def classic_params(depth=5, **kw):
@@ -80,11 +79,6 @@ class TestLiftState:
         assert tree.nu == p.nu and tree.gamma == p.gamma
         assert tree.alpha == 2.0 and tree.branching == 4
 
-    def test_depth_guard(self):
-        y = TreeState(np.ones(4), classic_params(depth=3))
-        with pytest.raises(DepthMismatch):
-            lift_state(y, LiftSpec(alpha_tilde=1.0, beta=1.0), depth=5)
-
     def test_positivity_preserved(self):
         rng = np.random.default_rng(0)
         y = TreeState(rng.uniform(0, 1, 6), classic_params())
@@ -141,39 +135,29 @@ class TestEquivariance:
         y = TreeState(rng.uniform(0.05, 1.0, 9), p)
         for at in (0.5, 1.0, 1.5):
             spec = LiftSpec(alpha_tilde=at, beta=1.0)
-            defect = verify_lift_equivariance(y, spec, p)
+            defect = verify_lift_equivariance(y, spec)
             scale = np.abs(rhs_tree(lift_state(y, spec))).max()
             assert defect <= 1e-12 * scale
 
     def test_zero_state_forced_is_exact(self):
         p = classic_params(depth=4, f=0.9)
         y = TreeState(np.zeros(5), p)
-        assert verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=1.0), p) == 0.0
+        assert verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=1.0)) == 0.0
 
     def test_full_parameters_random(self):
         p = classic_params(depth=7, nu=0.3, f=0.6, gamma=1.4)
         rng = np.random.default_rng(5)
         y = TreeState(rng.uniform(0.05, 1.0, 8), p)
         spec = LiftSpec(alpha_tilde=0.5, beta=1.0)
-        defect = verify_lift_equivariance(y, spec, p)
+        defect = verify_lift_equivariance(y, spec)
         scale = np.abs(rhs_tree(lift_state(y, spec))).max()
         assert defect <= 1e-12 * scale
-
-    def test_euler_step_variant(self):
-        p = classic_params(depth=5, nu=0.1, f=0.2)
-        rng = np.random.default_rng(6)
-        y = TreeState(rng.uniform(0.05, 1.0, 6), p)
-        spec = LiftSpec(alpha_tilde=1.0, beta=1.0)
-        h = 1e-3
-        defect = verify_lift_equivariance(y, spec, p, h=h)
-        scale = np.abs(lift_state(y, spec).values).max()
-        assert defect <= 1e-12 * max(1.0, scale)
 
     def test_parameter_mismatch(self):
         p = classic_params(depth=4)
         y = TreeState(np.ones(5), p)
         with pytest.raises(ParameterMismatch):
-            verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=2.0), p)
+            verify_lift_equivariance(y, LiftSpec(alpha_tilde=1.0, beta=2.0))
 
 
 class TestFlowCommutation:
@@ -184,9 +168,9 @@ class TestFlowCommutation:
         y0 = TreeState(rng.uniform(0.05, 1.0, 7), p)
         spec = LiftSpec(alpha_tilde=1.0, beta=1.0)
         opts = SolverOptions(rel_tol=rel_tol, abs_tol=1e-16)
-        traj_cl = integrate(y0, p, 0.5, opts, output_times=[0.5])
+        traj_cl = integrate(y0, 0.5, opts, output_times=[0.5])
         x0 = lift_state(y0, spec)
-        traj_tr = integrate(x0, x0.params, 0.5, opts, output_times=[0.5])
+        traj_tr = integrate(x0, 0.5, opts, output_times=[0.5])
         lifted_final = lift_state(traj_cl.final, spec)
         sup = np.abs(lifted_final.values - traj_tr.final.values).max()
         assert sup <= 10 * rel_tol

@@ -1,12 +1,15 @@
 """The package's public names: every name in __all__ resolves, so a star
-import works; and what importing the CLI loads."""
+import works; what importing the CLI loads; and the signatures of the
+functions that take a state."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import dyadic_cascade
+from dyadic_cascade import cli
 
 
 def test_every_exported_name_resolves():
@@ -55,3 +58,12 @@ def test_cli_import_and_simulate_load_neither_mpmath_nor_decimal(tmp_path):
          str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     assert out.stdout.splitlines() == ["[] 0", "[]", "['decimal']"]
+
+
+def test_state_taking_functions_read_the_params_of_the_state():
+    """A state carries its model parameters: no function that takes a state
+    accepts a second set that could disagree with them."""
+    for fn in (dyadic_cascade.integrate, dyadic_cascade.rhs_tree,
+               dyadic_cascade.energy_report, cli.fit_spectrum,
+               dyadic_cascade.verify_lift_equivariance):
+        assert "params" not in inspect.signature(fn).parameters, fn.__name__

@@ -184,7 +184,7 @@ class TestGraft:
         g1 = graft_selfsimilar(base, prof, 3)
         g2 = graft_selfsimilar(g1, prof, 6)
         state0 = g2.at_time(0.0)
-        traj = integrate(state0, state0.params, 0.2,
+        traj = integrate(state0, 0.2,
                          SolverOptions(rel_tol=1e-9, abs_tol=1e-16),
                          output_times=[0.2])
         final = traj.final.values
@@ -247,7 +247,7 @@ class TestPoleTranslation:
         grafted = graft_selfsimilar(base, prof, 0)
         state0 = grafted.at_time(0.0)
         s = 0.1
-        traj = integrate(state0, state0.params, s,
+        traj = integrate(state0, s,
                          SolverOptions(rel_tol=1e-10, abs_tol=1e-18),
                          output_times=[s])
         expected = grafted.at_time(s).values

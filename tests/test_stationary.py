@@ -5,8 +5,6 @@ import pytest
 import shooting_oracle as oracle
 
 from dyadic_cascade import (
-    ModelParams,
-    TreeState,
     asymptotic_flux,
     classify_regime,
     energy_report,
