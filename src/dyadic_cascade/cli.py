@@ -30,8 +30,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .dynamics import (SolverOptions, balance_residual, check_capacity,
-                       dissipation_time_bound, energy_report, integrate)
+from .dynamics import (SolverOptions, _rounding_gap, balance_residual,
+                       check_capacity, dissipation_time_bound, energy_report,
+                       integrate)
 from .errors import (
     CascadeError,
     ConfigError,
@@ -44,6 +45,8 @@ from .lift import LiftSpec, lift_state, project_params, project_state, scale_fac
 from .selfsimilar import lift_selfsimilar, solve_selfsimilar_classic
 from .stateio import dump_state, load_state
 from .stationary import (
+    _CERT_DPS,
+    _CERT_LEVELS,
     REGIME_INVISCID,
     asymptotic_flux,
     inviscid_classic_profile,
@@ -412,7 +415,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     Returns the trajectory (full mode) or the classic-side trajectory
     (symmetric mode)."""
     for t in dump_times:
-        if not 0.0 <= t <= config.t_end:
+        if not 0.0 <= t <= config.t_end + _rounding_gap(config.t_end):
             raise ConfigError(f"--dump-state {t!r} is outside the run "
                               f"[0, {config.t_end!r}]")
     params = run_params = config.params
@@ -511,6 +514,8 @@ def run_stationary(cfg: dict, out_dir):
             "threshold": info.threshold, "z_limit": profile.z_limit,
             "asymptotic_flux": flux, "z0": float(profile.z[1]),
             "bracket": list(profile.bracket),
+            "certificate_digits": _CERT_DPS,
+            "certificate_levels": _CERT_LEVELS,
             "newton_iterations": profile.newton_iterations,
             "newton_residual": profile.newton_residual,
         }
@@ -551,6 +556,8 @@ def run_selfsimilar(cfg: dict, out_dir):
         "b_first_nonzero": float(profile.b[nz]),
         "w_limit": profile.w_limit,
         "bracket": list(profile.bracket),
+        "certificate_digits": _CERT_DPS,
+        "certificate_levels": _CERT_LEVELS,
         "newton_iterations": profile.newton_iterations,
         "newton_residual": profile.newton_residual,
         "tail_ratio": float(profile.b[n_max] / profile.b[n_max - 1]),

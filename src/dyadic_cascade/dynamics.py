@@ -209,9 +209,9 @@ class Trajectory:
 
     def _index_of(self, t: float) -> int:
         times = self.times
-        if not times[0] <= t <= times[-1]:
+        if not times[0] <= t <= times[-1] + _rounding_gap(times[-1]):
             raise RangeError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
-        i = int(np.searchsorted(times, t))
+        i = min(int(np.searchsorted(times, t)), len(times) - 1)
         if i > 0 and t - times[i - 1] < times[i] - t:
             i -= 1
         if abs(times[i] - t) > _rounding_gap(t):
@@ -381,11 +381,11 @@ def integrate(
     (0, t_end]; t_end always is one.  The solver lands on each output time
     exactly, stretching the last step onto it when that step ends within
     rounding of it; times within rounding of each other share a row (0.3 and
-    3 * 0.1).  keep names output times in [0, t_end] whose state is kept
-    besides the final one.  The model is initial.params.  Raises
-    CapacityExceeded before allocating when held_values exceeds
-    params.max_nodes, and NonFiniteResult when a recorded row's energies
-    are finite and its work integrals are not.
+    3 * 0.1).  keep names output times in [0, t_end], the top end up to
+    rounding, whose state is kept besides the final one.  The model is
+    initial.params.  Raises CapacityExceeded before allocating when
+    held_values exceeds params.max_nodes, and NonFiniteResult when a
+    recorded row's energies are finite and its work integrals are not.
     """
     params = initial.params
     values = initial.values
@@ -397,12 +397,15 @@ def integrate(
     if not t_end > 0:
         raise DomainError("t_end must be > 0")
     keep = {float(t) for t in keep}
-    if not all(0.0 <= t <= t_end for t in keep):
+    if not all(0.0 <= t <= t_end + _rounding_gap(t_end) for t in keep):
         raise DomainError(f"keep times must lie in [0, {t_end!r}]")
+    # a keep time within rounding above t_end names the t_end row, and
+    # t_end stays the last target
+    keep_inside = {t for t in keep if 0.0 < t <= t_end}
 
     targets = []
     for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
-                    | keep - {0.0} | {t_end}):
+                    | keep_inside | {t_end}):
         if targets and t - targets[-1] <= _rounding_gap(t):
             targets.pop()  # one row serves both (0.3 and 3 * 0.1)
         targets.append(t)
@@ -419,7 +422,8 @@ def integrate(
 
     times = np.array([0.0] + targets)
     # a time merged into a later one shares its row; the final state is kept
-    kept_rows = {int(np.searchsorted(times, t)) for t in keep} | {len(targets)}
+    kept_rows = ({int(np.searchsorted(times, t)) for t in keep if t <= t_end}
+                 | {len(targets)})
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
     kept = {}

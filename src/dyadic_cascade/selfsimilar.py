@@ -68,9 +68,10 @@ class SelfSimilarProfile:
     coefficient a_j = 2^{-(n+2) alpha_tilde} b_n (constant within each
     generation; materialized on demand).  w_limit is the plateau of the
     scaled recurrence, a conditioning diagnostic.  bracket is the
-    parity-certified bracket on b_0 = w_0; newton_iterations and
-    newton_residual (the largest final residual, relative to max(1, |x_n|))
-    describe the Newton solve.
+    parity-certified bracket on b_0 = w_0.  newton_iterations counts the
+    accepted damped Newton steps of the one solve, without the final
+    correction below the tolerance; newton_residual is the largest final
+    residual, relative to max(1, |x_n|).
     """
 
     t0: float

@@ -18,9 +18,11 @@ M = n_max + _PAD:
 closed by Z_{M+1} = Z_M for mu < 0 (the plateau) and Z_{M+1} = 0 for mu >= 0
 (doubly exponential decay).  Each equation couples n-1, n and n+1, so the
 Jacobian is tridiagonal with positive pivots and a damped Newton step
-(Deuflhard's natural monotonicity test) is one O(M) Thomas solve.  The
-window starts at _WINDOW_STEP levels and grows by as many at a time; each new
-level is seeded with the contracting form of the recurrence,
+(Deuflhard's natural monotonicity test) is one O(M) factorization shared by
+the full and every simplified correction.  The window starts at
+_FIRST_WINDOW levels and doubles until it reaches M + 1, so the windows sum
+to less than 3 (M + 1) levels and the whole solve is O(M); each new level
+is seeded with the contracting form of the recurrence,
 Z_m = Z_{m-1}^2 / (2^{mu m} + Z_{m+1}), taking Z_{m+1} ~ Z_{m-1}.  Log
 variables keep the doubly exponential tail informative where Z underflows
 float64.
@@ -54,8 +56,8 @@ REGIME_SMALL_FORCING = "ViscousSmallForcingRegular"
 
 #: levels solved past n_max, so that the closure's error dies out before n_max
 _PAD = 40
-#: levels of the first Newton window and of each extension
-_WINDOW_STEP = 20
+#: levels of the first Newton window; each later window doubles the last
+_FIRST_WINDOW = 20
 #: Newton stops when no step component exceeds this, relative to max(1, |x|);
 #: that last step is still taken, so the result is accurate to rounding
 _NEWTON_TOL = 1e-12
@@ -148,9 +150,10 @@ class StationaryProfile:
     the same values and stays informative where the doubly exponential tail
     underflows float64.  y is the recovered classic profile
     Y_n = nu 2^{-beta(n+2)/3} Z_n.  bracket is the parity-certified bracket
-    on Z_0; newton_iterations counts the Newton steps over every window, and
-    newton_residual is the largest final residual, each relative to
-    max(1, |ln Z_n|).
+    on Z_0.  newton_iterations counts the accepted damped Newton steps,
+    summed over the windows, without each window's final correction below
+    the tolerance; newton_residual is the last window's largest final
+    residual, relative to max(1, |ln Z_n|).
     """
 
     z: np.ndarray
@@ -171,24 +174,36 @@ class StationaryProfile:
         return TreeState(self.y, self.params)
 
 
-def thomas(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve a tridiagonal system by elimination without pivoting.
+def factor_band(sub, diag, sup):
+    """Factor a tridiagonal matrix for solve_band, by elimination without
+    pivoting.
 
-    Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i];
-    sub[0] and sup[-1] meet zeros and drop out.  The callers' pivots never
-    vanish.  The sweep is sequential, so it runs on Python floats; numpy
-    would pay one call per row."""
-    n = len(diag)
-    c = [0.0] * n
+    Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1]; sub[0] and
+    sup[-1] meet zeros and drop out.  The callers' pivots never vanish.
+    The sweeps are sequential, so they run on Python floats; numpy would
+    pay one call per row."""
+    pivots, ratios = [], []
+    c = 0.0
+    for s, d, u in zip(sub, diag, sup):
+        p = d - s * c
+        c = u / p
+        pivots.append(p)
+        ratios.append(c)
+    return sub, pivots, ratios
+
+
+def solve_band(factors, rhs) -> np.ndarray:
+    """Solve the factored tridiagonal system for one right-hand side (a
+    list), in the arithmetic order of one-call elimination."""
+    sub, pivots, ratios = factors
+    n = len(pivots)
     d = [0.0] * n
-    c_prev = d_prev = 0.0
+    d_prev = 0.0
     for i in range(n):
-        p = diag[i] - sub[i] * c_prev
-        c_prev = c[i] = sup[i] / p
-        d_prev = d[i] = (rhs[i] - sub[i] * d_prev) / p
+        d_prev = d[i] = (rhs[i] - sub[i] * d_prev) / pivots[i]
     x_next = 0.0
     for i in range(n - 1, -1, -1):
-        x_next = d[i] = d[i] - c[i] * x_next
+        x_next = d[i] = d[i] - ratios[i] * x_next
     return np.array(d)
 
 
@@ -196,18 +211,22 @@ def damped_newton(system, x, what):
     """Solve system(x) = 0 by Newton with Deuflhard's natural monotonicity
     test: a step of length lam is accepted when the simplified correction at
     the trial point, solved with the old Jacobian, is at most (1 - lam/2)
-    times the full one.  Sizes are max-norms relative to max(1, |x|).
+    times the full one.  Sizes are max-norms relative to max(1, |x|).  Each
+    iteration factors its Jacobian once, and the accepted trial's
+    evaluation starts the next iteration, so a run without rejected trials
+    evaluates system iterations + 2 times.
 
     system(x) -> (r, sub, diag, sup), the residual and tridiagonal Jacobian,
     or None where x leaves the system's domain.
     Returns (x, iterations, largest relative residual).
     """
     lam = 1.0
+    out = system(x)
     for it in range(_NEWTON_MAX_ITER + 1):
-        r, *band = system(x)
-        band = [v.tolist() for v in band]
+        r, *band = out
+        factors = factor_band(*(v.tolist() for v in band))
         weight = np.maximum(1.0, np.abs(x))
-        dx = thomas(*band, (-r).tolist())
+        dx = solve_band(factors, (-r).tolist())
         size = float(np.max(np.abs(dx) / weight))
         if not math.isfinite(size):
             break
@@ -220,7 +239,7 @@ def damped_newton(system, x, what):
             trial = x + lam * dx
             out = system(trial)
             if out is not None:
-                bar = thomas(*band, (-out[0]).tolist())
+                bar = solve_band(factors, (-out[0]).tolist())
                 if np.max(np.abs(bar) / weight) <= (1.0 - lam / 2.0) * size:
                     break
             lam /= 2.0
@@ -334,7 +353,7 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
     u = np.empty(0)
     iterations = 0
     while len(u) < levels:
-        u = _seed(u, ln_g, mu_f, min(len(u) + _WINDOW_STEP, levels))
+        u = _seed(u, ln_g, mu_f, min(max(2 * len(u), _FIRST_WINDOW), levels))
         c = mu_f * _LN2 * np.arange(len(u))
         u, its, residual = damped_newton(
             lambda x: _stationary_system(x, ln_g, c, plateau), u, "ln Z")

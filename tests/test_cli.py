@@ -276,6 +276,25 @@ class TestSimulateCommand:
         dumped = load_state(out / "state_t0.5000000001.bin", p)
         assert dumped.values.tobytes() == expected.state_at(0.5000000001).values.tobytes()
 
+    def test_dump_state_within_rounding_above_t_end(self, tmp_path):
+        # 3 * 0.1 is one ulp above t_end = 0.3: it names the t_end row, and
+        # the run and its trajectory stay those of a run without the flag
+        params = {"alpha": 1, "branching": 2, "depth": 3, "f": 1}
+        cfg = write_config(tmp_path, base_config(
+            params=params, initial={"kind": "root_only", "value": 0.1},
+            t_end=0.3, output_interval=0.1))
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert main(["simulate", "--config", cfg, "--out", str(plain)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(dumped),
+                     "--dump-state", repr(3 * 0.1)]) == 0
+        assert ((plain / "trajectory.csv").read_bytes()
+                == (dumped / "trajectory.csv").read_bytes())
+        p = ModelParams(**params)
+        x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
+        final = integrate(x, 0.3, output_times=[0.1, 0.2]).final
+        state = load_state(dumped / "state_t0.30000000000000004.bin", p)
+        assert state.values.tobytes() == final.values.tobytes()
+
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
         # binary depth 8 has 511 nodes.  Two outputs of 511 values fit in
         # 4000, but the 11 integrator arrays, the final state, RODAS4's
@@ -597,6 +616,8 @@ class TestBadInput:
                      id="simulate_dump_time_after_t_end"),
         pytest.param("simulate --dump-state -1", base_config(),
                      id="simulate_dump_time_negative"),
+        pytest.param("simulate --dump-state 0.5000000000001", base_config(),
+                     id="simulate_dump_time_beyond_rounding_of_t_end"),
         pytest.param("simulate",
                      base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
                                  output_interval=1e-320),

@@ -124,6 +124,32 @@ class TestBasics:
         with pytest.raises(DomainError, match="keep times"):
             integrate(TreeState.zeros(p), t_end=1.0, keep=[t])
 
+    def test_time_within_rounding_above_t_end_names_the_t_end_row(self):
+        # 3 * 0.1 = 0.30000000000000004 is one ulp above t_end = 0.3; it names
+        # the t_end row as it names the 0.3 row of a longer run, and the run
+        # still ends at t_end
+        p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
+        x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
+        plain = integrate(x, 0.3, output_times=[0.1, 0.2])
+        kept = integrate(x, 0.3, output_times=[0.1, 0.2], keep=[3 * 0.1])
+        assert list(kept.times) == [0.0, 0.1, 0.2, 0.3]
+        assert kept.final.values.tobytes() == plain.final.values.tobytes()
+        assert sorted(kept.kept) == [3]
+        assert kept.state_at(3 * 0.1) is kept.final
+        assert plain.state_at(3 * 0.1) is plain.final
+        longer = integrate(x, 0.6, output_times=[0.3, 0.6], keep=[3 * 0.1])
+        assert longer.state_at(0.3) is longer.state_at(3 * 0.1) is longer.kept[1]
+
+    def test_time_beyond_rounding_above_t_end_is_outside(self):
+        p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
+        x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
+        beyond = math.nextafter(0.3 + dynamics._rounding_gap(0.3), 1.0)
+        with pytest.raises(DomainError, match="keep times"):
+            integrate(x, 0.3, keep=[beyond])
+        traj = integrate(x, 0.3, output_times=[0.1, 0.2])
+        with pytest.raises(RangeError, match="outside trajectory range"):
+            traj.state_at(beyond)
+
     def test_t_end_always_recorded(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
         traj = integrate(TreeState.zeros(p), t_end=0.7, output_times=[0.5])

@@ -1,6 +1,7 @@
 """The Newton solves of the stationary and self-similar recurrences: agreement
 with the forward-shooting oracle, the recurrence defect of the CLI output,
-the parity certificate, head stability across n_max and solver statistics."""
+the parity certificate, head stability across n_max, solver statistics and
+the Newton work."""
 
 import decimal
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import shooting_oracle as oracle
+from band_oracle import thomas
 from dyadic_cascade import (
     solve_selfsimilar_classic,
     solve_viscous_stationary,
@@ -25,6 +27,8 @@ from dyadic_cascade.stationary import (
     REGIME_REGULAR,
     REGIME_SMALL_FORCING,
     _classify_parity,
+    factor_band,
+    solve_band,
 )
 
 
@@ -165,7 +169,7 @@ GRID = REGULAR + ANOMALOUS + SMALL_FORCING + THRESHOLD
 
 class TestCertificate:
     @pytest.mark.parametrize("cfg", GRID)
-    @pytest.mark.parametrize("n_max", [2, 6, 20, 60, 120, 200, 300])
+    @pytest.mark.parametrize("n_max", [2, 6, 20, 60, 120, 200, 300, 500, 900])
     def test_grid_solves_and_certifies(self, cfg, n_max):
         prof = solve_viscous_stationary(*cfg, n_max=n_max)
         lo, hi = prof.bracket
@@ -350,6 +354,8 @@ class TestSolverStatistics:
         first, second = (out / name for _, out in outs)
         assert first.read_bytes() == second.read_bytes()
         summary = json.loads(first.read_text())
+        assert summary["certificate_digits"] == _CERT_DPS == 96
+        assert summary["certificate_levels"] == _CERT_LEVELS == 104
         assert isinstance(summary["newton_iterations"], int)
         assert summary["newton_iterations"] > 0
         assert 0.0 <= summary["newton_residual"] <= 1e-14
@@ -358,3 +364,71 @@ class TestSolverStatistics:
         for csv in ("profile.csv", "selfsimilar.csv"):
             if (outs[0][1] / csv).exists():
                 assert (outs[0][1] / csv).read_bytes() == (outs[1][1] / csv).read_bytes()
+
+
+class TestNewtonWork:
+    """The Newton solves in linear work, counted in evaluations of the
+    residual and Jacobian, and the factored band solve bit-equal to one-call
+    elimination."""
+
+    def test_stationary_evaluations_grow_linearly(self, monkeypatch):
+        # a window grown by 20 levels at a time re-solved the whole window
+        # after each extension: 106 evaluations at n_max 900
+        calls = []
+        original = stationary._stationary_system
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(stationary, "_stationary_system", counting)
+        solve_viscous_stationary(1.0, 1.0, 1.0, 1.0, n_max=900)
+        assert len(calls) <= 25
+        assert max(calls) == 900 + 1 + stationary._PAD
+
+    @pytest.mark.parametrize("module, solve", [
+        (stationary, lambda: solve_viscous_stationary(1.0, 1.0, 1.0, 1.0, n_max=60)),
+        (stationary, lambda: solve_viscous_stationary(1.0, 1.0, 1.0, 1.0, n_max=120)),
+        (stationary, lambda: solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=60)),
+        (stationary, lambda: solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=120)),
+        (selfsimilar, lambda: solve_selfsimilar_classic(-1.0, 1.0, 60)),
+        (selfsimilar, lambda: solve_selfsimilar_classic(-1.0, 1.0, 120)),
+    ])
+    def test_one_evaluation_per_accepted_step(self, monkeypatch, module, solve):
+        """One evaluation at the start, one per accepted trial and one at
+        the end: the accepted trial's evaluation starts the next iteration."""
+        runs = []
+        original = module.damped_newton
+
+        def counting(system, x, what):
+            evals = []
+
+            def counted(y):
+                evals.append(1)
+                return system(y)
+
+            out = original(counted, x, what)
+            runs.append((len(evals), out[1]))
+            return out
+
+        monkeypatch.setattr(module, "damped_newton", counting)
+        solve()
+        assert runs
+        for evals, iterations in runs:
+            assert evals <= iterations + 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+    def test_factored_solves_bit_equal_one_call_elimination(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            sub, sup = rng.uniform(-1.0, 1.0, (2, n))
+            diag = (np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 2.0, n)
+                    ) * rng.choice([-1.0, 1.0], n)
+            band = [v.tolist() for v in (sub, diag, sup)]
+            matrix = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+            factors = factor_band(*band)
+            for rhs in rng.normal(size=(4, n)) * 10.0 ** rng.integers(-8, 8, (4, 1)):
+                x = solve_band(factors, rhs.tolist())
+                assert x.tobytes() == thomas(*band, rhs.tolist()).tobytes()
+                assert np.allclose(matrix @ x, rhs, rtol=1e-12,
+                                   atol=1e-12 * np.abs(rhs).max())
