@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .dynamics import (SolverOptions, _rounding_gap, balance_residual,
+from .dynamics import (SolverOptions, _landing_times, _row_of, balance_residual,
                        check_capacity, dissipation_time_bound, energy_report,
                        integrate)
 from .errors import (
@@ -39,6 +39,7 @@ from .errors import (
     DegenerateWindow,
     DomainError,
     NonFiniteResult,
+    RangeError,
 )
 from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
@@ -414,10 +415,6 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
 
     Returns the trajectory (full mode) or the classic-side trajectory
     (symmetric mode)."""
-    for t in dump_times:
-        if not 0.0 <= t <= config.t_end + _rounding_gap(config.t_end):
-            raise ConfigError(f"--dump-state {t!r} is outside the run "
-                              f"[0, {config.t_end!r}]")
     params = run_params = config.params
     scale = 1.0
     if config.mode == "symmetric":
@@ -429,11 +426,24 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     n_out = config.t_end / config.output_interval
     check_capacity(run_params, n_out, len(dump_times))
     outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
+    # a dump time names a recorded row, by the rounding rule integrate merges
+    # output times by, and the run keeps the state at that row's own time, so
+    # that dumping adds no target and leaves the trajectory as it is
+    times = np.array([0.0] + _landing_times(outputs, config.t_end))
+    keep = []
+    for t in dump_times:
+        try:
+            keep.append(float(times[_row_of(times, t)]))
+        except RangeError:
+            raise ConfigError(
+                f"--dump-state {t!r} is not a recorded time of the run: 0, a "
+                f"multiple of output_interval {config.output_interval!r} or "
+                f"t_end {config.t_end!r}") from None
 
     initial = (_symmetric_classic_initial(config, run_params, spec)
                if config.mode == "symmetric" else build_initial(config))
     traj = integrate(initial, config.t_end, config.solver,
-                     output_times=outputs, keep=dump_times)
+                     output_times=outputs, keep=keep)
 
     depth = run_params.depth
     header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
@@ -449,8 +459,8 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
         lines.append(",".join(_fmt(v) for v in row))
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, lines)
 
-    for t in dump_times:
-        dump_state(traj.state_at(float(t)),
+    for t, t_kept in zip(dump_times, keep):
+        dump_state(traj.state_at(t_kept),
                    os.path.join(out_dir, f"state_t{_fmt(float(t))}.bin"))
 
     try:

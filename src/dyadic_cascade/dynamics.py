@@ -83,10 +83,19 @@ REJECTION_CAUSES = ("error norm", "non-finite", "positivity")
 # _NONSTIFF_RESET below in a row clear the count.  Every run tests: an
 # estimate costs two Jacobian-vector products, each about one RHS, and the
 # RODAS4 step solves by an O(n) tree elimination.  DP5's stability boundary
-# on the negative real axis is at h lambda = 3.3, and on stiff runs it
-# settles at 3.14-3.2, so the threshold sits below that.
+# on the negative real axis is at h lambda = 3.3.  Where a stiff run's DP5
+# settles varies: the viscous chains of the tests read 3.14-3.2, but
+# chain_stiff's estimates, after one reading of 3.31, sit at 2.82-2.98 for
+# eight tests.  At a threshold of 3.0 that verdict lapsed, the switch came
+# at the 39th test, and about 800 DP5 steps were stability-bound; at 2.7
+# the verdicts run from the 15th test, the switch comes at the 29th, and
+# the run takes 1,706 step attempts instead of 1,964.  Lower is not better:
+# at 2.0, a binary tree of depth 10 (alpha 2, unforced, inviscid) switches
+# inside its fast transient, where RODAS4 needs small steps too, and takes
+# 816 + 2,072 DP5 + RODAS4 attempts instead of 1,516 + 1,384, about 25%
+# more CPU time.
 _STIFF_EVERY = 100
-_STIFF_H_LAMBDA = 3.0
+_STIFF_H_LAMBDA = 2.7
 _STIFF_VERDICTS = 15
 _NONSTIFF_RESET = 6
 
@@ -104,15 +113,35 @@ _RODAS_A = tuple(np.array(row) for row in (
     (3.314825187068521, 2.896124015972201, 0.9986419139977817),
     (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
 ))
-_RODAS_C = tuple(np.array(row) for row in (
-    (),
-    (-5.6688,),
-    (-2.430093356833875, -0.2063599157091915),
-    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
-    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
+_RODAS_C = np.array((
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-5.6688, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-2.430093356833875, -0.2063599157091915, 0.0, 0.0, 0.0, 0.0),
+    (-0.1073529058151375, -9.594562251023355, -20.47028614809616, 0.0, 0.0, 0.0),
+    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160,
+     0.0, 0.0),
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
-     -6.058818238834054),
+     -6.058818238834054, 0.0),
 ))
+# The work quadratures' increment is A_4 . kq[:4] + kq[4] + kq[5] = v . kq,
+# and their stage increments solve (I - gamma C) kq = h gamma (w + W_y K)
+# row by row, w and K the (6, nw) and (6, n) work rates and stage
+# increments.  So it is h gamma u . (w + W_y K) with u = v (I - gamma C)^-1,
+# and since W_y is linear, u . W_y K = W_y (u . K): one work_jvp per attempt.
+
+
+def _work_weights() -> np.ndarray:
+    """u = v (I - gamma C)^-1, from u_j = v_j + gamma sum_{i>j} u_i C_ij back
+    to front (numpy.linalg would add about 0.4 MB to the peak RSS of every
+    process that imports this module)."""
+    v = (*_RODAS_A[4], 1.0, 1.0)
+    u = [0.0] * 6
+    for j in reversed(range(6)):
+        u[j] = v[j] + _RODAS_GAMMA * sum(u[i] * _RODAS_C[i, j] for i in range(j + 1, 6))
+    return np.array(u)
+
+
+_RODAS_U = _work_weights()
 
 
 @dataclass(frozen=True)
@@ -208,15 +237,21 @@ class Trajectory:
         return state
 
     def _index_of(self, t: float) -> int:
-        times = self.times
-        if not times[0] <= t <= times[-1] + _rounding_gap(times[-1]):
-            raise RangeError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
-        i = min(int(np.searchsorted(times, t)), len(times) - 1)
-        if i > 0 and t - times[i - 1] < times[i] - t:
-            i -= 1
-        if abs(times[i] - t) > _rounding_gap(t):
-            raise RangeError(f"time {t} not among recorded output times")
-        return i
+        return _row_of(self.times, t)
+
+
+def _row_of(times, t: float) -> int:
+    """Index of the time in times, sorted, that t names: the nearest one
+    within rounding (see _rounding_gap).  Raises RangeError when there is
+    none."""
+    if not times[0] <= t <= times[-1] + _rounding_gap(times[-1]):
+        raise RangeError(f"time {t} outside trajectory range [{times[0]}, {times[-1]}]")
+    i = min(int(np.searchsorted(times, t)), len(times) - 1)
+    if i > 0 and t - times[i - 1] < times[i] - t:
+        i -= 1
+    if abs(times[i] - t) > _rounding_gap(t):
+        raise RangeError(f"time {t} not among recorded output times")
+    return i
 
 
 def rhs_tree(state: TreeState) -> np.ndarray:
@@ -245,6 +280,18 @@ def _rounding_gap(t: float) -> float:
     """Times closer than this to t are t up to rounding: a step ending that
     close to an output time lands on it, and a shorter step underflows."""
     return 16.0 * _EPS * max(abs(t), 1.0)
+
+
+def _landing_times(times, t_end: float) -> list:
+    """The times after 0 at which a run to t_end records a row: those of
+    times in (0, t_end], and t_end.  Times within rounding of each other
+    share one row, at the later time (0.3 and 3 * 0.1)."""
+    targets = []
+    for t in sorted({float(t) for t in times if 0.0 < float(t) <= t_end} | {t_end}):
+        if targets and t - targets[-1] <= _rounding_gap(t):
+            targets.pop()
+        targets.append(t)
+    return targets
 
 
 def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
@@ -302,16 +349,17 @@ def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
 class _Rodas4:
     """Workspace and attempt of the RODAS4 step.  The work rates ride along
     as extra components whose Jacobian has the rows W_y and zero columns, so
-    their stage increments k_q,i = h gamma (w(Y_i) + sum_j C_ij/h k_q,j +
-    W_y(y) k_i) need no solve.  k and kq are the (6, n) and (6, nw) arrays
-    of stage increments; integrate lends it the rows DP5 no longer uses."""
+    their stage increments need no solve, and the attempt's increment of the
+    work quadratures is one combination of the stage work rates and one
+    work_jvp (see _RODAS_U).  k and w are the (6, n) and (6, nw) arrays of
+    stage increments and stage work rates; integrate lends it the rows DP5
+    no longer uses."""
 
-    def __init__(self, kernel, k, kq):
+    def __init__(self, kernel, k, w):
         self.kernel = kernel
         self.k = k
-        self.kq = kq
+        self.w = w
         self.f = np.empty(k.shape[1])
-        self.w = np.empty(kq.shape[1])
 
     def attempt(self, y, f0, w0, h, out):
         """One attempt over h from y >= 0, whose derivative and work rates
@@ -319,10 +367,12 @@ class _Rodas4:
         increment of the work quadratures; the error estimate is self.k[5].
         The stage matrix is factored once, so each stage costs two sweeps
         over the tree."""
-        kernel, k, kq = self.kernel, self.k, self.kq
+        kernel, k, w = self.kernel, self.k, self.w
         hg = h * _RODAS_GAMMA
         solve = kernel.factor(y, 1.0 / hg)
-        f, w = f0, w0
+        c = _RODAS_C / h
+        f = f0
+        w[0] = w0
         for i in range(6):
             if i == 5:
                 out += k[4]  # Y_6 = Y_5 + k_5
@@ -330,28 +380,32 @@ class _Rodas4:
                 np.matmul(_RODAS_A[i], k[:i], out=out)
                 out += y
             if i:
-                f, w = kernel.rhs_work(out, out=self.f, work_out=self.w)
-            c = _RODAS_C[i] / h
-            solve(f + c @ k[:i], out=k[i])
-            kq[i] = w + c @ kq[:i] + kernel.work_jvp(y, k[i])
-            kq[i] *= hg
+                f, _ = kernel.rhs_work(out, out=self.f, work_out=w[i])
+            solve(f + c[i, :i] @ k[:i], out=k[i])
         out += k[5]
-        return _RODAS_A[4] @ kq[:4] + kq[4] + kq[5]
+        dq = _RODAS_U @ w
+        dq += kernel.work_jvp(y, _RODAS_U @ k)
+        dq *= hg
+        return dq
 
 
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
     scratch), n_keep kept states, the final state and a row of 4 * depth + 5
     values at t = 0 and each output time, plus what RODAS4 adds once a run
-    switches.  Its stage increments reuse DP5's stage rows; it adds its
-    derivative and work rates, the factored stage matrix (a_p and the
-    pivots: 2 n), up to 2 stage temporaries of n and 2 of the
-    nw = 2 * depth + 2 work rates.  On a chain the factor and the sweep's
-    copy of r are lists of Python floats, 32 bytes or 4 values per entry:
-    12 n instead of 2 n.  n_outputs may be an inf float."""
+    switches.  Its stage increments and stage work rates reuse DP5's rows; it
+    adds its derivative, up to 2 stage temporaries of n and 2 of the
+    nw = 2 * depth + 2 work rates, and the factored stage matrix.  On a tree
+    that is the kernel's elimination workspace: 1/pivot, a_p/pivot_k per
+    child, the sweep buffer and its per-child scratch (4 n), and 2 a_p and a
+    per-parent scratch (2 n_int, n_int the internal nodes).  On a chain the
+    factor (a_p and 1/pivot) and the sweep's copy of r are lists of Python
+    floats, 32 bytes or 4 values per entry: 12 n.  n_outputs may be an inf
+    float."""
     n = params.n_nodes
     nw = 2 * params.depth + 2
-    stiff = (15 if params.branching == 1 else 5) * n + 3 * nw
+    factor = 12 * n if params.branching == 1 else 4 * n + 2 * params.offsets[-2]
+    stiff = 3 * n + factor + 2 * nw
     return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
 
 
@@ -403,12 +457,7 @@ def integrate(
     # t_end stays the last target
     keep_inside = {t for t in keep if 0.0 < t <= t_end}
 
-    targets = []
-    for t in sorted({float(t) for t in output_times if 0.0 < float(t) <= t_end}
-                    | keep_inside | {t_end}):
-        if targets and t - targets[-1] <= _rounding_gap(t):
-            targets.pop()  # one row serves both (0.3 and 3 * 0.1)
-        targets.append(t)
+    targets = _landing_times([*output_times, *keep_inside], t_end)
     check_capacity(params, len(targets), len(keep))
 
     y = np.array(values, dtype=np.float64)

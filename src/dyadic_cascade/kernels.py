@@ -40,10 +40,23 @@ identical bytes.
 
 The stiff integrator never forms the Jacobian: Kernel.jvp applies it with
 the same whole-array operations, and Kernel.factor solves its stage matrix
-by eliminating the tree leaves to root, in O(n).
+by eliminating the tree leaves to root, in O(n).  Its orders, with a_p the
+coupling of parent p, D the diagonal and S_k a sum over the children k of
+p (sibling after sibling up to N = 8, numpy's row sum above):
+
+- pivots, leaves to root: 1/pivot_p = 1 / (S_k(1/pivot_k) * ((a_p a_p) 2)
+  + D_p), and then m_k = a_p (1/pivot_k) per child;
+- forward sweep, leaves to root: r_p - S_k(m_k r_k);
+- back sweep, root to leaves: x_k = (r_k + (2 a_p) x_p) (1/pivot_k).
+
+A chain sweeps the same recurrences on Python floats, except 1/pivot_p =
+1 / (D_p + ((2 a_p) a_p) (1/pivot_k)) and the forward step r_p - a_p (r_k
+(1/pivot_k)).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -156,6 +169,7 @@ class Kernel:
                          if params.nu != 0.0 else None)
         self.neg_nu_d_leaf = neg_nu_d[-1]
         self.gain0 = c[0] * np.square(np.float64(params.f))
+        self._elimination = None  # the tree's factor workspace, made by factor
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative of y.  A state near the overflow threshold gives
@@ -217,19 +231,24 @@ class Kernel:
         so eliminating each generation into its parents, leaves to root,
         leaves no fill-in.  The pivot of p is D_p + 2 a_p^2 sum_k 1/pivot_k
         >= fac > 0, so no pivoting is needed.  The forward sweep takes r_p
-        -= a_p sum_k r_k/pivot_k, the back sweep x_k = (r_k + 2 a_p x_p) /
+        -= sum_k (a_p/pivot_k) r_k, the back sweep x_k = (r_k + 2 a_p x_p) /
         pivot_k.  Chains sweep on Python floats (numpy would pay one call per
-        node), trees one generation per numpy operation."""
+        node), trees one generation per few numpy calls (_TreeElimination).
+        A tree's solve reads the kernel's factor workspace, so it serves
+        until the kernel's next factor."""
         n_int, branching = self.n_internal, self.params.branching
+        if branching > 1 and self._elimination is None:
+            self._elimination = _TreeElimination(self.params.offsets, branching)
         a = np.multiply(self.c_next, y[:n_int])
-        diag = np.full(y.size, float(fac))
+        diag = np.empty(y.size) if branching == 1 else self._elimination.inv
+        diag.fill(fac)
         if self.neg_nu_d is not None:
             diag[:n_int] -= self.neg_nu_d
             diag[n_int:] -= self.neg_nu_d_leaf
         diag[:n_int] += self.c_next * _child_sums(y, branching)
         if branching == 1:
             return _chain_solver(a.tolist(), diag.tolist())
-        return _tree_solver(a, diag, self.params.offsets, branching)
+        return self._elimination.factor(a)
 
     def work_jvp(self, y, v):
         """The Jacobian of rhs_work's work rates at y applied to v:
@@ -289,39 +308,92 @@ def _chain_solver(a, diag):
     return solve
 
 
-def _tree_solver(a, diag, offs, branching):
-    """Kernel.factor for N >= 2: a and diag are arrays, and the children of
-    generation g are generation g + 1 in parent order."""
-    depth = len(offs) - 2
-    gens = [(slice(offs[g], offs[g + 1]), slice(offs[g + 1], offs[g + 2]))
-            for g in range(depth)]
-    inv = diag
-    leaves = inv[offs[depth]:]
-    np.divide(1.0, leaves, out=leaves)
-    for par, kids in reversed(gens):
-        s = _row_sums(inv[kids], branching)
-        s *= a[par]
-        s *= a[par]
-        s *= 2.0
-        s += inv[par]
-        np.divide(1.0, s, out=inv[par])
+class _TreeElimination:
+    """Kernel.factor for N >= 2.  The children of generation g are
+    generation g + 1 in parent order, so child k of p is entry k - 1 of the
+    per-child arrays.  The workspace is made once per kernel, and the pivot
+    loop and both sweeps are lists of numpy calls bound once to
+    per-generation views of it, so a solve is those calls and two copies.
+    Per generation the forward sweep makes N + 1 calls up to N = 8 and 3
+    above, the back sweep 4 for N = 2 and 3 above.  Each solve starts by
+    copying r into the sweep buffer, so no solve depends on the one before
+    it."""
 
-    def solve(r, out):
-        z = out
-        z[:] = r
-        for par, kids in reversed(gens):
-            s = _row_sums(z[kids] * inv[kids], branching)
-            s *= a[par]
-            z[par] -= s
-        z[0] *= inv[0]
-        for par, kids in gens:
-            ax = np.multiply(a[par], z[par])
-            ax *= 2.0
-            _add_to_children(ax, z[kids], branching)
-            z[kids] *= inv[kids]
-        return z
+    def __init__(self, offs, branching):
+        n, n_int, depth = offs[-1], offs[-2], len(offs) - 2
+        self.branching = branching
+        self.inv = inv = np.empty(n)        # D, then 1/pivot, per node
+        self.m = np.empty(n - 1)            # a_p/pivot_k per child k of p
+        self.two_a = np.empty(n_int)        # 2 a_p^2 for the pivots, then 2 a_p
+        self.z = z = np.empty(n)            # the sweep buffer
+        t, s = np.empty(n - 1), np.empty(n_int)  # per-child, per-parent scratch
+        self.token = None
+        pivots, up, down = [], [], []
+        for g in range(depth):
+            par, kids = slice(offs[g], offs[g + 1]), slice(offs[g + 1], offs[g + 2])
+            per_child = slice(kids.start - 1, kids.stop - 1)
+            sp, zp, zk, ik, two_a = s[par], z[par], z[kids], inv[kids], self.two_a[par]
+            pivots.append(_row_sum_calls(ik, branching, sp) + [
+                partial(np.multiply, sp, two_a, sp), partial(np.add, sp, inv[par], sp),
+                partial(np.divide, 1.0, sp, inv[par])])
+            tk = t[per_child]
+            up.append([partial(np.multiply, self.m[per_child], zk, tk)]
+                      + _row_sum_calls(tk, branching, sp)
+                      + [partial(np.subtract, zp, sp, zp)])
+            down.append([partial(np.multiply, two_a, zp, sp)]
+                        + _add_to_children_calls(sp, zk, branching)
+                        + [partial(np.multiply, zk, ik, zk)])
+        leaves = inv[offs[depth]:]
+        self.pivots = [partial(np.divide, 1.0, leaves, leaves)] + _flat(reversed(pivots))
+        # the forward sweep leaves to root, the root's 1/pivot, the back sweep
+        self.sweeps = (_flat(reversed(up)) + [partial(np.multiply, z[:1], inv[:1], z[:1])]
+                       + _flat(down))
 
-    return solve
+    def factor(self, a):
+        """The solve of M, with self.inv holding its diagonal D and a the
+        a_p of the internal nodes."""
+        np.square(a, out=self.two_a)
+        self.two_a *= 2.0
+        for call in self.pivots:
+            call()
+        np.multiply(np.repeat(a, self.branching), self.inv[1:], out=self.m)
+        np.multiply(a, 2.0, out=self.two_a)
+        self.token = token = object()
+
+        def solve(r, out):
+            if self.token is not token:
+                raise RuntimeError("a later factor of this kernel replaced this one")
+            np.copyto(self.z, r)
+            for call in self.sweeps:
+                call()
+            np.copyto(out, self.z)
+            return out
+
+        return solve
+
+
+def _flat(lists):
+    return [item for items in lists for item in items]
+
+
+def _row_sum_calls(x, branching, out):
+    """numpy calls that write the sum of each run of N consecutive values of
+    x to out: strided adds up to N = 8, one row reduction above."""
+    if branching > 8:
+        return [partial(np.add.reduce, x.reshape(-1, branching), 1, None, out)]
+    slots = [x[j::branching] for j in range(branching)]
+    return ([partial(np.add, slots[0], slots[1], out)]
+            + [partial(np.add, out, slot, out) for slot in slots[2:]])
+
+
+def _add_to_children_calls(values, dst, branching):
+    """numpy calls that add each parent's value to each of its children in
+    dst, in the forms _add_to_children chooses."""
+    if branching <= 2:
+        return [partial(np.add, slot, values, slot)
+                for slot in (dst[j::branching] for j in range(branching))]
+    rows = dst.reshape(-1, branching)
+    return [partial(np.add, rows, values[:, None], rows)]
 
 
 def make_kernel(params: ModelParams) -> Kernel:

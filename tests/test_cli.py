@@ -260,21 +260,28 @@ class TestSimulateCommand:
         state = load_state(dumped, p)
         assert state.values[0] > 0
 
-    def test_dump_state_just_after_an_output_time(self, tmp_path):
-        # 1e-10 after the output time 0.5 is far beyond rounding: the run
-        # records that time in a row of its own and dumps the state kept there
+    @pytest.mark.parametrize("t", ["0.3", "0.3000000000000001"])
+    def test_dump_state_within_rounding_of_an_output_time(self, tmp_path, t):
+        # one ulp below and above the output time 3 * 0.1: each names that
+        # row, the run keeps the state there, and the trajectory stays that
+        # of a run without the flag (a keep time above it would have moved
+        # the row to itself)
         params = {"alpha": 1, "branching": 2, "depth": 3, "f": 1}
         cfg = write_config(tmp_path, base_config(
             params=params, initial={"kind": "root_only", "value": 0.1},
-            t_end=1.0, output_interval=0.5))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--dump-state", "0.5000000001"]) == 0
+            t_end=0.5, output_interval=0.1))
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert main(["simulate", "--config", cfg, "--out", str(plain)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(dumped),
+                     "--dump-state", t]) == 0
+        assert ((plain / "trajectory.csv").read_bytes()
+                == (dumped / "trajectory.csv").read_bytes())
         p = ModelParams(**params)
         x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
-        expected = integrate(x, 1.0, output_times=[0.5, 1.0], keep=[0.5000000001])
-        dumped = load_state(out / "state_t0.5000000001.bin", p)
-        assert dumped.values.tobytes() == expected.state_at(0.5000000001).values.tobytes()
+        outputs = [i * 0.1 for i in range(1, 6)]
+        expected = integrate(x, 0.5, output_times=outputs, keep=[3 * 0.1])
+        state = load_state(dumped / f"state_t{t}.bin", p)
+        assert state.values.tobytes() == expected.state_at(3 * 0.1).values.tobytes()
 
     def test_dump_state_within_rounding_above_t_end(self, tmp_path):
         # 3 * 0.1 is one ulp above t_end = 0.3: it names the t_end row, and
@@ -296,16 +303,16 @@ class TestSimulateCommand:
         assert state.values.tobytes() == final.values.tobytes()
 
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
-        # binary depth 8 has 511 nodes.  Two outputs of 511 values fit in
-        # 4000, but the 11 integrator arrays, the final state, RODAS4's
-        # 5 n + 3 (2 * 8 + 2) values and a row of 4 * 8 + 5 values at each of
-        # the 2 recorded times do not
+        # binary depth 8 has 511 nodes, 255 of them internal.  Two outputs
+        # of 511 values fit in 4000, but the 11 integrator arrays, the final
+        # state, RODAS4's 7 n + 2 * 255 + 2 (2 * 8 + 2) values and a row of
+        # 4 * 8 + 5 values at each of the 2 recorded times do not
         config = RunConfig.from_dict(base_config(
             params={"alpha": 1.0, "f": 0.5, "branching": 2, "depth": 8},
             t_end=0.5, output_interval=0.5))
         for dumps in ((), (0.0, 0.5)):
             out = tmp_path / f"o{len(dumps)}"
-            held = (11 + len(dumps) + 1 + 5) * 511 + 3 * 18 + 2 * (4 * 8 + 5)
+            held = (11 + len(dumps) + 1 + 7) * 511 + 2 * 255 + 2 * 18 + 2 * (4 * 8 + 5)
             for budget in (4000, held - 1):
                 cfg = replace(config, params=replace(config.params, max_nodes=budget))
                 with monkeypatch.context() as m:
@@ -618,6 +625,12 @@ class TestBadInput:
                      id="simulate_dump_time_negative"),
         pytest.param("simulate --dump-state 0.5000000000001", base_config(),
                      id="simulate_dump_time_beyond_rounding_of_t_end"),
+        # a time off the output grid would become a target of the run and
+        # move every later row
+        pytest.param("simulate --dump-state 0.2500000001", base_config(),
+                     id="simulate_dump_time_just_after_an_output_time"),
+        pytest.param("simulate --dump-state 0.1", base_config(),
+                     id="simulate_dump_time_between_output_times"),
         pytest.param("simulate",
                      base_config(params={"alpha": 1.0, "branching": 2, "depth": 3},
                                  output_interval=1e-320),

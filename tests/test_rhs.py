@@ -317,6 +317,46 @@ class TestElimination:
                 x = make_kernel(p).factor(y, fac)(r, np.empty(p.n_nodes))
                 assert np.abs(m @ x - r).max() <= 1e-13 * np.abs(r).max()
 
+    @pytest.mark.parametrize("branching,depth", [(2, 6), (4, 4), (8, 3), (16, 2)])
+    def test_tree_solve_matches_dense_solve(self, branching, depth):
+        p = ModelParams(alpha=1.2, gamma=1.5, nu=0.2, f=1.3, branching=branching,
+                        depth=depth)
+        rng = np.random.default_rng(9)
+        y = rng.uniform(0.0, 1.0, p.n_nodes)
+        for fac in (2.0, 50.0):
+            m = fac * np.eye(p.n_nodes) - dense_jacobian(p, y)
+            r = rng.normal(0.0, 1.0, p.n_nodes)
+            x = make_kernel(p).factor(y, fac)(r, np.empty(p.n_nodes))
+            expected = np.linalg.solve(m, r)
+            assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("branching,depth", [(2, 5), (4, 3), (16, 2)])
+    def test_solves_carry_no_state(self, branching, depth):
+        # the sweep buffer and scratch are the kernel's, reused by every
+        # solve: a solve's bytes must not depend on what was solved before
+        # or on what out held
+        p = ModelParams(alpha=1.5, nu=0.1, f=1.0, branching=branching, depth=depth)
+        rng = np.random.default_rng(10)
+        kernel = make_kernel(p)
+        y = rng.uniform(0.0, 1.0, p.n_nodes)
+        solve = kernel.factor(y, 5.0)
+        r = rng.normal(0.0, 1.0, p.n_nodes)
+        r_bytes = r.tobytes()
+        first = solve(r, np.empty(p.n_nodes)).tobytes()
+        for other in (rng.normal(0.0, 1e6, p.n_nodes), np.full(p.n_nodes, np.nan), r):
+            solve(other, np.empty(p.n_nodes))
+            assert solve(r, np.full(p.n_nodes, np.inf)).tobytes() == first
+        assert r.tobytes() == r_bytes
+
+    def test_a_later_factor_retires_the_earlier_solve(self):
+        p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
+        kernel = make_kernel(p)
+        y = np.full(p.n_nodes, 0.5)
+        old = kernel.factor(y, 2.0)
+        kernel.factor(y, 3.0)
+        with pytest.raises(RuntimeError, match="later factor"):
+            old(y, np.empty(p.n_nodes))
+
     @pytest.mark.parametrize("branching,depth", [(1, 30), (2, 9)])
     def test_stiff_solve_matches_refined_lu(self, branching, depth):
         # inviscid and deep, so rho(J) / fac is up to 1e15: the residual of
