@@ -31,6 +31,17 @@ the error norm is also the attempt's finiteness check (see the stage loop).
 The RODAS4 step keeps an explicit scan of its stages and its new solution,
 since that solution is never an input of f before it is accepted.
 
+A run holds 9 arrays of the state's size, whatever its method: y, the 6
+stage rows K, the stage input and the error.  Stage 2 has zero solution and
+error weights (b_2 = e_2 = 0), so f(y5), DP5's 7th stage, takes its row
+once the last stage input is formed.  Every other scratch is a buffer that
+holds nothing the run still needs at that point: the initial step computes
+in the stage input and the error, the error norm in a stage row that err
+has consumed, the stiffness estimate in the error and the stage input.
+RODAS4 borrows all 6 rows of K for its stage increments; f(y) moves to its
+own array when the run switches.  The final state is copied after the loop,
+once the work arrays are gone, so it adds nothing to the peak.
+
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs under one
 np.errstate(over="ignore", invalid="ignore"), entered once per call by its
@@ -70,7 +81,9 @@ _A = (
 )
 _A_LOWER = np.array([row + (0.0,) * (6 - len(row)) for row in _A])
 _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+# the error weights of K's 6 rows: row 1 holds f(y5), the 7th stage, not
+# stage 2, whose weight is zero
+_E = np.array((71 / 57600, -1 / 40, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525))
 _ORDER = 5
 _EPS = float(np.finfo(np.float64).eps)
 #: why a step attempt was rejected, in the order Trajectory.rejected lists them
@@ -201,8 +214,9 @@ class Trajectory:
     largest accepted step, and n_flattened counts the accepted steps whose
     negative components were set to 0.  stiff_from is the time the run
     switched from DP5 to RODAS4, None if it never did.  final is the state
-    at t_end; kept maps the row index of each kept time, and of t_end, to
-    its state.  Every state is read-only and holds its own copy.
+    at t_end, copied once the run has dropped its work arrays; kept maps the
+    row index of each kept time, and of t_end, to its state.  Every state is
+    read-only and holds its own copy.
     """
 
     params: ModelParams
@@ -296,7 +310,9 @@ def _landing_times(times, t_end: float) -> list:
 
 def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
     """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, computed in
-    scratch without temporaries; bit-equal to the np.mean form."""
+    scratch without temporaries; bit-equal to the np.mean form.  integrate
+    passes a stage row that err has consumed: K[2] under DP5, k[0] under
+    RODAS4."""
     sc = np.abs(y5, out=scratch)
     np.maximum(sc, y, out=sc)
     sc *= rtol
@@ -306,10 +322,16 @@ def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
     return math.sqrt(float(np.add.reduce(sc)) / sc.size)
 
 
-def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
-    sc = abs_tol + rel_tol * np.abs(y)
-    d0 = math.sqrt(float(np.mean(np.square(y / sc))))
-    d1 = math.sqrt(float(np.mean(np.square(f0 / sc))))
+def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
+    """The first step from y, whose derivative is f0.  sc and quotient are
+    scratch arrays of y's size (integrate passes the error and the stage
+    input); the operations are those of sc = abs_tol + rel_tol * |y| and
+    mean((y / sc)^2), in that order, so h0 is bit-equal to that form."""
+    np.abs(y, out=sc)
+    sc *= rel_tol
+    sc += abs_tol
+    d0 = math.sqrt(float(np.mean(np.square(np.divide(y, sc, out=quotient), out=quotient))))
+    d1 = math.sqrt(float(np.mean(np.square(np.divide(f0, sc, out=quotient), out=quotient))))
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -319,18 +341,19 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step):
 
 def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
     """h rho(J) for DOPRI5's stiffness test, computed in the scratch arrays
-    u and ju.  K[6] - K[5] = f(y5) - f(Y6), Y6 the input of stage 6, is
-    about J (y5 - Y6): DOPRI5's quotient ||K[6] - K[5]|| / ||y5 - Y6|| is
-    one power step from y5 - Y6.  That difference is mostly non-stiff
-    error, so the quotient reads far below rho(J); two more power steps with
-    the Jacobian at y give h sqrt(||J^2 u|| / ||u||), u = K[6] - K[5].
+    u and ju (integrate passes the error and the stage input).  K[1] -
+    K[5] = f(y5) - f(Y6), Y6 the input of stage 6, is about J (y5 - Y6):
+    DOPRI5's quotient ||K[1] - K[5]|| / ||y5 - Y6|| is one power step from
+    y5 - Y6.  That difference is mostly non-stiff error, so the quotient
+    reads far below rho(J); two more power steps with the Jacobian at y give
+    h sqrt(||J^2 u|| / ||u||), u = K[1] - K[5].
 
     At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
     one more round of two steps: on stiff chains two steps from y + 1 read
     about 0.4 rho(J), four within 7%.  u is scaled to a largest entry of 1
     before each round, so that J^2 u cannot overflow where u is large (the
     stages of a rejected attempt)."""
-    np.subtract(K[6], K[5], out=u)
+    np.subtract(K[1], K[5], out=u)
     rounds = 1
     if not np.abs(u, out=ju).max() > 0.0:
         np.add(y, 1.0, out=u)
@@ -351,28 +374,34 @@ class _Rodas4:
     as extra components whose Jacobian has the rows W_y and zero columns, so
     their stage increments need no solve, and the attempt's increment of the
     work quadratures is one combination of the stage work rates and one
-    work_jvp (see _RODAS_U).  k and w are the (6, n) and (6, nw) arrays of
-    stage increments and stage work rates; integrate lends it the rows DP5
-    no longer uses."""
+    work_jvp (see _RODAS_U).
 
-    def __init__(self, kernel, k, w):
+    It borrows DP5's (6, n) stage rows K and (7, nw) work-rate rows W, whose
+    rows 0 hold f and the work rates at the current solution.  All of K
+    becomes the stage increments k, so f(y) moves to its own array fy, where
+    no attempt, rejected or not, writes; W[0] stays the work rates at y and
+    the first stage's, and W[1:6] take the others (w = W[:6]).  The caller
+    writes f and the work rates at each new solution to fy and W[0].  Besides
+    K and W it holds fy, the stage derivative f and the kernel's factor."""
+
+    def __init__(self, kernel, K, W):
         self.kernel = kernel
-        self.k = k
-        self.w = w
-        self.f = np.empty(k.shape[1])
+        self.k = K
+        self.w = W[:6]
+        self.fy = K[0].copy()
+        self.f = np.empty(K.shape[1])
 
-    def attempt(self, y, f0, w0, h, out):
+    def attempt(self, y, h, out):
         """One attempt over h from y >= 0, whose derivative and work rates
-        are f0 and w0.  Writes the new solution to out and returns the
-        increment of the work quadratures; the error estimate is self.k[5].
-        The stage matrix is factored once, so each stage costs two sweeps
-        over the tree."""
+        are self.fy and self.w[0].  Writes the new solution to out and
+        returns the increment of the work quadratures; the error estimate is
+        self.k[5].  The stage matrix is factored once, so each stage costs
+        two sweeps over the tree."""
         kernel, k, w = self.kernel, self.k, self.w
         hg = h * _RODAS_GAMMA
         solve = kernel.factor(y, 1.0 / hg)
         c = _RODAS_C / h
-        f = f0
-        w[0] = w0
+        f = self.fy
         for i in range(6):
             if i == 5:
                 out += k[4]  # Y_6 = Y_5 + k_5
@@ -389,24 +418,50 @@ class _Rodas4:
         return dq
 
 
+# Values of 8 bytes that held_values allows for Python objects: the array
+# headers, locals and closures of a run (measured at most 8 KB) and, per
+# generation, the tree elimination's bound numpy calls (3-6 KB for N = 2 to
+# 1024)
+_OBJECT_VALUES = 2048
+_BOUND_CALL_VALUES = 1024
+
+
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
-    """Values integrate holds: 11 work arrays (y, 7 stages, stage input, error,
-    scratch), n_keep kept states, the final state and a row of 4 * depth + 5
-    values at t = 0 and each output time, plus what RODAS4 adds once a run
-    switches.  Its stage increments and stage work rates reuse DP5's rows; it
-    adds its derivative, up to 2 stage temporaries of n and 2 of the
-    nw = 2 * depth + 2 work rates, and the factored stage matrix.  On a tree
-    that is the kernel's elimination workspace: 1/pivot, a_p/pivot_k per
-    child, the sweep buffer and its per-child scratch (4 n), and 2 a_p and a
-    per-parent scratch (2 n_int, n_int the internal nodes).  On a chain the
-    factor (a_p and 1/pivot) and the sweep's copy of r are lists of Python
-    floats, 32 bytes or 4 values per entry: 12 n.  n_outputs may be an inf
-    float."""
-    n = params.n_nodes
-    nw = 2 * params.depth + 2
-    factor = 12 * n if params.branching == 1 else 4 * n + 2 * params.offsets[-2]
-    stiff = 3 * n + factor + 2 * nw
-    return (12 + n_keep) * n + stiff + (n_outputs + 1) * (4 * params.depth + 5)
+    """Values of 8 bytes integrate holds at its peak besides the initial
+    state, a bound of its tracemalloc peak:
+    - 9 work arrays of the state's size n: y, 6 stage rows, the stage input
+      and the error;
+    - n_keep kept states.  The final state is copied once the work arrays
+      are dropped, so it is not among them;
+    - the kernel's 2 coefficient arrays of n_int values, n_int the internal
+      nodes;
+    - the 7 rows of stage work rates and the running quadratures, 8 nw
+      values with nw = 2 * depth + 2, and the generation energies of the
+      last evaluation;
+    - a row of 4 * depth + 5 values at t = 0 and each output time, and each
+      output time as a Python float (32 bytes);
+    - _OBJECT_VALUES for Python objects;
+    - what RODAS4 adds once a run switches: f(y), its stage derivative, up
+      to 2 stage temporaries of n and 2 of nw, and the factored stage
+      matrix.  On a tree that is the kernel's elimination workspace:
+      1/pivot, a_p/pivot_k per child, the sweep buffer and its per-child
+      scratch (4 n), 2 a_p and a per-parent scratch (2 n_int), and
+      _BOUND_CALL_VALUES per generation.  On a chain the factor (a_p and
+      1/pivot) and the sweep's copy of r are lists of Python floats, 32
+      bytes or 4 values per entry: 12 n.
+    The kernel's temporaries in a DP5 step, at most 9 n_int (N = 8), are
+    below the RODAS4 allowance, and a run that has switched makes no DP5
+    step.  n_outputs may be an inf float."""
+    n, depth, n_int = params.n_nodes, params.depth, params.offsets[-2]
+    nw = 2 * depth + 2
+    if params.branching == 1:
+        factor = 12 * n
+    else:
+        factor = 4 * n + 2 * n_int + _BOUND_CALL_VALUES * depth
+    stiff = 4 * n + factor + 2 * nw
+    fixed = 2 * n_int + 8 * nw + depth + 1 + _OBJECT_VALUES
+    rows = (n_outputs + 1) * (4 * depth + 5) + 4 * n_outputs
+    return (9 + n_keep) * n + stiff + fixed + rows
 
 
 def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
@@ -471,18 +526,17 @@ def integrate(
 
     times = np.array([0.0] + targets)
     # a time merged into a later one shares its row; the final state is kept
-    kept_rows = ({int(np.searchsorted(times, t)) for t in keep if t <= t_end}
-                 | {len(targets)})
+    # after the loop
+    kept_rows = {int(np.searchsorted(times, t)) for t in keep if t <= t_end} - {len(targets)}
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
     kept = {}
 
-    K = np.zeros((7, n))
+    K = np.zeros((6, n))   # DP5's stages; f(y5) takes stage 2's row
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
     e_last = np.empty(nq_v)  # generation energies of the last rhs_work input
     yy = np.empty(n)   # stage input; after the last stage, the new solution
     err = np.empty(n)
-    scratch = np.empty(n)
 
     def record(i, y, y_min):
         # energies beyond the float range show in the row itself; work
@@ -491,7 +545,7 @@ def integrate(
         if np.isfinite(e_last).all() and not np.isfinite(q).all():
             raise NonFiniteResult(
                 f"integrate: the work integrals are not finite at t = {float(times[i])!r}")
-        # K[0], W[0] and e_last always belong to y (the initial evaluation,
+        # f(y), W[0] and e_last always belong to y (the initial evaluation,
         # FSAL or a re-evaluation), so energies and fluxes need no pass over y
         energies[i] = e_last
         fluxes[i] = W[0, 1 + nq_v:]
@@ -507,7 +561,8 @@ def integrate(
 
     reject_halve = opts.positivity_mode == "reject-and-halve"
     rtol, atol = opts.rel_tol, opts.abs_tol
-    h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step)
+    h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step,
+                                           err, yy)
     h = min(h, t_end, opts.max_step)
 
     t = 0.0
@@ -546,29 +601,32 @@ def integrate(
                 if s == 0:
                     kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
                 else:
-                    kernel.rhs_work(yy, out=K[s + 1], work_out=W[s + 1],
-                                    energies_out=e_last)
+                    # stage 2 has served its last stage input once yy is y5
+                    kernel.rhs_work(yy, out=K[s + 1] if s < 5 else K[1],
+                                    work_out=W[s + 1], energies_out=e_last)
             # the last A row is the b row (FSAL), so yy is now the 5th-order
-            # solution y5 and K[6] = f(y5).  A finite error norm is the whole
+            # solution y5 and K[1] = f(y5).  A finite error norm is the whole
             # finiteness check of the attempt:
             # - f of a state with a non-finite entry is non-finite, at that
             #   node or at its parent;
-            # - every stage but K[1] has a nonzero e weight, so a non-finite
-            #   stage makes err non-finite (inf - inf and 0 * inf are NaN);
-            # - K[1] enters K[2]'s input with weight 9/40, and y5 is K[6]'s.
+            # - every stage but stage 2 has a nonzero e weight, so a
+            #   non-finite stage makes err non-finite (inf - inf and 0 * inf
+            #   are NaN);
+            # - stage 2 enters stage 3's input with weight 9/40, and y5 is
+            #   f(y5)'s.
             # Only on a lone undamped node, whose f is constant, can y5
             # overflow with finite stages: there y5 is one value to check.
             n_rhs += 6
             np.matmul(h * _E, K, out=err)
-            err_norm = _error_norm(err, y, yy, rtol, atol, scratch)
+            err_norm = _error_norm(err, y, yy, rtol, atol, K[2])
             finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
-            dq = rodas.attempt(y, K[0], W[0], h, out=yy)
+            dq = rodas.attempt(y, h, out=yy)
             n_rhs += 5
             # y_new = Y_6 + k_6 reaches f only after it is accepted: scan it
             finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
             if finite:
-                err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, scratch)
+                err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, rodas.k[0])
                 finite = math.isfinite(err_norm)
         y_new = yy
 
@@ -607,10 +665,11 @@ def integrate(
             else:
                 y, yy = y_new, y  # the old y buffer takes the next stage inputs
             if y_min < 0.0 or rodas is not None:
-                kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
+                kernel.rhs_work(y, out=K[0] if rodas is None else rodas.fy,
+                                work_out=W[0], energies_out=e_last)
                 n_rhs += 1
             else:
-                K[0] = K[6]  # e_last came with K[6]
+                K[0] = K[1]  # e_last came with f(y5)
                 W[0] = W[6]
             if t == target:
                 ti += 1
@@ -625,11 +684,12 @@ def integrate(
 
         if tests and rodas is None:
             n_tests += 1
-            if _stiffness_estimate(kernel, y, K, h_taken, err, scratch) > _STIFF_H_LAMBDA:
+            # err and the stage input hold nothing the next attempt reads
+            if _stiffness_estimate(kernel, y, K, h_taken, err, yy) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
-                    rodas = _Rodas4(kernel, K[1:], W[1:])
+                    rodas = _Rodas4(kernel, K, W)
                     stiff_from = t
                     order = _RODAS_ORDER
             else:
@@ -637,12 +697,14 @@ def integrate(
                 if n_nonstiff == _NONSTIFF_RESET:
                     n_stiff = 0
 
+    del K, yy, y_new, err, rodas, kernel  # dropped before the final state is copied
+    kept[ti] = final = TreeState(y, params)
     return Trajectory(
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
         work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, rejected=rejected,
         n_stiffness_tests=n_tests, n_rhs=n_rhs, h_min=h_min, h_max=h_max,
-        n_flattened=n_flattened, stiff_from=stiff_from, final=kept[ti], kept=kept)
+        n_flattened=n_flattened, stiff_from=stiff_from, final=final, kept=kept)
 
 
 def energy_report(state: TreeState) -> EnergyReport:

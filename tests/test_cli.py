@@ -304,15 +304,18 @@ class TestSimulateCommand:
 
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
         # binary depth 8 has 511 nodes, 255 of them internal.  Two outputs
-        # of 511 values fit in 4000, but the 11 integrator arrays, the final
-        # state, RODAS4's 7 n + 2 * 255 + 2 (2 * 8 + 2) values and a row of
-        # 4 * 8 + 5 values at each of the 2 recorded times do not
+        # of 511 values fit in 4000, but the 9 integrator arrays, RODAS4's
+        # 8 n + 2 * 255 + 1024 * 8 + 2 (2 * 8 + 2) values, the kernel's
+        # 2 * 255, the work rates' 8 (2 * 8 + 2) + 9, 2048 for Python
+        # objects and a row of 4 * 8 + 5 values at each of the 2 recorded
+        # times, with 4 for the output time, do not
         config = RunConfig.from_dict(base_config(
             params={"alpha": 1.0, "f": 0.5, "branching": 2, "depth": 8},
             t_end=0.5, output_interval=0.5))
         for dumps in ((), (0.0, 0.5)):
             out = tmp_path / f"o{len(dumps)}"
-            held = (11 + len(dumps) + 1 + 7) * 511 + 2 * 255 + 2 * 18 + 2 * (4 * 8 + 5)
+            held = ((9 + len(dumps) + 8) * 511 + 2 * 255 + 1024 * 8 + 2 * 18
+                    + 2 * 255 + 8 * 18 + 9 + 2048 + 2 * (4 * 8 + 5) + 4)
             for budget in (4000, held - 1):
                 cfg = replace(config, params=replace(config.params, max_nodes=budget))
                 with monkeypatch.context() as m:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,15 @@ def worst_residual(traj):
     return max(abs(balance_residual(traj, 0.0, t)) for t in traj.times[1:])
 
 
+def rodas4_at(kernel, y):
+    """A RODAS4 workspace made as integrate makes it at the switch: from
+    DP5's 6 stage rows and 7 work-rate rows, f(y) and the work rates at y in
+    rows 0."""
+    K, W = np.empty((6, y.size)), np.empty((7, 2 * kernel.params.depth + 2))
+    kernel.rhs_work(y, out=K[0], work_out=W[0])
+    return _Rodas4(kernel, K, W)
+
+
 @pytest.fixture(scope="module")
 def chain18():
     return forced_chain(18, keep=[0.8])
@@ -405,11 +415,11 @@ class TestStiffSwitch:
         kernel = dynamics.make_kernel(p)
 
         def errors(steps):
-            rodas = _Rodas4(kernel, np.empty((6, p.n_nodes)), np.empty((6, q_ref.size)))
             y, q, out = y0.copy(), np.zeros(q_ref.size), np.empty(p.n_nodes)
+            rodas = rodas4_at(kernel, y)
             for _ in range(steps):
-                f, w = kernel.rhs_work(y)
-                q += rodas.attempt(y, f, w, 0.5 / steps, out)
+                kernel.rhs_work(y, out=rodas.fy, work_out=rodas.w[0])
+                q += rodas.attempt(y, 0.5 / steps, out)
                 y = out.copy()
             return np.abs(y - ref.final.values).max(), np.abs(q - q_ref).max()
 
@@ -429,13 +439,33 @@ class TestStiffSwitch:
         for h in (1e-1, 1e-3, 1e-5):
             y = rng.uniform(0.0, 1.0, p.n_nodes)
             f, w = (a.copy() for a in kernel.rhs_work(y))
-            rodas = _Rodas4(kernel, np.empty((6, p.n_nodes)), np.empty((6, w.size)))
+            rodas = rodas4_at(kernel, y)
             out = np.empty(p.n_nodes)
-            dq = rodas.attempt(y, f, w, h, out)
+            dq = rodas.attempt(y, h, out)
             y_ref, k_ref, dq_ref = rodas_oracle.attempt(kernel, y, f, w, h)
             assert out.tobytes() == y_ref.tobytes()
             assert rodas.k.tobytes() == k_ref.tobytes()
             assert np.abs(dq - dq_ref).max() <= 1e-14 * np.abs(dq_ref).max()
+
+    @pytest.mark.parametrize("branching,depth", [(1, 18), (2, 7), (8, 3)])
+    def test_a_rejected_attempt_leaves_f_of_y_intact(self, branching, depth):
+        # the stage increments take all of DP5's stage rows, f(y)'s row
+        # included, and a rejected attempt leaves them written; the retry
+        # from the same y must start from f(y) and the work rates at y
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=0.01, f=1.0, branching=branching,
+                        depth=depth)
+        kernel = dynamics.make_kernel(p)
+        y = np.random.default_rng(depth).uniform(0.0, 1.0, p.n_nodes)
+        rodas, fresh = rodas4_at(kernel, y), rodas4_at(kernel, y)
+        out, out_fresh = np.empty(p.n_nodes), np.empty(p.n_nodes)
+        rodas.attempt(y, 1.0, out)
+        # an error norm above 1, or not a number: rejected either way
+        assert not _error_norm(rodas.k[5], y, out, 1e-8, 1e-14, np.empty(p.n_nodes)) <= 1.0
+        dq = rodas.attempt(y, 1e-4, out)
+        dq_fresh = fresh.attempt(y, 1e-4, out_fresh)
+        assert out.tobytes() == out_fresh.tobytes()
+        assert rodas.k.tobytes() == fresh.k.tobytes()
+        assert dq.tobytes() == dq_fresh.tobytes()
 
     def test_chain_stiff_switches_and_matches_dp5(self, chain18, chain18_dp5):
         # the switch comes at the 29th stiffness test, after 1,705 accepted
@@ -516,12 +546,12 @@ class TestStiffDetection:
     a second."""
 
     def test_estimate_at_a_bitwise_fixed_point(self):
-        # K[6] == K[5] gives u = 0; the probe y + 1 still sees rho(J) at the
+        # K[1] == K[5] gives u = 0; the probe y + 1 still sees rho(J) at the
         # step where DP5 settles (h rho = 3.2)
         p = ModelParams(alpha=3.0, gamma=1.0, nu=0.01, f=10.0, branching=1, depth=12)
         y = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=40).y[:p.n_nodes]
         kernel = dynamics.make_kernel(p)
-        K = np.tile(kernel.rhs(y), (7, 1))
+        K = np.tile(kernel.rhs(y), (6, 1))
         h = 3.2 / np.abs(np.linalg.eigvals(dense_jacobian(p, y))).max()
         scratch = np.empty((2, p.n_nodes))
         estimate = dynamics._stiffness_estimate(kernel, y, K, h, *scratch)
@@ -683,18 +713,63 @@ class TestSteadyFlux:
         assert np.abs(deep - expected).max() <= 1e-5 * expected
 
 
+def traced_run(initial, t_end, output_times=(), keep=()):
+    """integrate's run and its tracemalloc peak in bytes, above what was
+    traced when it started: the initial state is not in it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = integrate(initial, t_end, output_times=output_times, keep=keep)
+        return traj, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestCapacity:
+    def test_an_8_ary_run_holds_10_states_at_its_peak(self):
+        # the 9 work arrays and the kept state, kept at t = 0 so that it is
+        # held from the initial step on; besides them only the kernel's
+        # arrays of n_int values (2 coefficients, and up to 9 temporaries in
+        # the stiffness estimate's jvp), the rows and Python objects.  One
+        # more state-sized array is 37,449 values
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
+        initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
+        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
+        assert traj.stiff_from is None and traj.n_stiffness_tests > 0
+        assert peak <= 8 * held_values(p, 100, 1)
+        rows = 101 * (4 * p.depth + 5) + 4 * 100
+        arrays = 10 * p.n_nodes + 11 * p.offsets[-2]
+        assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
+
+    @pytest.mark.parametrize("branching,depth,alpha,nu,f,root,t_end", [
+        (2, 7, 2.0, 0.0, 1.0, 1.0, 1.0),     # switches at t = 0.95
+        (1, 10, 1.0, 0.1, 50.0, 0.0, 0.3)])  # switches at t = 0.05
+    def test_a_switched_run_stays_within_held_values(self, branching, depth, alpha, nu,
+                                                     f, root, t_end):
+        p = ModelParams(alpha=alpha, gamma=1.0, nu=nu, f=f, branching=branching,
+                        depth=depth)
+        initial = TreeState(np.where(np.arange(p.n_nodes) == 0, root, 0.0), p)
+        traj, peak = traced_run(initial, t_end, keep=[t_end / 2])
+        assert traj.stiff_from is not None
+        assert peak <= 8 * held_values(p, 2, 1)  # rows at t_end / 2 and t_end
+
     def test_held_values_counts_the_stiff_workspace(self):
-        # every run may switch, and RODAS4's workspace is O(n): 15 n + 2 nw
-        # on a chain (its factor is lists of Python floats), 7 n + 2 n_int +
-        # 2 nw on a tree, n_int internal nodes and nw = 2 depth + 2 work rates
-        for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 15 * 19 + 2 * 38),
+        # every run may switch, and RODAS4's workspace is O(n): 16 n + 2 nw
+        # on a chain (its factor is lists of Python floats), 8 n + 2 n_int +
+        # 2 nw and 1024 values per generation on a tree, n_int internal
+        # nodes and nw = 2 depth + 2 work rates.  DP5 holds 9 n, the kept
+        # state n, the kernel 2 n_int, the work rates and energies 8 nw +
+        # depth + 1, and Python objects 2048 values
+        for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 16 * 19 + 2 * 38),
                          (ModelParams(alpha=1.0, branching=2, depth=8),
-                          7 * 511 + 2 * 255 + 2 * 18),
+                          8 * 511 + 2 * 255 + 1024 * 8 + 2 * 18),
                          (ModelParams(alpha=1.0, branching=2, depth=17),
-                          7 * 262143 + 2 * 131071 + 2 * 36)):
-            rows = 101 * (4 * p.depth + 5)
-            assert held_values(p, 100, 1) == 13 * p.n_nodes + stiff + rows
+                          8 * 262143 + 2 * 131071 + 1024 * 17 + 2 * 36)):
+            nw = 2 * p.depth + 2
+            fixed = 2 * p.offsets[-2] + 8 * nw + p.depth + 1 + 2048
+            rows = 101 * (4 * p.depth + 5) + 4 * 100
+            assert held_values(p, 100, 1) == 10 * p.n_nodes + stiff + fixed + rows
 
     def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)

@@ -6,8 +6,11 @@
 Imports dyadic_cascade from --src, so that two checkouts can be compared run
 by run.  Prints one JSON object per case: the case, the wall and process CPU
 time of integrate, the DP5 and RODAS4 step attempts, accepted and rejected
-steps, the switch time and the final energy.  Attempts are counted by
-wrapping _Rodas4.attempt; every other attempt is DP5.
+steps, the switch time, the final energy and integrate's tracemalloc peak in
+MB.  Attempts are counted by wrapping _Rodas4.attempt; every other attempt is
+DP5.  The peak comes from a second, untimed run of the case, since tracing
+every allocation slows the run; the initial state is made before tracing
+starts and is not in it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -73,13 +77,19 @@ def main(argv=None) -> int:
         start, cpu = time.perf_counter(), time.process_time()
         traj = dynamics.integrate(initial, t_end, output_times=outputs)
         wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+        rodas4 = rodas_attempts  # before the traced run counts its own
+        tracemalloc.start()
+        dynamics.integrate(initial, t_end, output_times=outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         attempts = traj.n_accepted + traj.n_rejected
         print(json.dumps({
             "case": name, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
-            "dp5_attempts": attempts - rodas_attempts, "rodas4_attempts": rodas_attempts,
+            "dp5_attempts": attempts - rodas4, "rodas4_attempts": rodas4,
             "accepted": traj.n_accepted, "rejected": traj.n_rejected,
             "stiff_from": traj.stiff_from,
-            "final_energy": float(traj.energies[-1].sum())}), flush=True)
+            "final_energy": float(traj.energies[-1].sum()),
+            "peak_mb": round(peak / 1e6, 4)}), flush=True)
     return 0
 
 
