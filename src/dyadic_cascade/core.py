@@ -64,7 +64,7 @@ def node_count(branching: int, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET)
     if count is None or count > max_nodes:
         raise CapacityExceeded(
             f"a tree of branching {branching} and depth {depth} holds more "
-            f"than the budget of {max_nodes} nodes")
+            f"than the budget of {max_nodes} nodes ({8 * max_nodes:.3g} bytes)")
     return count
 
 
@@ -133,6 +133,10 @@ class ModelParams:
 
     ``branching`` must be a power of two (1 for the chain), so that
     alpha_tilde is exact.
+
+    ``max_nodes`` is a budget of float64 values, 8 bytes each, for the tree
+    and for what integrate holds (dynamics.held_values); the default 2^30
+    values is 8.6 GB.
     """
 
     alpha: float

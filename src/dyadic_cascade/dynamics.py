@@ -352,21 +352,23 @@ def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
     one more round of two steps: on stiff chains two steps from y + 1 read
     about 0.4 rho(J), four within 7%.  u is scaled to a largest entry of 1
     before each round, so that J^2 u cannot overflow where u is large (the
-    stages of a rejected attempt)."""
+    stages of a rejected attempt).  The norms are np.add.reduce of squares
+    formed in ju, not np.linalg.norm: that is a BLAS dot, whose summation
+    order depends on the BLAS thread count above about 10,000 values."""
     np.subtract(K[1], K[5], out=u)
     rounds = 1
-    if not np.abs(u, out=ju).max() > 0.0:
+    if not np.maximum.reduce(np.abs(u, out=ju)) > 0.0:
         np.add(y, 1.0, out=u)
         rounds = 2
     for _ in range(rounds):
-        largest = np.abs(u, out=ju).max()
+        largest = np.maximum.reduce(np.abs(u, out=ju))
         if not largest > 0.0:  # J^2 (y + 1) = 0
             return 0.0
         u /= largest
-        norm_u = float(np.linalg.norm(u))
+        norm_u = math.sqrt(float(np.add.reduce(np.square(u, out=ju))))
         kernel.jvp(y, u, out=ju)
         kernel.jvp(y, ju, out=u)
-    return h * math.sqrt(float(np.linalg.norm(u)) / norm_u)
+    return h * math.sqrt(math.sqrt(float(np.add.reduce(np.square(u, out=ju)))) / norm_u)
 
 
 class _Rodas4:
@@ -390,36 +392,43 @@ class _Rodas4:
         self.w = W[:6]
         self.fy = K[0].copy()
         self.f = np.empty(K.shape[1])
+        self.c = c = np.empty_like(_RODAS_C)  # C / h of the current attempt
+        # stages 1..5: input weights, C_i / h, k[:i], k_i and the work rates
+        self.stages = [(_RODAS_A[i] if i < 5 else None, c[i, :i], K[:i], K[i], W[i])
+                       for i in range(1, 6)]
 
     def attempt(self, y, h, out):
         """One attempt over h from y >= 0, whose derivative and work rates
         are self.fy and self.w[0].  Writes the new solution to out and
         returns the increment of the work quadratures; the error estimate is
         self.k[5].  The stage matrix is factored once, so each stage costs
-        two sweeps over the tree."""
-        kernel, k, w = self.kernel, self.k, self.w
+        two sweeps over the tree.  A stage's right-hand side f + (C_i/h) k
+        is formed in k_i, which its solve then overwrites."""
+        kernel, k, f = self.kernel, self.k, self.f
         hg = h * _RODAS_GAMMA
         solve = kernel.factor(y, 1.0 / hg)
-        c = _RODAS_C / h
-        f = self.fy
-        for i in range(6):
-            if i == 5:
+        np.divide(_RODAS_C, h, out=self.c)
+        # stage 1 adds the empty product C_0 k[:0], +0.0, which turns -0.0 to +0.0
+        solve(np.add(self.fy, 0.0, out=k[0]), out=k[0])
+        for a, c, earlier, k_i, w_i in self.stages:
+            if a is None:
                 out += k[4]  # Y_6 = Y_5 + k_5
-            elif i:
-                np.matmul(_RODAS_A[i], k[:i], out=out)
+            else:
+                np.matmul(a, earlier, out=out)
                 out += y
-            if i:
-                f, _ = kernel.rhs_work(out, out=self.f, work_out=w[i])
-            solve(f + c[i, :i] @ k[:i], out=k[i])
+            kernel.rhs_work(out, out=f, work_out=w_i)
+            np.matmul(c, earlier, out=k_i)
+            solve(np.add(f, k_i, out=k_i), out=k_i)
         out += k[5]
-        dq = _RODAS_U @ w
+        dq = _RODAS_U @ self.w
         dq += kernel.work_jvp(y, _RODAS_U @ k)
         dq *= hg
         return dq
 
 
 # Values of 8 bytes that held_values allows for Python objects: the array
-# headers, locals and closures of a run (measured at most 8 KB) and, per
+# headers, locals and closures of a run (measured at most 8 KB, plus up to
+# 5.2 KB of the views that the DP5 loop and RODAS4 bind once per run) and, per
 # generation, the tree elimination's bound numpy calls (3-6 KB for N = 2 to
 # 1024)
 _OBJECT_VALUES = 2048
@@ -468,8 +477,9 @@ def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
     """Raise CapacityExceeded when held_values exceeds params.max_nodes."""
     held = held_values(params, n_outputs, n_keep)
     if held > params.max_nodes:
-        raise CapacityExceeded(f"the run would hold {held:.3g} values, over "
-                               f"the budget of {params.max_nodes}")
+        raise CapacityExceeded(
+            f"the run would hold {held:.3g} values ({8 * held:.3g} bytes), over "
+            f"the budget of {params.max_nodes} ({8 * params.max_nodes:.3g} bytes)")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -495,6 +505,11 @@ def integrate(
     initial.params.  Raises CapacityExceeded before allocating when
     held_values exceeds params.max_nodes, and NonFiniteResult when a
     recorded row's energies are finite and its work integrals are not.
+
+    On chains a numpy call costs more than its arithmetic, so K's rows and
+    stage blocks, h times the tableau and W's rows are bound once per run,
+    stage 1 is out of the stage loop and a target's landing threshold is
+    formed when the target changes.
     """
     params = initial.params
     values = initial.values
@@ -580,30 +595,36 @@ def integrate(
     stiff_from = None
     order = _ORDER
 
+    # bound once per run: the rows of K, h times the tableau and, per stage
+    # after the first, its weights, K's block it combines and its out rows
+    K0, K1, K2 = K[:3]
+    ha = np.empty_like(_A_LOWER)
+    stages = [(ha[s, :s + 1], K[:s + 1], K[s + 1] if s < 5 else K1, W[s + 1])
+              for s in range(1, 6)]
+    W0, W6 = W[0], W[6]
+    target = targets[0]
+    land_at = target - _rounding_gap(target)
     while t < t_end:
-        target = targets[ti]
         # a step ending within rounding of the target is stretched onto it,
         # so the target is neither skipped nor followed by a vanishing step
-        lands = t + h >= target - _rounding_gap(target)
+        lands = t + h >= land_at
         if lands:
             h = target - t
         if h <= _rounding_gap(t):
             raise StepSizeUnderflow(f"step {h:.3e} underflowed at t = {t!r}")
 
         if rodas is None:
-            ha = h * _A_LOWER  # h folded into the weights saves a pass per stage
-            for s in range(6):
-                if s == 0:  # one weight: a multiply takes a third of a matmul's time
-                    np.multiply(K[0], ha[0, 0], out=yy)
-                else:
-                    np.matmul(ha[s, :s + 1], K[: s + 1], out=yy)
+            # h folded into the weights saves a pass per stage; stage 1 has
+            # one weight, and a multiply takes a third of a matmul's time
+            np.multiply(_A_LOWER, h, out=ha)
+            np.multiply(K0, ha[0, 0], out=yy)
+            yy += y
+            kernel.rhs(yy, out=K1)  # b and e weights are zero: no work
+            for weights, block, k_out, w_out in stages:
+                np.matmul(weights, block, out=yy)
                 yy += y
-                if s == 0:
-                    kernel.rhs(yy, out=K[1])  # b and e weights are zero: no work
-                else:
-                    # stage 2 has served its last stage input once yy is y5
-                    kernel.rhs_work(yy, out=K[s + 1] if s < 5 else K[1],
-                                    work_out=W[s + 1], energies_out=e_last)
+                # stage 2 has served its last stage input once yy is y5
+                kernel.rhs_work(yy, out=k_out, work_out=w_out, energies_out=e_last)
             # the last A row is the b row (FSAL), so yy is now the 5th-order
             # solution y5 and K[1] = f(y5).  A finite error norm is the whole
             # finiteness check of the attempt:
@@ -618,7 +639,7 @@ def integrate(
             # overflow with finite stages: there y5 is one value to check.
             n_rhs += 6
             np.matmul(h * _E, K, out=err)
-            err_norm = _error_norm(err, y, yy, rtol, atol, K[2])
+            err_norm = _error_norm(err, y, yy, rtol, atol, K2)
             finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
             dq = rodas.attempt(y, h, out=yy)
@@ -634,7 +655,7 @@ def integrate(
             cause, shrink = "non-finite", 0.5
         elif err_norm > 1.0:
             cause, shrink = "error norm", _step_factor(err_norm, order)
-        elif (y_min := y_new.min()) < -atol and reject_halve:
+        elif (y_min := np.minimum.reduce(y_new)) < -atol and reject_halve:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
             # abs_tol is integration noise and is flattened below, anything
@@ -665,15 +686,18 @@ def integrate(
             else:
                 y, yy = y_new, y  # the old y buffer takes the next stage inputs
             if y_min < 0.0 or rodas is not None:
-                kernel.rhs_work(y, out=K[0] if rodas is None else rodas.fy,
-                                work_out=W[0], energies_out=e_last)
+                kernel.rhs_work(y, out=K0 if rodas is None else rodas.fy,
+                                work_out=W0, energies_out=e_last)
                 n_rhs += 1
             else:
-                K[0] = K[1]  # e_last came with f(y5)
-                W[0] = W[6]
+                np.copyto(K0, K1)  # e_last came with f(y5)
+                np.copyto(W0, W6)
             if t == target:
                 ti += 1
-                record(ti, y, y.min() if y_min < 0.0 else y_min)
+                record(ti, y, np.minimum.reduce(y) if y_min < 0.0 else y_min)
+                if ti < len(targets):
+                    target = targets[ti]
+                    land_at = target - _rounding_gap(target)
 
             grow = _step_factor(err_norm, order)
             if just_rejected:
@@ -697,7 +721,11 @@ def integrate(
                 if n_nonstiff == _NONSTIFF_RESET:
                     n_stiff = 0
 
-    del K, yy, y_new, err, rodas, kernel  # dropped before the final state is copied
+    # K and every view of it are dropped before the final state is copied;
+    # the stage loop's names are rebound, as a run without a DP5 attempt
+    # never bound them
+    del K, K0, K1, K2, stages, yy, y_new, err, rodas, kernel
+    weights = block = k_out = w_out = None
     kept[ti] = final = TreeState(y, params)
     return Trajectory(
         params=params, times=times, energies=energies, fluxes=fluxes,

@@ -38,6 +38,13 @@ file):
 All of this is fixed-order and deterministic, so identical inputs give
 identical bytes.
 
+On a chain a numpy call costs more than its arithmetic, so rhs and
+rhs_work form their squares, sums and fluxes in their own frame and share
+only the derivative's tail (Kernel._deriv).  A chain without viscosity
+(N = 1, nu = 0) writes its gains straight into the children's slots and
+assigns gain0 to the root instead of adding them to a zero fill: the same
+bits, since 0.0 + g == g for every g = c X^2 >= +0.
+
 The stiff integrator never forms the Jacobian: Kernel.jvp applies it with
 the same whole-array operations, and Kernel.factor solves its stage matrix
 by eliminating the tree leaves to root, in O(n).  Its orders, with a_p the
@@ -175,10 +182,12 @@ class Kernel:
         """Time derivative of y.  A state near the overflow threshold gives
         a non-finite derivative; whether numpy warns about it is the
         caller's np.errstate (integrate and rhs_tree silence it)."""
+        branching = self.params.branching
         deriv = np.empty_like(y) if out is None else out
-        gain = np.square(y[:self.n_internal])
+        direct = branching == 1 and self.neg_nu_d is None
+        gain = np.square(y[:self.n_internal], out=deriv[1:] if direct else None)
         gain *= self.c_next
-        self._deriv(y, gain, _child_sums(y, self.params.branching), deriv)
+        self._deriv(y, gain, _child_sums(y, branching), deriv, direct)
         return deriv
 
     def rhs_work(self, y, out=None, work_out=None, energies_out=None):
@@ -187,21 +196,33 @@ class Kernel:
         rates are boundary_fluxes(y); the viscous rates are the generation
         energies scaled by d_g, and energies_out, if given, receives the
         energies before that scaling, bit-equal to generation_energies(y).
-        Overflow is handled as in rhs."""
+        Overflow is handled as in rhs.  For N = 1 each generation is one
+        node, so the squares are the energies and go straight to
+        energies_out, and the flux products straight to the flux rates.  A
+        chain without viscosity writes its gains straight into the
+        children's slots (see the module docstring)."""
         p = self.params
-        depth, n_int = p.depth, self.n_internal
+        depth, n_int, branching = p.depth, self.n_internal, p.branching
         deriv = np.empty_like(y) if out is None else out
         if work_out is None:
             work_out = np.empty(2 * depth + 2)
-        # the squares live in deriv until _deriv overwrites it
-        sq = np.square(y, out=deriv)
-        csum = _child_sums(y, p.branching)
         work_out[0] = y[0]
-        energies = _generation_sums(p, sq, depth + 1, energies_out)
+        flux = work_out[depth + 2:]
+        csum = _child_sums(y, branching)
+        if branching == 1:
+            sq = energies = np.square(y, out=energies_out)
+            np.multiply(sq[:n_int], csum, out=flux)
+        else:
+            # the squares live in deriv until the derivative overwrites it
+            sq = np.square(y, out=deriv)
+            starts = p.generation_starts
+            energies = np.add.reduceat(sq, starts, out=energies_out)
+            np.add.reduceat(sq[:n_int] * csum, starts[:depth], out=flux)
         np.multiply(energies, self.d, out=work_out[1:depth + 2])
-        _fluxes(p, sq[:n_int], csum, self.flux_coefficients, work_out[depth + 2:])
-        gain = np.multiply(self.c_next, sq[:n_int])
-        self._deriv(y, gain, csum, deriv)
+        flux *= self.flux_coefficients
+        direct = branching == 1 and self.neg_nu_d is None
+        gain = np.multiply(self.c_next, sq[:n_int], out=deriv[1:] if direct else None)
+        self._deriv(y, gain, csum, deriv, direct)
         return deriv, work_out
 
     def jvp(self, y, v, out=None):
@@ -224,7 +245,7 @@ class Kernel:
 
     def factor(self, y, fac):
         """Factor M = fac I - J(y) for y >= 0 and fac > 0, and return a
-        function solving M x = r into out.
+        function solving M x = r into out; r may be out.
 
         M has D = fac + nu d_g + c_{g+1} S on the diagonal, a_p = c_{g+1}
         X_p at (p, child) and -2 a_p at (child, p); its graph is the tree,
@@ -265,16 +286,22 @@ class Kernel:
         _fluxes(p, y[:n_int], inner, self.flux_coefficients, out[depth + 2:])
         return out
 
-    def _deriv(self, y, gain, csum, deriv):
+    def _deriv(self, y, gain, csum, deriv, direct):
         """deriv = (visc + gain) - loss per node, where gain[p] = c_{g+1} X_p^2
-        is what each child of internal node p receives.  gain is reused as
+        is what each child of internal node p receives.  With direct (N = 1,
+        nu = 0) gain already is deriv[1:]; otherwise it is reused as
         scratch."""
-        self._viscous(y, deriv)
-        deriv[0] += self.gain0
-        _add_to_children(gain, deriv[1:], self.params.branching)
-        loss = np.multiply(self.c_next, y[:self.n_internal], out=gain)
+        n_int = self.n_internal
+        if direct:
+            deriv[0] = self.gain0
+            loss = np.multiply(self.c_next, y[:n_int])
+        else:
+            self._viscous(y, deriv)
+            deriv[0] += self.gain0
+            _add_to_children(gain, deriv[1:], self.params.branching)
+            loss = np.multiply(self.c_next, y[:n_int], out=gain)
         loss *= csum
-        deriv[:self.n_internal] -= loss
+        deriv[:n_int] -= loss
 
     def _viscous(self, v, out):
         """out = -nu d_g v node by node (0 when nu = 0)."""

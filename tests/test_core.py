@@ -52,6 +52,7 @@ class TestNodeCount:
         with pytest.raises(CapacityExceeded, match="budget of 1073741824 nodes") as e:
             node_count(branching, depth)
         assert len(str(e.value)) < 120
+        assert str(e.value).endswith("(8.59e+09 bytes)")  # 8 bytes per value
 
     def test_capacity_edge(self):
         assert node_count(2, 29) == 2 ** 30 - 1

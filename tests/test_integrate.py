@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -557,6 +560,34 @@ class TestStiffDetection:
         estimate = dynamics._stiffness_estimate(kernel, y, K, h, *scratch)
         assert dynamics._STIFF_H_LAMBDA < estimate <= 1.1 * 3.2
 
+    ESTIMATE_PROBE = """
+import numpy as np
+from dyadic_cascade import ModelParams, dynamics
+p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=14)
+kernel = dynamics.make_kernel(p)
+rng = np.random.default_rng(3)
+scratch = np.empty((2, p.n_nodes))
+for _ in range(8):
+    y = rng.uniform(0.0, 0.01, p.n_nodes)
+    K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+    print(dynamics._stiffness_estimate(kernel, y, K, 1e-3, *scratch).hex())
+"""
+
+    def test_estimate_does_not_depend_on_the_blas_threads(self):
+        # a BLAS dot sums in an order that depends on its thread count on
+        # states of more than about 10,000 values (here 32,767); the
+        # verdict, and so a whole run, must not
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            runs.append(subprocess.run(
+                [sys.executable, "-c", self.ESTIMATE_PROBE], capture_output=True,
+                text=True, env=env, timeout=120, check=True).stdout.split())
+        assert len(runs[0]) == 8
+        assert runs[0] == runs[1]
+
     def test_forced_chain_switches_where_dp5_settles(self):
         # DP5 alone settles at h rho = 3.14-3.2 from t = 0.03 on and needs
         # about 146k steps and 8 s for t = 0.5 alone
@@ -779,8 +810,10 @@ class TestCapacity:
             tight = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=budget)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "make_kernel", None)  # raised before it runs
-                with pytest.raises(CapacityExceeded, match="would hold"):
+                with pytest.raises(CapacityExceeded, match="would hold") as e:
                     integrate(TreeState.zeros(tight), 1.0, output_times=outputs, keep=[0.5])
+            assert f"({8 * held:.3g} bytes), over the budget of {budget} " \
+                   f"({8 * budget:.3g} bytes)" in str(e.value)
         fits = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=held)
         traj = integrate(TreeState.zeros(fits), 1.0, output_times=outputs, keep=[0.5])
         assert traj.n_accepted > 0

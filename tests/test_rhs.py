@@ -22,6 +22,7 @@ from dyadic_cascade.kernels import (
     generation_energies,
     make_kernel,
 )
+import kernel_oracle
 from jacobian_oracle import dense_jacobian
 
 
@@ -158,6 +159,49 @@ class TestBitEquivalence:
         p = ModelParams(alpha=2.5, gamma=1.0, nu=0.1, f=1.0, branching=1, depth=20)
         y = np.array([pow2(-0.83 * n) for n in range(21)])
         assert (rhs_tree(TreeState(y, p)) == node_reference(p, y)[0]).all()
+
+
+class TestInlinedKernel:
+    """rhs and rhs_work equal the helper-based kernel of kernel_oracle bit
+    for bit: derivative, work rates and energies, with and without the
+    output buffers, and on states whose squares overflow (the same inf and
+    nan positions).  Given buffers start filled with junk, so a path that
+    adds to a buffer it did not fill, or skips the root's gain, shows."""
+
+    @staticmethod
+    def states(p):
+        rng = np.random.default_rng(p.branching * 100 + p.depth)
+        y = rng.uniform(0.0, 2.0, p.n_nodes)
+        huge = y.copy()
+        # squares overflow; node 1 gains inf from the root and loses inf to
+        # its first child, which gives nan
+        huge[[0, 1, p.branching + 1]] = 1e200
+        huge[rng.integers(0, p.n_nodes, 3)] = 1e300
+        return y, huge, np.zeros(p.n_nodes)
+
+    @pytest.mark.parametrize("nu,f", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.0), (0.25, 1.3)])
+    @pytest.mark.parametrize("branching,depth", [(1, 12), (2, 6), (4, 4), (8, 3), (16, 2)])
+    def test_bit_equal_to_the_oracle(self, branching, depth, nu, f):
+        p = ModelParams(alpha=1.7, gamma=2.3, nu=nu, f=f, branching=branching,
+                        depth=depth)
+        kernel = make_kernel(p)
+        n, nw = p.n_nodes, 2 * depth + 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in self.states(p):
+                want = kernel_oracle.rhs(kernel, y)
+                assert kernel.rhs(y).tobytes() == want.tobytes()
+                assert kernel.rhs(y, out=np.full(n, 3.0)).tobytes() == want.tobytes()
+                energies = np.empty(depth + 1)
+                want_d, want_w = kernel_oracle.rhs_work(kernel, y, energies_out=energies)
+                for given in (False, True):
+                    e_out = np.full(depth + 1, 5.0) if given else None
+                    d, w = kernel.rhs_work(
+                        y, out=np.full(n, 3.0) if given else None,
+                        work_out=np.full(nw, 4.0) if given else None, energies_out=e_out)
+                    assert d.tobytes() == want_d.tobytes()
+                    assert w.tobytes() == want_w.tobytes()
+                    if given:
+                        assert e_out.tobytes() == energies.tobytes()
 
 
 class TestNodeReference:
@@ -330,7 +374,7 @@ class TestElimination:
             expected = np.linalg.solve(m, r)
             assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("branching,depth", [(2, 5), (4, 3), (16, 2)])
+    @pytest.mark.parametrize("branching,depth", [(1, 12), (2, 5), (4, 3), (16, 2)])
     def test_solves_carry_no_state(self, branching, depth):
         # the sweep buffer and scratch are the kernel's, reused by every
         # solve: a solve's bytes must not depend on what was solved before
@@ -347,6 +391,8 @@ class TestElimination:
             solve(other, np.empty(p.n_nodes))
             assert solve(r, np.full(p.n_nodes, np.inf)).tobytes() == first
         assert r.tobytes() == r_bytes
+        in_place = r.copy()
+        assert solve(in_place, in_place).tobytes() == first  # r may be out
 
     def test_a_later_factor_retires_the_earlier_solve(self):
         p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)

@@ -5,12 +5,17 @@
 
 Imports dyadic_cascade from --src, so that two checkouts can be compared run
 by run.  Prints one JSON object per case: the case, the wall and process CPU
-time of integrate, the DP5 and RODAS4 step attempts, accepted and rejected
-steps, the switch time, the final energy and integrate's tracemalloc peak in
-MB.  Attempts are counted by wrapping _Rodas4.attempt; every other attempt is
+time of integrate, the CPU microseconds per step attempt (DP5 and RODAS4
+together), the DP5 and RODAS4 step attempts, accepted and rejected steps,
+the switch time, the final energy and integrate's tracemalloc peak in MB.
+Attempts are counted by wrapping _Rodas4.attempt; every other attempt is
 DP5.  The peak comes from a second, untimed run of the case, since tracing
 every allocation slows the run; the initial state is made before tracing
 starts and is not in it.
+
+The case chain_stiff is the integrate call of the benchmark workload of that
+name (classic, depth 18, alpha 1, nu 0, f 1, root 1, t_end 1, 100 output
+times), so the per-attempt cost of chains has a number of its own.
 """
 
 from __future__ import annotations
@@ -44,12 +49,19 @@ def _cases(core):
         p = ModelParams(alpha=beta, gamma=gamma, nu=nu, f=f, branching=1, depth=depth)
         return TreeState.zeros(p), 10.0, ()
 
+    def chain_stiff():
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=0.0, f=1.0, branching=1, depth=18)
+        y = np.zeros(p.n_nodes)
+        y[0] = 1.0
+        return TreeState(y, p), 1.0, [i * 0.01 for i in range(1, 101)]
+
     return {
         "binary10_alpha1.5": lambda: binary_decay(1.5),
         "binary10_alpha2": lambda: binary_decay(2.0),
         "forced_binary7_alpha2": forced_binary,
         "chain20_50_0.1_1_1": lambda: viscous_chain(50.0, 0.1, 1.0, 1.0, 20),
         "chain32_10_0.01_3_1": lambda: viscous_chain(10.0, 0.01, 3.0, 1.0, 32),
+        "chain_stiff": chain_stiff,
     }
 
 
@@ -70,26 +82,31 @@ def main(argv=None) -> int:
         return attempt(self, *a, **kw)
 
     dynamics._Rodas4.attempt = counted
-    cases = _cases(core)
-    for name in args.case or cases:
-        initial, t_end, outputs = cases[name]()
-        rodas_attempts = 0
-        start, cpu = time.perf_counter(), time.process_time()
-        traj = dynamics.integrate(initial, t_end, output_times=outputs)
-        wall, cpu = time.perf_counter() - start, time.process_time() - cpu
-        rodas4 = rodas_attempts  # before the traced run counts its own
-        tracemalloc.start()
-        dynamics.integrate(initial, t_end, output_times=outputs)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        attempts = traj.n_accepted + traj.n_rejected
-        print(json.dumps({
-            "case": name, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
-            "dp5_attempts": attempts - rodas4, "rodas4_attempts": rodas4,
-            "accepted": traj.n_accepted, "rejected": traj.n_rejected,
-            "stiff_from": traj.stiff_from,
-            "final_energy": float(traj.energies[-1].sum()),
-            "peak_mb": round(peak / 1e6, 4)}), flush=True)
+    try:
+        cases = _cases(core)
+        for name in args.case or cases:
+            initial, t_end, outputs = cases[name]()
+            rodas_attempts = 0
+            start, cpu = time.perf_counter(), time.process_time()
+            traj = dynamics.integrate(initial, t_end, output_times=outputs)
+            wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+            rodas4 = rodas_attempts  # before the traced run counts its own
+            tracemalloc.start()
+            dynamics.integrate(initial, t_end, output_times=outputs)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            attempts = traj.n_accepted + traj.n_rejected
+            print(json.dumps({
+                "case": name, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
+                "us_per_attempt": round(1e6 * cpu / attempts, 2),
+                "dp5_attempts": attempts - rodas4, "rodas4_attempts": rodas4,
+                "accepted": traj.n_accepted, "rejected": traj.n_rejected,
+                "stiff_from": traj.stiff_from,
+                "final_energy": float(traj.energies[-1].sum()),
+                "peak_mb": round(peak / 1e6, 4)}), flush=True)
+    finally:
+        dynamics._Rodas4.attempt = attempt
+        sys.path.remove(args.src)
     return 0
 
 
