@@ -1,9 +1,16 @@
 """Configuration ingestion, experiment orchestration and CSV/JSON emission.
 
 Subcommands: simulate, stationary, selfsimilar, lift, dissipation-bound,
-fit-spectrum.  All take --config <json> and --out <dir>.  Config parsing
-rejects unknown fields with their path (a typo'd exponent name must not
-silently invalidate an experiment).  Output files are byte-reproducible:
+fit-spectrum.  All take --config <json> and --out <dir>.  Each command
+reads its config through one table of fields, each with its kind and its
+default; simulate's initial block is a table keyed by its kind.  The table
+rejects unknown and missing fields by their path (a typo'd exponent name
+must not silently invalidate an experiment) and echoes simulate's config
+into summary.json.  Short checks after the parse keep the rules the library
+has no twin for: model, mode and branching, output_interval > 0, the
+classic_values length and one lift source, the random_positive scale,
+symmetric-mode initial kinds, finite state-file entries and the
+--dump-state times.  Output files are byte-reproducible:
 floats are written with repr (shortest round-trip decimal), LF endings,
 UTF-8; identical config and seed give identical bytes (the kernel uses
 fixed-order reductions).
@@ -61,18 +68,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"missing required field {path}.{key}".lstrip("."))
-    return d[key]
-
-
-def _check_unknown(d: dict, allowed, path: str):
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(f"unknown field {path + '.' if path else ''}{k}")
-
-
 def _number(v, path: str) -> float:
     """A finite JSON number as a float."""
     if not isinstance(v, bool) and isinstance(v, (int, float)):
@@ -90,14 +85,136 @@ def _integer(v, path: str) -> int:
     return v
 
 
-_INITIAL_KINDS = {
-    "zero": (),
-    "root_only": ("value",),
-    "stationary_inviscid": (),
-    "selfsimilar": ("t0",),
-    "file": ("path",),
-    "random_positive": ("seed", "scale"),
-}
+def _path(v, path: str) -> str:
+    """A file name; never a number, which open() would take for a descriptor."""
+    if not isinstance(v, str):
+        raise ConfigError(f"{path} must be a string, got {v!r}")
+    return v
+
+
+def _window(v, path: str) -> tuple[int, int]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"{path} must be [lo, hi]")
+    return _integer(v[0], f"{path}[0]"), _integer(v[1], f"{path}[1]")
+
+
+def _numbers(v, path: str) -> list[float]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path} must be a list of numbers")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+def _one_of(*values):
+    def kind(v, path: str):
+        if v not in values:
+            raise ConfigError(
+                f"{path} must be one of {', '.join(map(repr, values))}, got {v!r}")
+        return v
+    return kind
+
+
+#: the default of a field that must be given
+_REQUIRED = object()
+
+
+class _Table:
+    """The fields of a JSON object, itself the kind of a nested object.
+
+    Each keyword names a field and gives (kind, default): kind(value, path)
+    converts a value or raises ConfigError.  An absent or null field takes
+    its default, converted like a given value; None leaves it unset, at the
+    library's default.  Calling the table on an object returns a namespace
+    of every field's value.
+    """
+
+    def __init__(self, **rows):
+        self.rows = rows
+
+    def __call__(self, d, path: str = "") -> argparse.Namespace:
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path or 'config'} must be an object")
+        prefix = f"{path}." if path else ""
+        for name in d:
+            if name not in self.rows:
+                raise ConfigError(f"unknown field {prefix}{name}")
+        values = argparse.Namespace()
+        for name, (kind, default) in self.rows.items():
+            v = d.get(name)
+            if v is None:
+                if default is _REQUIRED:
+                    raise ConfigError(f"missing required field {prefix}{name}")
+                v = default
+            setattr(values, name, None if v is None else kind(v, prefix + name))
+        return values
+
+    def echo(self, obj) -> dict:
+        """The config that obj was built from, every default filled in:
+        obj's value of each field, a nested object echoed by its own table.
+        An unset window is left out, and an infinite number, which only
+        SolverOptions' unbounded max_step holds, is written null."""
+        d = {}
+        for name, (kind, _) in self.rows.items():
+            v = getattr(obj, name)
+            if isinstance(kind, (_Table, _Keyed)):
+                v = kind.echo(v)
+            elif v == math.inf:
+                v = None
+            elif v is None and kind is _window:
+                continue
+            d[name] = v
+        return d
+
+
+class _Keyed:
+    """A JSON object whose field kind, one of the keywords, names the table
+    of its other fields."""
+
+    def __init__(self, **tables: _Table):
+        kind = (_one_of(*tables), _REQUIRED)
+        self.kind = _Table(kind=kind)
+        self.tables = {name: _Table(kind=kind, **table.rows)
+                       for name, table in tables.items()}
+
+    def __call__(self, d, path: str) -> argparse.Namespace:
+        head = {"kind": d.get("kind")} if isinstance(d, dict) else d
+        return self.tables[self.kind(head, path).kind](d, path)
+
+    def echo(self, obj) -> dict:
+        return self.tables[obj.kind].echo(obj)
+
+
+def _build(cls, values: argparse.Namespace):
+    """cls of the parsed values, the unset ones left at cls's defaults."""
+    return cls(**{k: v for k, v in vars(values).items() if v is not None})
+
+
+_INITIAL = _Keyed(
+    zero=_Table(),
+    root_only=_Table(value=(_number, _REQUIRED)),
+    stationary_inviscid=_Table(),
+    selfsimilar=_Table(t0=(_number, _REQUIRED)),
+    file=_Table(path=(_path, _REQUIRED)),
+    random_positive=_Table(seed=(_integer, _REQUIRED), scale=(_number, _REQUIRED)),
+)
+
+#: the model's own block of simulate and fit-spectrum; an unset branching
+#: is the model's, 1 for the classic model and 2 for the tree
+_PARAMS = _Table(alpha=(_number, _REQUIRED), gamma=(_number, None), nu=(_number, None),
+                 f=(_number, None), branching=(_integer, None),
+                 depth=(_integer, _REQUIRED))
+
+_SIMULATE = _Table(
+    model=(_one_of("tree", "classic"), _REQUIRED),
+    mode=(_one_of("full", "symmetric"), "full"),
+    params=(_PARAMS, _REQUIRED),
+    initial=(_INITIAL, _REQUIRED),
+    t_end=(_number, _REQUIRED),
+    output_interval=(_number, _REQUIRED),
+    solver=(_Table(rel_tol=(_number, None), abs_tol=(_number, None),
+                   max_step=(_number, None), initial_step=(_number, None),
+                   max_rejections=(_integer, None)), {}),
+    fit_window=(_window, None),
+)
 
 
 @dataclass(frozen=True)
@@ -109,93 +226,19 @@ class InitialSpec:
     seed: int | None = None
     scale: float | None = None
 
+    def __post_init__(self):
+        # build_initial draws from this module's own generator: no library
+        # call checks the scale
+        if self.kind == "random_positive" and self.scale < 0:
+            raise ConfigError(f"initial.scale must be >= 0, got {self.scale!r}")
+
     @classmethod
     def from_dict(cls, d: dict, path: str = "initial") -> "InitialSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path} must be an object")
-        kind = _require(d, "kind", path)
-        if kind not in _INITIAL_KINDS:
-            raise ConfigError(f"{path}.kind: unknown kind {kind!r} "
-                              f"(one of {sorted(_INITIAL_KINDS)})")
-        _check_unknown(d, ("kind",) + _INITIAL_KINDS[kind], path)
-        out = {"kind": kind}
-        if kind == "root_only":
-            out["value"] = _number(_require(d, "value", path), f"{path}.value")
-        elif kind == "selfsimilar":
-            out["t0"] = _number(_require(d, "t0", path), f"{path}.t0")
-        elif kind == "file":
-            p = _require(d, "path", path)
-            if not isinstance(p, str):
-                raise ConfigError(f"{path}.path must be a string")
-            out["path"] = p
-        elif kind == "random_positive":
-            out["seed"] = _integer(_require(d, "seed", path), f"{path}.seed")
-            scale = _number(_require(d, "scale", path), f"{path}.scale")
-            # build_initial draws from this module's own generator: no
-            # library call checks the scale
-            if scale < 0:
-                raise ConfigError(f"{path}.scale must be >= 0, got {scale!r}")
-            out["scale"] = scale
-        return cls(**out)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for k in _INITIAL_KINDS[self.kind]:
-            d[k] = getattr(self, k)
-        return d
+        return cls(**vars(_INITIAL(d, path)))
 
     @property
     def generation_symmetric(self) -> bool:
         return self.kind in ("zero", "root_only", "stationary_inviscid", "selfsimilar")
-
-
-_SOLVER_FIELDS = ("rel_tol", "abs_tol", "max_step", "initial_step",
-                  "positivity_mode", "max_rejections")
-
-
-def _solver_from_dict(d: dict, path: str = "solver") -> SolverOptions:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path} must be an object")
-    _check_unknown(d, _SOLVER_FIELDS, path)
-    kwargs = {}
-    for k in ("rel_tol", "abs_tol", "max_step", "initial_step"):
-        if k in d and d[k] is not None:
-            kwargs[k] = _number(d[k], f"{path}.{k}")
-    if "positivity_mode" in d:
-        kwargs["positivity_mode"] = d["positivity_mode"]
-    if "max_rejections" in d:
-        kwargs["max_rejections"] = _integer(d["max_rejections"], f"{path}.max_rejections")
-    return SolverOptions(**kwargs)
-
-
-_PARAM_FIELDS = ("alpha", "gamma", "nu", "f", "branching", "depth")
-
-
-def _params_from_dict(pd, model: str = "tree") -> ModelParams:
-    """Parse the params block shared by simulate and fit-spectrum."""
-    if not isinstance(pd, dict):
-        raise ConfigError("params must be an object")
-    _check_unknown(pd, _PARAM_FIELDS, "params")
-    branching = _integer(pd.get("branching", 1 if model == "classic" else 2),
-                         "params.branching")
-    if model == "classic" and branching != 1:
-        raise ConfigError("params.branching must be 1 for the classic model")
-    return ModelParams(
-        alpha=_number(_require(pd, "alpha", "params"), "params.alpha"),
-        gamma=_number(pd.get("gamma", 1.0), "params.gamma"),
-        nu=_number(pd.get("nu", 0.0), "params.nu"),
-        f=_number(pd.get("f", 0.0), "params.f"),
-        branching=branching,
-        depth=_integer(_require(pd, "depth", "params"), "params.depth"),
-    )
-
-
-def _window(w, path: str) -> tuple[int, int] | None:
-    if w is None:
-        return None
-    if not isinstance(w, (list, tuple)) or len(w) != 2:
-        raise ConfigError(f"{path} must be [lo, hi]")
-    return _integer(w[0], f"{path}[0]"), _integer(w[1], f"{path}[1]")
 
 
 def _load_state(path, params: ModelParams, field_path: str):
@@ -221,57 +264,28 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be an object")
-        _check_unknown(d, ("model", "mode", "params", "initial", "t_end",
-                           "output_interval", "solver", "fit_window"), "")
-        model = _require(d, "model", "")
-        if model not in ("tree", "classic"):
-            raise ConfigError(f"model must be 'tree' or 'classic', got {model!r}")
-        mode = d.get("mode", "full")
-        if mode not in ("full", "symmetric"):
-            raise ConfigError(f"mode must be 'full' or 'symmetric', got {mode!r}")
-        if mode == "symmetric" and model != "tree":
+        c = _SIMULATE(d)
+        if c.mode == "symmetric" and c.model != "tree":
             raise ConfigError("mode.symmetric only applies to the tree model")
-        params = _params_from_dict(_require(d, "params", ""), model)
-        initial = InitialSpec.from_dict(_require(d, "initial", ""))
-        if mode == "symmetric" and not initial.generation_symmetric \
-                and initial.kind != "file":
-            raise ConfigError(
-                f"initial.kind {initial.kind!r} is not generation-symmetric; "
-                "symmetric mode requires a symmetric initial spec")
-        t_end = _number(_require(d, "t_end", ""), "t_end")
-        out_iv = _number(_require(d, "output_interval", ""), "output_interval")
-        if out_iv <= 0:
+        if c.model == "classic":
+            if c.params.branching not in (None, 1):
+                raise ConfigError("params.branching must be 1 for the classic model")
+            c.params.branching = 1
+        if c.output_interval <= 0:
             raise ConfigError("output_interval must be > 0")
-        solver = _solver_from_dict(d.get("solver", {}))
-        window = _window(d.get("fit_window"), "fit_window")
-        return cls(model=model, mode=mode, params=params, initial=initial,
-                   t_end=t_end, output_interval=out_iv, solver=solver,
-                   fit_window=window)
+        c.initial = InitialSpec(**vars(c.initial))
+        if c.mode == "symmetric" and not c.initial.generation_symmetric \
+                and c.initial.kind != "file":
+            raise ConfigError(
+                f"initial.kind {c.initial.kind!r} is not generation-symmetric; "
+                "symmetric mode requires a symmetric initial spec")
+        c.params = _build(ModelParams, c.params)
+        c.solver = _build(SolverOptions, c.solver)
+        return cls(**vars(c))
 
     def to_dict(self) -> dict:
-        p = self.params
-        d = {
-            "model": self.model,
-            "mode": self.mode,
-            "params": {"alpha": p.alpha, "gamma": p.gamma, "nu": p.nu, "f": p.f,
-                       "branching": p.branching, "depth": p.depth},
-            "initial": self.initial.to_dict(),
-            "t_end": self.t_end,
-            "output_interval": self.output_interval,
-            "solver": {
-                "rel_tol": self.solver.rel_tol,
-                "abs_tol": self.solver.abs_tol,
-                "max_step": self.solver.max_step if math.isfinite(self.solver.max_step) else None,
-                "initial_step": self.solver.initial_step,
-                "positivity_mode": self.solver.positivity_mode,
-                "max_rejections": self.solver.max_rejections,
-            },
-        }
-        if self.fit_window is not None:
-            d["fit_window"] = list(self.fit_window)
-        return d
+        """The config echoed in summary.json."""
+        return _SIMULATE.echo(self)
 
 
 def build_initial(config: RunConfig) -> TreeState:
@@ -489,7 +503,9 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     return traj
 
 
-_STATIONARY_FIELDS = ("f", "nu", "beta", "gamma", "n_max")
+_STATIONARY = _Table(f=(_number, _REQUIRED), nu=(_number, _REQUIRED),
+                     beta=(_number, _REQUIRED), gamma=(_number, 1.0),
+                     n_max=(_integer, 60))
 
 
 def run_stationary(cfg: dict, out_dir):
@@ -497,12 +513,8 @@ def run_stationary(cfg: dict, out_dir):
     plus regime.json.  regime.json's asymptotic_flux is c_{n+1} Y_n^2
     Y_{n+1} in the limit, half of what boundary_fluxes and the flux_n
     columns of simulate's trajectory.csv report."""
-    _check_unknown(cfg, _STATIONARY_FIELDS, "")
-    f = _number(_require(cfg, "f", ""), "f")
-    nu = _number(_require(cfg, "nu", ""), "nu")
-    beta = _number(_require(cfg, "beta", ""), "beta")
-    gamma = _number(cfg.get("gamma", 1.0), "gamma")
-    n_max = _integer(cfg.get("n_max", 60), "n_max")
+    c = _STATIONARY(cfg)
+    f, nu, beta, gamma, n_max = c.f, c.nu, c.beta, c.gamma, c.n_max
 
     if nu == 0.0:
         state = inviscid_classic_profile(f, beta, n_max, gamma)
@@ -537,22 +549,17 @@ def run_stationary(cfg: dict, out_dir):
     return regime
 
 
-_SELFSIMILAR_FIELDS = ("t0", "beta", "n_max", "alpha_tilde", "n0")
+_SELFSIMILAR = _Table(t0=(_number, _REQUIRED), beta=(_number, _REQUIRED),
+                      n_max=(_integer, 25), alpha_tilde=(_number, None),
+                      n0=(_integer, 0))
 
 
 def run_selfsimilar(cfg: dict, out_dir):
-    _check_unknown(cfg, _SELFSIMILAR_FIELDS, "")
-    t0 = _number(_require(cfg, "t0", ""), "t0")
-    beta = _number(_require(cfg, "beta", ""), "beta")
-    n_max = _integer(cfg.get("n_max", 25), "n_max")
-    n0 = _integer(cfg.get("n0", 0), "n0")
-    alpha_tilde = cfg.get("alpha_tilde")
-    if alpha_tilde is not None:
-        alpha_tilde = _number(alpha_tilde, "alpha_tilde")
-
-    profile = solve_selfsimilar_classic(t0, beta, n_max, n0=n0)
-    if alpha_tilde is not None:
-        profile = lift_selfsimilar(profile, alpha_tilde)
+    c = _SELFSIMILAR(cfg)
+    n_max = c.n_max
+    profile = solve_selfsimilar_classic(c.t0, c.beta, n_max, n0=c.n0)
+    if c.alpha_tilde is not None:
+        profile = lift_selfsimilar(profile, c.alpha_tilde)
         header = ["n", "b_n", "a_n"]
         rows = [f"{n},{_fmt(profile.b[n])},{_fmt(profile.a[n])}"
                 for n in range(n_max + 1)]
@@ -576,34 +583,30 @@ def run_selfsimilar(cfg: dict, out_dir):
     return summary
 
 
-_LIFT_FIELDS = ("alpha_tilde", "beta", "depth", "gamma", "nu", "f",
-                "classic_values", "classic_file")
+_LIFT = _Table(alpha_tilde=(_number, _REQUIRED), beta=(_number, _REQUIRED),
+               depth=(_integer, _REQUIRED), gamma=(_number, 1.0), nu=(_number, 0.0),
+               f=(_number, 0.0), classic_values=(_numbers, None),
+               classic_file=(_path, None))
 
 
 def run_lift(cfg: dict, out_dir):
     """Lift a classic state onto the tree; emits per-generation lift.csv and
     lift.json with the energy identities."""
-    _check_unknown(cfg, _LIFT_FIELDS, "")
-    beta = _number(_require(cfg, "beta", ""), "beta")
+    c = _LIFT(cfg)
+    depth = c.depth
+    if (c.classic_values is None) == (c.classic_file is None):
+        raise ConfigError("exactly one of classic_values/classic_file must be given")
+    if c.classic_values is not None and len(c.classic_values) != depth + 1:
+        raise ConfigError(f"classic_values must hold {depth + 1} shells")
     # LiftSpec first, so that a bad beta is reported as beta, not as the
     # classic alpha
-    spec = LiftSpec(alpha_tilde=_number(_require(cfg, "alpha_tilde", ""), "alpha_tilde"),
-                    beta=beta)
-    depth = _integer(_require(cfg, "depth", ""), "depth")
-    classic_params = ModelParams(
-        alpha=beta, gamma=_number(cfg.get("gamma", 1.0), "gamma"),
-        nu=_number(cfg.get("nu", 0.0), "nu"), f=_number(cfg.get("f", 0.0), "f"),
-        branching=1, depth=depth)
-    if "classic_values" in cfg:
-        vals = cfg["classic_values"]
-        if not isinstance(vals, list) or len(vals) != depth + 1:
-            raise ConfigError(f"classic_values must hold {depth + 1} shells")
-        y = TreeState([_number(v, f"classic_values[{i}]") for i, v in enumerate(vals)],
-                      classic_params)
-    elif "classic_file" in cfg:
-        y = _load_state(cfg["classic_file"], classic_params, "classic_file")
+    spec = LiftSpec(alpha_tilde=c.alpha_tilde, beta=c.beta)
+    classic_params = ModelParams(alpha=c.beta, gamma=c.gamma, nu=c.nu, f=c.f,
+                                 branching=1, depth=depth)
+    if c.classic_values is not None:
+        y = TreeState(c.classic_values, classic_params)
     else:
-        raise ConfigError("one of classic_values/classic_file is required")
+        y = _load_state(c.classic_file, classic_params, "classic_file")
 
     x = lift_state(y, spec)
     per_gen = generation_energies(x.params, x.values)
@@ -623,31 +626,25 @@ def run_lift(cfg: dict, out_dir):
     return summary
 
 
-_DISSIPATION_FIELDS = ("epsilon", "eta", "alpha", "alpha_tilde")
+_DISSIPATION = _Table(epsilon=(_number, _REQUIRED), eta=(_number, _REQUIRED),
+                      alpha=(_number, _REQUIRED), alpha_tilde=(_number, _REQUIRED))
 
 
 def run_dissipation_bound(cfg: dict, out_dir):
-    _check_unknown(cfg, _DISSIPATION_FIELDS, "")
-    eps = _number(_require(cfg, "epsilon", ""), "epsilon")
-    eta = _number(_require(cfg, "eta", ""), "eta")
-    alpha = _number(_require(cfg, "alpha", ""), "alpha")
-    alpha_tilde = _number(_require(cfg, "alpha_tilde", ""), "alpha_tilde")
-    t_bound = dissipation_time_bound(eps, eta, alpha, alpha_tilde)
-    out = {"epsilon": eps, "eta": eta, "alpha": alpha,
-           "alpha_tilde": alpha_tilde, "T": t_bound}
+    c = vars(_DISSIPATION(cfg))
+    out = {**c, "T": dissipation_time_bound(**c)}
     _write_json(os.path.join(out_dir, "dissipation_bound.json"), out)
     return out
 
 
-_FIT_FIELDS = ("params", "state_file", "window")
+_FIT = _Table(params=(_PARAMS, _REQUIRED), state_file=(_path, _REQUIRED),
+              window=(_window, None))
 
 
 def run_fit_spectrum(cfg: dict, out_dir):
-    _check_unknown(cfg, _FIT_FIELDS, "")
-    params = _params_from_dict(_require(cfg, "params", ""))
-    window = _window(cfg.get("window"), "window")
-    state = _load_state(_require(cfg, "state_file", ""), params, "state_file")
-    fit = fit_spectrum(state, window)
+    c = _FIT(cfg)
+    state = _load_state(c.state_file, _build(ModelParams, c.params), "state_file")
+    fit = fit_spectrum(state, c.window)
     out = {"eta_hat": fit.eta_hat, "residual": fit.residual}
     _write_json(os.path.join(out_dir, "fit_spectrum.json"), out)
     return out

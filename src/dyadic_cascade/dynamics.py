@@ -10,9 +10,9 @@ Jacobian's sparsity graph is the tree, so RODAS4 solves its stage matrix by
 an O(n) leaves-to-root elimination (Kernel.factor); no dense matrix is ever
 formed.  Both steps share one loop: landing on output times, rejection
 causes, the positivity rule and the recording are the same.  Positivity
-is enforced by step rejection (default): any step that would produce a
-negative component is retried with half the step, so the balance diagnostics
-are never polluted by clamping.  The work integrals entering the energy
+is enforced by step rejection: any step that would produce a negative
+component is retried with half the step, so the balance diagnostics are
+never polluted by clamping.  The work integrals entering the energy
 balance (forcing input, per-generation viscous work, per-boundary flux) are
 advanced with the same stage values and weights as the solution (under
 RODAS4 as extra components whose Jacobian rows are the work rates'), so the
@@ -163,7 +163,6 @@ class SolverOptions:
     abs_tol: float = 1e-14
     max_step: float = math.inf
     initial_step: float | None = None
-    positivity_mode: str = "reject-and-halve"  # or "clamp-to-zero"
     max_rejections: int = 64
 
     def __post_init__(self):
@@ -173,8 +172,6 @@ class SolverOptions:
             raise DomainError("max_step must be > 0")
         if self.initial_step is not None and not (self.initial_step > 0):
             raise DomainError("initial_step must be > 0")
-        if self.positivity_mode not in ("reject-and-halve", "clamp-to-zero"):
-            raise DomainError(f"unknown positivity_mode {self.positivity_mode!r}")
         if self.max_rejections < 1:
             raise DomainError("max_rejections must be >= 1")
 
@@ -574,7 +571,6 @@ def integrate(
         raise NonFiniteState("integrate: derivative non-finite at initial state")
     record(0, y, y.min())
 
-    reject_halve = opts.positivity_mode == "reject-and-halve"
     rtol, atol = opts.rel_tol, opts.abs_tol
     h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step,
                                            err, yy)
@@ -655,7 +651,7 @@ def integrate(
             cause, shrink = "non-finite", 0.5
         elif err_norm > 1.0:
             cause, shrink = "error norm", _step_factor(err_norm, order)
-        elif (y_min := np.minimum.reduce(y_new)) < -atol and reject_halve:
+        elif (y_min := np.minimum.reduce(y_new)) < -atol:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
             # abs_tol is integration noise and is flattened below, anything

@@ -79,8 +79,18 @@ class TestConfigParsing:
     def test_missing_required(self):
         cfg = base_config()
         del cfg["t_end"]
-        with pytest.raises(ConfigError, match="t_end"):
+        with pytest.raises(ConfigError) as info:
             RunConfig.from_dict(cfg)
+        assert str(info.value) == "missing required field t_end"
+
+    def test_null_is_an_absent_field(self):
+        cfg = base_config(mode=None, solver={"rel_tol": None, "max_step": None,
+                                             "max_rejections": None},
+                          fit_window=None)
+        cfg["params"]["gamma"] = None
+        plain = base_config()
+        del plain["params"]["gamma"]
+        assert RunConfig.from_dict(cfg) == RunConfig.from_dict(plain)
 
     def test_classic_branching_forced(self):
         cfg = base_config(model="classic")
@@ -330,6 +340,23 @@ class TestSimulateCommand:
                       params=replace(config.params, max_nodes=4000))
         assert run_simulate(sym, tmp_path / "s").n_accepted > 0
 
+    def test_summary_echoes_every_field(self, tmp_path):
+        # a config that sets every field, each where it differs from the
+        # default; the echo is pinned byte for byte
+        cfg = write_config(tmp_path, {
+            "model": "tree", "mode": "full",
+            "params": {"alpha": 1.5, "gamma": 2, "nu": 0.01, "f": 0.5,
+                       "branching": 2, "depth": 4},
+            "initial": {"kind": "random_positive", "seed": 3, "scale": 0.1},
+            "t_end": 0.5, "output_interval": 0.25,
+            "solver": {"rel_tol": 1e-9, "abs_tol": 1e-15, "max_step": 0.1,
+                       "initial_step": 0.001, "max_rejections": 50},
+            "fit_window": [1, 3]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert text.startswith(SUMMARY_CONFIG_ECHO + '  "summary": {\n')
+
     def test_outputs_deterministic_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
             initial={"kind": "random_positive", "seed": 5, "scale": 0.3}))
@@ -338,6 +365,42 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("trajectory.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+#: the head of summary.json for TestSimulateCommand's config that sets
+#: every field
+SUMMARY_CONFIG_ECHO = """{
+  "config": {
+    "fit_window": [
+      1,
+      3
+    ],
+    "initial": {
+      "kind": "random_positive",
+      "scale": 0.1,
+      "seed": 3
+    },
+    "mode": "full",
+    "model": "tree",
+    "output_interval": 0.25,
+    "params": {
+      "alpha": 1.5,
+      "branching": 2,
+      "depth": 4,
+      "f": 0.5,
+      "gamma": 2.0,
+      "nu": 0.01
+    },
+    "solver": {
+      "abs_tol": 1e-15,
+      "initial_step": 0.001,
+      "max_rejections": 50,
+      "max_step": 0.1,
+      "rel_tol": 1e-09
+    },
+    "t_end": 0.5
+  },
+"""
 
 
 class TestSymmetricMode:
@@ -664,6 +727,67 @@ class TestBadInput:
         argv = command.split() + ["--config", path, "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        *(pytest.param(command, cfg, "config must be an object",
+                       id=f"{command}_config_{json.dumps(cfg)}")
+          for command in ("stationary", "selfsimilar", "lift",
+                          "dissipation-bound", "fit-spectrum")
+          for cfg in (5, None)),
+        pytest.param("stationary", "f", "config must be an object",
+                     id="stationary_config_string"),
+        pytest.param("simulate", base_config(initial={"kind": []}),
+                     "initial.kind must be one of", id="simulate_initial_kind_list"),
+        pytest.param("fit-spectrum",
+                     {"params": {"alpha": 1.0, "depth": 3}, "state_file": None},
+                     "missing required field state_file",
+                     id="fit_spectrum_state_file_null"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.5, "beta": 1.0, "depth": 3, "classic_file": []},
+                     "classic_file must be a string", id="lift_classic_file_list"),
+        pytest.param("lift",
+                     {"alpha_tilde": 0.5, "beta": 1.0, "depth": 3,
+                      "classic_values": [1.0, 0.5, 0.25, 0.125],
+                      "classic_file": "s.bin"},
+                     "exactly one of classic_values/classic_file",
+                     id="lift_classic_values_and_file"),
+        pytest.param("simulate",
+                     base_config(solver={"positivity_mode": "reject-and-halve"}),
+                     "unknown field solver.positivity_mode",
+                     id="simulate_positivity_mode_is_unknown"),
+    ])
+    def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command,
+                                  cfg, message):
+        monkeypatch.chdir(tmp_path)
+        p = ModelParams(alpha=1.0, branching=2, depth=3)
+        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), tmp_path / "s.bin")
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and message in line
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,cfg,name", [
+        pytest.param("fit-spectrum", {"params": {"alpha": 1.0, "depth": 3}},
+                     "state_file", id="fit_spectrum_state_file"),
+        pytest.param("lift", {"alpha_tilde": 0.5, "beta": 1.0, "depth": 3},
+                     "classic_file", id="lift_classic_file"),
+    ])
+    @pytest.mark.parametrize("fd", [0, 1, 2])
+    def test_file_name_that_is_a_descriptor(self, tmp_path, monkeypatch, capsys,
+                                            command, cfg, name, fd):
+        """A number is not a file name: open() would read or close that
+        descriptor.  The config is rejected before any state is loaded."""
+        def load(*args, **kwargs):
+            raise AssertionError("load_state ran")
+
+        monkeypatch.setattr(cli, "load_state", load)
+        path = write_config(tmp_path, {**cfg, name: fd})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {name} must be a string, got {fd}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content", [

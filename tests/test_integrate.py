@@ -325,21 +325,20 @@ class TestFailureModes:
             traj.state_at(0.123)  # not a recorded snapshot
 
 
-class TestPositivityModes:
-    def test_modes_validated(self):
-        with pytest.raises(ValueError):
-            SolverOptions(positivity_mode="null-out")
-
-    def test_clamp_mode_runs_and_stays_nonnegative(self):
+class TestPositivity:
+    def test_run_stays_nonnegative(self):
+        # a coarse tolerance on decaying random data: every rejection is an
+        # error-norm one, and no row reaches zero
         p = ModelParams(alpha=2.0, branching=2, depth=6, f=0.0)
         rng = np.random.default_rng(8)
         x = TreeState(rng.uniform(0.0, 1.0, p.n_nodes), p)
-        traj = integrate(x, 0.2,
-                         SolverOptions(rel_tol=1e-6, abs_tol=1e-12,
-                                       positivity_mode="clamp-to-zero"),
+        traj = integrate(x, 0.2, SolverOptions(rel_tol=1e-6, abs_tol=1e-12),
                          output_times=np.linspace(0.002, 0.2, 100))
         assert len(traj.times) == 101
-        assert (traj.min_value >= 0.0).all()
+        assert traj.n_accepted == 342
+        assert traj.rejected == {"error norm": 6, "non-finite": 0, "positivity": 0}
+        assert traj.n_flattened == 0
+        assert traj.min_value.min() == pytest.approx(3.086e-4, rel=1e-3)
         assert traj.final.values.min() >= 0.0
 
 
@@ -680,9 +679,9 @@ class TestSolverStats:
         # per flattening; no step spans more than one output interval
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
         traj = integrate(TreeState.zeros(p), 1.0,
-                         SolverOptions(positivity_mode="clamp-to-zero"),
                          output_times=np.linspace(0.01, 1.0, 100))
-        assert traj.stiff_from is None and traj.n_flattened > 0
+        assert traj.stiff_from is None and traj.n_flattened == 15
+        assert traj.rejected["positivity"] == 0
         attempts = traj.n_accepted + traj.n_rejected
         assert traj.n_rhs == 1 + 6 * attempts + traj.n_flattened
         assert 0.0 < traj.h_min < traj.h_max <= np.diff(traj.times).max()
@@ -717,13 +716,13 @@ class TestRecordedRows:
         assert traj.stiff_from is None
         self.assert_rows_are_fresh(traj)
 
-    def test_clamp_mode_run_that_flattens(self):
-        # components leaving exact zero go slightly negative and are
-        # flattened, on steps that land on 0.01, ..., 0.09
+    def test_dp5_run_that_flattens(self):
+        # components leaving exact zero go slightly negative, inside
+        # abs_tol, and are flattened, on steps that land on 0.01, ..., 0.09
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
-        traj = self.run(p, np.zeros(p.n_nodes), 1.0,
-                        SolverOptions(positivity_mode="clamp-to-zero"))
-        assert traj.stiff_from is None and traj.n_flattened > 0
+        traj = self.run(p, np.zeros(p.n_nodes), 1.0)
+        assert traj.stiff_from is None and traj.n_flattened == 15
+        assert traj.rejected["positivity"] == 0
         self.assert_rows_are_fresh(traj)
 
     def test_run_that_switches_to_rodas4(self):
