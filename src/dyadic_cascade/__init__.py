@@ -21,7 +21,6 @@ from .dynamics import (
     balance_residual,
     dissipation_time_bound,
     energy_report,
-    flux_budget_check,
     integrate,
     rhs_tree,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "children", "generation", "generation_offsets", "node_count", "parent", "pow2",
     "EnergyReport", "SolverOptions", "Trajectory",
     "balance_residual", "dissipation_time_bound", "energy_report",
-    "flux_budget_check", "integrate", "rhs_tree",
+    "integrate", "rhs_tree",
     "LiftSpec", "lift_params", "lift_state", "project_params",
     "project_state", "verify_lift_equivariance",
     "GraftedTreeState", "SelfSimilarProfile", "graft_selfsimilar",

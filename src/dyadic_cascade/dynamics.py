@@ -31,16 +31,19 @@ the error norm is also the attempt's finiteness check (see the stage loop).
 The RODAS4 step keeps an explicit scan of its stages and its new solution,
 since that solution is never an input of f before it is accepted.
 
-A run holds 9 arrays of the state's size, whatever its method: y, the 6
-stage rows K, the stage input and the error.  Stage 2 has zero solution and
-error weights (b_2 = e_2 = 0), so f(y5), DP5's 7th stage, takes its row
-once the last stage input is formed.  Every other scratch is a buffer that
-holds nothing the run still needs at that point: the initial step computes
-in the stage input and the error, the error norm in a stage row that err
-has consumed, the stiffness estimate in the error and the stage input.
-RODAS4 borrows all 6 rows of K for its stage increments; f(y) moves to its
-own array when the run switches.  The final state is copied after the loop,
-once the work arrays are gone, so it adds nothing to the peak.
+A run holds 8 arrays of the state's size, whatever its method: y, the 6
+stage rows K and the stage input.  Stage 2 has zero solution and error
+weights (b_2 = e_2 = 0), so f(y5), DP5's 7th stage, takes its row once the
+last stage input is formed.  DP5's error estimate is a 9th array only while
+it is normed: it is formed after the last stage and dropped before the next
+attempt's first.  Every other scratch is a buffer that holds nothing the
+run still needs at that point: the initial step computes in K[1] and the
+stage input, the error norm in K[2], which the estimate has consumed, and
+the stiffness estimate in K[2] and the stage input, once it has read K[1]
+and K[5].  RODAS4 borrows all 6 rows of K for its stage increments; f(y)
+moves to its own array when the run switches.  The final state is copied
+after the loop, once the work arrays are gone, so it adds nothing to the
+peak.
 
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs under one
@@ -61,7 +64,6 @@ from .core import ModelParams, TreeState, one_minus_pow2
 from .errors import (
     CapacityExceeded,
     DomainError,
-    ForcedRun,
     MaxRejections,
     NonFiniteResult,
     NonFiniteState,
@@ -308,8 +310,9 @@ def _landing_times(times, t_end: float) -> list:
 def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
     """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, computed in
     scratch without temporaries; bit-equal to the np.mean form.  integrate
-    passes a stage row that err has consumed: K[2] under DP5, k[0] under
-    RODAS4."""
+    passes a stage row that err has consumed: K[2] under DP5, whose err is
+    a temporary that lives only for this call, and k[0] under RODAS4, whose
+    err is k[5]."""
     sc = np.abs(y5, out=scratch)
     np.maximum(sc, y, out=sc)
     sc *= rtol
@@ -321,9 +324,10 @@ def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
 
 def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
     """The first step from y, whose derivative is f0.  sc and quotient are
-    scratch arrays of y's size (integrate passes the error and the stage
-    input); the operations are those of sc = abs_tol + rel_tol * |y| and
-    mean((y / sc)^2), in that order, so h0 is bit-equal to that form."""
+    scratch arrays of y's size (integrate passes K[1] and the stage input,
+    which no attempt has written yet); the operations are those of sc =
+    abs_tol + rel_tol * |y| and mean((y / sc)^2), in that order, so h0 is
+    bit-equal to that form."""
     np.abs(y, out=sc)
     sc *= rel_tol
     sc += abs_tol
@@ -338,12 +342,13 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
 
 def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
     """h rho(J) for DOPRI5's stiffness test, computed in the scratch arrays
-    u and ju (integrate passes the error and the stage input).  K[1] -
-    K[5] = f(y5) - f(Y6), Y6 the input of stage 6, is about J (y5 - Y6):
-    DOPRI5's quotient ||K[1] - K[5]|| / ||y5 - Y6|| is one power step from
-    y5 - Y6.  That difference is mostly non-stiff error, so the quotient
-    reads far below rho(J); two more power steps with the Jacobian at y give
-    h sqrt(||J^2 u|| / ||u||), u = K[1] - K[5].
+    u and ju (integrate passes K[2] and the stage input, which the next
+    attempt writes before it reads them; u is written only after K[1] and
+    K[5] are read).  K[1] - K[5] = f(y5) - f(Y6), Y6 the input of stage 6,
+    is about J (y5 - Y6): DOPRI5's quotient ||K[1] - K[5]|| / ||y5 - Y6|| is
+    one power step from y5 - Y6.  That difference is mostly non-stiff
+    error, so the quotient reads far below rho(J); two more power steps with
+    the Jacobian at y give h sqrt(||J^2 u|| / ||u||), u = K[1] - K[5].
 
     At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
     one more round of two steps: on stiff chains two steps from y + 1 read
@@ -435,8 +440,9 @@ _BOUND_CALL_VALUES = 1024
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     """Values of 8 bytes integrate holds at its peak besides the initial
     state, a bound of its tracemalloc peak:
-    - 9 work arrays of the state's size n: y, 6 stage rows, the stage input
-      and the error;
+    - 9 arrays of the state's size n: the 8 work arrays (y, 6 stage rows and
+      the stage input) and DP5's error estimate, which lives while it is
+      normed;
     - n_keep kept states.  The final state is copied once the work arrays
       are dropped, so it is not among them;
     - the kernel's 2 coefficient arrays of n_int values, n_int the internal
@@ -455,7 +461,8 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
       _BOUND_CALL_VALUES per generation.  On a chain the factor (a_p and
       1/pivot) and the sweep's copy of r are lists of Python floats, 32
       bytes or 4 values per entry: 12 n.
-    The kernel's temporaries in a DP5 step, at most 9 n_int (N = 8), are
+    The kernel's temporaries in a DP5 step, at most 3 n_int + 6 min(n_int,
+    kernels._COLUMN_CHUNK) in the stiffness estimate's jvp (N = 8), are
     below the RODAS4 allowance, and a run that has switched makes no DP5
     step.  n_outputs may be an inf float."""
     n, depth, n_int = params.n_nodes, params.depth, params.offsets[-2]
@@ -548,7 +555,6 @@ def integrate(
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
     e_last = np.empty(nq_v)  # generation energies of the last rhs_work input
     yy = np.empty(n)   # stage input; after the last stage, the new solution
-    err = np.empty(n)
 
     def record(i, y, y_min):
         # energies beyond the float range show in the row itself; work
@@ -573,7 +579,7 @@ def integrate(
 
     rtol, atol = opts.rel_tol, opts.abs_tol
     h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step,
-                                           err, yy)
+                                           K[1], yy)
     h = min(h, t_end, opts.max_step)
 
     t = 0.0
@@ -627,15 +633,15 @@ def integrate(
             # - f of a state with a non-finite entry is non-finite, at that
             #   node or at its parent;
             # - every stage but stage 2 has a nonzero e weight, so a
-            #   non-finite stage makes err non-finite (inf - inf and 0 * inf
-            #   are NaN);
+            #   non-finite stage makes the error estimate non-finite (inf -
+            #   inf and 0 * inf are NaN);
             # - stage 2 enters stage 3's input with weight 9/40, and y5 is
             #   f(y5)'s.
             # Only on a lone undamped node, whose f is constant, can y5
             # overflow with finite stages: there y5 is one value to check.
             n_rhs += 6
-            np.matmul(h * _E, K, out=err)
-            err_norm = _error_norm(err, y, yy, rtol, atol, K2)
+            # the error estimate lives only while it is normed
+            err_norm = _error_norm(np.matmul(h * _E, K), y, yy, rtol, atol, K2)
             finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
             dq = rodas.attempt(y, h, out=yy)
@@ -704,8 +710,8 @@ def integrate(
 
         if tests and rodas is None:
             n_tests += 1
-            # err and the stage input hold nothing the next attempt reads
-            if _stiffness_estimate(kernel, y, K, h_taken, err, yy) > _STIFF_H_LAMBDA:
+            # K[2] and the stage input hold nothing the next attempt reads
+            if _stiffness_estimate(kernel, y, K, h_taken, K2, yy) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
@@ -720,7 +726,7 @@ def integrate(
     # K and every view of it are dropped before the final state is copied;
     # the stage loop's names are rebound, as a run without a DP5 attempt
     # never bound them
-    del K, K0, K1, K2, stages, yy, y_new, err, rodas, kernel
+    del K, K0, K1, K2, stages, yy, y_new, rodas, kernel
     weights = block = k_out = w_out = None
     kept[ti] = final = TreeState(y, params)
     return Trajectory(
@@ -774,22 +780,6 @@ def balance_residual(traj: Trajectory, s: float, t: float,
     viscous = 2.0 * params.nu * float(
         np.add.reduce(traj.work_visc[j, : m + 1] - traj.work_visc[i, : m + 1]))
     return e_t - e_s - forcing + viscous
-
-
-def flux_budget_check(traj: Trajectory, n: int) -> tuple[float, float]:
-    """Accumulated flux through the n -> n+1 boundary over the computed
-    horizon, paired with E_n(0).  Contract (f = 0): flux <= E_n(0)."""
-    params = traj.params
-    if params.f != 0.0:
-        raise ForcedRun("flux budget inequality requires f = 0")
-    if n < -1 or n > params.depth:
-        raise RangeError(f"boundary index {n} outside -1..{params.depth}")
-    if n == -1:
-        return 0.0, 0.0
-    e_n0 = float(np.add.reduce(traj.energies[0, : n + 1]))
-    if n == params.depth:
-        return 0.0, e_n0  # no stored generation beyond the truncation
-    return float(traj.work_flux[-1, n]), e_n0
 
 
 def dissipation_time_bound(epsilon: float, eta: float,

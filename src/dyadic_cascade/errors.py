@@ -43,10 +43,6 @@ class MaxRejections(CascadeError):
     """Too many consecutive step rejections."""
 
 
-class ForcedRun(CascadeError):
-    """Operation requires an unforced (f = 0) trajectory."""
-
-
 class RangeError(CascadeError):
     """Requested time is outside (or not stored in) the trajectory."""
 

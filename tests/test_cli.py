@@ -513,8 +513,8 @@ class TestOtherCommands:
 EXIT_2_ERRORS = (
     errors.CascadeError, errors.RootHasNoParent, errors.NonFiniteState,
     errors.NonFiniteResult,
-    errors.StepSizeUnderflow, errors.MaxRejections, errors.ForcedRun,
-    errors.RangeError, errors.DepthMismatch, errors.BracketFailure,
+    errors.StepSizeUnderflow, errors.MaxRejections, errors.RangeError,
+    errors.DepthMismatch, errors.BracketFailure,
     errors.NoConvergence, errors.OverlapError, errors.GenerationMismatch,
     errors.PoleMismatch,
 )

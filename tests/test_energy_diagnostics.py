@@ -8,14 +8,14 @@ from dyadic_cascade import (
     TreeState,
     balance_residual,
     energy_report,
-    flux_budget_check,
     integrate,
     lift_state,
     pow2,
     solve_viscous_stationary,
 )
-from dyadic_cascade.errors import ForcedRun, RangeError
+from dyadic_cascade.errors import RangeError
 from dyadic_cascade.kernels import boundary_fluxes, generation_energies
+from flux_oracle import ForcedRun, flux_budget_check
 
 
 class TestEnergyReport:

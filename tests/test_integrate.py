@@ -362,6 +362,20 @@ class TestErrorNorm:
         assert _error_norm(err, y, y5, rtol, atol, np.empty(n)) == expected
 
 
+class TestInitialStep:
+    def test_step_in_a_stage_row_is_the_separate_scratch_one(self):
+        # integrate's scratch is K[1] and the stage input, with f0 = K[0]
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
+        rng = np.random.default_rng(2)
+        y = rng.uniform(0.0, 0.01, p.n_nodes)
+        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+        args = (y, K[0], 1e-8, 1e-14, math.inf, math.inf)
+        separate = dynamics._initial_step(*args, *np.empty((2, p.n_nodes)))
+        in_rows = dynamics._initial_step(*args, K[1], np.empty(p.n_nodes))
+        assert 0.0 < in_rows < 1e-3
+        assert in_rows.hex() == separate.hex()
+
+
 def forced_chain(depth, t_end=1.0, keep=()):
     """The forced inviscid chain from root_only 1 with 100 outputs: at depth
     18 DP5 is stability-limited from t = 0.74 on."""
@@ -558,6 +572,27 @@ class TestStiffDetection:
         scratch = np.empty((2, p.n_nodes))
         estimate = dynamics._stiffness_estimate(kernel, y, K, h, *scratch)
         assert dynamics._STIFF_H_LAMBDA < estimate <= 1.1 * 3.2
+
+    @pytest.mark.parametrize("branching,depth", [(2, 12), (8, 5)])
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_estimate_in_stage_rows_is_the_separate_scratch_one(self, branching, depth,
+                                                               fixed_point):
+        # integrate's u is K[2] and its ju the stage input: the estimate reads
+        # K[1] and K[5] before it writes u, so it equals the estimate in
+        # separate arrays bit for bit, on the power steps from K[1] - K[5]
+        # and on those from y + 1 at a bitwise fixed point
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=branching,
+                        depth=depth)
+        kernel = dynamics.make_kernel(p)
+        rng = np.random.default_rng(depth)
+        y = rng.uniform(0.0, 0.01, p.n_nodes)
+        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+        if fixed_point:
+            K[5] = K[1]
+        separate = dynamics._stiffness_estimate(kernel, y, K.copy(), 1e-3,
+                                                *np.empty((2, p.n_nodes)))
+        in_rows = dynamics._stiffness_estimate(kernel, y, K, 1e-3, K[2], np.empty(p.n_nodes))
+        assert in_rows.hex() == separate.hex()
 
     ESTIMATE_PROBE = """
 import numpy as np
@@ -757,19 +792,22 @@ def traced_run(initial, t_end, output_times=(), keep=()):
 
 
 class TestCapacity:
-    def test_an_8_ary_run_holds_10_states_at_its_peak(self):
-        # the 9 work arrays and the kept state, kept at t = 0 so that it is
-        # held from the initial step on; besides them only the kernel's
-        # arrays of n_int values (2 coefficients, and up to 9 temporaries in
-        # the stiffness estimate's jvp), the rows and Python objects.  One
-        # more state-sized array is 37,449 values
+    def test_an_8_ary_run_holds_9_states_at_its_peak(self):
+        # the 8 work arrays and the kept state, kept at t = 0 so that it is
+        # held from the initial step on; besides them the kernel's 2
+        # coefficient arrays of n_int values, the rows and Python objects,
+        # and either the DP5 error estimate while it is normed (one state)
+        # or the stiffness estimate's jvp temporaries (up to 9 n_int: n_int =
+        # 4,681 is below the column-sum chunk).  The state is n = 37,449 <
+        # 9 n_int values, so the estimate fits the jvp's allowance, and one
+        # more state-sized array does not
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
         traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
         assert traj.stiff_from is None and traj.n_stiffness_tests > 0
         assert peak <= 8 * held_values(p, 100, 1)
         rows = 101 * (4 * p.depth + 5) + 4 * 100
-        arrays = 10 * p.n_nodes + 11 * p.offsets[-2]
+        arrays = 9 * p.n_nodes + 11 * p.offsets[-2]
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
 
     @pytest.mark.parametrize("branching,depth,alpha,nu,f,root,t_end", [

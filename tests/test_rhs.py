@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from dyadic_cascade import (
 )
 from dyadic_cascade.errors import NonFiniteState
 from dyadic_cascade.kernels import (
+    _COLUMN_CHUNK,
     _child_sums,
+    _column_sum,
     boundary_fluxes,
     generation_energies,
     make_kernel,
@@ -250,6 +253,53 @@ class TestChildSums:
             y = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, -1000, n)
         expected = y[1:].reshape(-1, branching).sum(axis=1)
         assert _child_sums(y, branching).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("parents", [1, _COLUMN_CHUNK - 1, _COLUMN_CHUNK,
+                                         _COLUMN_CHUNK + 1, 3 * _COLUMN_CHUNK + 5])
+    def test_chunked_8_ary_sum_is_the_whole_array_sum(self, parents):
+        # the 8-ary sum runs _COLUMN_CHUNK parents at a time in the same
+        # association as the whole-array form of kernel_oracle, zero sums and
+        # their signs included: rows of -0.0 give -0.0, rows of x and -x +0.0
+        rng = np.random.default_rng(parents)
+        x = rng.uniform(-1.0, 1.0, 8 * parents) * 10.0 ** rng.integers(-40, 40, 8 * parents)
+        rows = x.reshape(-1, 8)
+        rows[::3] = -0.0
+        rows[1::5, 1::2] = -rows[1::5, 0::2]
+        cols = rows.T
+        expected = kernel_oracle._column_sum(cols)
+        zero_signs = np.signbit(expected[expected == 0.0])
+        assert zero_signs[0] and (parents == 1 or not zero_signs.all())
+        assert _column_sum(cols).tobytes() == expected.tobytes()
+
+
+class TestKernelTemporaries:
+    """On an 8-ary tree beyond the column-sum chunk, rhs, rhs_work and jvp
+    with their outputs given allocate at most 3 arrays of n_int values
+    (n_int = 37,449 internal nodes) and one chunk's pairs and quads (6
+    rows of _COLUMN_CHUNK), besides a few array headers."""
+
+    @pytest.mark.parametrize("method", ["rhs", "rhs_work", "jvp"])
+    def test_peak_is_bounded_by_the_chunk(self, method):
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=6)
+        kernel = make_kernel(p)
+        rng = np.random.default_rng(1)
+        y = rng.uniform(0.0, 0.01, p.n_nodes)
+        v = rng.normal(0.0, 1.0, p.n_nodes)
+        out = np.empty(p.n_nodes)
+        work, energies = np.empty(2 * p.depth + 2), np.empty(p.depth + 1)
+        call = {"rhs": lambda: kernel.rhs(y, out=out),
+                "rhs_work": lambda: kernel.rhs_work(y, out=out, work_out=work,
+                                                    energies_out=energies),
+                "jvp": lambda: kernel.jvp(y, v, out=out)}[method]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * kernel.n_internal + 6 * _COLUMN_CHUNK) + 4096
 
 
 def split_pairwise_sums(values, offsets):
