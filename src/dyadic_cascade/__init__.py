@@ -33,14 +33,10 @@ from .lift import (
     verify_lift_equivariance,
 )
 from .selfsimilar import (
-    GraftedTreeState,
     SelfSimilarProfile,
-    graft_selfsimilar,
-    lift_residual,
     lift_selfsimilar,
     shifted_profile,
     solve_selfsimilar_classic,
-    tree_coefficient_energy,
 )
 from .stationary import (
     RegimeInfo,
@@ -63,9 +59,8 @@ __all__ = [
     "integrate", "rhs_tree",
     "LiftSpec", "lift_params", "lift_state", "project_params",
     "project_state", "verify_lift_equivariance",
-    "GraftedTreeState", "SelfSimilarProfile", "graft_selfsimilar",
-    "lift_residual", "lift_selfsimilar", "shifted_profile",
-    "solve_selfsimilar_classic", "tree_coefficient_energy",
+    "SelfSimilarProfile", "lift_selfsimilar", "shifted_profile",
+    "solve_selfsimilar_classic",
     "RegimeInfo", "StationaryProfile", "asymptotic_flux", "classify_regime",
     "inviscid_classic_profile", "inviscid_tree_profile",
     "solve_viscous_stationary", "stationary_tree_profile",

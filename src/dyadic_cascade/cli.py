@@ -454,10 +454,11 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
                 f"multiple of output_interval {config.output_interval!r} or "
                 f"t_end {config.t_end!r}") from None
 
-    initial = (_symmetric_classic_initial(config, run_params, spec)
-               if config.mode == "symmetric" else build_initial(config))
-    traj = integrate(initial, config.t_end, config.solver,
-                     output_times=outputs, keep=keep)
+    # integrate gets the only reference to the initial state, so the state
+    # is freed once integrate has copied it
+    traj = integrate(_symmetric_classic_initial(config, run_params, spec)
+                     if config.mode == "symmetric" else build_initial(config),
+                     config.t_end, config.solver, output_times=outputs, keep=keep)
 
     depth = run_params.depth
     header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]

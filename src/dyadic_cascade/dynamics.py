@@ -32,24 +32,25 @@ The RODAS4 step keeps an explicit scan of its stages and its new solution,
 since that solution is never an input of f before it is accepted.
 
 A run holds 8 arrays of the state's size, whatever its method: y, the 6
-stage rows K and the stage input.  Stage 2 has zero solution and error
-weights (b_2 = e_2 = 0), so f(y5), DP5's 7th stage, takes its row once the
-last stage input is formed.  DP5's error estimate is a 9th array only while
-it is normed: it is formed after the last stage and dropped before the next
-attempt's first.  Every other scratch is a buffer that holds nothing the
-run still needs at that point: the initial step computes in K[1] and the
-stage input, the error norm in K[2], which the estimate has consumed, and
-the stiffness estimate in K[2] and the stage input, once it has read K[1]
-and K[5].  RODAS4 borrows all 6 rows of K for its stage increments; f(y)
-moves to its own array when the run switches.  The final state is copied
-after the loop, once the work arrays are gone, so it adds nothing to the
-peak.
+stage rows K and the stage input.  The caller's initial state is not among
+them: integrate copies it into y and drops it before the run allocates.
+Stage 2 has zero solution and error weights (b_2 = e_2 = 0), so f(y5),
+DP5's 7th stage, takes its row once the last stage input is formed.  DP5's
+error estimate never takes a 9th array: the norm forms it in column blocks
+of _NORM_BLOCK and writes each block's squares into the slice of K[2] that
+the block has just read.  Every other scratch is a buffer that holds
+nothing the run still needs at that point: the initial step computes in
+K[1] and the stage input, and the stiffness estimate in K[2] and the stage
+input, once it has read K[1] and K[5].  RODAS4 borrows all 6 rows of K for
+its stage increments; f(y) moves to its own array when the run switches.
+The final state is copied after the loop, once the work arrays are gone,
+so it adds nothing to the peak.
 
 Overflow is part of the control flow: a step whose stages overflow is
-rejected, not reported.  integrate therefore runs under one
-np.errstate(over="ignore", invalid="ignore"), entered once per call by its
-decorator; rhs_tree and lift.verify_lift_equivariance enter the same state
-around their kernel calls.  The kernel itself never touches the
+rejected, not reported.  integrate therefore runs its loop under one
+np.errstate(over="ignore", invalid="ignore"), entered once per call by the
+loop's decorator; rhs_tree and lift.verify_lift_equivariance enter the
+same state around their kernel calls.  The kernel itself never touches the
 floating-point error state.
 """
 
@@ -87,6 +88,9 @@ _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # stage 2, whose weight is zero
 _E = np.array((71 / 57600, -1 / 40, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525))
 _ORDER = 5
+# columns of DP5's error estimate formed at a time on larger states: blocks
+# of this size gave the bytes of one BLAS thread under 1 and 2 threads
+_NORM_BLOCK = 16384
 _EPS = float(np.finfo(np.float64).eps)
 #: why a step attempt was rejected, in the order Trajectory.rejected lists them
 REJECTION_CAUSES = ("error norm", "non-finite", "positivity")
@@ -307,19 +311,37 @@ def _landing_times(times, t_end: float) -> list:
     return targets
 
 
-def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
-    """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, computed in
-    scratch without temporaries; bit-equal to the np.mean form.  integrate
-    passes a stage row that err has consumed: K[2] under DP5, whose err is
-    a temporary that lives only for this call, and k[0] under RODAS4, whose
-    err is k[5]."""
-    sc = np.abs(y5, out=scratch)
-    np.maximum(sc, y, out=sc)
-    sc *= rtol
-    sc += atol
-    np.divide(err, sc, out=sc)
-    np.square(sc, out=sc)
-    return math.sqrt(float(np.add.reduce(sc)) / sc.size)
+def _error_norm(err, y, y5, rtol, atol, scratch, rows=None) -> float:
+    """RMS of e / (atol + rtol * max(|y|, |y5|)) for y >= 0, e = err or,
+    given rows, err @ rows; bit-equal to the np.mean form.  The squares are
+    formed in scratch, one np.add.reduce sums them.  integrate passes
+    k[5] and k[0] under RODAS4, and DP5's h _E and K with K[2] as scratch:
+    the estimate is then formed in column blocks of _NORM_BLOCK, each into
+    a buffer of this call and its squares into the slice of K[2] the block
+    has just read, so that it never takes a state-sized array."""
+    n, b = y.size, _NORM_BLOCK
+    if rows is None or n <= b:
+        _scaled_squares(err if rows is None else np.matmul(err, rows), y, y5, rtol, atol,
+                        scratch)
+    else:
+        # a last block of one column would be a dot product, which sums in
+        # another order than gemv: that column joins the block before it
+        bounds = [*range(0, n - 1, b), n]
+        buffer = np.empty(max(b, n - bounds[-2]))
+        for lo, hi in zip(bounds, bounds[1:]):
+            _scaled_squares(np.matmul(err, rows[:, lo:hi], out=buffer[:hi - lo]),
+                            y[lo:hi], y5[lo:hi], rtol, atol, scratch[lo:hi])
+    return math.sqrt(float(np.add.reduce(scratch)) / n)
+
+
+def _scaled_squares(err, y, y5, rtol, atol, out):
+    """out = (err / (atol + rtol * max(|y|, |y5|)))^2, without temporaries."""
+    np.abs(y5, out=out)
+    np.maximum(out, y, out=out)
+    out *= rtol
+    out += atol
+    np.divide(err, out, out=out)
+    np.square(out, out=out)
 
 
 def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
@@ -438,11 +460,13 @@ _BOUND_CALL_VALUES = 1024
 
 
 def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
-    """Values of 8 bytes integrate holds at its peak besides the initial
-    state, a bound of its tracemalloc peak:
-    - 9 arrays of the state's size n: the 8 work arrays (y, 6 stage rows and
-      the stage input) and DP5's error estimate, which lives while it is
-      normed;
+    """Values of 8 bytes integrate holds at its peak, a bound of its
+    tracemalloc peak.  The initial state is not counted: integrate drops it
+    once it has copied it, so it is held only by a caller that keeps it.
+    - the 8 work arrays of the state's size n: y, 6 stage rows and the
+      stage input;
+    - a block of DP5's error estimate, at most min(n, _NORM_BLOCK + 1)
+      values, which lives while it is normed;
     - n_keep kept states.  The final state is copied once the work arrays
       are dropped, so it is not among them;
     - the kernel's 2 coefficient arrays of n_int values, n_int the internal
@@ -474,7 +498,7 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     stiff = 4 * n + factor + 2 * nw
     fixed = 2 * n_int + 8 * nw + depth + 1 + _OBJECT_VALUES
     rows = (n_outputs + 1) * (4 * depth + 5) + 4 * n_outputs
-    return (9 + n_keep) * n + stiff + fixed + rows
+    return (8 + n_keep) * n + min(n, _NORM_BLOCK + 1) + stiff + fixed + rows
 
 
 def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
@@ -486,7 +510,6 @@ def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
             f"the budget of {params.max_nodes} ({8 * params.max_nodes:.3g} bytes)")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: TreeState,
     t_end: float = 1.0,
@@ -514,6 +537,10 @@ def integrate(
     stage blocks, h times the tableau and W's rows are bound once per run,
     stage 1 is out of the stage loop and a target's landing threshold is
     formed when the target changes.
+
+    integrate copies the initial state and drops its references to it
+    before it allocates the run's arrays, so a caller that holds the state
+    nowhere else, as cli.run_simulate does, frees it for the whole run.
     """
     params = initial.params
     values = initial.values
@@ -533,8 +560,16 @@ def integrate(
 
     targets = _landing_times([*output_times, *keep_inside], t_end)
     check_capacity(params, len(targets), len(keep))
-
     y = np.array(values, dtype=np.float64)
+    del initial, values
+    return _integrate(y, params, t_end, opts, targets, keep)
+
+
+# np.errstate's decorator holds the call's arguments until the call returns,
+# so it wraps the loop, whose arguments hold no initial state
+@np.errstate(over="ignore", invalid="ignore")
+def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
+    """integrate's run from y, a copy of the initial state that it owns."""
     kernel = make_kernel(params)
     depth = params.depth
     nq_v = depth + 1
@@ -640,8 +675,7 @@ def integrate(
             # Only on a lone undamped node, whose f is constant, can y5
             # overflow with finite stages: there y5 is one value to check.
             n_rhs += 6
-            # the error estimate lives only while it is normed
-            err_norm = _error_norm(np.matmul(h * _E, K), y, yy, rtol, atol, K2)
+            err_norm = _error_norm(h * _E, y, yy, rtol, atol, K2, rows=K)
             finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
             dq = rodas.attempt(y, h, out=yy)

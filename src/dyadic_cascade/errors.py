@@ -72,19 +72,6 @@ class NoConvergence(CascadeError):
     """Iteration budget exhausted before the acceptance condition."""
 
 
-class OverlapError(CascadeError):
-    """Grafted subtrees overlap."""
-
-
-class GenerationMismatch(CascadeError):
-    """Graft target generation is incompatible with the profile's first
-    nonzero generation."""
-
-
-class PoleMismatch(CascadeError):
-    """Grafts with different pole times combined in one state."""
-
-
 class DegenerateWindow(DomainError):
     """Spectrum fit window has fewer than two usable generations."""
 

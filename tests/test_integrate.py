@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dyadic_cascade import (
     solve_viscous_stationary,
 )
 from dyadic_cascade import dynamics
-from dyadic_cascade.dynamics import _error_norm, _Rodas4, held_values
+from dyadic_cascade.dynamics import _NORM_BLOCK, _error_norm, _Rodas4, held_values
 from dyadic_cascade.kernels import Kernel, boundary_fluxes, generation_energies
 from dyadic_cascade.errors import (
     CapacityExceeded,
@@ -360,6 +361,52 @@ class TestErrorNorm:
         expected = math.sqrt(float(np.mean(np.square(
             err / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))))))
         assert _error_norm(err, y, y5, rtol, atol, np.empty(n)) == expected
+
+    @pytest.mark.parametrize("n", [1, _NORM_BLOCK - 1, _NORM_BLOCK, _NORM_BLOCK + 1,
+                                   2 * _NORM_BLOCK + 1, 3 * _NORM_BLOCK + 5])
+    def test_blocked_estimate_is_bit_equal_to_the_whole_product(self, n):
+        # DP5's estimate h _E @ K, formed block by block with its squares in
+        # K[2], against the whole product normed with K[2] as scratch
+        rng = np.random.default_rng(n)
+        K = rng.normal(0.0, 1.0, (6, n)) * 10.0 ** rng.integers(-12, 3, (6, n))
+        y = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 3, n)
+        y[::7] = 0.0
+        y[3::11] = -0.0
+        y5 = y * (1.0 + rng.normal(0.0, 1e-6, n))
+        y5[::13] = -rng.uniform(0.0, 1e-15, len(y5[::13]))
+        y5[5::17] = -0.0
+        for h in (1e-3, 0.37):
+            whole, blocked = K.copy(), K.copy()
+            expected = whole_error_norm(np.matmul(h * dynamics._E, whole), y, y5, 1e-8,
+                                        1e-14, whole[2])
+            got = _error_norm(h * dynamics._E, y, y5, 1e-8, 1e-14, blocked[2], rows=blocked)
+            assert got.hex() == expected.hex()
+            assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, _NORM_BLOCK - 1, _NORM_BLOCK, 2 * _NORM_BLOCK + 4])
+    def test_blocked_estimate_of_a_non_finite_stage_is_not_finite(self, bad, at):
+        # the norm is the finiteness check of a DP5 attempt
+        n = 2 * _NORM_BLOCK + 5
+        rng = np.random.default_rng(at)
+        y = rng.uniform(0.0, 1.0, n)
+        for row in (0, 2, 5):
+            K = rng.normal(0.0, 1.0, (6, n))
+            K[row, at] = bad
+            assert not math.isfinite(
+                _error_norm(1e-3 * dynamics._E, y, y, 1e-8, 1e-14, K[2], rows=K))
+
+
+def whole_error_norm(err, y, y5, rtol, atol, scratch) -> float:
+    """The norm of an estimate err formed whole, in the stage row scratch:
+    the oracle of the blocked form."""
+    sc = np.abs(y5, out=scratch)
+    np.maximum(sc, y, out=sc)
+    sc *= rtol
+    sc += atol
+    np.divide(err, sc, out=sc)
+    np.square(sc, out=sc)
+    return math.sqrt(float(np.add.reduce(sc)) / sc.size)
 
 
 class TestInitialStep:
@@ -796,11 +843,9 @@ class TestCapacity:
         # the 8 work arrays and the kept state, kept at t = 0 so that it is
         # held from the initial step on; besides them the kernel's 2
         # coefficient arrays of n_int values, the rows and Python objects,
-        # and either the DP5 error estimate while it is normed (one state)
-        # or the stiffness estimate's jvp temporaries (up to 9 n_int: n_int =
-        # 4,681 is below the column-sum chunk).  The state is n = 37,449 <
-        # 9 n_int values, so the estimate fits the jvp's allowance, and one
-        # more state-sized array does not
+        # and the stiffness estimate's jvp temporaries (up to 9 n_int: n_int
+        # = 4,681 is below the column-sum chunk), which exceed a block of
+        # the DP5 error estimate.  One more state-sized array does not fit
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
         traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
@@ -809,6 +854,42 @@ class TestCapacity:
         rows = 101 * (4 * p.depth + 5) + 4 * 100
         arrays = 9 * p.n_nodes + 11 * p.offsets[-2]
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
+
+    def test_a_16_ary_run_holds_no_state_sized_error_estimate(self):
+        # n = 69,905 is about 16 n_int, so the stiffness estimate's jvp
+        # temporaries stay far below a state, and DP5's error norm sets the
+        # peak: the 8 work arrays, the kept state, the kernel's 2 n_int and
+        # a block of the error estimate
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=16, depth=4)
+        initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
+        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
+        assert traj.stiff_from is None and traj.n_stiffness_tests > 0
+        rows = 101 * (4 * p.depth + 5) + 4 * 100
+        arrays = 9 * p.n_nodes + 2 * p.offsets[-2] + _NORM_BLOCK
+        assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
+        assert peak <= 8 * held_values(p, 100, 1)
+
+    def test_integrate_frees_an_initial_state_that_only_it_holds(self, monkeypatch):
+        # the state is copied and dropped before the run allocates, and no
+        # wrapper of integrate holds it: it is gone by the first rhs_work
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=5)
+        refs, alive = [], []
+        rhs_work = Kernel.rhs_work
+
+        def first_rhs_work(self, *args, **kwargs):
+            if not alive:
+                alive.append(refs[0]() is not None)
+            return rhs_work(self, *args, **kwargs)
+
+        def state():
+            s = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
+            refs.append(weakref.ref(s.values))
+            return s
+
+        monkeypatch.setattr(Kernel, "rhs_work", first_rhs_work)
+        traj = integrate(state(), 0.01)
+        assert alive == [False]
+        assert traj.n_accepted > 0
 
     @pytest.mark.parametrize("branching,depth,alpha,nu,f,root,t_end", [
         (2, 7, 2.0, 0.0, 1.0, 1.0, 1.0),     # switches at t = 0.95
@@ -826,9 +907,10 @@ class TestCapacity:
         # every run may switch, and RODAS4's workspace is O(n): 16 n + 2 nw
         # on a chain (its factor is lists of Python floats), 8 n + 2 n_int +
         # 2 nw and 1024 values per generation on a tree, n_int internal
-        # nodes and nw = 2 depth + 2 work rates.  DP5 holds 9 n, the kept
-        # state n, the kernel 2 n_int, the work rates and energies 8 nw +
-        # depth + 1, and Python objects 2048 values
+        # nodes and nw = 2 depth + 2 work rates.  DP5 holds 8 n and a block
+        # of its error estimate, min(n, 16,385), the kept state n, the
+        # kernel 2 n_int, the work rates and energies 8 nw + depth + 1, and
+        # Python objects 2048 values
         for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 16 * 19 + 2 * 38),
                          (ModelParams(alpha=1.0, branching=2, depth=8),
                           8 * 511 + 2 * 255 + 1024 * 8 + 2 * 18),
@@ -837,7 +919,8 @@ class TestCapacity:
             nw = 2 * p.depth + 2
             fixed = 2 * p.offsets[-2] + 8 * nw + p.depth + 1 + 2048
             rows = 101 * (4 * p.depth + 5) + 4 * 100
-            assert held_values(p, 100, 1) == 10 * p.n_nodes + stiff + fixed + rows
+            block = min(p.n_nodes, 16385)
+            assert held_values(p, 100, 1) == 9 * p.n_nodes + block + stiff + fixed + rows
 
     def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)

@@ -3,28 +3,27 @@ import numpy as np
 import pytest
 
 import shooting_oracle as oracle
+from selfsimilar_oracle import (
+    GenerationMismatch,
+    OverlapError,
+    PoleMismatch,
+    graft_selfsimilar,
+    lift_residual,
+    tree_coefficient_energy,
+)
 
 from dyadic_cascade import (
     ModelParams,
     SolverOptions,
     TreeState,
     energy_report,
-    graft_selfsimilar,
     integrate,
-    lift_residual,
     lift_selfsimilar,
     pow2,
     shifted_profile,
     solve_selfsimilar_classic,
-    tree_coefficient_energy,
 )
-from dyadic_cascade.errors import (
-    DomainError,
-    GenerationMismatch,
-    OverlapError,
-    ParameterMismatch,
-    PoleMismatch,
-)
+from dyadic_cascade.errors import DomainError, ParameterMismatch
 
 
 @pytest.fixture(scope="module")
