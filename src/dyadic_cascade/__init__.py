@@ -7,11 +7,9 @@ from .core import (
     ModelParams,
     NodeId,
     TreeState,
-    children,
     generation,
     generation_offsets,
     node_count,
-    parent,
     pow2,
 )
 from .dynamics import (
@@ -53,7 +51,7 @@ from . import errors
 
 __all__ = [
     "ModelParams", "NodeId", "TreeState",
-    "children", "generation", "generation_offsets", "node_count", "parent", "pow2",
+    "generation", "generation_offsets", "node_count", "pow2",
     "EnergyReport", "SolverOptions", "Trajectory",
     "balance_residual", "dissipation_time_bound", "energy_report",
     "integrate", "rhs_tree",

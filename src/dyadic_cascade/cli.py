@@ -15,6 +15,15 @@ floats are written with repr (shortest round-trip decimal), LF endings,
 UTF-8; identical config and seed give identical bytes (the kernel uses
 fixed-order reductions).
 
+simulate --dump-state T writes state_tT.bin, the state at the row T names,
+with T as given.  integrate hands the state over at that row, and it is
+written then, with no copy, to state_tT.bin.tmp in --out; the file takes
+its name once trajectory.csv is written, before summary.json.  A run that
+fails before that leaves no dump, and no directory made only for the dumps:
+like a run without the flag, a run that fails in integrate or at
+trajectory.csv leaves no output directory it made.  A run that fails at
+summary.json leaves trajectory.csv and the dumps.
+
 Exit codes: 0 success; 1 bad input, any errors.DomainError (ConfigError,
 StateFileError, SymmetryError, ParameterMismatch, DegenerateWindow,
 CapacityExceeded, ...), reported as "config error:"; 2 numerical failure,
@@ -27,6 +36,7 @@ only the checks of the JSON shape and of rules the library has no twin for.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -424,8 +434,53 @@ def _non_finite_field(obj, where: str = ""):
     return None
 
 
+class _StateDumps:
+    """The --dump-state files of one simulate run.  keep, integrate's keep,
+    maps the time of each dumped row to a callable that writes the state
+    integrate hands it through dump_state, with no copy, to a temporary
+    file in out_dir, made if missing.  publish gives the files their names;
+    discard removes what publish has not renamed, and the directories made
+    for it, so that a failing run leaves the files it would leave without
+    the flag."""
+
+    def __init__(self, out_dir, params: ModelParams, rows: dict):
+        self.out_dir, self.params = out_dir, params
+        names = {}
+        for name, t in rows.items():
+            names.setdefault(t, []).append(name)
+        self.keep = {t: functools.partial(self._write, row) for t, row in names.items()}
+        self.staged = []  # (temporary, final) paths
+        self.made = []    # directories made for them, deepest first
+
+    def _write(self, names, t_row, values):
+        if not self.staged:
+            d = os.path.abspath(self.out_dir)
+            while not os.path.isdir(d):
+                self.made.append(d)
+                d = os.path.dirname(d)
+            os.makedirs(self.out_dir, exist_ok=True)
+        for name in names:
+            path = os.path.join(self.out_dir, name)
+            self.staged.append((path + ".tmp", path))
+            dump_state(values, self.params, path + ".tmp")
+
+    def publish(self):
+        for temporary, path in self.staged:
+            os.replace(temporary, path)
+        self.staged, self.made = [], []
+
+    def discard(self):
+        for temporary, _ in self.staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+        for d in self.made:
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+
+
 def run_simulate(config: RunConfig, out_dir, dump_times=()):
-    """Integrate per config and emit trajectory.csv + summary.json.
+    """Integrate per config and emit trajectory.csv + summary.json, and a
+    state file per dump time.
 
     Returns the trajectory (full mode) or the classic-side trajectory
     (symmetric mode)."""
@@ -438,45 +493,47 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
         run_params = project_params(params)
         scale = pow2(-4.0 * spec.alpha_tilde)
     n_out = config.t_end / config.output_interval
-    check_capacity(run_params, n_out, len(dump_times))
+    check_capacity(run_params, n_out)
     outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
     # a dump time names a recorded row, by the rounding rule integrate merges
-    # output times by, and the run keeps the state at that row's own time, so
-    # that dumping adds no target and leaves the trajectory as it is
+    # output times by, and the run hands over the state at that row's own
+    # time, so that dumping adds no target and leaves the trajectory as it is
     times = np.array([0.0] + _landing_times(outputs, config.t_end))
-    keep = []
+    rows = {}  # file name: the time of the row it holds
     for t in dump_times:
         try:
-            keep.append(float(times[_row_of(times, t)]))
+            rows[f"state_t{_fmt(float(t))}.bin"] = float(times[_row_of(times, t)])
         except RangeError:
             raise ConfigError(
                 f"--dump-state {t!r} is not a recorded time of the run: 0, a "
                 f"multiple of output_interval {config.output_interval!r} or "
                 f"t_end {config.t_end!r}") from None
+    dumps = _StateDumps(out_dir, run_params, rows)
 
-    # integrate gets the only reference to the initial state, so the state
-    # is freed once integrate has copied it
-    traj = integrate(_symmetric_classic_initial(config, run_params, spec)
-                     if config.mode == "symmetric" else build_initial(config),
-                     config.t_end, config.solver, output_times=outputs, keep=keep)
+    try:
+        # integrate gets the only reference to the initial state, so the
+        # state is freed once integrate has copied it
+        traj = integrate(_symmetric_classic_initial(config, run_params, spec)
+                         if config.mode == "symmetric" else build_initial(config),
+                         config.t_end, config.solver, output_times=outputs,
+                         keep=dumps.keep)
 
-    depth = run_params.depth
-    header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
-              + [f"flux_{n}" for n in range(depth)] + ["residual"])
-    lines = []
-    for i, t in enumerate(traj.times):
-        cumulative = np.cumsum(traj.energies[i])
-        resid = 0.0 if i == 0 else balance_residual(traj, traj.times[0], t)
-        row = ([t, scale * cumulative[-1]]
-               + [scale * v for v in cumulative]
-               + [scale * v for v in traj.fluxes[i]]
-               + [scale * resid])
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, lines)
-
-    for t, t_kept in zip(dump_times, keep):
-        dump_state(traj.state_at(t_kept),
-                   os.path.join(out_dir, f"state_t{_fmt(float(t))}.bin"))
+        depth = run_params.depth
+        header = (["t", "E_total"] + [f"E_{n}" for n in range(depth + 1)]
+                  + [f"flux_{n}" for n in range(depth)] + ["residual"])
+        lines = []
+        for i, t in enumerate(traj.times):
+            cumulative = np.cumsum(traj.energies[i])
+            resid = 0.0 if i == 0 else balance_residual(traj, traj.times[0], t)
+            row = ([t, scale * cumulative[-1]]
+                   + [scale * v for v in cumulative]
+                   + [scale * v for v in traj.fluxes[i]]
+                   + [scale * resid])
+            lines.append(",".join(_fmt(v) for v in row))
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), header, lines)
+        dumps.publish()
+    finally:
+        dumps.discard()
 
     try:
         window = config.fit_window

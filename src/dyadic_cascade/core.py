@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityExceeded, DepthMismatch, DomainError, RootHasNoParent
+from .errors import CapacityExceeded, DepthMismatch, DomainError
 
 # Flat-array index of a node. The root is 0.
 NodeId = int
@@ -79,25 +79,6 @@ def generation_offsets(branching: int, depth: int) -> tuple[int, ...]:
         offs.append(offs[-1] + width)
         width *= branching
     return tuple(offs)
-
-
-def parent(index: NodeId, branching: int) -> NodeId:
-    """Index of the parent node.  The root has none: its symbolic parent is
-    the forcing alias, not a stored node."""
-    if index == 0:
-        raise RootHasNoParent("node 0 is the root")
-    if index < 0:
-        raise DomainError(f"negative node index {index}")
-    return (index - 1) // branching
-
-
-def children(index: NodeId, branching: int, depth: int) -> range:
-    """Index range of the children, or an empty range at the truncation
-    boundary (deepest stored generation)."""
-    if generation(index, branching) >= depth:
-        return range(0)
-    first = branching * index + 1
-    return range(first, first + branching)
 
 
 def generation(index: NodeId, branching: int) -> int:

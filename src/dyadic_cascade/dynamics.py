@@ -18,8 +18,10 @@ advanced with the same stage values and weights as the solution (under
 RODAS4 as extra components whose Jacobian rows are the work rates'), so the
 balance residual is consistent to the solver's order.
 
-A run records a row of reductions per output time, not a state: full states
-are kept only at t_end and at the times the caller names.  A row's energies
+A run records a row of reductions per output time, not a state: the only
+state it returns is the one at t_end.  At each time the caller names it
+hands the caller's callable a read-only view of its own state, so a caller
+that writes that state out holds no copy of it.  A row's energies
 and fluxes are by-products of f at the recorded state, which the run
 evaluates anyway (FSAL, or the re-evaluation after a flattening or a RODAS4
 step): rhs_work hands out the generation energies before it scales them.
@@ -41,10 +43,12 @@ of _NORM_BLOCK and writes each block's squares into the slice of K[2] that
 the block has just read.  Every other scratch is a buffer that holds
 nothing the run still needs at that point: the initial step computes in
 K[1] and the stage input, and the stiffness estimate in K[2] and the stage
-input, once it has read K[1] and K[5].  RODAS4 borrows all 6 rows of K for
-its stage increments; f(y) moves to its own array when the run switches.
-The final state is copied after the loop, once the work arrays are gone,
-so it adds nothing to the peak.
+input, once it has read K[1] and K[5]; on trees its Jacobian-vector
+products keep their temporaries in K[3] and K[4], which the next attempt
+writes before it reads them.  RODAS4 borrows all 6 rows of K for its stage
+increments; f(y) moves to its own array when the run switches.  The final
+state is copied after the loop, once the work arrays are gone, so it adds
+nothing to the peak, and no other state is copied at all.
 
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs its loop under one
@@ -199,7 +203,7 @@ class EnergyReport:
 
 @dataclass
 class Trajectory:
-    """Per-output reductions of one run, plus the states it kept.
+    """Per-output reductions of one run, plus its final state.
 
     Row i of every array belongs to times[i] (t = 0, then each output time):
     energies[i, g] is the energy of generation g, fluxes[i, n] the flux
@@ -217,9 +221,8 @@ class Trajectory:
     largest accepted step, and n_flattened counts the accepted steps whose
     negative components were set to 0.  stiff_from is the time the run
     switched from DP5 to RODAS4, None if it never did.  final is the state
-    at t_end, copied once the run has dropped its work arrays; kept maps the
-    row index of each kept time, and of t_end, to its state.  Every state is
-    read-only and holds its own copy.
+    at t_end, read-only, copied once the run has dropped its work arrays.
+    The states at other rows went to the callables of integrate's keep.
     """
 
     params: ModelParams
@@ -239,19 +242,10 @@ class Trajectory:
     n_flattened: int
     stiff_from: float | None
     final: TreeState
-    kept: dict
 
     @property
     def n_rejected(self) -> int:
         return sum(self.rejected.values())
-
-    def state_at(self, t: float) -> TreeState:
-        """The state kept at time t (the final state at t_end).  t names the
-        recorded time nearest to it within rounding, the rule by which
-        integrate merges output times."""
-        if (state := self.kept.get(self._index_of(t))) is None:
-            raise RangeError(f"state at time {t} was not kept")
-        return state
 
     def _index_of(self, t: float) -> int:
         return _row_of(self.times, t)
@@ -362,15 +356,18 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
     return min(h0, 0.1 * t_end, max_step)
 
 
-def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
+def _stiffness_estimate(kernel, y, K, h, u, ju, scratch=None) -> float:
     """h rho(J) for DOPRI5's stiffness test, computed in the scratch arrays
     u and ju (integrate passes K[2] and the stage input, which the next
     attempt writes before it reads them; u is written only after K[1] and
-    K[5] are read).  K[1] - K[5] = f(y5) - f(Y6), Y6 the input of stage 6,
-    is about J (y5 - Y6): DOPRI5's quotient ||K[1] - K[5]|| / ||y5 - Y6|| is
-    one power step from y5 - Y6.  That difference is mostly non-stiff
-    error, so the quotient reads far below rho(J); two more power steps with
-    the Jacobian at y give h sqrt(||J^2 u|| / ||u||), u = K[1] - K[5].
+    K[5] are read).  scratch goes to Kernel.jvp: integrate passes K[3:5],
+    which the next attempt also writes before it reads them, and the
+    estimate is bit-equal without it.  K[1] - K[5] = f(y5) - f(Y6), Y6 the
+    input of stage 6, is about J (y5 - Y6): DOPRI5's quotient ||K[1] -
+    K[5]|| / ||y5 - Y6|| is one power step from y5 - Y6.  That difference
+    is mostly non-stiff error, so the quotient reads far below rho(J); two
+    more power steps with the Jacobian at y give h sqrt(||J^2 u|| / ||u||),
+    u = K[1] - K[5].
 
     At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
     one more round of two steps: on stiff chains two steps from y + 1 read
@@ -390,8 +387,8 @@ def _stiffness_estimate(kernel, y, K, h, u, ju) -> float:
             return 0.0
         u /= largest
         norm_u = math.sqrt(float(np.add.reduce(np.square(u, out=ju))))
-        kernel.jvp(y, u, out=ju)
-        kernel.jvp(y, ju, out=u)
+        kernel.jvp(y, u, out=ju, scratch=scratch)
+        kernel.jvp(y, ju, out=u, scratch=scratch)
     return h * math.sqrt(math.sqrt(float(np.add.reduce(np.square(u, out=ju)))) / norm_u)
 
 
@@ -459,16 +456,17 @@ _OBJECT_VALUES = 2048
 _BOUND_CALL_VALUES = 1024
 
 
-def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
+def held_values(params: ModelParams, n_outputs: float) -> float:
     """Values of 8 bytes integrate holds at its peak, a bound of its
     tracemalloc peak.  The initial state is not counted: integrate drops it
     once it has copied it, so it is held only by a caller that keeps it.
+    Nor are kept states: integrate hands each to keep's callable as a view
+    of its own state, and the final state is copied once the work arrays
+    are dropped.
     - the 8 work arrays of the state's size n: y, 6 stage rows and the
       stage input;
     - a block of DP5's error estimate, at most min(n, _NORM_BLOCK + 1)
       values, which lives while it is normed;
-    - n_keep kept states.  The final state is copied once the work arrays
-      are dropped, so it is not among them;
     - the kernel's 2 coefficient arrays of n_int values, n_int the internal
       nodes;
     - the 7 rows of stage work rates and the running quadratures, 8 nw
@@ -486,9 +484,10 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
       1/pivot) and the sweep's copy of r are lists of Python floats, 32
       bytes or 4 values per entry: 12 n.
     The kernel's temporaries in a DP5 step, at most 3 n_int + 6 min(n_int,
-    kernels._COLUMN_CHUNK) in the stiffness estimate's jvp (N = 8), are
-    below the RODAS4 allowance, and a run that has switched makes no DP5
-    step.  n_outputs may be an inf float."""
+    kernels._COLUMN_CHUNK) values (N = 8; on trees the stiffness estimate's
+    jvp keeps its n_int-sized ones in K[3:5]), are below the RODAS4
+    allowance, and a run that has switched makes no DP5 step.  n_outputs
+    may be an inf float."""
     n, depth, n_int = params.n_nodes, params.depth, params.offsets[-2]
     nw = 2 * depth + 2
     if params.branching == 1:
@@ -498,12 +497,12 @@ def held_values(params: ModelParams, n_outputs: float, n_keep: int) -> float:
     stiff = 4 * n + factor + 2 * nw
     fixed = 2 * n_int + 8 * nw + depth + 1 + _OBJECT_VALUES
     rows = (n_outputs + 1) * (4 * depth + 5) + 4 * n_outputs
-    return (8 + n_keep) * n + min(n, _NORM_BLOCK + 1) + stiff + fixed + rows
+    return 8 * n + min(n, _NORM_BLOCK + 1) + stiff + fixed + rows
 
 
-def check_capacity(params: ModelParams, n_outputs: float, n_keep: int) -> None:
+def check_capacity(params: ModelParams, n_outputs: float) -> None:
     """Raise CapacityExceeded when held_values exceeds params.max_nodes."""
-    held = held_values(params, n_outputs, n_keep)
+    held = held_values(params, n_outputs)
     if held > params.max_nodes:
         raise CapacityExceeded(
             f"the run would hold {held:.3g} values ({8 * held:.3g} bytes), over "
@@ -515,7 +514,7 @@ def integrate(
     t_end: float = 1.0,
     opts: SolverOptions = SolverOptions(),
     output_times=(),
-    keep=(),
+    keep=None,
 ) -> Trajectory:
     """Integrate from t = 0 to t_end with the embedded 5(4) pair, switching
     for good to RODAS4 once DOPRI5's stiffness test fires.  Any run may
@@ -527,11 +526,20 @@ def integrate(
     (0, t_end]; t_end always is one.  The solver lands on each output time
     exactly, stretching the last step onto it when that step ends within
     rounding of it; times within rounding of each other share a row (0.3 and
-    3 * 0.1).  keep names output times in [0, t_end], the top end up to
-    rounding, whose state is kept besides the final one.  The model is
-    initial.params.  Raises CapacityExceeded before allocating when
-    held_values exceeds params.max_nodes, and NonFiniteResult when a
-    recorded row's energies are finite and its work integrals are not.
+    3 * 0.1).  The model is initial.params.  Raises CapacityExceeded before
+    allocating when held_values exceeds params.max_nodes, and
+    NonFiniteResult when a recorded row's energies are finite and its work
+    integrals are not.
+
+    keep maps times in [0, t_end], the top end up to rounding, to callables
+    f(t_row, values).  Each time is an output time too, and at its row the
+    run calls f with the row's time and a read-only view of its state.  The
+    view is valid only during the call: integrate copies nothing for it,
+    and the array beneath is the run's own, which the next step overwrites.
+    Times that share a row have their callables called there in keep's
+    order.  A time at t_end, or within rounding above it, is served after
+    the loop with final.values, once the work arrays are dropped.  A
+    callable's exception ends the run.
 
     On chains a numpy call costs more than its arithmetic, so K's rows and
     stage blocks, h times the tableau and W's rows are bound once per run,
@@ -551,15 +559,15 @@ def integrate(
                           "(positive-solution mode)")
     if not t_end > 0:
         raise DomainError("t_end must be > 0")
-    keep = {float(t) for t in keep}
-    if not all(0.0 <= t <= t_end + _rounding_gap(t_end) for t in keep):
+    keep = [(float(t), f) for t, f in (keep or {}).items()]
+    if not all(0.0 <= t <= t_end + _rounding_gap(t_end) for t, _ in keep):
         raise DomainError(f"keep times must lie in [0, {t_end!r}]")
     # a keep time within rounding above t_end names the t_end row, and
     # t_end stays the last target
-    keep_inside = {t for t in keep if 0.0 < t <= t_end}
+    keep_inside = {t for t, _ in keep if 0.0 < t <= t_end}
 
     targets = _landing_times([*output_times, *keep_inside], t_end)
-    check_capacity(params, len(targets), len(keep))
+    check_capacity(params, len(targets))
     y = np.array(values, dtype=np.float64)
     del initial, values
     return _integrate(y, params, t_end, opts, targets, keep)
@@ -579,12 +587,15 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     q = np.zeros(nw)       # running quadratures, same layout
 
     times = np.array([0.0] + targets)
-    # a time merged into a later one shares its row; the final state is kept
-    # after the loop
-    kept_rows = {int(np.searchsorted(times, t)) for t in keep if t <= t_end} - {len(targets)}
+    # the callables of each row: a time merged into a later one shares its
+    # row, and one within rounding above t_end names the last row, which is
+    # served with the final state after the loop
+    handed = {}
+    for t, f in keep:
+        handed.setdefault(min(int(np.searchsorted(times, t)), len(targets)), []).append(f)
+    at_end = handed.pop(len(targets), ())
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
-    kept = {}
 
     K = np.zeros((6, n))   # DP5's stages; f(y5) takes stage 2's row
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
@@ -604,8 +615,11 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         fluxes[i] = W[0, 1 + nq_v:]
         min_value[i] = y_min
         work[i] = q
-        if i in kept_rows:
-            kept[i] = TreeState(y, params)
+        if i in handed:
+            view = y.view()
+            view.flags.writeable = False
+            for f in handed[i]:
+                f(float(times[i]), view)
 
     kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
     if not np.isfinite(K[0]).all():
@@ -635,6 +649,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     # bound once per run: the rows of K, h times the tableau and, per stage
     # after the first, its weights, K's block it combines and its out rows
     K0, K1, K2 = K[:3]
+    spare = K[3:5]  # the stiffness estimate's jvp work space
     ha = np.empty_like(_A_LOWER)
     stages = [(ha[s, :s + 1], K[:s + 1], K[s + 1] if s < 5 else K1, W[s + 1])
               for s in range(1, 6)]
@@ -745,7 +760,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         if tests and rodas is None:
             n_tests += 1
             # K[2] and the stage input hold nothing the next attempt reads
-            if _stiffness_estimate(kernel, y, K, h_taken, K2, yy) > _STIFF_H_LAMBDA:
+            if _stiffness_estimate(kernel, y, K, h_taken, K2, yy, spare) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
@@ -757,18 +772,21 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
                 if n_nonstiff == _NONSTIFF_RESET:
                     n_stiff = 0
 
-    # K and every view of it are dropped before the final state is copied;
-    # the stage loop's names are rebound, as a run without a DP5 attempt
-    # never bound them
-    del K, K0, K1, K2, stages, yy, y_new, rodas, kernel
+    # K and every view of it are dropped before the final state is copied,
+    # and y once it is, before the callables of t_end run; the stage loop's
+    # names are rebound, as a run without a DP5 attempt never bound them
+    del K, K0, K1, K2, spare, stages, yy, y_new, rodas, kernel
     weights = block = k_out = w_out = None
-    kept[ti] = final = TreeState(y, params)
+    final = TreeState(y, params)
+    del y
+    for f in at_end:
+        f(float(times[-1]), final.values)
     return Trajectory(
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
         work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, rejected=rejected,
         n_stiffness_tests=n_tests, n_rhs=n_rhs, h_min=h_min, h_max=h_max,
-        n_flattened=n_flattened, stiff_from=stiff_from, final=final, kept=kept)
+        n_flattened=n_flattened, stiff_from=stiff_from, final=final)
 
 
 def energy_report(state: TreeState) -> EnergyReport:

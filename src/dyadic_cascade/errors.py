@@ -21,10 +21,6 @@ class CapacityExceeded(DomainError):
     """Requested tree exceeds the configured node budget."""
 
 
-class RootHasNoParent(CascadeError):
-    """parent() called on the root; its symbolic parent is the forcing alias."""
-
-
 class NonFiniteState(CascadeError):
     """A state vector contains NaN or infinity."""
 

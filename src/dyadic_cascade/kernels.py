@@ -85,20 +85,20 @@ def _flux_coefficients(params: ModelParams) -> np.ndarray:
     return 2.0 * _powers(params.alpha, params.depth + 1)[1:]
 
 
-def _child_sums(y: np.ndarray, branching: int) -> np.ndarray:
-    """Sum over the children of each internal node, in heap order.  For
-    N = 1 this is a view of y."""
+def _child_sums(y: np.ndarray, branching: int, out=None) -> np.ndarray:
+    """Sum over the children of each internal node, in heap order, into out
+    if given.  For N = 1 this is a view of y, and out is not used."""
     if branching == 1:
         return y[1:]
-    return _row_sums(y[1:], branching)
+    return _row_sums(y[1:], branching, out)
 
 
-def _row_sums(x: np.ndarray, branching: int) -> np.ndarray:
+def _row_sums(x: np.ndarray, branching: int, out=None) -> np.ndarray:
     """Sum of each run of N consecutive values of x, N = branching >= 2."""
     rows = x.reshape(-1, branching)
     if branching > 8:
-        return rows.sum(1)
-    return _column_sum(rows.T)
+        return rows.sum(1, out=out)
+    return _column_sum(rows.T, out)
 
 
 #: parents per chunk of the 8-ary column sum: its pairs and quads are 6 such
@@ -106,17 +106,17 @@ def _row_sums(x: np.ndarray, branching: int) -> np.ndarray:
 _COLUMN_CHUNK = 8192
 
 
-def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """Sum of the rows of cols, a (k, m) array with 2 <= k <= 8, in the
-    order of numpy's pairwise sum of k values (numpy's pairwise_sum in
-    loops_utils): sequential below 8, pairs of pairs at 8, _COLUMN_CHUNK
-    columns at a time into one result."""
+def _column_sum(cols: np.ndarray, out=None) -> np.ndarray:
+    """Sum of the rows of cols, a (k, m) array with 2 <= k <= 8, into out if
+    given, in the order of numpy's pairwise sum of k values (numpy's
+    pairwise_sum in loops_utils): sequential below 8, pairs of pairs at 8,
+    _COLUMN_CHUNK columns at a time into one result."""
     if len(cols) < 8:
-        s = cols[0] + cols[1]
+        s = np.add(cols[0], cols[1], out=out)
         for c in cols[2:]:
             s += c
         return s
-    s = np.empty(cols.shape[1])
+    s = np.empty(cols.shape[1]) if out is None else out
     for start in range(0, cols.shape[1], _COLUMN_CHUNK):
         chunk = cols[:, start:start + _COLUMN_CHUNK]
         pairs = chunk[0::2] + chunk[1::2]
@@ -243,20 +243,32 @@ class Kernel:
         self._deriv(y, gain, csum, deriv, direct)
         return deriv, work_out
 
-    def jvp(self, y, v, out=None):
+    def jvp(self, y, v, out=None, scratch=None):
         """J(y) v, J the Jacobian of rhs: -nu d_g v, plus 2 c_{g+1} X_p v_p
         on each child of p, minus c_{g+1} (v S + X S(v)) on each internal
-        node, S the child sum.  Overflow is handled as in rhs."""
+        node, S the child sum.  Overflow is handled as in rhs.
+
+        scratch, two arrays of y's size that hold nothing the caller needs,
+        takes the 4 temporaries of n_int values on trees, where n >= 2 n_int
+        + 1: a and the gain in the first, the child sums of y and v in the
+        second.  Chains ignore it, since their child sums are views and a
+        and the gain would not fit one array.  The result is the same bits
+        either way."""
         n_int, branching = self.n_internal, self.params.branching
         jv = np.empty_like(v) if out is None else out
+        if scratch is None or branching == 1:
+            a_out = gain_out = y_sums = v_sums = None
+        else:
+            (a_out, gain_out), (y_sums, v_sums) = (
+                (row[:n_int], row[n_int:2 * n_int]) for row in scratch)
         self._viscous(v, jv)
-        a = np.multiply(self.c_next, y[:n_int])
-        gain = np.multiply(a, v[:n_int])
+        a = np.multiply(self.c_next, y[:n_int], out=a_out)
+        gain = np.multiply(a, v[:n_int], out=gain_out)
         gain *= 2.0
         _add_to_children(gain, jv[1:], branching)
-        loss = np.multiply(v[:n_int], _child_sums(y, branching), out=gain)
+        loss = np.multiply(v[:n_int], _child_sums(y, branching, y_sums), out=gain)
         loss *= self.c_next
-        a *= _child_sums(v, branching)
+        a *= _child_sums(v, branching, v_sums)
         loss += a
         jv[:n_int] -= loss
         return jv

@@ -12,20 +12,25 @@ import struct
 import numpy as np
 
 from .core import ModelParams, TreeState, node_count
-from .errors import StateFileError
+from .errors import DepthMismatch, StateFileError
 
 MAGIC = b"DYAD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-def dump_state(state: TreeState, path) -> None:
-    params = state.params
-    header = _HEADER.pack(MAGIC, VERSION, params.branching, params.depth)
-    values = np.ascontiguousarray(state.values, dtype="<f8")
+def dump_state(values, params: ModelParams, path) -> None:
+    """Write values, the n_nodes values of a state of the model params (a
+    TreeState's values, or a view integrate hands to keep), as a snapshot.
+    A contiguous little-endian float64 array is written as it is, with no
+    copy.  Raises DepthMismatch when values does not hold n_nodes values."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    if values.shape != (params.n_nodes,):
+        raise DepthMismatch(
+            f"dump_state expects {params.n_nodes} values, got shape {values.shape}")
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.tobytes())
+        fh.write(_HEADER.pack(MAGIC, VERSION, params.branching, params.depth))
+        fh.write(memoryview(values))
 
 
 def load_state(path, params: ModelParams) -> TreeState:

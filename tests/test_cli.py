@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from dyadic_cascade.errors import (
     DegenerateWindow,
     StateFileError,
 )
+from kept_states import Kept
 
 
 def base_config(**overrides):
@@ -129,7 +131,7 @@ class TestBuildInitial:
         rng = np.random.default_rng(0)
         state = TreeState(rng.uniform(0, 1, p.n_nodes), p)
         path = tmp_path / "state.bin"
-        dump_state(state, path)
+        dump_state(state.values, p, path)
         loaded = load_state(path, p)
         assert (loaded.values == state.values).all()
         cfg_dict = base_config(initial={"kind": "file", "path": str(path)})
@@ -141,7 +143,7 @@ class TestBuildInitial:
         p = ModelParams(alpha=1.0, branching=2, depth=3)
         state = TreeState.zeros(p)
         path = tmp_path / "state.bin"
-        dump_state(state, path)
+        dump_state(state.values, p, path)
         other = ModelParams(alpha=1.0, branching=2, depth=4)
         with pytest.raises(ValueError, match="does not match"):
             load_state(path, other)
@@ -158,7 +160,7 @@ class TestBuildInitial:
     def test_malformed_file_raises_state_file_error(self, tmp_path, match, corrupt):
         p = ModelParams(alpha=1.0, branching=2, depth=3)
         path = tmp_path / "state.bin"
-        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), path)
+        dump_state(np.full(p.n_nodes, 0.5), p, path)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(StateFileError, match=match):
             load_state(path, p)
@@ -167,13 +169,36 @@ class TestBuildInitial:
         p = ModelParams(alpha=1.0, branching=4, depth=1)
         state = TreeState(np.arange(5, dtype=float), p)
         path = tmp_path / "s.bin"
-        dump_state(state, path)
+        dump_state(state.values, p, path)
         raw = path.read_bytes()
         assert raw[:4] == b"DYAD"
         assert int.from_bytes(raw[4:8], "little") == 1   # version
         assert int.from_bytes(raw[8:12], "little") == 4  # branching
         assert int.from_bytes(raw[12:16], "little") == 1  # depth
         assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [0, 1, 2, 3, 4]
+
+    def test_dump_writes_a_read_only_view_without_a_copy(self, tmp_path):
+        # the view integrate hands over, 131,071 values, is written as it
+        # is: the traced peak of the write is far below the state's 1 MB
+        p = ModelParams(alpha=1.0, branching=2, depth=16)
+        values = np.random.default_rng(2).uniform(0.0, 1.0, p.n_nodes)
+        view = values.view()
+        view.flags.writeable = False
+        path = tmp_path / "s.bin"
+        tracemalloc.start()
+        try:
+            dump_state(view, p, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        assert load_state(path, p).values.tobytes() == values.tobytes()
+
+    def test_dump_of_the_wrong_length_raises(self, tmp_path):
+        p = ModelParams(alpha=1.0, branching=2, depth=3)
+        with pytest.raises(errors.DepthMismatch, match="expects 15 values"):
+            dump_state(np.zeros(14), p, tmp_path / "s.bin")
+        assert not (tmp_path / "s.bin").exists()
 
 
 class TestFitSpectrum:
@@ -279,7 +304,7 @@ class TestSimulateCommand:
         # numerical failure: blow-up scale initial data
         p = ModelParams(alpha=1.0, branching=2, depth=4)
         sp = tmp_path / "huge.bin"
-        dump_state(TreeState(np.full(p.n_nodes, 1e150), p), sp)
+        dump_state(np.full(p.n_nodes, 1e150), p, sp)
         cfg = write_config(tmp_path, base_config(
             initial={"kind": "file", "path": str(sp)}), name="c2.json")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
@@ -317,9 +342,10 @@ class TestSimulateCommand:
         p = ModelParams(**params)
         x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
         outputs = [i * 0.1 for i in range(1, 6)]
-        expected = integrate(x, 0.5, output_times=outputs, keep=[3 * 0.1])
+        kept = Kept()
+        integrate(x, 0.5, output_times=outputs, keep=kept.keep(3 * 0.1))
         state = load_state(dumped / f"state_t{t}.bin", p)
-        assert state.values.tobytes() == expected.state_at(3 * 0.1).values.tobytes()
+        assert state.values.tobytes() == kept.values[3 * 0.1].tobytes()
 
     def test_dump_state_within_rounding_above_t_end(self, tmp_path):
         # 3 * 0.1 is one ulp above t_end = 0.3: it names the t_end row, and
@@ -342,17 +368,18 @@ class TestSimulateCommand:
 
     def test_capacity_counts_what_the_run_holds(self, tmp_path, monkeypatch):
         # binary depth 8 has 511 nodes, 255 of them internal.  Two outputs
-        # of 511 values fit in 4000, but the 9 integrator arrays, RODAS4's
-        # 8 n + 2 * 255 + 1024 * 8 + 2 (2 * 8 + 2) values, the kernel's
-        # 2 * 255, the work rates' 8 (2 * 8 + 2) + 9, 2048 for Python
-        # objects and a row of 4 * 8 + 5 values at each of the 2 recorded
-        # times, with 4 for the output time, do not
+        # of 511 values fit in 4000, but the 8 integrator arrays and a block
+        # of the error estimate, RODAS4's 8 n + 2 * 255 + 1024 * 8 + 2 (2 *
+        # 8 + 2) values, the kernel's 2 * 255, the work rates' 8 (2 * 8 + 2)
+        # + 9, 2048 for Python objects and a row of 4 * 8 + 5 values at each
+        # of the 2 recorded times, with 4 for the output time, do not.  The
+        # dumps add nothing: each is written from the run's own state
         config = RunConfig.from_dict(base_config(
             params={"alpha": 1.0, "f": 0.5, "branching": 2, "depth": 8},
             t_end=0.5, output_interval=0.5))
         for dumps in ((), (0.0, 0.5)):
             out = tmp_path / f"o{len(dumps)}"
-            held = ((9 + len(dumps) + 8) * 511 + 2 * 255 + 1024 * 8 + 2 * 18
+            held = ((9 + 8) * 511 + 2 * 255 + 1024 * 8 + 2 * 18
                     + 2 * 255 + 8 * 18 + 9 + 2048 + 2 * (4 * 8 + 5) + 4)
             for budget in (4000, held - 1):
                 cfg = replace(config, params=replace(config.params, max_nodes=budget))
@@ -526,7 +553,7 @@ class TestOtherCommands:
     def test_fit_spectrum_command(self, tmp_path):
         prof = inviscid_tree_profile(1.0, 2.5, 1.5, depth=5)
         sp = tmp_path / "state.bin"
-        dump_state(prof, sp)
+        dump_state(prof.values, prof.params, sp)
         cfg = write_config(tmp_path, {
             "params": {"alpha": 2.5, "branching": 8, "depth": 5, "f": 1.0},
             "state_file": str(sp)})
@@ -539,7 +566,7 @@ class TestOtherCommands:
 #: CascadeError types that are not bad input: the CLI reports them as a
 #: numerical failure.  Every other type must be a DomainError.
 EXIT_2_ERRORS = (
-    errors.CascadeError, errors.RootHasNoParent, errors.NonFiniteState,
+    errors.CascadeError, errors.NonFiniteState,
     errors.NonFiniteResult,
     errors.StepSizeUnderflow, errors.MaxRejections, errors.RangeError,
     errors.DepthMismatch, errors.BracketFailure,
@@ -591,7 +618,7 @@ class TestRepeatedCalls:
         assert exc.value.code == 2
         sp = tmp_path / "big.bin"
         p = ModelParams(alpha=1.0, branching=2, depth=4)
-        dump_state(TreeState(np.full(p.n_nodes, 1e150), p), sp)
+        dump_state(np.full(p.n_nodes, 1e150), p, sp)
         blowup = write_config(tmp_path, base_config(
             initial={"kind": "file", "path": str(sp)}), name="blowup.json")
         assert main(["simulate", "--config", blowup, "--out", str(tmp_path / "b")]) == 2
@@ -745,11 +772,11 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         p = ModelParams(alpha=1.0, branching=2, depth=3)
         values = np.full(p.n_nodes, 0.5)
-        dump_state(TreeState(values, p), tmp_path / "s.bin")
+        dump_state(values, p, tmp_path / "s.bin")
         values[2] = -0.5
-        dump_state(TreeState(values, p), tmp_path / "neg.bin")
+        dump_state(values, p, tmp_path / "neg.bin")
         (tmp_path / "short.bin").write_bytes((tmp_path / "s.bin").read_bytes()[:-3])
-        dump_state(TreeState.zeros(p), tmp_path / "zero.bin")
+        dump_state(np.zeros(p.n_nodes), p, tmp_path / "zero.bin")
         path = write_config(tmp_path, cfg)
         argv = command.split() + ["--config", path, "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -788,7 +815,7 @@ class TestBadInput:
                                   cfg, message):
         monkeypatch.chdir(tmp_path)
         p = ModelParams(alpha=1.0, branching=2, depth=3)
-        dump_state(TreeState(np.full(p.n_nodes, 0.5), p), tmp_path / "s.bin")
+        dump_state(np.full(p.n_nodes, 0.5), p, tmp_path / "s.bin")
         path = write_config(tmp_path, cfg)
         argv = [command, "--config", path, "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -876,6 +903,16 @@ class TestNonFiniteOutput:
     on."""
 
     NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+    # X_0 = t: E_0 and the forcing work overflow, and the residual is
+    # inf - inf (at depth 3 the same run takes 26,804 steps)
+    ENERGY_OVERFLOWS = {"model": "tree", "params": {"alpha": 1, "branching": 2, "depth": 0,
+                                                    "f": 1},
+                        "initial": {"kind": "zero"}, "t_end": 1e300, "output_interval": 1e299}
+    # E_0 settles at 1e10, and its viscous work integral passes the float
+    # range before the first output time: integrate itself raises
+    WORK_OVERFLOWS = {"model": "classic", "params": {"alpha": 1, "depth": 0, "f": 10,
+                                                     "nu": 1e-3},
+                      "initial": {"kind": "zero"}, "t_end": 1e300, "output_interval": 5e299}
 
     @pytest.mark.parametrize("command,cfg,code,names", [
         pytest.param("stationary", {"f": 1, "nu": 1, "beta": 1.5000001e-20,
@@ -888,19 +925,9 @@ class TestNonFiniteOutput:
         pytest.param("dissipation-bound", {"epsilon": 1e-300, "eta": 1e300,
                                            "alpha": 2, "alpha_tilde": 1},
                      2, ("beyond the float range",), id="dissipation_bound_overflows"),
-        # X_0 = t: E_0 and the forcing work overflow, and the residual is
-        # inf - inf (at depth 3 the same run takes 26,804 steps)
-        pytest.param("simulate", {"model": "tree", "params": {
-                         "alpha": 1, "branching": 2, "depth": 0, "f": 1},
-                         "initial": {"kind": "zero"}, "t_end": 1e300,
-                         "output_interval": 1e299},
+        pytest.param("simulate", ENERGY_OVERFLOWS,
                      2, ("trajectory.csv", "E_total"), id="simulate_energy_overflows"),
-        # E_0 settles at 1e10, and its viscous work integral passes the float
-        # range before the first output time: integrate itself raises
-        pytest.param("simulate", {"model": "classic", "params": {
-                         "alpha": 1, "depth": 0, "f": 10, "nu": 1e-3},
-                         "initial": {"kind": "zero"}, "t_end": 1e300,
-                         "output_interval": 5e299},
+        pytest.param("simulate", WORK_OVERFLOWS,
                      2, ("work integrals", "t = 5e+299"), id="simulate_work_overflows"),
         pytest.param("lift", {"alpha_tilde": 0.5, "beta": 1, "depth": 3,
                               "classic_values": [1e300] * 4},
@@ -934,3 +961,33 @@ class TestNonFiniteOutput:
         assert (code == 0) <= bool(written)
         for path in written:
             assert not self.NON_FINITE.search(path.read_text()), path.name
+
+    @pytest.mark.parametrize("cfg,failure", [
+        (WORK_OVERFLOWS, "work integrals"),  # in integrate, after the t = 0 row
+        (ENERGY_OVERFLOWS, "trajectory.csv")], ids=["in_integrate", "at_trajectory_csv"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_a_failing_run_leaves_no_dump(self, tmp_path, monkeypatch, capsys, cfg,
+                                          failure, existing):
+        # the dump at t = 0 is written while the run goes on, and removed
+        # when it fails before trajectory.csv is written, with the
+        # directories made for it; a directory that was there stays as it was
+        dumped, write = [], cli.dump_state
+
+        def dump_state(values, params, path):
+            dumped.append(os.path.basename(path))
+            return write(values, params, path)
+
+        monkeypatch.setattr(cli, "dump_state", dump_state)
+        out = tmp_path / "o" / "p"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "other.txt").write_text("x")
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                "--dump-state", "0"]
+        assert main(argv) == 2
+        assert failure in capsys.readouterr().err
+        assert dumped == ["state_t0.0.bin.tmp"]
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["other.txt"]
+        else:
+            assert not (tmp_path / "o").exists()

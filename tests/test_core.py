@@ -8,15 +8,14 @@ from dyadic_cascade import (
     LiftSpec,
     ModelParams,
     TreeState,
-    children,
     generation,
     generation_offsets,
     lift_state,
     node_count,
-    parent,
 )
 from dyadic_cascade.errors import (
-    CapacityExceeded, DepthMismatch, DomainError, ParameterMismatch, RootHasNoParent)
+    CapacityExceeded, DepthMismatch, DomainError, ParameterMismatch)
+from heap_oracle import RootHasNoParent, children, parent
 
 
 def brute_force_offsets(branching, depth):

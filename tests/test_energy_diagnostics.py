@@ -16,6 +16,7 @@ from dyadic_cascade import (
 from dyadic_cascade.errors import RangeError
 from dyadic_cascade.kernels import boundary_fluxes, generation_energies
 from flux_oracle import ForcedRun, flux_budget_check
+from kept_states import Kept
 
 
 class TestEnergyReport:
@@ -121,18 +122,19 @@ class TestBalanceResidual:
         p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=0.5, branching=4, depth=3)
         rng = np.random.default_rng(9)
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
+        kept = Kept()
         traj = integrate(x, 0.4, output_times=[0.1, 0.2, 0.3],
-                         keep=[0.0, 0.1, 0.2, 0.3])
+                         keep=kept.keep(0.0, 0.1, 0.2, 0.3, 0.4))
+        states = kept.by_row()
         for i, t in enumerate(traj.times):
-            y = traj.state_at(t).values
+            y = states[t]
             # each row is the plain reduction of its state, bit for bit
             assert (traj.energies[i] == generation_energies(p, y)).all()
             assert (traj.fluxes[i] == boundary_fluxes(p, y)).all()
             assert traj.min_value[i] == y.min()
             if i == 0:
                 continue
-            e = [generation_energies(p, traj.state_at(traj.times[k]).values)
-                 for k in (0, i)]
+            e = [generation_energies(p, states[traj.times[k]]) for k in (0, i)]
             expected = (float(np.add.reduce(e[1])) - float(np.add.reduce(e[0]))
                         - 2.0 * p.f ** 2 * (traj.work_x0[i] - traj.work_x0[0])
                         + 2.0 * p.nu * float(np.add.reduce(

@@ -13,10 +13,12 @@ from dyadic_cascade import (
     SolverOptions,
     TreeState,
     balance_residual,
+    dump_state,
     energy_report,
     asymptotic_flux,
     integrate,
     inviscid_tree_profile,
+    load_state,
     solve_selfsimilar_classic,
     solve_viscous_stationary,
 )
@@ -33,6 +35,7 @@ from dyadic_cascade.errors import (
     StepSizeUnderflow,
 )
 from jacobian_oracle import dense_jacobian
+from kept_states import Kept
 import rodas_oracle
 
 
@@ -69,22 +72,26 @@ class TestBasics:
         # 3 * 0.1 = 0.30000000000000004 is one ulp above 0.3; landing on both
         # used to need a vanishing step (StepSizeUnderflow)
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.5)
+        kept = Kept()
         traj = integrate(TreeState.zeros(p), t_end=1.0,
-                         output_times=[0.3, 3 * 0.1, 1.0 - 1e-16], keep=[0.3])
+                         output_times=[0.3, 3 * 0.1, 1.0 - 1e-16],
+                         keep=kept.keep(0.3, 3 * 0.1, 1.0 - 1e-16))
         assert list(traj.times) == [0.0, 3 * 0.1, 1.0]
-        assert traj.state_at(0.3) is traj.state_at(3 * 0.1) is traj.kept[1]
-        assert traj.state_at(1.0 - 1e-16) is traj.final
+        assert kept.row == {0.3: 3 * 0.1, 3 * 0.1: 3 * 0.1, 1.0 - 1e-16: 1.0}
+        assert kept.passed[0.3] is kept.passed[3 * 0.1]
+        assert kept.passed[1.0 - 1e-16] is traj.final.values
 
     def test_lookups_find_the_row_integrate_recorded(self):
         # 1e-10 apart is far beyond rounding: the run records two rows, and
         # a lookup of either time finds its own row, not the first one near it
         p = ModelParams(alpha=1.0, nu=0.1, f=0.5, branching=2, depth=3)
         t1 = 0.5 + 1e-10
+        kept = Kept()
         traj = integrate(TreeState.zeros(p), t_end=1.0, output_times=[0.5, t1],
-                         keep=[0.5, t1])
+                         keep=kept.keep(0.5, t1))
         assert list(traj.times) == [0.0, 0.5, t1, 1.0]
-        assert traj.state_at(0.5) is traj.kept[1]
-        assert traj.state_at(t1) is traj.kept[2]
+        assert kept.row == {0.5: 0.5, t1: t1}
+        assert kept.values[0.5].tobytes() != kept.values[t1].tobytes()
         e, wx, wv = traj.energies, traj.work_x0, traj.work_visc
         row_2 = (float(np.add.reduce(e[2])) - float(np.add.reduce(e[0]))
                  - 2.0 * p.f ** 2 * (wx[2] - wx[0])
@@ -92,43 +99,48 @@ class TestBasics:
         assert balance_residual(traj, 0.0, t1) == row_2
 
     def test_snapshots_are_separate_read_only_states(self):
+        # every row's state is handed over as a read-only view of the run's
+        # own state, the t_end row's as final.values, in the order of the
+        # rows; writing to a view raises
+        writes = []
+
+        def write(t, values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+            writes.append(t)
+
         for branching in (1, 2):
             p = ModelParams(alpha=1.0, f=0.5, branching=branching, depth=4)
-            traj = integrate(TreeState.zeros(p), t_end=0.3,
-                             output_times=[0.1, 0.2], keep=[0.0, 0.1, 0.2])
-            states = [traj.state_at(t) for t in traj.times]
-            assert len(states) == 4
-            assert states[-1] is traj.final
-            for i, s in enumerate(states):
-                assert type(s) is TreeState
-                assert s.params is p
-                assert not s.values.flags.writeable
-                for other in states[:i]:
-                    assert not np.shares_memory(s.values, other.values)
+            kept = Kept()
+            traj = integrate(TreeState.zeros(p), t_end=0.3, output_times=[0.1, 0.2],
+                             keep={**kept.keep(0.2, 0.0, 0.3, 0.1), 0.15: write})
+            assert kept.order == [0.0, 0.1, 0.2, 0.3]
+            assert writes.pop() == 0.15
+            assert kept.passed[0.3] is traj.final.values
+            for t in (0.0, 0.1, 0.2):
+                assert kept.passed[t].base is not None  # a view, not a copy
+            assert kept.values[0.0].tobytes() == bytes(8 * p.n_nodes)
+            assert len({v.tobytes() for v in kept.values.values()}) == 4
 
     def test_only_final_and_kept_states_are_held(self):
+        # the trajectory holds the final state only: the kept ones went to
+        # the callables at their rows, and to no others
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
         outputs = [i / 100 for i in range(1, 101)]
+        kept = Kept()
         traj = integrate(TreeState.zeros(p), t_end=1.0,
-                         output_times=outputs, keep=[0.25, 0.5])
+                         output_times=outputs, keep=kept.keep(0.25, 0.5))
         assert len(traj.times) == 101
-        held = [traj.state_at(0.25), traj.state_at(0.5), traj.final]
-        assert sorted(traj.kept) == [25, 50, 100]
-        assert all(traj.kept[i] is s for i, s in zip((25, 50, 100), held))
-        for i, s in enumerate(held):
-            assert not s.values.flags.writeable
-            for other in held[:i]:
-                assert not np.shares_memory(s.values, other.values)
-        with pytest.raises(RangeError, match="not kept"):
-            traj.state_at(0.3)
-        with pytest.raises(RangeError, match="not kept"):
-            traj.state_at(0.0)
+        assert kept.row == {0.25: 0.25, 0.5: 0.5}
+        states = [name for name, value in vars(traj).items() if isinstance(value, TreeState)]
+        assert states == ["final"]
+        assert not hasattr(traj, "kept") and not hasattr(traj, "state_at")
 
     @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
     def test_keep_time_outside_run_rejected(self, t):
         p = ModelParams(alpha=1.0, branching=2, depth=2)
         with pytest.raises(DomainError, match="keep times"):
-            integrate(TreeState.zeros(p), t_end=1.0, keep=[t])
+            integrate(TreeState.zeros(p), t_end=1.0, keep=Kept().keep(t))
 
     def test_time_within_rounding_above_t_end_names_the_t_end_row(self):
         # 3 * 0.1 = 0.30000000000000004 is one ulp above t_end = 0.3; it names
@@ -137,24 +149,28 @@ class TestBasics:
         p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
         x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
         plain = integrate(x, 0.3, output_times=[0.1, 0.2])
-        kept = integrate(x, 0.3, output_times=[0.1, 0.2], keep=[3 * 0.1])
-        assert list(kept.times) == [0.0, 0.1, 0.2, 0.3]
-        assert kept.final.values.tobytes() == plain.final.values.tobytes()
-        assert sorted(kept.kept) == [3]
-        assert kept.state_at(3 * 0.1) is kept.final
-        assert plain.state_at(3 * 0.1) is plain.final
-        longer = integrate(x, 0.6, output_times=[0.3, 0.6], keep=[3 * 0.1])
-        assert longer.state_at(0.3) is longer.state_at(3 * 0.1) is longer.kept[1]
+        kept = Kept()
+        run = integrate(x, 0.3, output_times=[0.1, 0.2], keep=kept.keep(3 * 0.1))
+        assert list(run.times) == [0.0, 0.1, 0.2, 0.3]
+        assert run.final.values.tobytes() == plain.final.values.tobytes()
+        assert kept.row == {3 * 0.1: 0.3}
+        assert kept.passed[3 * 0.1] is run.final.values
+        assert plain._index_of(3 * 0.1) == 3
+        longer_kept = Kept()
+        longer = integrate(x, 0.6, output_times=[0.3, 0.6], keep=longer_kept.keep(0.3, 3 * 0.1))
+        assert list(longer.times) == [0.0, 3 * 0.1, 0.6]
+        assert longer_kept.row == {0.3: 3 * 0.1, 3 * 0.1: 3 * 0.1}
+        assert longer_kept.passed[0.3] is longer_kept.passed[3 * 0.1]
 
     def test_time_beyond_rounding_above_t_end_is_outside(self):
         p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
         x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
         beyond = math.nextafter(0.3 + dynamics._rounding_gap(0.3), 1.0)
         with pytest.raises(DomainError, match="keep times"):
-            integrate(x, 0.3, keep=[beyond])
+            integrate(x, 0.3, keep=Kept().keep(beyond))
         traj = integrate(x, 0.3, output_times=[0.1, 0.2])
         with pytest.raises(RangeError, match="outside trajectory range"):
-            traj.state_at(beyond)
+            balance_residual(traj, 0.0, beyond)
 
     def test_t_end_always_recorded(self):
         p = ModelParams(alpha=1.0, branching=2, depth=3, f=0.3)
@@ -203,13 +219,14 @@ class TestSelfSimilarTracking:
         # b_n/(t - t0).  Envelope measured at depth 10, t <= 0.1.
         ss = solve_selfsimilar_classic(-1.0, 2.0, 10)
         y0 = ss.classic_state(0.0)
+        kept = Kept()
         traj = integrate(y0, t_end=0.1,
                          opts=SolverOptions(rel_tol=1e-10, abs_tol=1e-16),
-                         output_times=[0.05, 0.1], keep=[0.05, 0.1])
+                         output_times=[0.05, 0.1], keep=kept.keep(0.05, 0.1))
         worst = np.zeros(3)
         for t in traj.times[1:]:
             exact = ss.b[:3] / (t + 1.0)
-            worst = np.maximum(worst, np.abs(traj.state_at(t).values[:3] - exact) / exact)
+            worst = np.maximum(worst, np.abs(kept.values[t][:3] - exact) / exact)
         assert worst[0] <= 1e-4
         assert worst[1] <= 5e-3
         assert worst[2] <= 5e-2
@@ -262,11 +279,13 @@ class TestInvariants:
         rng = np.random.Generator(np.random.Philox(9))
         x = TreeState(rng.uniform(0, 0.5, p.n_nodes), p)
         opts = SolverOptions(rel_tol=1e-9, abs_tol=1e-15)
-        t1 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
-        t2 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=[0.4])
+        k1, k2 = Kept(), Kept()
+        t1 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=k1.keep(0.4, 0.8))
+        t2 = integrate(x, 0.8, opts, output_times=[0.4, 0.8], keep=k2.keep(0.4, 0.8))
         assert (t1.times == t2.times).all()
         for t in (0.4, 0.8):
-            assert (t1.state_at(t).values == t2.state_at(t).values).all()
+            assert (k1.values[t] == k2.values[t]).all()
+        assert (t1.final.values == t2.final.values).all()
         assert (t1.energies == t2.energies).all()
         assert (t1.fluxes == t2.fluxes).all()
         assert (t1.min_value == t2.min_value).all()
@@ -321,9 +340,9 @@ class TestFailureModes:
         p = ModelParams(alpha=1.0, branching=2, depth=2, f=0.2)
         traj = integrate(TreeState.zeros(p), 0.5, output_times=[0.5])
         with pytest.raises(RangeError):
-            traj.state_at(0.7)
+            balance_residual(traj, 0.0, 0.7)
         with pytest.raises(RangeError):
-            traj.state_at(0.123)  # not a recorded snapshot
+            balance_residual(traj, 0.0, 0.123)  # not a recorded snapshot
 
 
 class TestPositivity:
@@ -423,7 +442,7 @@ class TestInitialStep:
         assert in_rows.hex() == separate.hex()
 
 
-def forced_chain(depth, t_end=1.0, keep=()):
+def forced_chain(depth, t_end=1.0, keep=None):
     """The forced inviscid chain from root_only 1 with 100 outputs: at depth
     18 DP5 is stability-limited from t = 0.74 on."""
     p = ModelParams(alpha=1.0, gamma=1.0, nu=0.0, f=1.0, branching=1, depth=depth)
@@ -457,8 +476,15 @@ def rodas4_at(kernel, y):
 
 
 @pytest.fixture(scope="module")
-def chain18():
-    return forced_chain(18, keep=[0.8])
+def chain18_run():
+    """forced_chain(18), and its state at 0.8 kept"""
+    kept = Kept()
+    return forced_chain(18, keep=kept.keep(0.8)), kept
+
+
+@pytest.fixture(scope="module")
+def chain18(chain18_run):
+    return chain18_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -552,9 +578,11 @@ class TestStiffSwitch:
                         depth=depth)
         y = np.zeros(p.n_nodes)
         y[0] = 1.0
-        args = (TreeState(y, p), t_end, SolverOptions(),
-                np.linspace(t_end / 100, t_end, 100), [t_end / 2])
-        traj, oracle = integrate(*args), dp5_only(integrate, *args)
+        args = (TreeState(y, p), t_end, SolverOptions(), np.linspace(t_end / 100, t_end, 100))
+        kept, oracle_kept = Kept(), Kept()
+        traj = integrate(*args, keep=kept.keep(t_end / 2))
+        oracle = dp5_only(integrate, *args, keep=oracle_kept.keep(t_end / 2))
+        assert kept.values[t_end / 2].tobytes() == oracle_kept.values[t_end / 2].tobytes()
         assert traj.stiff_from is None
         assert traj.n_accepted >= 100
         assert (traj.n_accepted, traj.n_rejected) == (oracle.n_accepted, oracle.n_rejected)
@@ -586,12 +614,13 @@ class TestStiffSwitch:
         assert worst_residual(traj) <= 1e-8 * traj.energies[-1].sum()
         assert traj.min_value.min() >= 0.0
 
-    def test_switched_chain_matches_radau(self, chain18):
+    def test_switched_chain_matches_radau(self, chain18_run):
         integrate_ivp = pytest.importorskip("scipy.integrate")
+        chain18, kept = chain18_run
         p = chain18.params
         kernel = dynamics.make_kernel(p)
         sol = integrate_ivp.solve_ivp(
-            lambda t, y: kernel.rhs(y), (0.8, 1.0), chain18.state_at(0.8).values,
+            lambda t, y: kernel.rhs(y), (0.8, 1.0), kept.values[0.8],
             method="Radau", rtol=1e-11, atol=1e-14, jac=lambda t, y: dense_jacobian(p, y))
         assert sol.status == 0
         expected = sol.y[:, -1]
@@ -640,6 +669,32 @@ class TestStiffDetection:
                                                 *np.empty((2, p.n_nodes)))
         in_rows = dynamics._stiffness_estimate(kernel, y, K, 1e-3, K[2], np.empty(p.n_nodes))
         assert in_rows.hex() == separate.hex()
+
+    @pytest.mark.parametrize("branching,depth", [(1, 18), (2, 12), (4, 6), (8, 6), (16, 4)])
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_estimate_with_jvp_scratch_in_stage_rows_is_bit_equal(self, branching, depth,
+                                                                 fixed_point):
+        # integrate passes K[3:5] to jvp, whose temporaries on trees then
+        # take no memory of their own (chains ignore it): the estimate
+        # equals the one without them, bit for bit, and K[0], K[1] and K[5]
+        # are left as they were (8-ary depth 6 runs the column sum in chunks)
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=branching,
+                        depth=depth)
+        kernel = dynamics.make_kernel(p)
+        rng = np.random.default_rng(depth)
+        y = rng.uniform(0.0, 0.01, p.n_nodes)
+        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+        if fixed_point:
+            K[5] = K[1]
+        before = K.copy()
+        plain = dynamics._stiffness_estimate(kernel, y, K.copy(), 1e-3,
+                                             *np.empty((2, p.n_nodes)))
+        in_rows = dynamics._stiffness_estimate(kernel, y, K, 1e-3, K[2], np.empty(p.n_nodes),
+                                               K[3:5])
+        assert in_rows.hex() == plain.hex()
+        assert 0.0 < in_rows < math.inf
+        for row in (0, 1, 5):
+            assert K[row].tobytes() == before[row].tobytes()
 
     ESTIMATE_PROBE = """
 import numpy as np
@@ -748,7 +803,7 @@ class TestSolverStats:
             return kernel
 
         monkeypatch.setattr(dynamics, "make_kernel", traced)
-        again = forced_chain(18, keep=[0.8])
+        again = forced_chain(18, keep=Kept().keep(0.8))
         for name in ("n_accepted", "n_rejected", "rejected", "n_stiffness_tests",
                      "n_rhs", "h_min", "h_max", "n_flattened", "stiff_from"):
             assert getattr(again, name) == getattr(chain18, name)
@@ -776,11 +831,12 @@ class TestRecordedRows:
     after a flattening and RODAS4's re-evaluation."""
 
     @staticmethod
-    def assert_rows_are_fresh(traj):
+    def assert_rows_are_fresh(traj, kept):
         p = traj.params
-        assert sorted(traj.kept) == list(range(len(traj.times)))
-        for i, state in traj.kept.items():
-            y = state.values
+        states = kept.by_row()
+        assert sorted(states) == list(traj.times)
+        for i, t in enumerate(traj.times):
+            y = states[t]
             assert traj.energies[i].tobytes() == generation_energies(p, y).tobytes()
             assert traj.fluxes[i].tobytes() == boundary_fluxes(p, y).tobytes()
             assert traj.min_value[i].tobytes() == y.min().tobytes()
@@ -788,29 +844,31 @@ class TestRecordedRows:
     @staticmethod
     def run(p, y, t_end, opts=SolverOptions()):
         outputs = np.linspace(t_end / 100, t_end, 100)
+        kept = Kept()
         return integrate(TreeState(y, p), t_end, opts, output_times=outputs,
-                         keep=[0.0, *outputs])
+                         keep=kept.keep(0.0, *outputs)), kept
 
     def test_dp5_tree_run(self):
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=8)
         y = np.random.Generator(np.random.Philox(1)).uniform(0.0, 0.01, p.n_nodes)
-        traj = self.run(p, y, 1.5)
+        traj, kept = self.run(p, y, 1.5)
         assert traj.stiff_from is None
-        self.assert_rows_are_fresh(traj)
+        self.assert_rows_are_fresh(traj, kept)
 
     def test_dp5_run_that_flattens(self):
         # components leaving exact zero go slightly negative, inside
         # abs_tol, and are flattened, on steps that land on 0.01, ..., 0.09
         p = ModelParams(alpha=1.0, gamma=1.0, nu=1e-3, f=1.0, branching=2, depth=6)
-        traj = self.run(p, np.zeros(p.n_nodes), 1.0)
+        traj, kept = self.run(p, np.zeros(p.n_nodes), 1.0)
         assert traj.stiff_from is None and traj.n_flattened == 15
         assert traj.rejected["positivity"] == 0
-        self.assert_rows_are_fresh(traj)
+        self.assert_rows_are_fresh(traj, kept)
 
     def test_run_that_switches_to_rodas4(self):
-        traj = forced_chain(18, keep=[0.0, *(i / 100 for i in range(1, 101))])
+        kept = Kept()
+        traj = forced_chain(18, keep=kept.keep(0.0, *(i / 100 for i in range(1, 101))))
         assert traj.stiff_from is not None
-        self.assert_rows_are_fresh(traj)
+        self.assert_rows_are_fresh(traj, kept)
 
 
 class TestSteadyFlux:
@@ -825,7 +883,7 @@ class TestSteadyFlux:
         assert np.abs(deep - expected).max() <= 1e-5 * expected
 
 
-def traced_run(initial, t_end, output_times=(), keep=()):
+def traced_run(initial, t_end, output_times=(), keep=None):
     """integrate's run and its tracemalloc peak in bytes, above what was
     traced when it started: the initial state is not in it."""
     tracemalloc.start()
@@ -839,35 +897,52 @@ def traced_run(initial, t_end, output_times=(), keep=()):
 
 
 class TestCapacity:
-    def test_an_8_ary_run_holds_9_states_at_its_peak(self):
-        # the 8 work arrays and the kept state, kept at t = 0 so that it is
-        # held from the initial step on; besides them the kernel's 2
-        # coefficient arrays of n_int values, the rows and Python objects,
-        # and the stiffness estimate's jvp temporaries (up to 9 n_int: n_int
-        # = 4,681 is below the column-sum chunk), which exceed a block of
-        # the DP5 error estimate.  One more state-sized array does not fit
+    def test_an_8_ary_run_holds_8_states_at_its_peak(self):
+        # the 8 work arrays; besides them the kernel's 2 coefficient arrays
+        # of n_int values, the rows and Python objects, and the temporaries
+        # of rhs: its gain and child sum and the column sum's 6 rows (n_int
+        # = 4,681 is below the column-sum chunk), 10 n_int in all, more than
+        # a block of the DP5 error estimate.  The stiffness estimate's jvp
+        # keeps its own in K[3:5].  One more state-sized array does not fit
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
-        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
+        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100))
         assert traj.stiff_from is None and traj.n_stiffness_tests > 0
-        assert peak <= 8 * held_values(p, 100, 1)
+        assert peak <= 8 * held_values(p, 100)
         rows = 101 * (4 * p.depth + 5) + 4 * 100
-        arrays = 9 * p.n_nodes + 11 * p.offsets[-2]
+        arrays = 8 * p.n_nodes + 10 * p.offsets[-2]
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
 
     def test_a_16_ary_run_holds_no_state_sized_error_estimate(self):
-        # n = 69,905 is about 16 n_int, so the stiffness estimate's jvp
-        # temporaries stay far below a state, and DP5's error norm sets the
-        # peak: the 8 work arrays, the kept state, the kernel's 2 n_int and
-        # a block of the error estimate
+        # n = 69,905 is about 16 n_int, so the kernel's temporaries stay far
+        # below a state, and DP5's error norm sets the peak: the 8 work
+        # arrays, the kernel's 2 n_int and a block of the error estimate
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=16, depth=4)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
-        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100), keep=[0.0])
+        traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100))
         assert traj.stiff_from is None and traj.n_stiffness_tests > 0
         rows = 101 * (4 * p.depth + 5) + 4 * 100
-        arrays = 9 * p.n_nodes + 2 * p.offsets[-2] + _NORM_BLOCK
+        arrays = 8 * p.n_nodes + 2 * p.offsets[-2] + _NORM_BLOCK
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
-        assert peak <= 8 * held_values(p, 100, 1)
+        assert peak <= 8 * held_values(p, 100)
+
+    def test_a_run_that_hands_over_4_states_holds_none_of_them(self, tmp_path):
+        # the binary tree of depth 11 switches to RODAS4 at t = 0.225, and
+        # its peak then comes within 3 states of held_values, which counts no
+        # kept state.  Each state is written out at its row through
+        # dump_state, as simulate --dump-state does; holding a copy of each
+        # would pass the bound by more than a state
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=11)
+        initial = TreeState(np.where(np.arange(p.n_nodes) == 0, 1.0, 0.0), p)
+        times = (0.06, 0.12, 0.18, 0.24)
+        keep = {t: lambda t_row, values: dump_state(values, p, tmp_path / f"{t_row!r}.bin")
+                for t in times}
+        traj, peak = traced_run(initial, 0.3, keep=keep)
+        assert 0.18 < traj.stiff_from < 0.24
+        assert peak <= 8 * held_values(p, len(times) + 1)
+        for i, t in enumerate(times, 1):
+            y = load_state(tmp_path / f"{t!r}.bin", p).values
+            assert generation_energies(p, y).tobytes() == traj.energies[i].tobytes()
 
     def test_integrate_frees_an_initial_state_that_only_it_holds(self, monkeypatch):
         # the state is copied and dropped before the run allocates, and no
@@ -899,18 +974,18 @@ class TestCapacity:
         p = ModelParams(alpha=alpha, gamma=1.0, nu=nu, f=f, branching=branching,
                         depth=depth)
         initial = TreeState(np.where(np.arange(p.n_nodes) == 0, root, 0.0), p)
-        traj, peak = traced_run(initial, t_end, keep=[t_end / 2])
+        traj, peak = traced_run(initial, t_end, keep={t_end / 2: lambda t, values: None})
         assert traj.stiff_from is not None
-        assert peak <= 8 * held_values(p, 2, 1)  # rows at t_end / 2 and t_end
+        assert peak <= 8 * held_values(p, 2)  # rows at t_end / 2 and t_end
 
     def test_held_values_counts_the_stiff_workspace(self):
         # every run may switch, and RODAS4's workspace is O(n): 16 n + 2 nw
         # on a chain (its factor is lists of Python floats), 8 n + 2 n_int +
         # 2 nw and 1024 values per generation on a tree, n_int internal
         # nodes and nw = 2 depth + 2 work rates.  DP5 holds 8 n and a block
-        # of its error estimate, min(n, 16,385), the kept state n, the
-        # kernel 2 n_int, the work rates and energies 8 nw + depth + 1, and
-        # Python objects 2048 values
+        # of its error estimate, min(n, 16,385), the kernel 2 n_int, the
+        # work rates and energies 8 nw + depth + 1, and Python objects 2048
+        # values; a kept state is handed over, not held
         for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 16 * 19 + 2 * 38),
                          (ModelParams(alpha=1.0, branching=2, depth=8),
                           8 * 511 + 2 * 255 + 1024 * 8 + 2 * 18),
@@ -920,20 +995,21 @@ class TestCapacity:
             fixed = 2 * p.offsets[-2] + 8 * nw + p.depth + 1 + 2048
             rows = 101 * (4 * p.depth + 5) + 4 * 100
             block = min(p.n_nodes, 16385)
-            assert held_values(p, 100, 1) == 9 * p.n_nodes + block + stiff + fixed + rows
+            assert held_values(p, 100) == 8 * p.n_nodes + block + stiff + fixed + rows
 
     def test_integrate_checks_the_budget_before_allocating(self, monkeypatch):
         p = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4)
         outputs = [0.25, 0.5, 0.75, 1.0]
-        held = held_values(p, len(outputs), 1)
+        held = held_values(p, len(outputs))
+        keep = {0.5: lambda t, values: None}
         for budget in (p.n_nodes, held - 1):
             tight = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=budget)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "make_kernel", None)  # raised before it runs
                 with pytest.raises(CapacityExceeded, match="would hold") as e:
-                    integrate(TreeState.zeros(tight), 1.0, output_times=outputs, keep=[0.5])
+                    integrate(TreeState.zeros(tight), 1.0, output_times=outputs, keep=keep)
             assert f"({8 * held:.3g} bytes), over the budget of {budget} " \
                    f"({8 * budget:.3g} bytes)" in str(e.value)
         fits = ModelParams(alpha=1.0, f=0.5, branching=2, depth=4, max_nodes=held)
-        traj = integrate(TreeState.zeros(fits), 1.0, output_times=outputs, keep=[0.5])
+        traj = integrate(TreeState.zeros(fits), 1.0, output_times=outputs, keep=keep)
         assert traj.n_accepted > 0

@@ -7,12 +7,10 @@ import pytest
 from dyadic_cascade import (
     ModelParams,
     TreeState,
-    children,
     energy_report,
     generation,
     inviscid_classic_profile,
     inviscid_tree_profile,
-    parent,
     pow2,
     rhs_tree,
 )
@@ -25,6 +23,7 @@ from dyadic_cascade.kernels import (
     generation_energies,
     make_kernel,
 )
+from heap_oracle import children, parent
 import kernel_oracle
 from jacobian_oracle import dense_jacobian
 
@@ -278,9 +277,22 @@ class TestKernelTemporaries:
     (n_int = 37,449 internal nodes) and one chunk's pairs and quads (6
     rows of _COLUMN_CHUNK), besides a few array headers."""
 
+    P = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=6)
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("method", ["rhs", "rhs_work", "jvp"])
     def test_peak_is_bounded_by_the_chunk(self, method):
-        p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=6)
+        p = self.P
         kernel = make_kernel(p)
         rng = np.random.default_rng(1)
         y = rng.uniform(0.0, 0.01, p.n_nodes)
@@ -291,15 +303,21 @@ class TestKernelTemporaries:
                 "rhs_work": lambda: kernel.rhs_work(y, out=out, work_out=work,
                                                     energies_out=energies),
                 "jvp": lambda: kernel.jvp(y, v, out=out)}[method]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(call)
         assert peak <= 8 * (3 * kernel.n_internal + 6 * _COLUMN_CHUNK) + 4096
+
+    def test_jvp_with_scratch_allocates_only_the_chunk(self):
+        # a, the gain and both child sums go to the scratch rows; the
+        # column sum's pairs and quads of one chunk remain
+        p = self.P
+        kernel = make_kernel(p)
+        rng = np.random.default_rng(1)
+        y = rng.uniform(0.0, 0.01, p.n_nodes)
+        v = rng.normal(0.0, 1.0, p.n_nodes)
+        out, scratch = np.empty(p.n_nodes), np.empty((2, p.n_nodes))
+        peak = self.traced_peak(lambda: kernel.jvp(y, v, out=out, scratch=scratch))
+        assert peak <= 8 * 6 * _COLUMN_CHUNK + 4096
+        assert out.tobytes() == kernel.jvp(y, v).tobytes()
 
 
 def split_pairwise_sums(values, offsets):

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Traced memory peak of one benchmark workload's simulate job, by region.
+
+    python3 tools/peak_regions.py --src src --workload tree_wide [--tiny]
+
+Imports dyadic_cascade from --src, so that two checkouts can be compared, and
+the workload's configs with seed 1 from bench/workloads.py next to this tool
+(--tiny takes their seconds-long versions).  Runs the job's simulate call
+once through cli.main, in a temporary directory, with tracemalloc started
+before the call, and prints one JSON object: the workload, the state's size n, the
+job's peak in MB and in state arrays (8 n bytes), and the peak inside each
+region, also in state arrays: Kernel.rhs, Kernel.rhs_work, Kernel.jvp and
+dynamics._error_norm.  A region's peak counts all the memory the job has
+traced at that moment, not only the region's own.  The wrappers are put back
+when the job ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REGIONS = ("Kernel.rhs", "Kernel.rhs_work", "Kernel.jvp", "_error_norm")
+
+
+def _workloads():
+    """bench/workloads.py as a module.  Its dataclasses look their module up
+    in sys.modules while they are made, so it is there while it runs."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class _Peaks:
+    """The traced peak of the whole job and of each region.  Entering or
+    leaving a region folds tracemalloc's peak so far into the job's and
+    resets it, so the peak read when a region is left is the region's."""
+
+    def __init__(self):
+        self.job = 0
+        self.regions = dict.fromkeys(REGIONS, 0)
+        self.depth = 0
+
+    def fold(self) -> int:
+        peak = tracemalloc.get_traced_memory()[1]
+        self.job = max(self.job, peak)
+        tracemalloc.reset_peak()
+        return peak
+
+    def wrap(self, name, fn):
+        def wrapped(*args, **kwargs):
+            self.depth += 1
+            if self.depth == 1:
+                self.fold()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.depth -= 1
+                if self.depth == 0:
+                    self.regions[name] = max(self.regions[name], self.fold())
+
+        return wrapped
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="directory holding dyadic_cascade")
+    parser.add_argument("--workload", required=True,
+                        choices=("tree_binary", "tree_wide", "chain_stiff"))
+    parser.add_argument("--tiny", action="store_true",
+                        help="the workload's seconds-long version")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from dyadic_cascade import cli, dynamics
+    from dyadic_cascade.kernels import Kernel
+
+    peaks = _Peaks()
+    hooks = ((Kernel, "rhs"), (Kernel, "rhs_work"), (Kernel, "jvp"), (dynamics, "_error_norm"))
+    originals = [getattr(owner, name) for owner, name in hooks]
+    for (owner, name), fn, region in zip(hooks, originals, REGIONS):
+        setattr(owner, name, peaks.wrap(region, fn))
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            workload = _workloads().build(args.workload, 1, work, tiny=args.tiny)
+            workload.write_configs()
+            (call,) = workload.calls
+            tracemalloc.start()
+            try:
+                code = cli.main(call.argv)
+                peaks.fold()
+            finally:
+                tracemalloc.stop()
+    finally:
+        for (owner, name), fn in zip(hooks, originals):
+            setattr(owner, name, fn)
+        sys.path.remove(args.src)
+    if code != 0:
+        return code
+    state = 8 * workload.nodes
+    print(json.dumps({
+        "workload": args.workload, "tiny": args.tiny, "n": workload.nodes,
+        "peak_mb": round(peaks.job / 1e6, 3),
+        "peak_states": round(peaks.job / state, 2),
+        "region_states": {name: round(peak / state, 2)
+                          for name, peak in peaks.regions.items()}}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
