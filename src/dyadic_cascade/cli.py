@@ -1,16 +1,17 @@
 """Configuration ingestion, experiment orchestration and CSV/JSON emission.
 
 Subcommands: simulate, stationary, selfsimilar, lift, dissipation-bound,
-fit-spectrum.  All take --config <json> and --out <dir>.  Each command
-reads its config through one table of fields, each with its kind and its
-default; simulate's initial block is a table keyed by its kind.  The table
-rejects unknown and missing fields by their path (a typo'd exponent name
-must not silently invalidate an experiment) and echoes simulate's config
-into summary.json.  Short checks after the parse keep the rules the library
-has no twin for: model, mode and branching, output_interval > 0, the
-classic_values length and one lift source, the random_positive scale,
-symmetric-mode initial kinds, finite state-file entries and the
---dump-state times.  Output files are byte-reproducible:
+fit-spectrum.  All take --config <json> and --out <dir>; an --out that is
+empty or names an existing file is bad input, rejected before any work.
+Each command reads its config through one table of fields, each with its
+kind and its default; simulate's initial block is a table keyed by its
+kind.  The table rejects unknown and missing fields by their path (a
+typo'd exponent name must not silently invalidate an experiment) and
+echoes simulate's config into summary.json.  Short checks after the parse
+keep the rules the library has no twin for: model, mode and branching,
+output_interval > 0, the classic_values length and one lift source, the
+random_positive scale, symmetric-mode initial kinds, finite state-file
+entries and the --dump-state times.  Output files are byte-reproducible:
 floats are written with repr (shortest round-trip decimal), LF endings,
 UTF-8; identical config and seed give identical bytes (the kernel uses
 fixed-order reductions).
@@ -739,6 +740,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """--out names the output directory, made if it is missing: an empty
+    name, or one of a file or anything else that is not a directory, is bad
+    input, rejected before any work."""
+    if not out:
+        raise ConfigError("--out must name a directory, got an empty name")
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -747,6 +758,7 @@ def main(argv=None) -> int:
         # reaches an output file is a numerical failure of its own
         # (_write_csv, _write_json)
         with np.errstate(over="ignore", invalid="ignore"):
+            _check_out(args.out)
             cfg = _load_config(args.config)
             if args.command == "simulate":
                 run_simulate(RunConfig.from_dict(cfg), args.out,

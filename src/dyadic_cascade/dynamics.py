@@ -33,22 +33,30 @@ the error norm is also the attempt's finiteness check (see the stage loop).
 The RODAS4 step keeps an explicit scan of its stages and its new solution,
 since that solution is never an input of f before it is accepted.
 
-A run holds 8 arrays of the state's size, whatever its method: y, the 6
-stage rows K and the stage input.  The caller's initial state is not among
-them: integrate copies it into y and drops it before the run allocates.
-Stage 2 has zero solution and error weights (b_2 = e_2 = 0), so f(y5),
-DP5's 7th stage, takes its row once the last stage input is formed.  DP5's
-error estimate never takes a 9th array: the norm forms it in column blocks
-of _NORM_BLOCK and writes each block's squares into the slice of K[2] that
-the block has just read.  Every other scratch is a buffer that holds
-nothing the run still needs at that point: the initial step computes in
-K[1] and the stage input, and the stiffness estimate in K[2] and the stage
-input, once it has read K[1] and K[5]; on trees its Jacobian-vector
-products keep their temporaries in K[3] and K[4], which the next attempt
-writes before it reads them.  RODAS4 borrows all 6 rows of K for its stage
-increments; f(y) moves to its own array when the run switches.  The final
-state is copied after the loop, once the work arrays are gone, so it adds
-nothing to the peak, and no other state is copied at all.
+A DP5 run holds 7 arrays of the state's size: y, the 5 stage rows K and
+the stage input.  The caller's initial state is not among them: integrate
+copies it into y and drops it before the run allocates.  K's rows hold
+stages 1-5; stage 2 has zero solution and error weights (b_2 = e_2 = 0), so
+f(Y6) takes its row once Y6 is formed.  The 5th-order solution y5 then
+goes to the stage input and the error estimate without its 7th stage, P,
+to K[2], both in column blocks of _NORM_BLOCK, so that each block of K is
+read from memory once.  All 5 rows are inputs of P, so each block of P is
+formed in a buffer of the widest block, which lives only while P is
+formed; a run whose state is one block forms P in an array of its own
+instead, which it holds until it switches or ends.  K[3] and K[4] are then
+dead: f(y5), the 7th stage, goes to K[3] (and to K[0] when the step is
+accepted, FSAL), and the norm forms P + h e_7 f(y5) block by block in K[4]
+and writes its squares into K[2].  Every other scratch is a buffer that
+holds nothing the run still needs at that point: the initial step computes
+in K[1] and the stage input, and the stiffness estimate in K[2] and the
+stage input from f(y5) - f(Y6) = K[3] - K[1]; on trees its
+Jacobian-vector products keep their temporaries in K[3] and K[4], which
+the next attempt writes before it reads them.  When the run switches,
+f(y) moves to its own array, K and P's array are dropped, and RODAS4 then
+makes its own 6 stage rows: y, the stage input, f(y), the 6 rows and the
+stage derivative are 10 arrays.  The final state is copied after the loop,
+once the work arrays are gone, so it adds nothing to the peak, and no other
+state is copied at all.
 
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs its loop under one
@@ -77,23 +85,29 @@ from .errors import (
 )
 from .kernels import boundary_fluxes, generation_energies, make_kernel
 
-# Dormand-Prince 5(4) tableau (autonomous form; no c column needed).
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+# Dormand-Prince 5(4) tableau (autonomous form; no c column needed) over
+# the rows of integrate's K: stages 1-5, then f(Y6) in stage 2's row once Y6
+# is formed, since stage 2 has zero solution and error weights (b_2 = e_2 =
+# 0).  Rows 0-4 are the inputs of stages 2-6; rows 5 and 6 the solution and
+# error weights of stages 1, 6, 3, 4 and 5, in that row order, and _E7 the
+# error weight of f(y5), the 7th stage (FSAL: its input is the b row's).
+_TABLEAU = np.array((
+    (1 / 5, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_A_LOWER = np.array([row + (0.0,) * (6 - len(row)) for row in _A])
+    (35 / 384, 11 / 84, 500 / 1113, 125 / 192, -2187 / 6784),
+    (71 / 57600, 22 / 525, -71 / 16695, 71 / 1920, -17253 / 339200),
+))
+_E7 = -1 / 40
+# the solution weights of the 7 rows of stage work rates W: stages 1-6, then
+# f(y5)'s, whose weight is zero; row 1, stage 2's, stays zero
 _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-# the error weights of K's 6 rows: row 1 holds f(y5), the 7th stage, not
-# stage 2, whose weight is zero
-_E = np.array((71 / 57600, -1 / 40, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525))
 _ORDER = 5
-# columns of DP5's error estimate formed at a time on larger states: blocks
-# of this size gave the bytes of one BLAS thread under 1 and 2 threads
+# columns of DP5's solution and error estimate formed at a time on larger
+# states: blocks of this size gave the bytes of one BLAS thread under 1 and
+# 2 threads
 _NORM_BLOCK = 16384
 _EPS = float(np.finfo(np.float64).eps)
 #: why a step attempt was rejected, in the order Trajectory.rejected lists them
@@ -112,7 +126,8 @@ REJECTION_CAUSES = ("error norm", "non-finite", "positivity")
 # eight tests.  At a threshold of 3.0 that verdict lapsed, the switch came
 # at the 39th test, and about 800 DP5 steps were stability-bound; at 2.7
 # the verdicts run from the 15th test, the switch comes at the 29th, and
-# the run takes 1,706 step attempts instead of 1,964.  Lower is not better:
+# the run takes 1,711 step attempts, 296 of them RODAS4's (1,964 at 3.0
+# when that was measured).  Lower is not better:
 # at 2.0, a binary tree of depth 10 (alpha 2, unforced, inviscid) switches
 # inside its fast transient, where RODAS4 needs small steps too, and takes
 # 816 + 2,072 DP5 + RODAS4 attempts instead of 1,516 + 1,384, about 25%
@@ -305,27 +320,66 @@ def _landing_times(times, t_end: float) -> list:
     return targets
 
 
-def _error_norm(err, y, y5, rtol, atol, scratch, rows=None) -> float:
-    """RMS of e / (atol + rtol * max(|y|, |y5|)) for y >= 0, e = err or,
-    given rows, err @ rows; bit-equal to the np.mean form.  The squares are
-    formed in scratch, one np.add.reduce sums them.  integrate passes
-    k[5] and k[0] under RODAS4, and DP5's h _E and K with K[2] as scratch:
-    the estimate is then formed in column blocks of _NORM_BLOCK, each into
-    a buffer of this call and its squares into the slice of K[2] the block
-    has just read, so that it never takes a state-sized array."""
-    n, b = y.size, _NORM_BLOCK
-    if rows is None or n <= b:
-        _scaled_squares(err if rows is None else np.matmul(err, rows), y, y5, rtol, atol,
-                        scratch)
+def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
+    """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, bit-equal to
+    the np.mean form.  The squares are formed in scratch, one np.add.reduce
+    sums them.  integrate passes RODAS4's k[5] and k[0]; DP5's estimate has
+    a norm of its own, _dp5_error_norm."""
+    _scaled_squares(err, y, y5, rtol, atol, scratch)
+    return math.sqrt(float(np.add.reduce(scratch)) / y.size)
+
+
+def _column_blocks(n: int) -> list:
+    """The (lo, hi) column ranges in which DP5 forms its solution and error
+    estimate: _NORM_BLOCK columns each.  A last block of one column would be
+    a dot product, which sums in another order than gemv: that column joins
+    the block before it."""
+    bounds = [0, *range(_NORM_BLOCK, n - 1, _NORM_BLOCK), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _solution_and_estimate(hb, he, K, y, y5, blocks, out):
+    """y5 = y + hb @ K, DP5's 5th-order solution, and P = he @ K, its error
+    estimate without the 7th stage, hb and he the b and e weights of K's 5
+    rows times h.  Returns P.  With one block P is formed in out, an array
+    of K's row size.  Otherwise both are formed block by block, so that each
+    block of K is read from memory once, and since every row of K is an
+    input of P, each block of P is formed in a buffer of the widest block,
+    which lives only in this call, and copied to the slice of K[2] it has
+    just read; P is then K[2] and out is None."""
+    if len(blocks) == 1:
+        np.matmul(hb, K, out=y5)
+        y5 += y
+        return np.matmul(he, K, out=out)
+    buffer = np.empty(max(hi - lo for lo, hi in blocks))
+    for lo, hi in blocks:
+        columns, y5_block = K[:, lo:hi], y5[lo:hi]
+        np.matmul(hb, columns, out=y5_block)
+        y5_block += y[lo:hi]
+        K[2, lo:hi] = np.matmul(he, columns, out=buffer[:hi - lo])
+    return K[2]
+
+
+def _dp5_error_norm(p, f7, he7, y, y5, rtol, atol, blocks, err, squares) -> float:
+    """_error_norm of DP5's estimate p + he7 f7, p from
+    _solution_and_estimate and f7 = f(y5), its 7th stage.  The estimate is
+    formed in err block by block and each block's squares in squares;
+    integrate passes K[4] and K[2], which p may be: a block of p is read
+    before its squares are written."""
+    if len(blocks) == 1:
+        _estimate_squares(p, f7, he7, y, y5, rtol, atol, err, squares)
     else:
-        # a last block of one column would be a dot product, which sums in
-        # another order than gemv: that column joins the block before it
-        bounds = [*range(0, n - 1, b), n]
-        buffer = np.empty(max(b, n - bounds[-2]))
-        for lo, hi in zip(bounds, bounds[1:]):
-            _scaled_squares(np.matmul(err, rows[:, lo:hi], out=buffer[:hi - lo]),
-                            y[lo:hi], y5[lo:hi], rtol, atol, scratch[lo:hi])
-    return math.sqrt(float(np.add.reduce(scratch)) / n)
+        for lo, hi in blocks:
+            _estimate_squares(p[lo:hi], f7[lo:hi], he7, y[lo:hi], y5[lo:hi], rtol, atol,
+                              err[lo:hi], squares[lo:hi])
+    return math.sqrt(float(np.add.reduce(squares)) / y.size)
+
+
+def _estimate_squares(p, f7, he7, y, y5, rtol, atol, err, out):
+    """err = p + he7 f7 and out its _scaled_squares."""
+    np.multiply(f7, he7, out=err)
+    err += p
+    _scaled_squares(err, y, y5, rtol, atol, out)
 
 
 def _scaled_squares(err, y, y5, rtol, atol, out):
@@ -356,18 +410,18 @@ def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
     return min(h0, 0.1 * t_end, max_step)
 
 
-def _stiffness_estimate(kernel, y, K, h, u, ju, scratch=None) -> float:
-    """h rho(J) for DOPRI5's stiffness test, computed in the scratch arrays
-    u and ju (integrate passes K[2] and the stage input, which the next
-    attempt writes before it reads them; u is written only after K[1] and
-    K[5] are read).  scratch goes to Kernel.jvp: integrate passes K[3:5],
-    which the next attempt also writes before it reads them, and the
-    estimate is bit-equal without it.  K[1] - K[5] = f(y5) - f(Y6), Y6 the
-    input of stage 6, is about J (y5 - Y6): DOPRI5's quotient ||K[1] -
-    K[5]|| / ||y5 - Y6|| is one power step from y5 - Y6.  That difference
-    is mostly non-stiff error, so the quotient reads far below rho(J); two
-    more power steps with the Jacobian at y give h sqrt(||J^2 u|| / ||u||),
-    u = K[1] - K[5].
+def _stiffness_estimate(kernel, y, f_y5, f_y6, h, u, ju, scratch=None) -> float:
+    """h rho(J) for DOPRI5's stiffness test from f_y5 = f(y5) and f_y6 =
+    f(Y6), Y6 the input of stage 6, computed in the scratch arrays u and ju
+    (integrate passes K[2] and the stage input, which the next attempt
+    writes before it reads them).  scratch goes to Kernel.jvp: integrate
+    passes K[3:5], which the next attempt also writes before it reads them,
+    and K[3], f(y5), is read only to form u; the estimate is bit-equal
+    without it.  f(y5) - f(Y6) is about J (y5 - Y6): DOPRI5's quotient
+    ||f(y5) - f(Y6)|| / ||y5 - Y6|| is one power step from y5 - Y6.  That
+    difference is mostly non-stiff error, so the quotient reads far below
+    rho(J); two more power steps with the Jacobian at y give h sqrt(||J^2
+    u|| / ||u||), u = f(y5) - f(Y6).
 
     At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
     one more round of two steps: on stiff chains two steps from y + 1 read
@@ -376,7 +430,7 @@ def _stiffness_estimate(kernel, y, K, h, u, ju, scratch=None) -> float:
     stages of a rejected attempt).  The norms are np.add.reduce of squares
     formed in ju, not np.linalg.norm: that is a BLAS dot, whose summation
     order depends on the BLAS thread count above about 10,000 values."""
-    np.subtract(K[1], K[5], out=u)
+    np.subtract(f_y5, f_y6, out=u)
     rounds = 1
     if not np.maximum.reduce(np.abs(u, out=ju)) > 0.0:
         np.add(y, 1.0, out=u)
@@ -399,23 +453,23 @@ class _Rodas4:
     work quadratures is one combination of the stage work rates and one
     work_jvp (see _RODAS_U).
 
-    It borrows DP5's (6, n) stage rows K and (7, nw) work-rate rows W, whose
-    rows 0 hold f and the work rates at the current solution.  All of K
-    becomes the stage increments k, so f(y) moves to its own array fy, where
-    no attempt, rejected or not, writes; W[0] stays the work rates at y and
-    the first stage's, and W[1:6] take the others (w = W[:6]).  The caller
-    writes f and the work rates at each new solution to fy and W[0].  Besides
-    K and W it holds fy, the stage derivative f and the kernel's factor."""
+    fy is f at the current solution, which no attempt, rejected or not,
+    writes, and W DP5's (7, nw) work-rate rows: W[0] stays the work rates at
+    y and the first stage's, and W[1:6] take the others (w = W[:6]).  The
+    caller writes f and the work rates at each new solution to fy and W[0].
+    Besides fy and W it holds its own 6 stage increments k, the stage
+    derivative f and the kernel's factor: integrate has dropped DP5's stage
+    rows before it makes the workspace."""
 
-    def __init__(self, kernel, K, W):
+    def __init__(self, kernel, fy, W):
         self.kernel = kernel
-        self.k = K
+        self.k = k = np.empty((6, fy.size))
         self.w = W[:6]
-        self.fy = K[0].copy()
-        self.f = np.empty(K.shape[1])
+        self.fy = fy
+        self.f = np.empty(fy.size)
         self.c = c = np.empty_like(_RODAS_C)  # C / h of the current attempt
         # stages 1..5: input weights, C_i / h, k[:i], k_i and the work rates
-        self.stages = [(_RODAS_A[i] if i < 5 else None, c[i, :i], K[:i], K[i], W[i])
+        self.stages = [(_RODAS_A[i] if i < 5 else None, c[i, :i], k[:i], k[i], W[i])
                        for i in range(1, 6)]
 
     def attempt(self, y, h, out):
@@ -463,10 +517,18 @@ def held_values(params: ModelParams, n_outputs: float) -> float:
     Nor are kept states: integrate hands each to keep's callable as a view
     of its own state, and the final state is copied once the work arrays
     are dropped.
-    - the 8 work arrays of the state's size n: y, 6 stage rows and the
-      stage input;
-    - a block of DP5's error estimate, at most min(n, _NORM_BLOCK + 1)
-      values, which lives while it is normed;
+    - the arrays of the state's size n once a run switches to RODAS4: y,
+      the stage input, f(y), RODAS4's own 6 stage increments, its stage
+      derivative and up to 2 stage temporaries, 12 n, plus 2 stage
+      temporaries of nw and the factored stage matrix.  On a tree that is
+      the kernel's elimination workspace: 1/pivot, a_p/pivot_k per child,
+      the sweep buffer and its per-child scratch (4 n), 2 a_p and a
+      per-parent scratch (2 n_int), and _BOUND_CALL_VALUES per generation.
+      On a chain the factor (a_p and 1/pivot) and the sweep's copy of r are
+      lists of Python floats, 32 bytes or 4 values per entry: 12 n;
+    - DP5's error estimate without its 7th stage, min(n, _NORM_BLOCK + 1)
+      values: the run's array of it when the state is one block, else the
+      buffer of a block, which lives while the estimate is formed;
     - the kernel's 2 coefficient arrays of n_int values, n_int the internal
       nodes;
     - the 7 rows of stage work rates and the running quadratures, 8 nw
@@ -474,30 +536,23 @@ def held_values(params: ModelParams, n_outputs: float) -> float:
       last evaluation;
     - a row of 4 * depth + 5 values at t = 0 and each output time, and each
       output time as a Python float (32 bytes);
-    - _OBJECT_VALUES for Python objects;
-    - what RODAS4 adds once a run switches: f(y), its stage derivative, up
-      to 2 stage temporaries of n and 2 of nw, and the factored stage
-      matrix.  On a tree that is the kernel's elimination workspace:
-      1/pivot, a_p/pivot_k per child, the sweep buffer and its per-child
-      scratch (4 n), 2 a_p and a per-parent scratch (2 n_int), and
-      _BOUND_CALL_VALUES per generation.  On a chain the factor (a_p and
-      1/pivot) and the sweep's copy of r are lists of Python floats, 32
-      bytes or 4 values per entry: 12 n.
-    The kernel's temporaries in a DP5 step, at most 3 n_int + 6 min(n_int,
+    - _OBJECT_VALUES for Python objects.
+    DP5 holds 7 arrays of n: y, its 5 stage rows and the stage input.  With
+    the kernel's temporaries in a DP5 step, at most 3 n_int + 6 min(n_int,
     kernels._COLUMN_CHUNK) values (N = 8; on trees the stiffness estimate's
-    jvp keeps its n_int-sized ones in K[3:5]), are below the RODAS4
-    allowance, and a run that has switched makes no DP5 step.  n_outputs
-    may be an inf float."""
+    jvp keeps its n_int-sized ones in K[3:5]), that is below RODAS4's 12 n,
+    and a run that has switched has dropped DP5's stage rows and P's array
+    and makes no DP5 step.  n_outputs may be an inf float."""
     n, depth, n_int = params.n_nodes, params.depth, params.offsets[-2]
     nw = 2 * depth + 2
     if params.branching == 1:
         factor = 12 * n
     else:
         factor = 4 * n + 2 * n_int + _BOUND_CALL_VALUES * depth
-    stiff = 4 * n + factor + 2 * nw
+    stiff = 12 * n + factor + 2 * nw
     fixed = 2 * n_int + 8 * nw + depth + 1 + _OBJECT_VALUES
     rows = (n_outputs + 1) * (4 * depth + 5) + 4 * n_outputs
-    return 8 * n + min(n, _NORM_BLOCK + 1) + stiff + fixed + rows
+    return stiff + min(n, _NORM_BLOCK + 1) + fixed + rows
 
 
 def check_capacity(params: ModelParams, n_outputs: float) -> None:
@@ -597,7 +652,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
 
-    K = np.zeros((6, n))   # DP5's stages; f(y5) takes stage 2's row
+    K = np.zeros((5, n))   # DP5's stages 1-5; f(Y6) takes stage 2's row
     W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
     e_last = np.empty(nq_v)  # generation energies of the last rhs_work input
     yy = np.empty(n)   # stage input; after the last stage, the new solution
@@ -646,13 +701,18 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     stiff_from = None
     order = _ORDER
 
-    # bound once per run: the rows of K, h times the tableau and, per stage
-    # after the first, its weights, K's block it combines and its out rows
-    K0, K1, K2 = K[:3]
+    # bound once per run: the rows of K, h times the tableau, its b and e
+    # rows and, per stage from the third to the sixth, its weights, K's
+    # block it combines and its out rows; the error estimate's column blocks
+    # and, for a state of one block, the array of the estimate
+    K0, K1, K2, K3, K4 = K
     spare = K[3:5]  # the stiffness estimate's jvp work space
-    ha = np.empty_like(_A_LOWER)
-    stages = [(ha[s, :s + 1], K[:s + 1], K[s + 1] if s < 5 else K1, W[s + 1])
-              for s in range(1, 6)]
+    ht = np.empty_like(_TABLEAU)
+    hb, he = ht[5], ht[6]
+    stages = [(ht[s, :s + 1], K[:s + 1], K[s + 1] if s < 4 else K1, W[s + 1])
+              for s in range(1, 5)]
+    blocks = _column_blocks(n)
+    p_array = np.empty(n) if len(blocks) == 1 else None
     W0, W6 = W[0], W[6]
     target = targets[0]
     land_at = target - _rounding_gap(target)
@@ -668,29 +728,33 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         if rodas is None:
             # h folded into the weights saves a pass per stage; stage 1 has
             # one weight, and a multiply takes a third of a matmul's time
-            np.multiply(_A_LOWER, h, out=ha)
-            np.multiply(K0, ha[0, 0], out=yy)
+            np.multiply(_TABLEAU, h, out=ht)
+            np.multiply(K0, ht[0, 0], out=yy)
             yy += y
             kernel.rhs(yy, out=K1)  # b and e weights are zero: no work
             for weights, block, k_out, w_out in stages:
                 np.matmul(weights, block, out=yy)
                 yy += y
-                # stage 2 has served its last stage input once yy is y5
+                # stage 2 has served its last stage input once yy is Y6
                 kernel.rhs_work(yy, out=k_out, work_out=w_out, energies_out=e_last)
-            # the last A row is the b row (FSAL), so yy is now the 5th-order
-            # solution y5 and K[1] = f(y5).  A finite error norm is the whole
-            # finiteness check of the attempt:
+            # K holds stages 1, 6, 3, 4 and 5; y5 is the 5th-order solution
+            # and the 7th stage's input (FSAL).  The estimate without the
+            # 7th stage leaves K[3] and K[4] dead: f(y5) goes to K[3], and
+            # the norm forms the estimate in K[4], its squares in K[2].  A
+            # finite error norm is the whole finiteness check of the attempt:
             # - f of a state with a non-finite entry is non-finite, at that
             #   node or at its parent;
-            # - every stage but stage 2 has a nonzero e weight, so a
-            #   non-finite stage makes the error estimate non-finite (inf -
+            # - each of K's rows and f(y5) has a nonzero e weight, so a
+            #   non-finite one makes the error estimate non-finite (inf -
             #   inf and 0 * inf are NaN);
             # - stage 2 enters stage 3's input with weight 9/40, and y5 is
             #   f(y5)'s.
             # Only on a lone undamped node, whose f is constant, can y5
             # overflow with finite stages: there y5 is one value to check.
+            p = _solution_and_estimate(hb, he, K, y, yy, blocks, p_array)
+            kernel.rhs_work(yy, out=K3, work_out=W6, energies_out=e_last)
             n_rhs += 6
-            err_norm = _error_norm(h * _E, y, yy, rtol, atol, K2, rows=K)
+            err_norm = _dp5_error_norm(p, K3, h * _E7, y, yy, rtol, atol, blocks, K4, K2)
             finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
         else:
             dq = rodas.attempt(y, h, out=yy)
@@ -741,7 +805,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
                                 work_out=W0, energies_out=e_last)
                 n_rhs += 1
             else:
-                np.copyto(K0, K1)  # e_last came with f(y5)
+                np.copyto(K0, K3)  # e_last came with f(y5)
                 np.copyto(W0, W6)
             if t == target:
                 ti += 1
@@ -760,11 +824,18 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         if tests and rodas is None:
             n_tests += 1
             # K[2] and the stage input hold nothing the next attempt reads
-            if _stiffness_estimate(kernel, y, K, h_taken, K2, yy, spare) > _STIFF_H_LAMBDA:
+            if _stiffness_estimate(kernel, y, K3, K1, h_taken, K2, yy,
+                                   spare) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
-                    rodas = _Rodas4(kernel, K, W)
+                    # K, every view of it and P's array are dropped
+                    # before RODAS4 makes its own stage rows
+                    fy = K0.copy()
+                    K = K0 = K1 = K2 = K3 = K4 = spare = stages = p_array = p = None
+                    weights = block = k_out = None
+                    rodas = _Rodas4(kernel, fy, W)
+                    del fy
                     stiff_from = t
                     order = _RODAS_ORDER
             else:
@@ -775,7 +846,8 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     # K and every view of it are dropped before the final state is copied,
     # and y once it is, before the callables of t_end run; the stage loop's
     # names are rebound, as a run without a DP5 attempt never bound them
-    del K, K0, K1, K2, spare, stages, yy, y_new, rodas, kernel
+    del yy, y_new, rodas, kernel
+    K = K0 = K1 = K2 = K3 = K4 = spare = stages = p_array = p = None
     weights = block = k_out = w_out = None
     final = TreeState(y, params)
     del y

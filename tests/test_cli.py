@@ -881,6 +881,31 @@ class TestBadInput:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,cfg,solver", [
+    pytest.param("simulate", base_config(), "integrate", id="simulate"),
+    pytest.param("stationary", {"f": 10, "nu": 0.01, "beta": 3, "gamma": 1, "n_max": 60},
+                 "solve_viscous_stationary", id="stationary"),
+])
+@pytest.mark.parametrize("out", ["", "file"])
+def test_out_that_cannot_be_a_directory_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, command, cfg, solver, out):
+    """An empty --out, or one that names an existing file, is bad input: the
+    run stops before its solver starts, with a message and no traceback."""
+    def solve(*args, **kwargs):
+        raise AssertionError(f"{solver} ran")
+
+    monkeypatch.setattr(cli, solver, solve)
+    if out:
+        out = tmp_path / "c.json"
+        out.write_text("{}")
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: --out ")
+    if out:
+        assert out.read_text() == "{}"
+
+
 def test_bisection_tol_is_rejected_before_any_solve(tmp_path, monkeypatch, capsys):
     """bisection_tol is not a config field: even a value no certificate
     could reach exits 1 before any solve starts."""

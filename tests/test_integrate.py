@@ -384,10 +384,18 @@ class TestErrorNorm:
     @pytest.mark.parametrize("n", [1, _NORM_BLOCK - 1, _NORM_BLOCK, _NORM_BLOCK + 1,
                                    2 * _NORM_BLOCK + 1, 3 * _NORM_BLOCK + 5])
     def test_blocked_estimate_is_bit_equal_to_the_whole_product(self, n):
-        # DP5's estimate h _E @ K, formed block by block with its squares in
-        # K[2], against the whole product normed with K[2] as scratch
+        # DP5's solution y + h b . K and estimate P + h e_7 f(y5), P = h e .
+        # K over the 5 stage rows formed block by block into K[2] (or in an
+        # array of its own when there is one block), f(y5) in K[3], the
+        # estimate in K[4] and its squares in K[2], against the same
+        # expressions formed whole in those rows.  The norm is taken with a
+        # y5 of its own, which has -0.0 entries and small negatives
         rng = np.random.default_rng(n)
-        K = rng.normal(0.0, 1.0, (6, n)) * 10.0 ** rng.integers(-12, 3, (6, n))
+        K = rng.normal(0.0, 1.0, (5, n)) * 10.0 ** rng.integers(-12, 3, (5, n))
+        K[:, ::19] = 0.0
+        K[:, 4::23] = -0.0
+        f7 = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 3, n)
+        f7[1::29] = -0.0
         y = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 3, n)
         y[::7] = 0.0
         y[3::11] = -0.0
@@ -396,24 +404,55 @@ class TestErrorNorm:
         y5[5::17] = -0.0
         for h in (1e-3, 0.37):
             whole, blocked = K.copy(), K.copy()
-            expected = whole_error_norm(np.matmul(h * dynamics._E, whole), y, y5, 1e-8,
-                                        1e-14, whole[2])
-            got = _error_norm(h * dynamics._E, y, y5, 1e-8, 1e-14, blocked[2], rows=blocked)
+            solution = y + np.matmul(h * dynamics._TABLEAU[5], whole)
+            p = np.matmul(h * dynamics._TABLEAU[6], whole)
+            whole[3] = f7
+            np.add(p, h * dynamics._E7 * f7, out=whole[4])
+            expected = whole_error_norm(whole[4], y, y5, 1e-8, 1e-14, whole[2])
+            got, blocked_solution = dp5_error_norm(blocked, f7, h, y, y5)
             assert got.hex() == expected.hex()
             assert blocked.tobytes() == whole.tobytes()
+            assert blocked_solution.tobytes() == solution.tobytes()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("at", [0, _NORM_BLOCK - 1, _NORM_BLOCK, 2 * _NORM_BLOCK + 4])
     def test_blocked_estimate_of_a_non_finite_stage_is_not_finite(self, bad, at):
-        # the norm is the finiteness check of a DP5 attempt
+        # the norm is the finiteness check of a DP5 attempt: every stage row
+        # and f(y5) has a nonzero error weight
         n = 2 * _NORM_BLOCK + 5
         rng = np.random.default_rng(at)
         y = rng.uniform(0.0, 1.0, n)
-        for row in (0, 2, 5):
-            K = rng.normal(0.0, 1.0, (6, n))
-            K[row, at] = bad
-            assert not math.isfinite(
-                _error_norm(1e-3 * dynamics._E, y, y, 1e-8, 1e-14, K[2], rows=K))
+        for row in range(6):
+            K = rng.normal(0.0, 1.0, (5, n))
+            f7 = rng.normal(0.0, 1.0, n)
+            (f7 if row == 5 else K[row])[at] = bad
+            assert not math.isfinite(dp5_error_norm(K, f7, 1e-3, y, y)[0])
+
+    def test_blocks_are_those_of_norm_block_and_a_one_column_tail_joins(self):
+        b = _NORM_BLOCK
+        assert dynamics._column_blocks(1) == [(0, 1)]
+        assert dynamics._column_blocks(b) == [(0, b)]
+        assert dynamics._column_blocks(b + 1) == [(0, b + 1)]
+        assert dynamics._column_blocks(b + 2) == [(0, b), (b, b + 2)]
+        assert dynamics._column_blocks(2 * b + 1) == [(0, b), (b, 2 * b + 1)]
+
+
+def dp5_error_norm(K, f7, h, y, y5):
+    """The error norm of a DP5 attempt over h from y, and its solution,
+    formed as integrate forms them from the 5 stage rows K: the solution
+    and P, P in an array of its own when the state is one block, else in
+    K[2], then f(y5) = f7 written to K[3], the estimate in K[4] and its
+    squares in K[2].  The norm is taken with y5, not with the solution."""
+    n = K.shape[1]
+    blocks = dynamics._column_blocks(n)
+    out = np.empty(n) if len(blocks) == 1 else None
+    solution = np.empty(n)
+    tableau = h * dynamics._TABLEAU
+    p = dynamics._solution_and_estimate(tableau[5], tableau[6], K, y, solution, blocks, out)
+    K[3] = f7
+    norm = dynamics._dp5_error_norm(p, K[3], h * dynamics._E7, y, y5, 1e-8, 1e-14, blocks,
+                                    K[4], K[2])
+    return norm, solution
 
 
 def whole_error_norm(err, y, y5, rtol, atol, scratch) -> float:
@@ -468,11 +507,10 @@ def worst_residual(traj):
 
 def rodas4_at(kernel, y):
     """A RODAS4 workspace made as integrate makes it at the switch: from
-    DP5's 6 stage rows and 7 work-rate rows, f(y) and the work rates at y in
-    rows 0."""
-    K, W = np.empty((6, y.size)), np.empty((7, 2 * kernel.params.depth + 2))
-    kernel.rhs_work(y, out=K[0], work_out=W[0])
-    return _Rodas4(kernel, K, W)
+    f(y) and DP5's 7 work-rate rows, the work rates at y in row 0."""
+    fy, W = np.empty(y.size), np.empty((7, 2 * kernel.params.depth + 2))
+    kernel.rhs_work(y, out=fy, work_out=W[0])
+    return _Rodas4(kernel, fy, W)
 
 
 @pytest.fixture(scope="module")
@@ -538,9 +576,8 @@ class TestStiffSwitch:
 
     @pytest.mark.parametrize("branching,depth", [(1, 18), (2, 7), (8, 3)])
     def test_a_rejected_attempt_leaves_f_of_y_intact(self, branching, depth):
-        # the stage increments take all of DP5's stage rows, f(y)'s row
-        # included, and a rejected attempt leaves them written; the retry
-        # from the same y must start from f(y) and the work rates at y
+        # a rejected attempt leaves the stage increments written; the
+        # retry from the same y must start from f(y) and the work rates at y
         p = ModelParams(alpha=2.0, gamma=1.0, nu=0.01, f=1.0, branching=branching,
                         depth=depth)
         kernel = dynamics.make_kernel(p)
@@ -558,8 +595,9 @@ class TestStiffSwitch:
 
     def test_chain_stiff_switches_and_matches_dp5(self, chain18, chain18_dp5):
         # the switch comes at the 29th stiffness test, after 1,705 accepted
-        # and 1 rejected steps; a switch that lags to 3.0's 39th test takes
-        # 1,962 steps, one at 2.8 1,769
+        # and 1 rejected steps (the benchmark's chain, whose output times
+        # are i * 0.01, not i / 100, takes 1,710 and 1); a switch that lags
+        # to 3.0's 39th test took 1,962 steps, one at 2.8 1,769
         assert chain18_dp5.stiff_from is None
         assert 0.7 < chain18.stiff_from < 0.9
         assert chain18.n_accepted <= 1750 < chain18_dp5.n_accepted
@@ -638,15 +676,15 @@ class TestStiffDetection:
     a second."""
 
     def test_estimate_at_a_bitwise_fixed_point(self):
-        # K[1] == K[5] gives u = 0; the probe y + 1 still sees rho(J) at the
-        # step where DP5 settles (h rho = 3.2)
+        # f(y5) == f(Y6) gives u = 0; the probe y + 1 still sees rho(J) at
+        # the step where DP5 settles (h rho = 3.2)
         p = ModelParams(alpha=3.0, gamma=1.0, nu=0.01, f=10.0, branching=1, depth=12)
         y = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=40).y[:p.n_nodes]
         kernel = dynamics.make_kernel(p)
-        K = np.tile(kernel.rhs(y), (6, 1))
+        f = kernel.rhs(y)
         h = 3.2 / np.abs(np.linalg.eigvals(dense_jacobian(p, y))).max()
         scratch = np.empty((2, p.n_nodes))
-        estimate = dynamics._stiffness_estimate(kernel, y, K, h, *scratch)
+        estimate = dynamics._stiffness_estimate(kernel, y, f, f.copy(), h, *scratch)
         assert dynamics._STIFF_H_LAMBDA < estimate <= 1.1 * 3.2
 
     @pytest.mark.parametrize("branching,depth", [(2, 12), (8, 5)])
@@ -654,46 +692,48 @@ class TestStiffDetection:
     def test_estimate_in_stage_rows_is_the_separate_scratch_one(self, branching, depth,
                                                                fixed_point):
         # integrate's u is K[2] and its ju the stage input: the estimate reads
-        # K[1] and K[5] before it writes u, so it equals the estimate in
-        # separate arrays bit for bit, on the power steps from K[1] - K[5]
-        # and on those from y + 1 at a bitwise fixed point
+        # f(y5) = K[3] and f(Y6) = K[1] before it writes u, so it equals the
+        # estimate in separate arrays bit for bit, on the power steps from
+        # K[3] - K[1] and on those from y + 1 at a bitwise fixed point
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=branching,
                         depth=depth)
         kernel = dynamics.make_kernel(p)
         rng = np.random.default_rng(depth)
         y = rng.uniform(0.0, 0.01, p.n_nodes)
-        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+        K = rng.uniform(-1.0, 1.0, (5, p.n_nodes))
         if fixed_point:
-            K[5] = K[1]
-        separate = dynamics._stiffness_estimate(kernel, y, K.copy(), 1e-3,
+            K[3] = K[1]
+        separate = dynamics._stiffness_estimate(kernel, y, K[3].copy(), K[1].copy(), 1e-3,
                                                 *np.empty((2, p.n_nodes)))
-        in_rows = dynamics._stiffness_estimate(kernel, y, K, 1e-3, K[2], np.empty(p.n_nodes))
+        in_rows = dynamics._stiffness_estimate(kernel, y, K[3], K[1], 1e-3, K[2],
+                                               np.empty(p.n_nodes))
         assert in_rows.hex() == separate.hex()
 
     @pytest.mark.parametrize("branching,depth", [(1, 18), (2, 12), (4, 6), (8, 6), (16, 4)])
     @pytest.mark.parametrize("fixed_point", [False, True])
     def test_estimate_with_jvp_scratch_in_stage_rows_is_bit_equal(self, branching, depth,
                                                                  fixed_point):
-        # integrate passes K[3:5] to jvp, whose temporaries on trees then
-        # take no memory of their own (chains ignore it): the estimate
-        # equals the one without them, bit for bit, and K[0], K[1] and K[5]
-        # are left as they were (8-ary depth 6 runs the column sum in chunks)
+        # integrate passes K[3:5] to jvp once u is formed from K[3] and
+        # K[1], and jvp's temporaries on trees then take no memory of their
+        # own (chains ignore it): the estimate equals the one without them,
+        # bit for bit, and K[0] and K[1] are left as they were (8-ary depth
+        # 6 runs the column sum in chunks)
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=branching,
                         depth=depth)
         kernel = dynamics.make_kernel(p)
         rng = np.random.default_rng(depth)
         y = rng.uniform(0.0, 0.01, p.n_nodes)
-        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
+        K = rng.uniform(-1.0, 1.0, (5, p.n_nodes))
         if fixed_point:
-            K[5] = K[1]
+            K[3] = K[1]
         before = K.copy()
-        plain = dynamics._stiffness_estimate(kernel, y, K.copy(), 1e-3,
+        plain = dynamics._stiffness_estimate(kernel, y, K[3].copy(), K[1].copy(), 1e-3,
                                              *np.empty((2, p.n_nodes)))
-        in_rows = dynamics._stiffness_estimate(kernel, y, K, 1e-3, K[2], np.empty(p.n_nodes),
-                                               K[3:5])
+        in_rows = dynamics._stiffness_estimate(kernel, y, K[3], K[1], 1e-3, K[2],
+                                               np.empty(p.n_nodes), K[3:5])
         assert in_rows.hex() == plain.hex()
         assert 0.0 < in_rows < math.inf
-        for row in (0, 1, 5):
+        for row in (0, 1):
             assert K[row].tobytes() == before[row].tobytes()
 
     ESTIMATE_PROBE = """
@@ -705,8 +745,8 @@ rng = np.random.default_rng(3)
 scratch = np.empty((2, p.n_nodes))
 for _ in range(8):
     y = rng.uniform(0.0, 0.01, p.n_nodes)
-    K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
-    print(dynamics._stiffness_estimate(kernel, y, K, 1e-3, *scratch).hex())
+    f_y5, f_y6 = rng.uniform(-1.0, 1.0, (2, p.n_nodes))
+    print(dynamics._stiffness_estimate(kernel, y, f_y5, f_y6, 1e-3, *scratch).hex())
 """
 
     def test_estimate_does_not_depend_on_the_blas_threads(self):
@@ -897,34 +937,69 @@ def traced_run(initial, t_end, output_times=(), keep=None):
 
 
 class TestCapacity:
-    def test_an_8_ary_run_holds_8_states_at_its_peak(self):
-        # the 8 work arrays; besides them the kernel's 2 coefficient arrays
+    def test_an_8_ary_run_holds_7_states_at_its_peak(self):
+        # the 7 work arrays; besides them the kernel's 2 coefficient arrays
         # of n_int values, the rows and Python objects, and the temporaries
         # of rhs: its gain and child sum and the column sum's 6 rows (n_int
         # = 4,681 is below the column-sum chunk), 10 n_int in all, more than
-        # a block of the DP5 error estimate.  The stiffness estimate's jvp
-        # keeps its own in K[3:5].  One more state-sized array does not fit
+        # the buffer of a block of DP5's error estimate, which is gone by
+        # the next rhs.  The stiffness estimate's jvp keeps its own in
+        # K[3:5].  An 8th state-sized array does not fit
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
         traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100))
         assert traj.stiff_from is None and traj.n_stiffness_tests > 0
         assert peak <= 8 * held_values(p, 100)
         rows = 101 * (4 * p.depth + 5) + 4 * 100
-        arrays = 8 * p.n_nodes + 10 * p.offsets[-2]
+        arrays = 7 * p.n_nodes + 10 * p.offsets[-2]
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
 
     def test_a_16_ary_run_holds_no_state_sized_error_estimate(self):
         # n = 69,905 is about 16 n_int, so the kernel's temporaries stay far
-        # below a state, and DP5's error norm sets the peak: the 8 work
-        # arrays, the kernel's 2 n_int and a block of the error estimate
+        # below a state, and DP5's error estimate sets the peak: the 7 work
+        # arrays, the kernel's 2 n_int and the buffer of a block of the
+        # estimate
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=16, depth=4)
         initial = TreeState(np.random.default_rng(1).uniform(0.0, 0.01, p.n_nodes), p)
         traj, peak = traced_run(initial, 0.05, np.linspace(0.0005, 0.05, 100))
         assert traj.stiff_from is None and traj.n_stiffness_tests > 0
         rows = 101 * (4 * p.depth + 5) + 4 * 100
-        arrays = 8 * p.n_nodes + 2 * p.offsets[-2] + _NORM_BLOCK
+        arrays = 7 * p.n_nodes + 2 * p.offsets[-2] + _NORM_BLOCK
         assert peak <= 8 * (arrays + rows + dynamics._OBJECT_VALUES)
         assert peak <= 8 * held_values(p, 100)
+
+    def test_a_switched_run_frees_dp5s_rows_before_rodas4_makes_its_own(self, monkeypatch):
+        # the binary tree of depth 11 switches at t = 0.225.  When RODAS4
+        # makes its workspace the run holds 3 states, y, the stage input
+        # and f(y): K's 5 rows and P's array are gone.  Its peak is then
+        # RODAS4's: 10 states (its own 6 rows among them), a temporary of
+        # the attempt and the factor of 4 n + 2 n_int and 1024 values per
+        # generation, with the kernel's 2 n_int, the rows and Python objects
+        p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=11)
+        initial = TreeState(np.where(np.arange(p.n_nodes) == 0, 1.0, 0.0), p)
+        n, n_int = p.n_nodes, p.offsets[-2]
+        made = []
+        make = _Rodas4.__init__
+
+        def traced_make(self, *args):
+            made.append(tracemalloc.get_traced_memory()[0])
+            make(self, *args)
+
+        monkeypatch.setattr(_Rodas4, "__init__", traced_make)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traj = integrate(initial, 0.3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 0.2 < traj.stiff_from < 0.25 and len(made) == 1
+        small = 2 * (4 * p.depth + 5) + 4 + dynamics._OBJECT_VALUES
+        assert made[0] - before <= 8 * (3 * n + 2 * n_int + small)
+        factor = 4 * n + 2 * n_int + 1024 * p.depth
+        assert peak <= 8 * (11 * n + factor + 2 * n_int + small)
+        assert peak <= 8 * held_values(p, 1)
 
     def test_a_run_that_hands_over_4_states_holds_none_of_them(self, tmp_path):
         # the binary tree of depth 11 switches to RODAS4 at t = 0.225, and
@@ -979,13 +1054,15 @@ class TestCapacity:
         assert peak <= 8 * held_values(p, 2)  # rows at t_end / 2 and t_end
 
     def test_held_values_counts_the_stiff_workspace(self):
-        # every run may switch, and RODAS4's workspace is O(n): 16 n + 2 nw
-        # on a chain (its factor is lists of Python floats), 8 n + 2 n_int +
-        # 2 nw and 1024 values per generation on a tree, n_int internal
-        # nodes and nw = 2 depth + 2 work rates.  DP5 holds 8 n and a block
-        # of its error estimate, min(n, 16,385), the kernel 2 n_int, the
-        # work rates and energies 8 nw + depth + 1, and Python objects 2048
-        # values; a kept state is handed over, not held
+        # every run may switch, and a switched run holds 12 n of its own
+        # (y, the stage input, f(y), RODAS4's 6 rows, its stage derivative
+        # and 2 temporaries) besides the factor: 8 n + stiff below is 24 n
+        # + 2 nw on a chain (its factor is lists of Python floats), 16 n +
+        # 2 n_int + 2 nw and 1024 values per generation on a tree, n_int
+        # internal nodes and nw = 2 depth + 2 work rates.  DP5 holds 7 n
+        # and its error estimate without the 7th stage, min(n, 16,385), the
+        # kernel 2 n_int, the work rates and energies 8 nw + depth + 1, and
+        # Python objects 2048 values; a kept state is handed over, not held
         for p, stiff in ((ModelParams(alpha=1.0, branching=1, depth=18), 16 * 19 + 2 * 38),
                          (ModelParams(alpha=1.0, branching=2, depth=8),
                           8 * 511 + 2 * 255 + 1024 * 8 + 2 * 18),

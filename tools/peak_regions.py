@@ -10,8 +10,9 @@ once through cli.main, in a temporary directory, with tracemalloc started
 before the call, and prints one JSON object: the workload, the state's size n, the
 job's peak in MB and in state arrays (8 n bytes), and the peak inside each
 region, also in state arrays: Kernel.rhs, Kernel.rhs_work, Kernel.jvp and
-dynamics._error_norm.  A region's peak counts all the memory the job has
-traced at that moment, not only the region's own.  The wrappers are put back
+dynamics._dp5_error_norm, the norm of DP5's error estimate.  A region's peak
+counts all the memory the job has traced at that moment, not only the
+region's own.  The wrappers are put back
 when the job ends.
 """
 
@@ -26,7 +27,7 @@ import tracemalloc
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-REGIONS = ("Kernel.rhs", "Kernel.rhs_work", "Kernel.jvp", "_error_norm")
+REGIONS = ("Kernel.rhs", "Kernel.rhs_work", "Kernel.jvp", "_dp5_error_norm")
 
 
 def _workloads():
@@ -85,7 +86,8 @@ def main(argv=None) -> int:
     from dyadic_cascade.kernels import Kernel
 
     peaks = _Peaks()
-    hooks = ((Kernel, "rhs"), (Kernel, "rhs_work"), (Kernel, "jvp"), (dynamics, "_error_norm"))
+    hooks = ((Kernel, "rhs"), (Kernel, "rhs_work"), (Kernel, "jvp"),
+             (dynamics, "_dp5_error_norm"))
     originals = [getattr(owner, name) for owner, name in hooks]
     for (owner, name), fn, region in zip(hooks, originals, REGIONS):
         setattr(owner, name, peaks.wrap(region, fn))
