@@ -26,37 +26,14 @@ and fluxes are by-products of f at the recorded state, which the run
 evaluates anyway (FSAL, or the re-evaluation after a flattening or a RODAS4
 step): rhs_work hands out the generation energies before it scales them.
 
-On trees a DP5 attempt costs memory traffic more than arithmetic, so it
-makes as few passes over the state as it can: h is folded into the tableau
-rows (a stage input is one matmul and one add, stage 2's one multiply), and
-the error norm is also the attempt's finiteness check (see the stage loop).
-The RODAS4 step keeps an explicit scan of its stages and its new solution,
-since that solution is never an input of f before it is accepted.
-
-A DP5 run holds 7 arrays of the state's size: y, the 5 stage rows K and
-the stage input.  The caller's initial state is not among them: integrate
-copies it into y and drops it before the run allocates.  K's rows hold
-stages 1-5; stage 2 has zero solution and error weights (b_2 = e_2 = 0), so
-f(Y6) takes its row once Y6 is formed.  The 5th-order solution y5 then
-goes to the stage input and the error estimate without its 7th stage, P,
-to K[2], both in column blocks of _NORM_BLOCK, so that each block of K is
-read from memory once.  All 5 rows are inputs of P, so each block of P is
-formed in a buffer of the widest block, which lives only while P is
-formed; a run whose state is one block forms P in an array of its own
-instead, which it holds until it switches or ends.  K[3] and K[4] are then
-dead: f(y5), the 7th stage, goes to K[3] (and to K[0] when the step is
-accepted, FSAL), and the norm forms P + h e_7 f(y5) block by block in K[4]
-and writes its squares into K[2].  Every other scratch is a buffer that
-holds nothing the run still needs at that point: the initial step computes
-in K[1] and the stage input, and the stiffness estimate in K[2] and the
-stage input from f(y5) - f(Y6) = K[3] - K[1]; on trees its
-Jacobian-vector products keep their temporaries in K[3] and K[4], which
-the next attempt writes before it reads them.  When the run switches,
-f(y) moves to its own array, K and P's array are dropped, and RODAS4 then
-makes its own 6 stage rows: y, the stage input, f(y), the 6 rows and the
-stage derivative are 10 arrays.  The final state is copied after the loop,
-once the work arrays are gone, so it adds nothing to the peak, and no other
-state is copied at all.
+The loop owns y, the stage input, the 7 rows of stage work rates W and the
+last generation energies; its stepper, a _Dp5 or _Rodas4 workspace, owns
+its stage rows.  Both offer attempt, which writes a candidate solution to
+the stage input and returns whether it is finite, its error norm and its
+work increment, and accept, which leaves f, W[0] and the energies at the
+accepted state.  A DP5 run holds 7 arrays of the state's size, a RODAS4 run
+10.  The initial state is not among them (integrate copies and drops it),
+and the final state is copied once the work arrays are gone.
 
 Overflow is part of the control flow: a step whose stages overflow is
 rejected, not reported.  integrate therefore runs its loop under one
@@ -86,7 +63,7 @@ from .errors import (
 from .kernels import boundary_fluxes, generation_energies, make_kernel
 
 # Dormand-Prince 5(4) tableau (autonomous form; no c column needed) over
-# the rows of integrate's K: stages 1-5, then f(Y6) in stage 2's row once Y6
+# the rows of _Dp5's K: stages 1-5, then f(Y6) in stage 2's row once Y6
 # is formed, since stage 2 has zero solution and error weights (b_2 = e_2 =
 # 0).  Rows 0-4 are the inputs of stages 2-6; rows 5 and 6 the solution and
 # error weights of stages 1, 6, 3, 4 and 5, in that row order, and _E7 the
@@ -104,7 +81,6 @@ _E7 = -1 / 40
 # the solution weights of the 7 rows of stage work rates W: stages 1-6, then
 # f(y5)'s, whose weight is zero; row 1, stage 2's, stays zero
 _B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-_ORDER = 5
 # columns of DP5's solution and error estimate formed at a time on larger
 # states: blocks of this size gave the bytes of one BLAS thread under 1 and
 # 2 threads
@@ -143,7 +119,6 @@ _NONSTIFF_RESET = 6
 # The method is stiffly accurate and k_6 is the error of its embedded
 # order-3 solution Y_6.
 _RODAS_GAMMA = 0.25
-_RODAS_ORDER = 4
 _RODAS_A = tuple(np.array(row) for row in (
     (),
     (1.544,),
@@ -229,10 +204,11 @@ class Trajectory:
 
     The solver statistics are deterministic, so identical inputs give
     identical counts.  rejected counts the rejected step attempts by cause,
-    in the order of REJECTION_CAUSES, and n_stiffness_tests the stiffness
-    estimates.  n_rhs counts the evaluations of f (Kernel.rhs and rhs_work
-    calls; the Jacobian-vector products of the stiffness test and RODAS4's
-    work_jvp are not among them), h_min and h_max are the smallest and the
+    in the order of REJECTION_CAUSES, attempts all step attempts by method,
+    DP5 and RODAS4, and n_stiffness_tests the stiffness estimates.  n_rhs
+    counts the evaluations of f (Kernel.rhs and rhs_work calls; the
+    Jacobian-vector products of the stiffness test and RODAS4's work_jvp
+    are not among them), h_min and h_max are the smallest and the
     largest accepted step, and n_flattened counts the accepted steps whose
     negative components were set to 0.  stiff_from is the time the run
     switched from DP5 to RODAS4, None if it never did.  final is the state
@@ -250,6 +226,7 @@ class Trajectory:
     work_flux: np.ndarray
     n_accepted: int
     rejected: dict
+    attempts: dict
     n_stiffness_tests: int
     n_rhs: int
     h_min: float
@@ -323,8 +300,8 @@ def _landing_times(times, t_end: float) -> list:
 def _error_norm(err, y, y5, rtol, atol, scratch) -> float:
     """RMS of err / (atol + rtol * max(|y|, |y5|)) for y >= 0, bit-equal to
     the np.mean form.  The squares are formed in scratch, one np.add.reduce
-    sums them.  integrate passes RODAS4's k[5] and k[0]; DP5's estimate has
-    a norm of its own, _dp5_error_norm."""
+    sums them.  RODAS4 passes its k[5] and its stage derivative; DP5's
+    estimate has a norm of its own, _Dp5.error_norm."""
     _scaled_squares(err, y, y5, rtol, atol, scratch)
     return math.sqrt(float(np.add.reduce(scratch)) / y.size)
 
@@ -336,43 +313,6 @@ def _column_blocks(n: int) -> list:
     the block before it."""
     bounds = [0, *range(_NORM_BLOCK, n - 1, _NORM_BLOCK), n]
     return list(zip(bounds, bounds[1:]))
-
-
-def _solution_and_estimate(hb, he, K, y, y5, blocks, out):
-    """y5 = y + hb @ K, DP5's 5th-order solution, and P = he @ K, its error
-    estimate without the 7th stage, hb and he the b and e weights of K's 5
-    rows times h.  Returns P.  With one block P is formed in out, an array
-    of K's row size.  Otherwise both are formed block by block, so that each
-    block of K is read from memory once, and since every row of K is an
-    input of P, each block of P is formed in a buffer of the widest block,
-    which lives only in this call, and copied to the slice of K[2] it has
-    just read; P is then K[2] and out is None."""
-    if len(blocks) == 1:
-        np.matmul(hb, K, out=y5)
-        y5 += y
-        return np.matmul(he, K, out=out)
-    buffer = np.empty(max(hi - lo for lo, hi in blocks))
-    for lo, hi in blocks:
-        columns, y5_block = K[:, lo:hi], y5[lo:hi]
-        np.matmul(hb, columns, out=y5_block)
-        y5_block += y[lo:hi]
-        K[2, lo:hi] = np.matmul(he, columns, out=buffer[:hi - lo])
-    return K[2]
-
-
-def _dp5_error_norm(p, f7, he7, y, y5, rtol, atol, blocks, err, squares) -> float:
-    """_error_norm of DP5's estimate p + he7 f7, p from
-    _solution_and_estimate and f7 = f(y5), its 7th stage.  The estimate is
-    formed in err block by block and each block's squares in squares;
-    integrate passes K[4] and K[2], which p may be: a block of p is read
-    before its squares are written."""
-    if len(blocks) == 1:
-        _estimate_squares(p, f7, he7, y, y5, rtol, atol, err, squares)
-    else:
-        for lo, hi in blocks:
-            _estimate_squares(p[lo:hi], f7[lo:hi], he7, y[lo:hi], y5[lo:hi], rtol, atol,
-                              err[lo:hi], squares[lo:hi])
-    return math.sqrt(float(np.add.reduce(squares)) / y.size)
 
 
 def _estimate_squares(p, f7, he7, y, y5, rtol, atol, err, out):
@@ -392,36 +332,16 @@ def _scaled_squares(err, y, y5, rtol, atol, out):
     np.square(out, out=out)
 
 
-def _initial_step(y, f0, rel_tol, abs_tol, t_end, max_step, sc, quotient):
-    """The first step from y, whose derivative is f0.  sc and quotient are
-    scratch arrays of y's size (integrate passes K[1] and the stage input,
-    which no attempt has written yet); the operations are those of sc =
-    abs_tol + rel_tol * |y| and mean((y / sc)^2), in that order, so h0 is
-    bit-equal to that form."""
-    np.abs(y, out=sc)
-    sc *= rel_tol
-    sc += abs_tol
-    d0 = math.sqrt(float(np.mean(np.square(np.divide(y, sc, out=quotient), out=quotient))))
-    d1 = math.sqrt(float(np.mean(np.square(np.divide(f0, sc, out=quotient), out=quotient))))
-    if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    return min(h0, 0.1 * t_end, max_step)
-
-
 def _stiffness_estimate(kernel, y, f_y5, f_y6, h, u, ju, scratch=None) -> float:
     """h rho(J) for DOPRI5's stiffness test from f_y5 = f(y5) and f_y6 =
     f(Y6), Y6 the input of stage 6, computed in the scratch arrays u and ju
-    (integrate passes K[2] and the stage input, which the next attempt
-    writes before it reads them).  scratch goes to Kernel.jvp: integrate
-    passes K[3:5], which the next attempt also writes before it reads them,
-    and K[3], f(y5), is read only to form u; the estimate is bit-equal
-    without it.  f(y5) - f(Y6) is about J (y5 - Y6): DOPRI5's quotient
-    ||f(y5) - f(Y6)|| / ||y5 - Y6|| is one power step from y5 - Y6.  That
-    difference is mostly non-stiff error, so the quotient reads far below
-    rho(J); two more power steps with the Jacobian at y give h sqrt(||J^2
-    u|| / ||u||), u = f(y5) - f(Y6).
+    (_Dp5.stiffness passes K[2] and the stage input).  scratch goes to
+    Kernel.jvp: _Dp5.stiffness passes K[3:5], and K[3], f(y5), is read only
+    to form u; the estimate is bit-equal without it.  f(y5) - f(Y6) is about
+    J (y5 - Y6): DOPRI5's quotient ||f(y5) - f(Y6)|| / ||y5 - Y6|| is one
+    power step from y5 - Y6.  That difference is mostly non-stiff error, so
+    the quotient reads far below rho(J); two more power steps with the
+    Jacobian at y give h sqrt(||J^2 u|| / ||u||), u = f(y5) - f(Y6).
 
     At a bitwise fixed point u is 0, and the probe is y + 1 instead, after
     one more round of two steps: on stiff chains two steps from y + 1 read
@@ -446,6 +366,148 @@ def _stiffness_estimate(kernel, y, f_y5, f_y6, h, u, ju, scratch=None) -> float:
     return h * math.sqrt(math.sqrt(float(np.add.reduce(np.square(u, out=ju)))) / norm_u)
 
 
+class _Dp5:
+    """Workspace and attempt of the Dormand-Prince 5(4) step.
+
+    On trees an attempt costs memory traffic more than arithmetic: h is
+    folded into the tableau rows (a stage input is one matmul and one add,
+    stage 2's one multiply), and the error norm is the attempt's finiteness
+    check.  On chains a numpy call costs more than its arithmetic, so the
+    rows, stage blocks and h times the tableau are bound once per run.
+
+    K's 5 rows hold stages 1-5; stage 2 has zero solution and error weights
+    (b_2 = e_2 = 0), so f(Y6) takes its row once Y6 is formed.  y5 then goes
+    to the stage input and P, the error estimate without its 7th stage, to
+    K[2], both in column blocks of _NORM_BLOCK, so that each block of K is
+    read from memory once; each block of P is formed in a buffer of the
+    widest block, which lives only while P is formed (a state of one block
+    has an array of P of its own).  K[3] and K[4] are then dead: f(y5) goes
+    to K[3] (and to K[0], f(y), on acceptance: FSAL), and the norm forms P +
+    h e_7 f(y5) in K[4] and its squares in K[2].  Other scratch holds
+    nothing the run still needs: the initial step uses K[1] and the stage
+    input, the stiffness estimate K[2] and the stage input, with its jvp
+    temporaries in K[3:5], all written by the next attempt before it reads
+    them.  W is the run's (7, nw) stage work rates: W[0] those at y, W[6]
+    f(y5)'s, and W[1], stage 2's, stays zero."""
+
+    # its key in Trajectory.attempts, its order and its f evaluations per attempt
+    name, order, evals = "DP5", 5, 6
+
+    def __init__(self, kernel, n, W, energies, rtol, atol):
+        self.kernel, self.energies, self.rtol, self.atol = kernel, energies, rtol, atol
+        self.K = K = np.zeros((5, n))
+        self.rows, self.fy = tuple(K), K[0]
+        self.W, self.w0, self.w6 = W, W[0], W[6]
+        self.ht = ht = np.empty_like(_TABLEAU)  # h times the tableau
+        self.hb, self.he = ht[5], ht[6]
+        # stages 3-6: the weights of their inputs, the rows of K these
+        # combine, and the rows their f and work rates go to
+        self.inputs = [(ht[s, :s + 1], K[:s + 1], K[s + 1] if s < 4 else K[1], W[s + 1])
+                       for s in range(1, 5)]
+        self.blocks = _column_blocks(n)
+        self.estimate = np.empty(n) if len(self.blocks) == 1 else None
+
+    def initial_step(self, y, t_end, max_step, quotient):
+        """The first step from y, whose derivative is self.fy, formed in K[1]
+        and quotient, which no attempt has written yet; the operations are
+        those of sc = abs_tol + rel_tol * |y| and mean((y / sc)^2), in that
+        order, so h0 is bit-equal to that form."""
+        sc, fy = self.rows[1], self.fy
+        np.abs(y, out=sc)
+        sc *= self.rtol
+        sc += self.atol
+        d0 = math.sqrt(float(np.mean(np.square(np.divide(y, sc, out=quotient), out=quotient))))
+        d1 = math.sqrt(float(np.mean(np.square(np.divide(fy, sc, out=quotient), out=quotient))))
+        if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        return min(h0, 0.1 * t_end, max_step)
+
+    def attempt(self, y, h, out):
+        """One attempt over h from y >= 0, whose derivative is self.fy: y5 to
+        out; returns whether it is finite, the error norm and the work
+        increment.  A finite error norm is the whole finiteness check: f of
+        a non-finite entry is non-finite at that node or its parent; each of
+        K's rows and f(y5) has a nonzero e weight (inf - inf and 0 * inf are
+        NaN); stage 2 enters stage 3's input with weight 9/40, and y5 is
+        f(y5)'s.  Only on a lone undamped node, whose f is constant, can y5
+        overflow with finite stages: one value to check."""
+        kernel, ht, e = self.kernel, self.ht, self.energies
+        _, f6, _, f7, _ = self.rows
+        # h folded into the weights saves a pass per stage; stage 1 has one
+        # weight, and a multiply takes a third of a matmul's time
+        np.multiply(_TABLEAU, h, out=ht)
+        np.multiply(self.fy, ht[0, 0], out=out)
+        out += y
+        kernel.rhs(out, out=f6)  # b and e weights are zero: no work
+        for weights, block, k_out, w_out in self.inputs:
+            np.matmul(weights, block, out=out)
+            out += y
+            # stage 2 has served its last stage input once out is Y6
+            kernel.rhs_work(out, out=k_out, work_out=w_out, energies_out=e)
+        p = self.solution_and_estimate(y, out)
+        kernel.rhs_work(out, out=f7, work_out=self.w6, energies_out=e)
+        err_norm = self.error_norm(p, h, y, out)
+        finite = math.isfinite(err_norm) and (out.size > 1 or math.isfinite(out[0]))
+        return finite, err_norm, h * (_B @ self.W)
+
+    def solution_and_estimate(self, y, y5):
+        """y5 = y + h b . K and P = h e . K, from the b and e rows of
+        self.ht.  Returns P: self.estimate when the state is one block, else
+        K[2], copied block by block from a buffer that lives in this call."""
+        K, hb, he, blocks = self.K, self.hb, self.he, self.blocks
+        if len(blocks) == 1:
+            np.matmul(hb, K, out=y5)
+            y5 += y
+            return np.matmul(he, K, out=self.estimate)
+        buffer = np.empty(max(hi - lo for lo, hi in blocks))
+        for lo, hi in blocks:
+            columns, y5_block = K[:, lo:hi], y5[lo:hi]
+            np.matmul(hb, columns, out=y5_block)
+            y5_block += y[lo:hi]
+            K[2, lo:hi] = np.matmul(he, columns, out=buffer[:hi - lo])
+        return K[2]
+
+    def error_norm(self, p, h, y, y5) -> float:
+        """_error_norm of p + h e_7 f(y5), f(y5) in K[3], formed in K[4] and
+        its squares in K[2] block by block: p may be K[2]."""
+        _, _, squares, f7, err = self.rows
+        he7, rtol, atol = h * _E7, self.rtol, self.atol
+        if len(self.blocks) == 1:
+            _estimate_squares(p, f7, he7, y, y5, rtol, atol, err, squares)
+        else:
+            for lo, hi in self.blocks:
+                _estimate_squares(p[lo:hi], f7[lo:hi], he7, y[lo:hi], y5[lo:hi], rtol, atol,
+                                  err[lo:hi], squares[lo:hi])
+        return math.sqrt(float(np.add.reduce(squares)) / y.size)
+
+    def accept(self, y, flattened) -> int:
+        """f and the work rates at the accepted y to self.fy and W[0]: f(y5)'s
+        (FSAL), or a new evaluation once y was flattened.  Returns the
+        evaluations made."""
+        if flattened:
+            self.kernel.rhs_work(y, out=self.fy, work_out=self.w0, energies_out=self.energies)
+            return 1
+        # slice assignment, not np.copyto, whose dispatcher is a Python call
+        self.fy[...] = self.rows[3]
+        self.w0[...] = self.w6
+        return 0
+
+    def stiffness(self, y, h, scratch) -> float:
+        """_stiffness_estimate of the last attempt, over h, in K[2], scratch
+        and K[3:5]."""
+        _, f6, u, f7, _ = self.rows
+        return _stiffness_estimate(self.kernel, y, f7, f6, h, u, scratch, self.K[3:5])
+
+    def release(self) -> np.ndarray:
+        """f(y) in an array of its own; drops every array and view held, so
+        the workspace cannot be used again."""
+        fy = self.fy.copy()
+        vars(self).clear()
+        return fy
+
+
 class _Rodas4:
     """Workspace and attempt of the RODAS4 step.  The work rates ride along
     as extra components whose Jacobian has the rows W_y and zero columns, so
@@ -453,16 +515,16 @@ class _Rodas4:
     work quadratures is one combination of the stage work rates and one
     work_jvp (see _RODAS_U).
 
-    fy is f at the current solution, which no attempt, rejected or not,
-    writes, and W DP5's (7, nw) work-rate rows: W[0] stays the work rates at
-    y and the first stage's, and W[1:6] take the others (w = W[:6]).  The
-    caller writes f and the work rates at each new solution to fy and W[0].
-    Besides fy and W it holds its own 6 stage increments k, the stage
-    derivative f and the kernel's factor: integrate has dropped DP5's stage
-    rows before it makes the workspace."""
+    fy is f at the current solution, which no attempt writes, and W the
+    run's (7, nw) work-rate rows: W[0] the work rates at y and the first
+    stage's, W[1:6] the others (w = W[:6]).  Besides fy and W it holds its
+    own 6 stage increments k, the stage derivative f and the kernel's
+    factor, made once _Dp5.release has dropped DP5's stage rows."""
 
-    def __init__(self, kernel, fy, W):
-        self.kernel = kernel
+    name, order, evals = "RODAS4", 4, 5
+
+    def __init__(self, kernel, fy, W, energies, rtol, atol):
+        self.kernel, self.energies, self.rtol, self.atol = kernel, energies, rtol, atol
         self.k = k = np.empty((6, fy.size))
         self.w = W[:6]
         self.fy = fy
@@ -474,9 +536,9 @@ class _Rodas4:
 
     def attempt(self, y, h, out):
         """One attempt over h from y >= 0, whose derivative and work rates
-        are self.fy and self.w[0].  Writes the new solution to out and
-        returns the increment of the work quadratures; the error estimate is
-        self.k[5].  The stage matrix is factored once, so each stage costs
+        are self.fy and self.w[0]: the new solution to out; returns whether
+        it is finite, the norm of the error estimate k[5] and the work
+        increment.  The stage matrix is factored once, so each stage costs
         two sweeps over the tree.  A stage's right-hand side f + (C_i/h) k
         is formed in k_i, which its solve then overwrites."""
         kernel, k, f = self.kernel, self.k, self.f
@@ -498,12 +560,22 @@ class _Rodas4:
         dq = _RODAS_U @ self.w
         dq += kernel.work_jvp(y, _RODAS_U @ k)
         dq *= hg
-        return dq
+        # the new solution reaches f only after it is accepted: scan it
+        if not (np.isfinite(k).all() and np.isfinite(out).all()):
+            return False, math.nan, dq
+        err_norm = _error_norm(k[5], y, out, self.rtol, self.atol, f)
+        return math.isfinite(err_norm), err_norm, dq
+
+    def accept(self, y, flattened) -> int:
+        """f and the work rates at the accepted y to self.fy and W[0]: the
+        new solution was never an input of f.  Returns 1, the evaluation."""
+        self.kernel.rhs_work(y, out=self.fy, work_out=self.w[0], energies_out=self.energies)
+        return 1
 
 
 # Values of 8 bytes that held_values allows for Python objects: the array
 # headers, locals and closures of a run (measured at most 8 KB, plus up to
-# 5.2 KB of the views that the DP5 loop and RODAS4 bind once per run) and, per
+# 5.2 KB of the views that _Dp5 and _Rodas4 bind once per run) and, per
 # generation, the tree elimination's bound numpy calls (3-6 KB for N = 2 to
 # 1024)
 _OBJECT_VALUES = 2048
@@ -518,7 +590,7 @@ def held_values(params: ModelParams, n_outputs: float) -> float:
     of its own state, and the final state is copied once the work arrays
     are dropped.
     - the arrays of the state's size n once a run switches to RODAS4: y,
-      the stage input, f(y), RODAS4's own 6 stage increments, its stage
+      the stage input, f(y), _Rodas4's own 6 stage increments, its stage
       derivative and up to 2 stage temporaries, 12 n, plus 2 stage
       temporaries of nw and the factored stage matrix.  On a tree that is
       the kernel's elimination workspace: 1/pivot, a_p/pivot_k per child,
@@ -527,7 +599,7 @@ def held_values(params: ModelParams, n_outputs: float) -> float:
       On a chain the factor (a_p and 1/pivot) and the sweep's copy of r are
       lists of Python floats, 32 bytes or 4 values per entry: 12 n;
     - DP5's error estimate without its 7th stage, min(n, _NORM_BLOCK + 1)
-      values: the run's array of it when the state is one block, else the
+      values: _Dp5's array of it when the state is one block, else the
       buffer of a block, which lives while the estimate is formed;
     - the kernel's 2 coefficient arrays of n_int values, n_int the internal
       nodes;
@@ -537,12 +609,12 @@ def held_values(params: ModelParams, n_outputs: float) -> float:
     - a row of 4 * depth + 5 values at t = 0 and each output time, and each
       output time as a Python float (32 bytes);
     - _OBJECT_VALUES for Python objects.
-    DP5 holds 7 arrays of n: y, its 5 stage rows and the stage input.  With
-    the kernel's temporaries in a DP5 step, at most 3 n_int + 6 min(n_int,
-    kernels._COLUMN_CHUNK) values (N = 8; on trees the stiffness estimate's
-    jvp keeps its n_int-sized ones in K[3:5]), that is below RODAS4's 12 n,
-    and a run that has switched has dropped DP5's stage rows and P's array
-    and makes no DP5 step.  n_outputs may be an inf float."""
+    A DP5 run holds 7 arrays of n: y, the stage input and _Dp5's 5 stage
+    rows.  With the kernel's temporaries in a DP5 step, at most 3 n_int + 6
+    min(n_int, kernels._COLUMN_CHUNK) values (N = 8; on trees the stiffness
+    estimate's jvp keeps its n_int-sized ones in _Dp5's rows), that is below
+    RODAS4's 12 n, and _Dp5.release drops the stage rows and the estimate's
+    array before _Rodas4 makes its own.  n_outputs may be an inf float."""
     n, depth, n_int = params.n_nodes, params.depth, params.offsets[-2]
     nw = 2 * depth + 2
     if params.branching == 1:
@@ -596,11 +668,6 @@ def integrate(
     the loop with final.values, once the work arrays are dropped.  A
     callable's exception ends the run.
 
-    On chains a numpy call costs more than its arithmetic, so K's rows and
-    stage blocks, h times the tableau and W's rows are bound once per run,
-    stage 1 is out of the stage loop and a target's landing threshold is
-    formed when the target changes.
-
     integrate copies the initial state and drops its references to it
     before it allocates the run's arrays, so a caller that holds the state
     nowhere else, as cli.run_simulate does, frees it for the whole run.
@@ -636,8 +703,6 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     kernel = make_kernel(params)
     depth = params.depth
     nq_v = depth + 1
-
-    n = y.size
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
     q = np.zeros(nw)       # running quadratures, same layout
 
@@ -652,10 +717,11 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
 
-    K = np.zeros((5, n))   # DP5's stages 1-5; f(Y6) takes stage 2's row
-    W = np.zeros((7, nw))  # row 1 stays zero: stage 2 has zero b and e weights
+    rtol, atol = opts.rel_tol, opts.abs_tol
+    W = np.zeros((7, nw))  # the stage work rates, those at y in row 0
     e_last = np.empty(nq_v)  # generation energies of the last rhs_work input
-    yy = np.empty(n)   # stage input; after the last stage, the new solution
+    stepper = _Dp5(kernel, y.size, W, e_last, rtol, atol)
+    yy = np.empty(y.size)  # stage input; after the last stage, the new solution
 
     def record(i, y, y_min):
         # energies beyond the float range show in the row itself; work
@@ -665,7 +731,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
             raise NonFiniteResult(
                 f"integrate: the work integrals are not finite at t = {float(times[i])!r}")
         # f(y), W[0] and e_last always belong to y (the initial evaluation,
-        # FSAL or a re-evaluation), so energies and fluxes need no pass over y
+        # or the stepper's accept), so energies and fluxes need no pass over y
         energies[i] = e_last
         fluxes[i] = W[0, 1 + nq_v:]
         min_value[i] = y_min
@@ -676,20 +742,18 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
             for f in handed[i]:
                 f(float(times[i]), view)
 
-    kernel.rhs_work(y, out=K[0], work_out=W[0], energies_out=e_last)
-    if not np.isfinite(K[0]).all():
+    kernel.rhs_work(y, out=stepper.fy, work_out=W[0], energies_out=e_last)
+    if not np.isfinite(stepper.fy).all():
         raise NonFiniteState("integrate: derivative non-finite at initial state")
     record(0, y, y.min())
-
-    rtol, atol = opts.rel_tol, opts.abs_tol
-    h = opts.initial_step or _initial_step(y, K[0], rtol, atol, t_end, opts.max_step,
-                                           K[1], yy)
+    h = opts.initial_step or stepper.initial_step(y, t_end, opts.max_step, yy)
     h = min(h, t_end, opts.max_step)
 
     t = 0.0
     ti = 0  # next output target index
     n_acc = 0
     rejected = dict.fromkeys(REJECTION_CAUSES, 0)
+    attempts = dict.fromkeys((_Dp5.name, _Rodas4.name), 0)
     consecutive_rej = 0
     just_rejected = False
     n_tests = 0
@@ -697,23 +761,7 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
     n_flattened = 0
     h_min, h_max = math.inf, 0.0
     n_stiff = n_nonstiff = 0  # stiffness verdicts pending, non-stiff in a row
-    rodas = None  # the RODAS4 workspace once the run has switched
     stiff_from = None
-    order = _ORDER
-
-    # bound once per run: the rows of K, h times the tableau, its b and e
-    # rows and, per stage from the third to the sixth, its weights, K's
-    # block it combines and its out rows; the error estimate's column blocks
-    # and, for a state of one block, the array of the estimate
-    K0, K1, K2, K3, K4 = K
-    spare = K[3:5]  # the stiffness estimate's jvp work space
-    ht = np.empty_like(_TABLEAU)
-    hb, he = ht[5], ht[6]
-    stages = [(ht[s, :s + 1], K[:s + 1], K[s + 1] if s < 4 else K1, W[s + 1])
-              for s in range(1, 5)]
-    blocks = _column_blocks(n)
-    p_array = np.empty(n) if len(blocks) == 1 else None
-    W0, W6 = W[0], W[6]
     target = targets[0]
     land_at = target - _rounding_gap(target)
     while t < t_end:
@@ -725,51 +773,15 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         if h <= _rounding_gap(t):
             raise StepSizeUnderflow(f"step {h:.3e} underflowed at t = {t!r}")
 
-        if rodas is None:
-            # h folded into the weights saves a pass per stage; stage 1 has
-            # one weight, and a multiply takes a third of a matmul's time
-            np.multiply(_TABLEAU, h, out=ht)
-            np.multiply(K0, ht[0, 0], out=yy)
-            yy += y
-            kernel.rhs(yy, out=K1)  # b and e weights are zero: no work
-            for weights, block, k_out, w_out in stages:
-                np.matmul(weights, block, out=yy)
-                yy += y
-                # stage 2 has served its last stage input once yy is Y6
-                kernel.rhs_work(yy, out=k_out, work_out=w_out, energies_out=e_last)
-            # K holds stages 1, 6, 3, 4 and 5; y5 is the 5th-order solution
-            # and the 7th stage's input (FSAL).  The estimate without the
-            # 7th stage leaves K[3] and K[4] dead: f(y5) goes to K[3], and
-            # the norm forms the estimate in K[4], its squares in K[2].  A
-            # finite error norm is the whole finiteness check of the attempt:
-            # - f of a state with a non-finite entry is non-finite, at that
-            #   node or at its parent;
-            # - each of K's rows and f(y5) has a nonzero e weight, so a
-            #   non-finite one makes the error estimate non-finite (inf -
-            #   inf and 0 * inf are NaN);
-            # - stage 2 enters stage 3's input with weight 9/40, and y5 is
-            #   f(y5)'s.
-            # Only on a lone undamped node, whose f is constant, can y5
-            # overflow with finite stages: there y5 is one value to check.
-            p = _solution_and_estimate(hb, he, K, y, yy, blocks, p_array)
-            kernel.rhs_work(yy, out=K3, work_out=W6, energies_out=e_last)
-            n_rhs += 6
-            err_norm = _dp5_error_norm(p, K3, h * _E7, y, yy, rtol, atol, blocks, K4, K2)
-            finite = math.isfinite(err_norm) and (n > 1 or math.isfinite(yy[0]))
-        else:
-            dq = rodas.attempt(y, h, out=yy)
-            n_rhs += 5
-            # y_new = Y_6 + k_6 reaches f only after it is accepted: scan it
-            finite = bool(np.isfinite(rodas.k).all() and np.isfinite(yy).all())
-            if finite:
-                err_norm = _error_norm(rodas.k[5], y, yy, rtol, atol, rodas.k[0])
-                finite = math.isfinite(err_norm)
+        finite, err_norm, dq = stepper.attempt(y, h, yy)
+        attempts[stepper.name] += 1
+        n_rhs += stepper.evals
         y_new = yy
 
         if not finite:
             cause, shrink = "non-finite", 0.5
         elif err_norm > 1.0:
-            cause, shrink = "error norm", _step_factor(err_norm, order)
+            cause, shrink = "error norm", _step_factor(err_norm, stepper.order)
         elif (y_min := np.minimum.reduce(y_new)) < -atol:
             # components leaving exact zero receive high-order-small updates
             # of mixed sign that no halving makes positive; negativity inside
@@ -793,62 +805,48 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
             consecutive_rej = 0
             n_acc += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
-            q += h * (_B @ W) if rodas is None else dq
+            q += dq
             t = target if lands else t + h
-            if y_min < 0.0:  # a component was flattened; its derivative is stale
+            flattened = y_min < 0.0
+            if flattened:  # a component was flattened; its derivative is stale
                 np.maximum(y_new, 0.0, out=y)
                 n_flattened += 1
             else:
                 y, yy = y_new, y  # the old y buffer takes the next stage inputs
-            if y_min < 0.0 or rodas is not None:
-                kernel.rhs_work(y, out=K0 if rodas is None else rodas.fy,
-                                work_out=W0, energies_out=e_last)
-                n_rhs += 1
-            else:
-                np.copyto(K0, K3)  # e_last came with f(y5)
-                np.copyto(W0, W6)
+            n_rhs += stepper.accept(y, flattened)
             if t == target:
                 ti += 1
-                record(ti, y, np.minimum.reduce(y) if y_min < 0.0 else y_min)
+                record(ti, y, np.minimum.reduce(y) if flattened else y_min)
                 if ti < len(targets):
                     target = targets[ti]
                     land_at = target - _rounding_gap(target)
 
-            grow = _step_factor(err_norm, order)
+            grow = _step_factor(err_norm, stepper.order)
             if just_rejected:
                 grow = min(grow, 1.0)  # no growth right after a rejection
                 just_rejected = False
             tests = n_acc % _STIFF_EVERY == 0 or n_stiff > 0
             h_taken, h = h, min(opts.max_step, h * grow)
 
-        if tests and rodas is None:
+        # the switch is one-way: only a run that has not switched tests
+        if tests and stiff_from is None:
             n_tests += 1
-            # K[2] and the stage input hold nothing the next attempt reads
-            if _stiffness_estimate(kernel, y, K3, K1, h_taken, K2, yy,
-                                   spare) > _STIFF_H_LAMBDA:
+            # the stage input holds nothing the next attempt reads
+            if stepper.stiffness(y, h_taken, yy) > _STIFF_H_LAMBDA:
                 n_stiff += 1
                 n_nonstiff = 0
                 if n_stiff == _STIFF_VERDICTS:
-                    # K, every view of it and P's array are dropped
-                    # before RODAS4 makes its own stage rows
-                    fy = K0.copy()
-                    K = K0 = K1 = K2 = K3 = K4 = spare = stages = p_array = p = None
-                    weights = block = k_out = None
-                    rodas = _Rodas4(kernel, fy, W)
-                    del fy
+                    # DP5's rows are dropped before RODAS4 makes its own
+                    stepper = _Rodas4(kernel, stepper.release(), W, e_last, rtol, atol)
                     stiff_from = t
-                    order = _RODAS_ORDER
             else:
                 n_nonstiff += 1
                 if n_nonstiff == _NONSTIFF_RESET:
                     n_stiff = 0
 
-    # K and every view of it are dropped before the final state is copied,
-    # and y once it is, before the callables of t_end run; the stage loop's
-    # names are rebound, as a run without a DP5 attempt never bound them
-    del yy, y_new, rodas, kernel
-    K = K0 = K1 = K2 = K3 = K4 = spare = stages = p_array = p = None
-    weights = block = k_out = w_out = None
+    # the work arrays are dropped before the final state is copied, and y
+    # once it is, before the callables of t_end run
+    del yy, y_new, stepper, kernel
     final = TreeState(y, params)
     del y
     for f in at_end:
@@ -857,8 +855,8 @@ def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
         params=params, times=times, energies=energies, fluxes=fluxes,
         min_value=min_value, work_x0=work[:, 0], work_visc=work[:, 1:1 + nq_v],
         work_flux=work[:, 1 + nq_v:], n_accepted=n_acc, rejected=rejected,
-        n_stiffness_tests=n_tests, n_rhs=n_rhs, h_min=h_min, h_max=h_max,
-        n_flattened=n_flattened, stiff_from=stiff_from, final=final)
+        attempts=attempts, n_stiffness_tests=n_tests, n_rhs=n_rhs, h_min=h_min,
+        h_max=h_max, n_flattened=n_flattened, stiff_from=stiff_from, final=final)
 
 
 def energy_report(state: TreeState) -> EnergyReport:

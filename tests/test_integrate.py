@@ -23,7 +23,7 @@ from dyadic_cascade import (
     solve_viscous_stationary,
 )
 from dyadic_cascade import dynamics
-from dyadic_cascade.dynamics import _NORM_BLOCK, _error_norm, _Rodas4, held_values
+from dyadic_cascade.dynamics import _NORM_BLOCK, _Dp5, _error_norm, _Rodas4, held_values
 from dyadic_cascade.kernels import Kernel, boundary_fluxes, generation_energies
 from dyadic_cascade.errors import (
     CapacityExceeded,
@@ -36,6 +36,7 @@ from dyadic_cascade.errors import (
 )
 from jacobian_oracle import dense_jacobian
 from kept_states import Kept
+import dp5_oracle
 import rodas_oracle
 
 
@@ -439,19 +440,20 @@ class TestErrorNorm:
 
 def dp5_error_norm(K, f7, h, y, y5):
     """The error norm of a DP5 attempt over h from y, and its solution,
-    formed as integrate forms them from the 5 stage rows K: the solution
-    and P, P in an array of its own when the state is one block, else in
-    K[2], then f(y5) = f7 written to K[3], the estimate in K[4] and its
-    squares in K[2].  The norm is taken with y5, not with the solution."""
+    formed as a _Dp5 workspace forms them from its 5 stage rows, here K: the
+    solution and P, P in an array of its own when the state is one block,
+    else in K[2], then f(y5) = f7 written to K[3], the estimate in K[4] and
+    its squares in K[2], which are copied back to K.  The norm is taken with
+    y5, not with the solution."""
     n = K.shape[1]
-    blocks = dynamics._column_blocks(n)
-    out = np.empty(n) if len(blocks) == 1 else None
+    dp5 = _Dp5(None, n, np.zeros((7, 1)), None, 1e-8, 1e-14)
+    dp5.K[...] = K
+    np.multiply(dynamics._TABLEAU, h, out=dp5.ht)
     solution = np.empty(n)
-    tableau = h * dynamics._TABLEAU
-    p = dynamics._solution_and_estimate(tableau[5], tableau[6], K, y, solution, blocks, out)
-    K[3] = f7
-    norm = dynamics._dp5_error_norm(p, K[3], h * dynamics._E7, y, y5, 1e-8, 1e-14, blocks,
-                                    K[4], K[2])
+    p = dp5.solution_and_estimate(y, solution)
+    dp5.K[3] = f7
+    norm = dp5.error_norm(p, h, y, y5)
+    K[...] = dp5.K
     return norm, solution
 
 
@@ -467,16 +469,50 @@ def whole_error_norm(err, y, y5, rtol, atol, scratch) -> float:
     return math.sqrt(float(np.add.reduce(sc)) / sc.size)
 
 
+class TestDp5Attempt:
+    """One _Dp5.attempt against the textbook step of dp5_oracle."""
+
+    # the embedded error is a sum of terms that cancel like (h rho(J))^4, so
+    # the relative rounding of either form grows like that; these steps
+    # resolve the estimate to 1e-15 and have error norms of 1e4 to 1e47 (a
+    # step the norm accepts cancels to 1e-8 and was 1e-11 apart)
+    @pytest.mark.parametrize("branching,depth,h", [(2, 6, 1e-2), (2, 6, 3e-2),
+                                                   (1, 12, 1e-3), (1, 12, 1e-2)])
+    def test_one_attempt_is_the_textbook_step(self, branching, depth, h):
+        p = ModelParams(alpha=1.0, gamma=1.0, nu=0.1, f=1.0, branching=branching,
+                        depth=depth)
+        kernel = dynamics.make_kernel(p)
+        y = np.random.default_rng(depth).uniform(0.0, 1.0, p.n_nodes)
+        W, e = np.zeros((7, 2 * depth + 2)), np.empty(depth + 1)
+        dp5 = _Dp5(kernel, p.n_nodes, W, e, 1e-8, 1e-14)
+        kernel.rhs_work(y, out=dp5.fy, work_out=W[0], energies_out=e)
+        before, fy = y.copy(), dp5.fy.copy()
+        out = np.empty(p.n_nodes)
+        finite, err_norm, _ = dp5.attempt(y, h, out)
+        y5, err = dp5_oracle.step(kernel.rhs, y, h)
+        assert finite and err_norm > 1.0
+        assert np.abs(out - y5).max() <= 1e-13 * np.abs(y5).max()
+        expected = dp5_oracle.error_norm(err, y, y5, 1e-8, 1e-14)
+        assert abs(err_norm - expected) <= 1e-12 * expected
+        # y and f(y) are left for the retry
+        assert y.tobytes() == before.tobytes()
+        assert dp5.fy.tobytes() == fy.tobytes()
+
+
 class TestInitialStep:
     def test_step_in_a_stage_row_is_the_separate_scratch_one(self):
-        # integrate's scratch is K[1] and the stage input, with f0 = K[0]
+        # _Dp5's scratch is K[1] and the stage input, with f0 = K[0]; the
+        # step equals the one formed with temporaries of its own, bit for bit
         p = ModelParams(alpha=2.0, gamma=1.0, nu=1e-3, f=1.0, branching=8, depth=5)
         rng = np.random.default_rng(2)
         y = rng.uniform(0.0, 0.01, p.n_nodes)
-        K = rng.uniform(-1.0, 1.0, (6, p.n_nodes))
-        args = (y, K[0], 1e-8, 1e-14, math.inf, math.inf)
-        separate = dynamics._initial_step(*args, *np.empty((2, p.n_nodes)))
-        in_rows = dynamics._initial_step(*args, K[1], np.empty(p.n_nodes))
+        dp5 = _Dp5(None, p.n_nodes, np.zeros((7, 1)), None, 1e-8, 1e-14)
+        dp5.K[...] = rng.uniform(-1.0, 1.0, (5, p.n_nodes))
+        sc = 1e-14 + 1e-8 * np.abs(y)
+        d0 = math.sqrt(float(np.mean(np.square(y / sc))))
+        d1 = math.sqrt(float(np.mean(np.square(dp5.K[0] / sc))))
+        separate = 0.01 * d0 / d1
+        in_rows = dp5.initial_step(y, math.inf, math.inf, np.empty(p.n_nodes))
         assert 0.0 < in_rows < 1e-3
         assert in_rows.hex() == separate.hex()
 
@@ -507,10 +543,10 @@ def worst_residual(traj):
 
 def rodas4_at(kernel, y):
     """A RODAS4 workspace made as integrate makes it at the switch: from
-    f(y) and DP5's 7 work-rate rows, the work rates at y in row 0."""
+    f(y) and the run's 7 work-rate rows, the work rates at y in row 0."""
     fy, W = np.empty(y.size), np.empty((7, 2 * kernel.params.depth + 2))
     kernel.rhs_work(y, out=fy, work_out=W[0])
-    return _Rodas4(kernel, fy, W)
+    return _Rodas4(kernel, fy, W, np.empty(kernel.params.depth + 1), 1e-8, 1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -546,7 +582,7 @@ class TestStiffSwitch:
             rodas = rodas4_at(kernel, y)
             for _ in range(steps):
                 kernel.rhs_work(y, out=rodas.fy, work_out=rodas.w[0])
-                q += rodas.attempt(y, 0.5 / steps, out)
+                q += rodas.attempt(y, 0.5 / steps, out)[2]
                 y = out.copy()
             return np.abs(y - ref.final.values).max(), np.abs(q - q_ref).max()
 
@@ -568,7 +604,7 @@ class TestStiffSwitch:
             f, w = (a.copy() for a in kernel.rhs_work(y))
             rodas = rodas4_at(kernel, y)
             out = np.empty(p.n_nodes)
-            dq = rodas.attempt(y, h, out)
+            _, _, dq = rodas.attempt(y, h, out)
             y_ref, k_ref, dq_ref = rodas_oracle.attempt(kernel, y, f, w, h)
             assert out.tobytes() == y_ref.tobytes()
             assert rodas.k.tobytes() == k_ref.tobytes()
@@ -584,11 +620,11 @@ class TestStiffSwitch:
         y = np.random.default_rng(depth).uniform(0.0, 1.0, p.n_nodes)
         rodas, fresh = rodas4_at(kernel, y), rodas4_at(kernel, y)
         out, out_fresh = np.empty(p.n_nodes), np.empty(p.n_nodes)
-        rodas.attempt(y, 1.0, out)
+        finite, err_norm, _ = rodas.attempt(y, 1.0, out)
         # an error norm above 1, or not a number: rejected either way
-        assert not _error_norm(rodas.k[5], y, out, 1e-8, 1e-14, np.empty(p.n_nodes)) <= 1.0
-        dq = rodas.attempt(y, 1e-4, out)
-        dq_fresh = fresh.attempt(y, 1e-4, out_fresh)
+        assert not (finite and err_norm <= 1.0)
+        _, _, dq = rodas.attempt(y, 1e-4, out)
+        _, _, dq_fresh = fresh.attempt(y, 1e-4, out_fresh)
         assert out.tobytes() == out_fresh.tobytes()
         assert rodas.k.tobytes() == fresh.k.tobytes()
         assert dq.tobytes() == dq_fresh.tobytes()
@@ -691,7 +727,7 @@ class TestStiffDetection:
     @pytest.mark.parametrize("fixed_point", [False, True])
     def test_estimate_in_stage_rows_is_the_separate_scratch_one(self, branching, depth,
                                                                fixed_point):
-        # integrate's u is K[2] and its ju the stage input: the estimate reads
+        # _Dp5.stiffness's u is K[2] and its ju the stage input: the estimate reads
         # f(y5) = K[3] and f(Y6) = K[1] before it writes u, so it equals the
         # estimate in separate arrays bit for bit, on the power steps from
         # K[3] - K[1] and on those from y + 1 at a bitwise fixed point
@@ -713,7 +749,7 @@ class TestStiffDetection:
     @pytest.mark.parametrize("fixed_point", [False, True])
     def test_estimate_with_jvp_scratch_in_stage_rows_is_bit_equal(self, branching, depth,
                                                                  fixed_point):
-        # integrate passes K[3:5] to jvp once u is formed from K[3] and
+        # _Dp5.stiffness passes K[3:5] to jvp once u is formed from K[3] and
         # K[1], and jvp's temporaries on trees then take no memory of their
         # own (chains ignore it): the estimate equals the one without them,
         # bit for bit, and K[0] and K[1] are left as they were (8-ary depth
@@ -780,6 +816,58 @@ for _ in range(8):
         assert traj.stiff_from < 0.04
         head = solve_viscous_stationary(10.0, 0.01, 3.0, 1.0, n_max=80).y[0]
         assert abs(traj.final.values[0] - head) <= 1e-8 * head
+
+
+def binary_decay(alpha):
+    """The unforced inviscid binary tree of depth 10, random on its top 7
+    nodes, to t = 20 with no output times."""
+    p = ModelParams(alpha=alpha, gamma=1.0, nu=0.0, f=0.0, branching=2, depth=10)
+    y = np.zeros(p.n_nodes)
+    y[:7] = np.random.default_rng(1).uniform(0.0, 1.0, 7)
+    return integrate(TreeState(y, p), 20.0)
+
+
+def forced_binary7():
+    """The forced inviscid binary tree of depth 7 (alpha 2) from root_only 1,
+    to t = 2.5 with 100 output times."""
+    p = ModelParams(alpha=2.0, gamma=1.0, nu=0.0, f=1.0, branching=2, depth=7)
+    y = np.zeros(p.n_nodes)
+    y[0] = 1.0
+    return integrate(TreeState(y, p), 2.5, output_times=np.linspace(0.025, 2.5, 100))
+
+
+def chain_stiff():
+    """The benchmark's chain_stiff run: forced_chain(18), but with the
+    output times i * 0.01, not i / 100."""
+    p = ModelParams(alpha=1.0, gamma=1.0, nu=0.0, f=1.0, branching=1, depth=18)
+    y = np.zeros(p.n_nodes)
+    y[0] = 1.0
+    return integrate(TreeState(y, p), 1.0, output_times=[i * 0.01 for i in range(1, 101)])
+
+
+class TestStiffSequences:
+    """The step sequences of the runs that switch, pinned exactly: no
+    benchmark workload runs RODAS4 on a tree, so a change of the stiff path
+    that moves a step shows here first."""
+
+    @pytest.mark.parametrize("run,counts", [
+        pytest.param(lambda: binary_decay(1.5), (2843, 1, 1815, 1029), id="binary10_alpha1.5"),
+        pytest.param(lambda: binary_decay(2.0), (2898, 2, 1516, 1384), id="binary10_alpha2"),
+        pytest.param(forced_binary7, (1629, 2, 1417, 214), id="forced_binary7_alpha2"),
+        pytest.param(lambda: viscous_chain(50.0, 0.1, 1.0, 1.0, 20, 10.0), (901, 10, 802, 109),
+                     id="chain20_50_0.1_1_1"),
+        pytest.param(lambda: viscous_chain(10.0, 0.01, 3.0, 1.0, 32, 10.0), (979, 80, 227, 832),
+                     id="chain32_10_0.01_3_1"),
+        pytest.param(chain_stiff, (1710, 1, 1415, 296), id="chain_stiff"),
+    ])
+    def test_steps_and_attempts_per_method(self, run, counts):
+        # accepted and rejected steps, then the DP5 and RODAS4 attempts
+        traj = run()
+        assert traj.stiff_from is not None
+        attempts = traj.attempts
+        assert (traj.n_accepted, traj.n_rejected, attempts["DP5"], attempts["RODAS4"]) == counts
+        assert tuple(attempts) == ("DP5", "RODAS4")
+        assert sum(attempts.values()) == traj.n_accepted + traj.n_rejected
 
 
 class TestSolverStats:
@@ -860,6 +948,7 @@ class TestSolverStats:
         assert traj.stiff_from is None and traj.n_flattened == 15
         assert traj.rejected["positivity"] == 0
         attempts = traj.n_accepted + traj.n_rejected
+        assert traj.attempts == {"DP5": attempts, "RODAS4": 0}
         assert traj.n_rhs == 1 + 6 * attempts + traj.n_flattened
         assert 0.0 < traj.h_min < traj.h_max <= np.diff(traj.times).max()
 

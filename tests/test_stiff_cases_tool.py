@@ -2,7 +2,7 @@
 
 The tool is loaded from its path and nothing is written next to it.  It
 imports the library from --src, here the directory the tests import it
-from, and puts back what it wrapped."""
+from."""
 
 import importlib.util
 import json
@@ -22,10 +22,8 @@ def test_chain_stiff_case_prints_its_attempts(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("stiff_cases", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    attempt = dynamics._Rodas4.attempt
     src = os.path.dirname(os.path.dirname(dynamics.__file__))
     assert tool.main(["--src", src, "--case", "chain_stiff"]) == 0
-    assert dynamics._Rodas4.attempt is attempt
     (line,) = capsys.readouterr().out.splitlines()
     row = json.loads(line)
     assert set(row) == KEYS

@@ -10,15 +10,17 @@ once through cli.main, in a temporary directory, with tracemalloc started
 before the call, and prints one JSON object: the workload, the state's size n, the
 job's peak in MB and in state arrays (8 n bytes), and the peak inside each
 region, also in state arrays: Kernel.rhs, Kernel.rhs_work, Kernel.jvp and
-dynamics._dp5_error_norm, the norm of DP5's error estimate.  A region's peak
+dynamics._Dp5.error_norm, the norm of DP5's error estimate.  A region's peak
 counts all the memory the job has traced at that moment, not only the
-region's own.  The wrappers are put back
-when the job ends.
+region's own.  A region whose callable the library does not have (a
+checkout from before it was named so) is listed under "absent" instead.
+The wrappers are put back when the job ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import json
 import sys
@@ -27,7 +29,9 @@ import tracemalloc
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-REGIONS = ("Kernel.rhs", "Kernel.rhs_work", "Kernel.jvp", "_dp5_error_norm")
+#: (module of dyadic_cascade, path of the region's callable in it)
+REGIONS = (("kernels", "Kernel.rhs"), ("kernels", "Kernel.rhs_work"),
+           ("kernels", "Kernel.jvp"), ("dynamics", "_Dp5.error_norm"))
 
 
 def _workloads():
@@ -42,14 +46,24 @@ def _workloads():
     return module
 
 
+def _hook(module, path):
+    """(owner, name) of the callable at the dotted path in module, or None
+    when the module has no callable there."""
+    *owners, name = path.split(".")
+    owner = module
+    for step in owners:
+        owner = getattr(owner, step, None)
+    return (owner, name) if callable(getattr(owner, name, None)) else None
+
+
 class _Peaks:
     """The traced peak of the whole job and of each region.  Entering or
     leaving a region folds tracemalloc's peak so far into the job's and
     resets it, so the peak read when a region is left is the region's."""
 
-    def __init__(self):
+    def __init__(self, regions):
         self.job = 0
-        self.regions = dict.fromkeys(REGIONS, 0)
+        self.regions = dict.fromkeys(regions, 0)
         self.depth = 0
 
     def fold(self) -> int:
@@ -82,15 +96,16 @@ def main(argv=None) -> int:
                         help="the workload's seconds-long version")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    from dyadic_cascade import cli, dynamics
-    from dyadic_cascade.kernels import Kernel
+    from dyadic_cascade import cli
 
-    peaks = _Peaks()
-    hooks = ((Kernel, "rhs"), (Kernel, "rhs_work"), (Kernel, "jvp"),
-             (dynamics, "_dp5_error_norm"))
-    originals = [getattr(owner, name) for owner, name in hooks]
-    for (owner, name), fn, region in zip(hooks, originals, REGIONS):
-        setattr(owner, name, peaks.wrap(region, fn))
+    hooks = {path: _hook(importlib.import_module(f"dyadic_cascade.{module}"), path)
+             for module, path in REGIONS}
+    absent = [path for path, hook in hooks.items() if hook is None]
+    hooks = {path: hook for path, hook in hooks.items() if hook is not None}
+    originals = {path: getattr(owner, name) for path, (owner, name) in hooks.items()}
+    peaks = _Peaks(hooks)
+    for path, (owner, name) in hooks.items():
+        setattr(owner, name, peaks.wrap(path, originals[path]))
     try:
         with tempfile.TemporaryDirectory() as work:
             workload = _workloads().build(args.workload, 1, work, tiny=args.tiny)
@@ -103,8 +118,8 @@ def main(argv=None) -> int:
             finally:
                 tracemalloc.stop()
     finally:
-        for (owner, name), fn in zip(hooks, originals):
-            setattr(owner, name, fn)
+        for path, (owner, name) in hooks.items():
+            setattr(owner, name, originals[path])
         sys.path.remove(args.src)
     if code != 0:
         return code
@@ -114,7 +129,8 @@ def main(argv=None) -> int:
         "peak_mb": round(peaks.job / 1e6, 3),
         "peak_states": round(peaks.job / state, 2),
         "region_states": {name: round(peak / state, 2)
-                          for name, peak in peaks.regions.items()}}), flush=True)
+                          for name, peak in peaks.regions.items()},
+        "absent": absent}), flush=True)
     return 0
 
 

@@ -8,10 +8,10 @@ by run.  Prints one JSON object per case: the case, the wall and process CPU
 time of integrate, the CPU microseconds per step attempt (DP5 and RODAS4
 together), the DP5 and RODAS4 step attempts, accepted and rejected steps,
 the switch time, the final energy and integrate's tracemalloc peak in MB.
-Attempts are counted by wrapping _Rodas4.attempt; every other attempt is
-DP5.  The peak comes from a second, untimed run of the case, since tracing
-every allocation slows the run; the initial state is made before tracing
-starts and is not in it.
+The attempts per method are the run's Trajectory.attempts, null on a
+checkout from before that field.  The peak comes from a second, untimed run
+of the case, since tracing every allocation slows the run; the initial
+state is made before tracing starts and is not in it.
 
 The case chain_stiff is the integrate call of the benchmark workload of that
 name (classic, depth 18, alpha 1, nu 0, f 1, root 1, t_end 1, 100 output
@@ -73,39 +73,29 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     from dyadic_cascade import core, dynamics
 
-    rodas_attempts = 0
-    attempt = dynamics._Rodas4.attempt
-
-    def counted(self, *a, **kw):
-        nonlocal rodas_attempts
-        rodas_attempts += 1
-        return attempt(self, *a, **kw)
-
-    dynamics._Rodas4.attempt = counted
     try:
         cases = _cases(core)
         for name in args.case or cases:
             initial, t_end, outputs = cases[name]()
-            rodas_attempts = 0
             start, cpu = time.perf_counter(), time.process_time()
             traj = dynamics.integrate(initial, t_end, output_times=outputs)
             wall, cpu = time.perf_counter() - start, time.process_time() - cpu
-            rodas4 = rodas_attempts  # before the traced run counts its own
             tracemalloc.start()
             dynamics.integrate(initial, t_end, output_times=outputs)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             attempts = traj.n_accepted + traj.n_rejected
+            by_method = getattr(traj, "attempts", {})
             print(json.dumps({
                 "case": name, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4),
                 "us_per_attempt": round(1e6 * cpu / attempts, 2),
-                "dp5_attempts": attempts - rodas4, "rodas4_attempts": rodas4,
+                "dp5_attempts": by_method.get("DP5"),
+                "rodas4_attempts": by_method.get("RODAS4"),
                 "accepted": traj.n_accepted, "rejected": traj.n_rejected,
                 "stiff_from": traj.stiff_from,
                 "final_energy": float(traj.energies[-1].sum()),
                 "peak_mb": round(peak / 1e6, 4)}), flush=True)
     finally:
-        dynamics._Rodas4.attempt = attempt
         sys.path.remove(args.src)
     return 0
 
