@@ -10,20 +10,22 @@ typo'd exponent name must not silently invalidate an experiment) and
 echoes simulate's config into summary.json.  Short checks after the parse
 keep the rules the library has no twin for: model, mode and branching,
 output_interval > 0, the classic_values length and one lift source, the
-random_positive scale, symmetric-mode initial kinds, finite state-file
-entries and the --dump-state times.  Output files are byte-reproducible:
-floats are written with repr (shortest round-trip decimal), LF endings,
-UTF-8; identical config and seed give identical bytes (the kernel uses
-fixed-order reductions).
+random_positive scale, symmetric-mode initial kinds and finite state-file
+entries.  Output files are byte-reproducible: floats are written with repr
+(shortest round-trip decimal), LF endings, UTF-8; identical config and seed
+give identical bytes (the kernel uses fixed-order reductions).
 
-simulate --dump-state T writes state_tT.bin, the state at the row T names,
-with T as given.  integrate hands the state over at that row, and it is
-written then, with no copy, to state_tT.bin.tmp in --out; the file takes
-its name once trajectory.csv is written, before summary.json.  A run that
-fails before that leaves no dump, and no directory made only for the dumps:
-like a run without the flag, a run that fails in integrate or at
-trajectory.csv leaves no output directory it made.  A run that fails at
-summary.json leaves trajectory.csv and the dumps.
+simulate --dump-state T writes state_tT.bin, with T as given, the state at
+the row T names.  T goes to integrate's keep as it is, so it must name a
+row the run records anyway (0, an output time or t_end, up to rounding);
+integrate rejects any other T as bad input before the run, and a dump adds
+no row.  integrate hands the state over at that row, and it is written
+then, with no copy, to state_tT.bin.tmp in --out; the file takes its name
+once trajectory.csv is written, before summary.json.  A run that fails
+before that leaves no dump, and no directory made only for the dumps: like
+a run without the flag, a run that fails in integrate or at trajectory.csv
+leaves no output directory it made.  A run that fails at summary.json
+leaves trajectory.csv and the dumps.
 
 Exit codes: 0 success; 1 bad input, any errors.DomainError (ConfigError,
 StateFileError, SymmetryError, ParameterMismatch, DegenerateWindow,
@@ -48,16 +50,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ModelParams, TreeState, pow2
-from .dynamics import (SolverOptions, _landing_times, _row_of, balance_residual,
-                       check_capacity, dissipation_time_bound, energy_report,
-                       integrate)
+from .dynamics import (SolverOptions, balance_residual, check_capacity,
+                       dissipation_time_bound, energy_report, integrate)
 from .errors import (
     CascadeError,
     ConfigError,
     DegenerateWindow,
     DomainError,
     NonFiniteResult,
-    RangeError,
 )
 from .kernels import generation_energies
 from .lift import LiftSpec, lift_state, project_params, project_state, scale_factor
@@ -437,33 +437,31 @@ def _non_finite_field(obj, where: str = ""):
 
 class _StateDumps:
     """The --dump-state files of one simulate run.  keep, integrate's keep,
-    maps the time of each dumped row to a callable that writes the state
-    integrate hands it through dump_state, with no copy, to a temporary
-    file in out_dir, made if missing.  publish gives the files their names;
+    maps each dump time T to a callable that writes the state integrate
+    hands it at the row T names through dump_state, with no copy, to a
+    temporary file state_tT.bin.tmp in out_dir, made if missing.  integrate
+    rejects a T that names no row.  publish gives the files their names;
     discard removes what publish has not renamed, and the directories made
     for it, so that a failing run leaves the files it would leave without
     the flag."""
 
-    def __init__(self, out_dir, params: ModelParams, rows: dict):
+    def __init__(self, out_dir, params: ModelParams, times):
         self.out_dir, self.params = out_dir, params
-        names = {}
-        for name, t in rows.items():
-            names.setdefault(t, []).append(name)
-        self.keep = {t: functools.partial(self._write, row) for t, row in names.items()}
+        self.keep = {t: functools.partial(self._write, f"state_t{_fmt(t)}.bin")
+                     for t in map(float, times)}
         self.staged = []  # (temporary, final) paths
         self.made = []    # directories made for them, deepest first
 
-    def _write(self, names, t_row, values):
+    def _write(self, name, t_row, values):
         if not self.staged:
             d = os.path.abspath(self.out_dir)
             while not os.path.isdir(d):
                 self.made.append(d)
                 d = os.path.dirname(d)
             os.makedirs(self.out_dir, exist_ok=True)
-        for name in names:
-            path = os.path.join(self.out_dir, name)
-            self.staged.append((path + ".tmp", path))
-            dump_state(values, self.params, path + ".tmp")
+        path = os.path.join(self.out_dir, name)
+        self.staged.append((path + ".tmp", path))
+        dump_state(values, self.params, path + ".tmp")
 
     def publish(self):
         for temporary, path in self.staged:
@@ -496,20 +494,7 @@ def run_simulate(config: RunConfig, out_dir, dump_times=()):
     n_out = config.t_end / config.output_interval
     check_capacity(run_params, n_out)
     outputs = [i * config.output_interval for i in range(1, int(round(n_out)) + 1)]
-    # a dump time names a recorded row, by the rounding rule integrate merges
-    # output times by, and the run hands over the state at that row's own
-    # time, so that dumping adds no target and leaves the trajectory as it is
-    times = np.array([0.0] + _landing_times(outputs, config.t_end))
-    rows = {}  # file name: the time of the row it holds
-    for t in dump_times:
-        try:
-            rows[f"state_t{_fmt(float(t))}.bin"] = float(times[_row_of(times, t)])
-        except RangeError:
-            raise ConfigError(
-                f"--dump-state {t!r} is not a recorded time of the run: 0, a "
-                f"multiple of output_interval {config.output_interval!r} or "
-                f"t_end {config.t_end!r}") from None
-    dumps = _StateDumps(out_dir, run_params, rows)
+    dumps = _StateDumps(out_dir, run_params, dump_times)
 
     try:
         # integrate gets the only reference to the initial state, so the

@@ -19,7 +19,7 @@ RODAS4 as extra components whose Jacobian rows are the work rates'), so the
 balance residual is consistent to the solver's order.
 
 A run records a row of reductions per output time, not a state: the only
-state it returns is the one at t_end.  At each time the caller names it
+state it returns is the one at t_end.  At each row the caller names it
 hands the caller's callable a read-only view of its own state, so a caller
 that writes that state out holds no copy of it.  A row's energies
 and fluxes are by-products of f at the recorded state, which the run
@@ -166,12 +166,14 @@ class SolverOptions:
     max_rejections: int = 64
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be > 0")
+        # an infinite tolerance turns error control off; max_step's default
+        # is inf, no bound
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be finite and > 0")
         if not (self.max_step > 0):
             raise DomainError("max_step must be > 0")
-        if self.initial_step is not None and not (self.initial_step > 0):
-            raise DomainError("initial_step must be > 0")
+        if self.initial_step is not None and not 0 < self.initial_step < math.inf:
+            raise DomainError("initial_step must be finite and > 0")
         if self.max_rejections < 1:
             raise DomainError("max_rejections must be >= 1")
 
@@ -658,14 +660,18 @@ def integrate(
     NonFiniteResult when a recorded row's energies are finite and its work
     integrals are not.
 
-    keep maps times in [0, t_end], the top end up to rounding, to callables
-    f(t_row, values).  Each time is an output time too, and at its row the
-    run calls f with the row's time and a read-only view of its state.  The
-    view is valid only during the call: integrate copies nothing for it,
-    and the array beneath is the run's own, which the next step overwrites.
-    Times that share a row have their callables called there in keep's
-    order.  A time at t_end, or within rounding above it, is served after
-    the loop with final.values, once the work arrays are dropped.  A
+    keep maps times to callables f(t_row, values) and only observes: the
+    run records the same rows, bit for bit, with or without it.  Each time
+    must name a row the run records anyway, at 0, an output time or t_end,
+    by the rule of balance_residual's lookups: the nearest recorded time
+    within rounding, a time within rounding above t_end naming the t_end
+    row.  Any other time, NaN included, raises DomainError before the run
+    allocates.  At its row the run calls f with the row's time and a
+    read-only view of its state.  The view is valid only during the call:
+    integrate copies nothing for it, and the array beneath is the run's
+    own, which the next step overwrites.  Times that share a row have their
+    callables called there in keep's order.  The t_end row's are called
+    after the loop with final.values, once the work arrays are dropped.  A
     callable's exception ends the run.
 
     integrate copies the initial state and drops its references to it
@@ -679,40 +685,37 @@ def integrate(
     if values.min() < 0.0:
         raise DomainError("integrate: initial state has negative entries "
                           "(positive-solution mode)")
-    if not t_end > 0:
-        raise DomainError("t_end must be > 0")
-    keep = [(float(t), f) for t, f in (keep or {}).items()]
-    if not all(0.0 <= t <= t_end + _rounding_gap(t_end) for t, _ in keep):
-        raise DomainError(f"keep times must lie in [0, {t_end!r}]")
-    # a keep time within rounding above t_end names the t_end row, and
-    # t_end stays the last target
-    keep_inside = {t for t, _ in keep if 0.0 < t <= t_end}
-
-    targets = _landing_times([*output_times, *keep_inside], t_end)
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be finite and > 0")
+    targets = _landing_times(output_times, t_end)
+    times = np.array([0.0] + targets)
+    handed = {}  # the callables of each row, by its index
+    for t, f in (keep or {}).items():
+        try:
+            handed.setdefault(_row_of(times, t := float(t)), []).append(f)
+        except RangeError:
+            raise DomainError(f"keep time {t!r} is not a recorded time of the run: "
+                              f"0, an output time or t_end {t_end!r}") from None
     check_capacity(params, len(targets))
     y = np.array(values, dtype=np.float64)
     del initial, values
-    return _integrate(y, params, t_end, opts, targets, keep)
+    return _integrate(y, params, t_end, opts, times, handed)
 
 
 # np.errstate's decorator holds the call's arguments until the call returns,
 # so it wraps the loop, whose arguments hold no initial state
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(y, params, t_end, opts, targets, keep) -> Trajectory:
-    """integrate's run from y, a copy of the initial state that it owns."""
+def _integrate(y, params, t_end, opts, times, handed) -> Trajectory:
+    """integrate's run from y, a copy of the initial state that it owns;
+    handed maps row indices of times to their keep callables."""
     kernel = make_kernel(params)
     depth = params.depth
     nq_v = depth + 1
     nw = 1 + nq_v + depth  # packed work-rate layout: [x0, visc..., flux...]
     q = np.zeros(nw)       # running quadratures, same layout
 
-    times = np.array([0.0] + targets)
-    # the callables of each row: a time merged into a later one shares its
-    # row, and one within rounding above t_end names the last row, which is
-    # served with the final state after the loop
-    handed = {}
-    for t, f in keep:
-        handed.setdefault(min(int(np.searchsorted(times, t)), len(targets)), []).append(f)
+    targets = times[1:].tolist()
+    # the last row's callables are served with the final state after the loop
     at_end = handed.pop(len(targets), ())
     energies, fluxes, work = (np.empty((times.size, k)) for k in (nq_v, depth, nw))
     min_value = np.empty(times.size)
@@ -911,8 +914,11 @@ def dissipation_time_bound(epsilon: float, eta: float,
 
         T = 2 sqrt(2) eta^{3/2} epsilon^{-2} (1 - q)^{-3},  q = 2^{-(alpha-alpha_tilde)/3}
     """
-    if not (epsilon > 0 and eta > 0):
-        raise DomainError("epsilon and eta must be > 0")
+    if not (0 < epsilon < math.inf and 0 < eta < math.inf):
+        raise DomainError("epsilon and eta must be finite and > 0")
+    if not (math.isfinite(alpha) and math.isfinite(alpha_tilde)):
+        raise DomainError(f"alpha and alpha_tilde must be finite, got {alpha} and "
+                          f"{alpha_tilde}")
     if not alpha > alpha_tilde:
         raise DomainError(
             f"requires alpha > alpha_tilde, got {alpha} <= {alpha_tilde}")

@@ -39,9 +39,9 @@ class LiftSpec:
         if not 0 <= self.alpha_tilde < math.inf:
             raise DomainError(
                 f"alpha_tilde must be finite and >= 0, got {self.alpha_tilde}")
-        if not self.beta > 0:
+        if not 0 < self.beta < math.inf:
             raise DomainError(
-                f"beta = alpha - alpha_tilde must be > 0, got {self.beta}")
+                f"beta = alpha - alpha_tilde must be finite and > 0, got {self.beta}")
         n = pow2(2.0 * self.alpha_tilde)
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise DomainError(

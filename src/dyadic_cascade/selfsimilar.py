@@ -34,6 +34,7 @@ re-solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,10 +139,10 @@ def solve_selfsimilar_classic(t0: float, beta: float, n_max: int, *,
     The algebraic system for b does not involve t0; the pole time only enters
     when the profile is evaluated, Y_n(t) = b_n/(t - t0).
     """
-    if not t0 < 0:
-        raise DomainError(f"t0 must be negative, got {t0}")
-    if not beta > 0:
-        raise DomainError(f"beta must be > 0, got {beta}")
+    if not -math.inf < t0 < 0:
+        raise DomainError(f"t0 must be finite and negative, got {t0}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     if not 0 <= n0 < n_max:

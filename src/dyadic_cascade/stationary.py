@@ -40,13 +40,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ModelParams, TreeState, one_minus_pow2, pow2
-from .errors import BracketFailure, DomainError, NoConvergence
+from .errors import BracketFailure, DomainError, NoConvergence, NonFiniteResult
 from .lift import LiftSpec, lift_state
 
 REGIME_INVISCID = "InviscidExplicit"
@@ -124,6 +125,8 @@ def inviscid_tree_profile(f: float, alpha: float, alpha_tilde: float,
     """
     if not f > 0:
         raise DomainError("inviscid profile requires f > 0")
+    if not 0 <= alpha_tilde < math.inf:
+        raise DomainError(f"alpha_tilde must be finite and >= 0, got {alpha_tilde}")
     branching = round(pow2(2.0 * alpha_tilde))
     if abs(pow2(2.0 * alpha_tilde) - branching) > 1e-9 or branching < 1:
         raise DomainError(f"2^(2*alpha_tilde) = {pow2(2 * alpha_tilde)} "
@@ -179,9 +182,9 @@ def factor_band(sub, diag, sup):
     pivoting.
 
     Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1]; sub[0] and
-    sup[-1] meet zeros and drop out.  The callers' pivots never vanish.
-    The sweeps are sequential, so they run on Python floats; numpy would
-    pay one call per row."""
+    sup[-1] meet zeros and drop out.  A zero pivot raises
+    ZeroDivisionError.  The sweeps are sequential, so they run on Python
+    floats; numpy would pay one call per row."""
     pivots, ratios = [], []
     c = 0.0
     for s, d, u in zip(sub, diag, sup):
@@ -218,13 +221,21 @@ def damped_newton(system, x, what):
 
     system(x) -> (r, sub, diag, sup), the residual and tridiagonal Jacobian,
     or None where x leaves the system's domain.
-    Returns (x, iterations, largest relative residual).
+    Returns (x, iterations, largest relative residual).  Raises NoConvergence
+    when x or the final correction leaves the domain, when a Jacobian is
+    singular to the band factor, or when the iteration stalls.
     """
     lam = 1.0
     out = system(x)
+    if out is None:
+        raise NoConvergence(f"Newton for {what} starts outside the system's domain")
     for it in range(_NEWTON_MAX_ITER + 1):
         r, *band = out
-        factors = factor_band(*(v.tolist() for v in band))
+        try:
+            factors = factor_band(*(v.tolist() for v in band))
+        except ZeroDivisionError:  # a zero pivot
+            raise NoConvergence(f"the Jacobian of Newton for {what} is singular at "
+                                f"iteration {it}") from None
         weight = np.maximum(1.0, np.abs(x))
         dx = solve_band(factors, (-r).tolist())
         size = float(np.max(np.abs(dx) / weight))
@@ -232,7 +243,11 @@ def damped_newton(system, x, what):
             break
         if size <= _NEWTON_TOL:
             x = x + dx
-            r = system(x)[0]
+            out = system(x)
+            if out is None:
+                raise NoConvergence(f"the final Newton correction for {what} leaves "
+                                    "the system's domain")
+            r = out[0]
             return x, it, float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x))))
         lam = min(1.0, 2.0 * lam)
         while True:
@@ -340,8 +355,9 @@ def solve_viscous_stationary(f: float, nu: float, beta: float, gamma: float,
                              n_max: int = 60) -> StationaryProfile:
     """Solve the rescaled recurrence for the viscous stationary classic
     profile, certify Z_0 by the parity rule, and classify the regime."""
-    if not (f > 0 and nu > 0 and beta > 0 and gamma > 0):
-        raise DomainError("solve_viscous_stationary requires f, nu, beta, gamma > 0")
+    if not all(0 < v < math.inf for v in (f, nu, beta, gamma)):
+        raise DomainError("solve_viscous_stationary requires f, nu, beta, gamma "
+                          "finite and > 0")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     mu_f = gamma - 2.0 * beta / 3.0
@@ -389,10 +405,32 @@ def asymptotic_flux(z: float, beta: float, nu: float) -> float:
 
     This is c_{n+1} Y_n^2 Y_{n+1} in the limit, the flux of d(X^2/2)/dt.
     boundary_fluxes and the energy balance carry the factor 2 of d(X^2)/dt,
-    so a run's deep boundary_fluxes level off at twice this value."""
-    if z < 0:
-        raise DomainError("z must be >= 0")
-    return pow2(-4.0 * beta / 3.0) * nu ** 3 * z ** 3
+    so a run's deep boundary_fluxes level off at twice this value.  Raises
+    NonFiniteResult when the flux is beyond the float range."""
+    if not (0 <= z < math.inf and 0 <= nu < math.inf):
+        raise DomainError(f"z and nu must be finite and >= 0, got {z!r} and {nu!r}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    scale = pow2(-4.0 * beta / 3.0)
+    try:
+        flux = scale * nu ** 3 * z ** 3
+    except OverflowError:  # nu ** 3 or z ** 3
+        flux = math.inf
+    if scale >= sys.float_info.min and sys.float_info.min <= flux < math.inf:
+        return flux
+    # the scale or the flux is not a normal float (a subnormal scale keeps
+    # fewer bits): mantissas and binary exponents apart, as in
+    # dissipation_time_bound, so that only the flux itself can over- or
+    # underflow (below 2^-1200 it is 0)
+    m_nu, e_nu = math.frexp(nu)
+    m_z, e_z = math.frexp(z)
+    e = -4.0 * beta / 3.0 + 3 * (e_nu + e_z)
+    k = math.floor(max(e, -1200.0))
+    try:
+        return math.ldexp(pow2(e - k) * m_nu ** 3 * m_z ** 3, k)
+    except OverflowError:
+        raise NonFiniteResult(f"the asymptotic flux for z {z!r}, beta {beta!r}, nu {nu!r} "
+                              "is beyond the float range") from None
 
 
 def stationary_tree_profile(f: float, nu: float, alpha: float,

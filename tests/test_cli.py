@@ -327,8 +327,7 @@ class TestSimulateCommand:
     def test_dump_state_within_rounding_of_an_output_time(self, tmp_path, t):
         # one ulp below and above the output time 3 * 0.1: each names that
         # row, the run keeps the state there, and the trajectory stays that
-        # of a run without the flag (a keep time above it would have moved
-        # the row to itself)
+        # of a run without the flag
         params = {"alpha": 1, "branching": 2, "depth": 3, "f": 1}
         cfg = write_config(tmp_path, base_config(
             params=params, initial={"kind": "root_only", "value": 0.1},
@@ -745,8 +744,7 @@ class TestBadInput:
                      id="simulate_dump_time_negative"),
         pytest.param("simulate --dump-state 0.5000000000001", base_config(),
                      id="simulate_dump_time_beyond_rounding_of_t_end"),
-        # a time off the output grid would become a target of the run and
-        # move every later row
+        # a time off the recorded rows names no row
         pytest.param("simulate --dump-state 0.2500000001", base_config(),
                      id="simulate_dump_time_just_after_an_output_time"),
         pytest.param("simulate --dump-state 0.1", base_config(),
@@ -810,6 +808,9 @@ class TestBadInput:
                      base_config(solver={"positivity_mode": "reject-and-halve"}),
                      "unknown field solver.positivity_mode",
                      id="simulate_positivity_mode_is_unknown"),
+        pytest.param("simulate --dump-state 0.1", base_config(),
+                     "keep time 0.1 is not a recorded time",
+                     id="simulate_dump_time_between_output_times"),
     ])
     def test_exits_1_with_message(self, tmp_path, monkeypatch, capsys, command,
                                   cfg, message):
@@ -817,7 +818,7 @@ class TestBadInput:
         p = ModelParams(alpha=1.0, branching=2, depth=3)
         dump_state(np.full(p.n_nodes, 0.5), p, tmp_path / "s.bin")
         path = write_config(tmp_path, cfg)
-        argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+        argv = command.split() + ["--config", path, "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ") and message in line
@@ -943,6 +944,12 @@ class TestNonFiniteOutput:
         pytest.param("stationary", {"f": 1, "nu": 1, "beta": 1.5000001e-20,
                                     "gamma": 1e-20, "n_max": 10},
                      0, (), id="stationary_mu_near_zero"),
+        # z^3 overflows, but not the flux: 2^(-8000/3) z^3 is about 2e-201
+        pytest.param("stationary", {"f": 1, "nu": 1, "beta": 2000, "n_max": 10},
+                     0, (), id="stationary_flux_of_an_overflowing_z_cubed"),
+        pytest.param("stationary", {"f": 1e120, "nu": 1, "beta": 3, "n_max": 10},
+                     2, ("asymptotic flux", "beyond the float range"),
+                     id="stationary_flux_overflows"),
         pytest.param("dissipation-bound", {"epsilon": 0.1, "eta": 1,
                                            "alpha": 1.0000000000000002,
                                            "alpha_tilde": 1},

@@ -113,7 +113,7 @@ class TestBasics:
         for branching in (1, 2):
             p = ModelParams(alpha=1.0, f=0.5, branching=branching, depth=4)
             kept = Kept()
-            traj = integrate(TreeState.zeros(p), t_end=0.3, output_times=[0.1, 0.2],
+            traj = integrate(TreeState.zeros(p), t_end=0.3, output_times=[0.1, 0.15, 0.2],
                              keep={**kept.keep(0.2, 0.0, 0.3, 0.1), 0.15: write})
             assert kept.order == [0.0, 0.1, 0.2, 0.3]
             assert writes.pop() == 0.15
@@ -137,11 +137,37 @@ class TestBasics:
         assert states == ["final"]
         assert not hasattr(traj, "kept") and not hasattr(traj, "state_at")
 
-    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
-    def test_keep_time_outside_run_rejected(self, t):
+    @pytest.mark.parametrize("t", [-0.1, 0.25, 0.5 + 1e-10, 1.5, math.nan])
+    def test_keep_time_of_no_row_rejected_before_the_run(self, t, monkeypatch):
+        # a keep time names a row the run records anyway; one between the
+        # rows, or outside the run, is rejected before the kernel is made
         p = ModelParams(alpha=1.0, branching=2, depth=2)
-        with pytest.raises(DomainError, match="keep times"):
-            integrate(TreeState.zeros(p), t_end=1.0, keep=Kept().keep(t))
+        monkeypatch.setattr(dynamics, "make_kernel", None)
+        with pytest.raises(DomainError, match=rf"keep time {t!r} is not a recorded time"):
+            integrate(TreeState.zeros(p), t_end=1.0, output_times=[0.5],
+                      keep=Kept().keep(0.5, t))
+
+    @pytest.mark.parametrize("times", [
+        (0.0,), tuple(i * 0.1 for i in range(1, 7)), (0.6,), (0.3,),
+        (0.6 + dynamics._rounding_gap(0.6) / 2,)],
+        ids=["zero", "every_output_time", "t_end", "0.3_for_3x0.1", "above_t_end"])
+    def test_a_kept_run_records_the_rows_of_a_plain_run(self, times):
+        # keep only observes: each time names a row the run records anyway
+        # (3 * 0.1 is one ulp above 0.3, 6 * 0.1 one above t_end), so the
+        # rows, the work integrals and the final state are a plain run's
+        p = ModelParams(alpha=1.0, nu=0.1, f=1.0, branching=2, depth=3)
+        x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
+        outputs = [i * 0.1 for i in range(1, 7)]
+        plain = integrate(x, 0.6, output_times=outputs)
+        kept = Kept()
+        run = integrate(x, 0.6, output_times=outputs, keep=kept.keep(*times))
+        for name in ("times", "energies", "fluxes", "min_value", "work_x0",
+                     "work_visc", "work_flux"):
+            assert getattr(run, name).tobytes() == getattr(plain, name).tobytes()
+        assert run.final.values.tobytes() == plain.final.values.tobytes()
+        assert (run.n_accepted, run.rejected, run.n_rhs) == \
+            (plain.n_accepted, plain.rejected, plain.n_rhs)
+        assert kept.row == {t: float(plain.times[plain._index_of(t)]) for t in times}
 
     def test_time_within_rounding_above_t_end_names_the_t_end_row(self):
         # 3 * 0.1 = 0.30000000000000004 is one ulp above t_end = 0.3; it names
@@ -159,15 +185,15 @@ class TestBasics:
         assert plain._index_of(3 * 0.1) == 3
         longer_kept = Kept()
         longer = integrate(x, 0.6, output_times=[0.3, 0.6], keep=longer_kept.keep(0.3, 3 * 0.1))
-        assert list(longer.times) == [0.0, 3 * 0.1, 0.6]
-        assert longer_kept.row == {0.3: 3 * 0.1, 3 * 0.1: 3 * 0.1}
+        assert list(longer.times) == [0.0, 0.3, 0.6]
+        assert longer_kept.row == {0.3: 0.3, 3 * 0.1: 0.3}
         assert longer_kept.passed[0.3] is longer_kept.passed[3 * 0.1]
 
     def test_time_beyond_rounding_above_t_end_is_outside(self):
         p = ModelParams(alpha=1.0, f=1.0, branching=2, depth=3)
         x = TreeState(np.where(np.arange(p.n_nodes) == 0, 0.1, 0.0), p)
         beyond = math.nextafter(0.3 + dynamics._rounding_gap(0.3), 1.0)
-        with pytest.raises(DomainError, match="keep times"):
+        with pytest.raises(DomainError, match="is not a recorded time"):
             integrate(x, 0.3, keep=Kept().keep(beyond))
         traj = integrate(x, 0.3, output_times=[0.1, 0.2])
         with pytest.raises(RangeError, match="outside trajectory range"):
@@ -1101,7 +1127,7 @@ class TestCapacity:
         times = (0.06, 0.12, 0.18, 0.24)
         keep = {t: lambda t_row, values: dump_state(values, p, tmp_path / f"{t_row!r}.bin")
                 for t in times}
-        traj, peak = traced_run(initial, 0.3, keep=keep)
+        traj, peak = traced_run(initial, 0.3, times, keep=keep)
         assert 0.18 < traj.stiff_from < 0.24
         assert peak <= 8 * held_values(p, len(times) + 1)
         for i, t in enumerate(times, 1):
@@ -1138,7 +1164,8 @@ class TestCapacity:
         p = ModelParams(alpha=alpha, gamma=1.0, nu=nu, f=f, branching=branching,
                         depth=depth)
         initial = TreeState(np.where(np.arange(p.n_nodes) == 0, root, 0.0), p)
-        traj, peak = traced_run(initial, t_end, keep={t_end / 2: lambda t, values: None})
+        traj, peak = traced_run(initial, t_end, [t_end / 2],
+                                keep={t_end / 2: lambda t, values: None})
         assert traj.stiff_from is not None
         assert peak <= 8 * held_values(p, 2)  # rows at t_end / 2 and t_end
 

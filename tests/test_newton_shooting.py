@@ -267,6 +267,50 @@ class TestCertificate:
             solve_viscous_stationary(1.0, 1.0, 1.0, 1.0, n_max=1100)
 
 
+class TestNewtonFailures:
+    """damped_newton raises NoConvergence, never a TypeError or a
+    ZeroDivisionError, where its system fails it."""
+
+    @staticmethod
+    def above_one(x):
+        """x - 1 with the identity Jacobian, defined only where x > 1."""
+        if not (x > 1.0).all():
+            return None
+        n = len(x)
+        return x - 1.0, np.zeros(n), np.ones(n), np.zeros(n)
+
+    def test_a_start_outside_the_domain(self):
+        with pytest.raises(NoConvergence, match="starts outside the system's domain"):
+            stationary.damped_newton(self.above_one, np.ones(3), "x")
+
+    def test_a_final_correction_outside_the_domain(self):
+        # the correction -1e-13 is below the tolerance and lands on x = 1
+        with pytest.raises(NoConvergence, match="final Newton correction for x leaves"):
+            stationary.damped_newton(self.above_one, np.full(3, 1.0 + 1e-13), "x")
+
+    def test_a_zero_pivot(self):
+        def singular(x):
+            n = len(x)
+            return x - 1.0, np.zeros(n), np.zeros(n), np.zeros(n)
+
+        with pytest.raises(NoConvergence, match="singular at iteration 0"):
+            stationary.damped_newton(singular, np.full(3, 2.0), "x")
+
+    @pytest.mark.parametrize("beta,cause", [
+        (150.0, "final Newton correction"), (500.0, "final Newton correction"),
+        (1000.0, "is singular"), (1500.0, "is singular"),
+        (1650.0, "starts outside"), (2000.0, "starts outside")])
+    def test_selfsimilar_failures_exit_2(self, tmp_path, capsys, beta, cause):
+        # q = 2^(-2 beta / 3) underflows from beta = 1,613 on, so w_1 = 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"t0": -1, "beta": beta, "n_max": 10}))
+        out = tmp_path / "o"
+        assert main(["selfsimilar", "--config", str(cfg), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: NoConvergence: ") and cause in line
+        assert not out.exists()
+
+
 def certificate_verdicts(monkeypatch, module, solve):
     """The trials a solver's certificate classifies and its verdicts."""
     trials, verdicts = [], []

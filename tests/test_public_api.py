@@ -1,15 +1,19 @@
 """The package's public names: every name in __all__ resolves, so a star
-import works; what importing the CLI loads; and the signatures of the
-functions that take a state."""
+import works; what importing the CLI loads; the signatures of the
+functions that take a state; and the argument checks of the public
+functions on infinities and NaN."""
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 
+import pytest
+
 import dyadic_cascade
-from dyadic_cascade import cli
+from dyadic_cascade import cli, errors
 
 
 def test_every_exported_name_resolves():
@@ -67,3 +71,47 @@ def test_state_taking_functions_read_the_params_of_the_state():
                dyadic_cascade.energy_report, cli.fit_spectrum,
                dyadic_cascade.verify_lift_equivariance):
         assert "params" not in inspect.signature(fn).parameters, fn.__name__
+
+
+INF, NAN = math.inf, math.nan
+
+
+def _zeros(t_end):
+    p = dyadic_cascade.ModelParams(alpha=1.0, f=0.5, branching=2, depth=3)
+    return dyadic_cascade.integrate(dyadic_cascade.TreeState.zeros(p), t_end)
+
+
+@pytest.mark.parametrize("call,args", [
+    ("SolverOptions", {"rel_tol": INF}), ("SolverOptions", {"abs_tol": INF}),
+    ("SolverOptions", {"rel_tol": NAN}), ("SolverOptions", {"initial_step": INF}),
+    (_zeros, (INF,)), (_zeros, (NAN,)),
+    ("inviscid_tree_profile", (1.0, 2.0, INF, 3)),
+    ("inviscid_tree_profile", (1.0, 2.0, NAN, 3)),
+    ("solve_viscous_stationary", (INF, 1.0, 1.0, 1.0)),
+    ("solve_viscous_stationary", (1.0, INF, 1.0, 1.0)),
+    ("solve_viscous_stationary", (1.0, 1.0, INF, 1.0)),
+    ("solve_viscous_stationary", (1.0, 1.0, 1.0, INF)),
+    ("solve_viscous_stationary", (1.0, 1.0, NAN, 1.0)),
+    ("solve_selfsimilar_classic", (-1.0, INF, 10)),
+    ("solve_selfsimilar_classic", (-1.0, NAN, 10)),
+    ("solve_selfsimilar_classic", (-INF, 1.0, 10)),
+    ("dissipation_time_bound", (INF, 1.0, 2.0, 1.0)),
+    ("dissipation_time_bound", (0.1, INF, 2.0, 1.0)),
+    ("dissipation_time_bound", (0.1, 1.0, INF, 1.0)),
+    ("dissipation_time_bound", (0.1, 1.0, 2.0, -INF)),
+    ("asymptotic_flux", (INF, 3.0, 1.0)), ("asymptotic_flux", (NAN, 3.0, 1.0)),
+    ("asymptotic_flux", (1.0, INF, 1.0)), ("asymptotic_flux", (1.0, NAN, 1.0)),
+    ("asymptotic_flux", (1.0, 3.0, INF)), ("asymptotic_flux", (1.0, 3.0, NAN)),
+    ("LiftSpec", (0.5, INF)), ("LiftSpec", (0.5, NAN)),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v).replace(" ", ""))
+def test_argument_checks_reject_infinities_and_nan(call, args):
+    # every library argument check raises DomainError, the CLI's bad input,
+    # for an infinite or NaN argument, before any work
+    f = call if callable(call) else getattr(dyadic_cascade, call)
+    with pytest.raises(errors.DomainError):
+        f(**args) if isinstance(args, dict) else f(*args)
+
+
+def test_an_unbounded_max_step_is_the_default():
+    assert dyadic_cascade.SolverOptions().max_step == math.inf
+    assert dyadic_cascade.SolverOptions(max_step=INF).max_step == math.inf

@@ -16,7 +16,7 @@ from dyadic_cascade import (
     stationary_tree_profile,
 )
 from dyadic_cascade.cli import fit_spectrum
-from dyadic_cascade.errors import BracketFailure, DomainError
+from dyadic_cascade.errors import BracketFailure, DomainError, NonFiniteResult
 from dyadic_cascade.stationary import (
     REGIME_ANOMALOUS,
     REGIME_REGULAR,
@@ -271,6 +271,23 @@ class TestAsymptoticFlux:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_flux(-1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("z,beta,nu", [
+        (2.2e100, 1000.0, 1.0),     # 2^(-4 beta/3) underflows to 0
+        (1e100, 790.0, 1.0),        # 2^(-4 beta/3) is subnormal, the flux 1e-17
+        (4.86e200, 2000.0, 1.0),    # z^3 overflows
+        (2e200, 3.0, 1e-100),       # z^3 overflows, nu^3 is normal
+        (1e-300, 1.0, 1e-10)])      # the flux itself underflows to 0
+    def test_factors_beyond_the_float_range(self, z, beta, nu):
+        # the formula in mpmath, on the float exponent -4 beta / 3
+        with mp.workdps(40):
+            expected = float(mp.mpf(2) ** mp.mpf(-4.0 * beta / 3.0) * mp.mpf(nu) ** 3
+                             * mp.mpf(z) ** 3)
+        assert asymptotic_flux(z, beta, nu) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_a_flux_beyond_the_float_range_raises(self):
+        with pytest.raises(NonFiniteResult, match="beyond the float range"):
+            asymptotic_flux(2e120, 3.0, 1.0)
 
 
 class TestStationaryTreeProfile:

@@ -1,4 +1,4 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/, tests/ or tools/ imports a name it never uses.
 
 The repository runs no linter, so this stdlib check stands in for one: a
 name bound by an import must be read somewhere in the module, in code, in
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+MODULES = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree):
